@@ -29,15 +29,19 @@ WORKLOADS = {
     "watch-testers": dict(
         mode="watch", every=200, shards=2, runs="l2,uniformity", fleet=True,
         keys="zipf:4000:16000:1.0", records=2_000_000, claims={"analyses.share": (0.0, 0.1)},
+        sibling="watch-testers-1shard",
     ),
     "watch-testers-1shard": dict(
         mode="watch", every=200, shards=1, runs="l2,uniformity", fleet=True,
         keys="zipf:4000:16000:1.0", records=2_000_000, claims={"analyses.share": (0.0, 0.1)},
         sibling="watch-testers",
     ),
+    # The load sends `rate * --seconds` records. A p90 needs at least 100
+    # complete windows, which at this rate takes 40 seconds.
     "serve-default": dict(
         mode="serve", every=1000, shards=1, runs=None, fleet=False,
-        keys="zipf:100:100:1.0", rate=8_000, flush_ms=50, poll_hz=23,
+        keys="zipf:100:100:1.0", rate=3_900, flush_ms=50, poll_hz=47,
+        claims={"greedy.share": (0.9, 1.0)},
     ),
 }
 
@@ -94,11 +98,20 @@ UNITS = {
 }
 
 
-def khist_flags(spec, seed):
+#: The program's own `--seed` (its default). The workload seed draws only
+#: the input values, which the program receives, as a user's would be.
+#: The program seed picks which reservoir lane each record of a stream
+#: goes to, whatever the values; some seeds leave a lane of an l2 window
+#: empty and stop `watch` with "need non-empty sample sets" (1002 does on
+#: `watch-testers`). With this one fixed, no workload seed can fail so.
+PROGRAM_SEED = 0
+
+
+def khist_flags(spec):
     """The analysis flags `watch --key-field` and `serve` share."""
     flags = [
         "--key-field", "0", "--n", str(N), "--every", str(spec["every"]),
-        "--shards", str(spec["shards"]), "--seed", str(seed),
+        "--shards", str(spec["shards"]), "--seed", str(PROGRAM_SEED),
     ]
     if spec["runs"]:
         flags += ["--run", spec["runs"]]
@@ -127,6 +140,29 @@ def tail_percentile(samples):
         if samples * (100 - p) >= 1000:
             best = p
     return best
+
+
+def grouped_percentiles(runs, percentiles, least=100):
+    """`({p: value}, smallest group)` over the samples of repeated runs of
+    one input: consecutive runs are pooled into groups of at least `least`
+    samples (a short remainder joins the last group), and each percentile
+    is the median of the groups' nearest-rank percentiles. A run slowed by
+    another tenant then moves one group's tail, not the reported tail."""
+    groups, pending = [], []
+    for samples in runs:
+        pending += samples
+        if len(pending) >= least:
+            groups.append(pending)
+            pending = []
+    if pending:
+        if groups:
+            groups[-1] += pending
+        else:
+            groups.append(pending)
+    if not groups or not groups[0]:
+        return {p: None for p in percentiles}, 0
+    values = {p: median([percentile(group, p) for group in groups]) for p in percentiles}
+    return values, min(len(group) for group in groups)
 
 
 def expected_windows(streams, every):

@@ -3,7 +3,7 @@
 
 Run from the repository root:
 
-    python3 perfbench/run.py --workload watch-default --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload watch-default --seed 1 --seconds 40 --trace 0
 
 It builds the release `khist` binary and the benchmark's driver
 (`perfbench/driver`), generates the workload's input from the seed before
@@ -30,8 +30,10 @@ import loadgen
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
-#: Spawns per run whose median is `setup_s`.
-WATCH_SETUPS, SERVE_SETUPS = 31, 9
+#: Spawns whose median is `setup_s`: before each `watch` invocation, and
+#: before and again after a serve load, so that they span the run rather
+#: than one moment of it.
+WATCH_SETUPS, SERVE_SETUPS = 8, 5
 #: Fewest `watch` invocations a run takes medians over.
 MIN_INVOCATIONS = 3
 #: Seconds any one process may run before it is killed (and fails).
@@ -108,28 +110,28 @@ class Run:
 
     def watch_cmd(self, source, shards=None):
         spec = dict(self.spec, shards=shards or self.spec["shards"])
-        cmd = [self.khist, "watch", source, "--json", *benchlib.khist_flags(spec, self.seed)]
+        cmd = [self.khist, "watch", source, "--json", *benchlib.khist_flags(spec)]
         return cmd + (["--fleet"] if spec["fleet"] else [])
 
     def serve_flags(self):
-        return [*benchlib.khist_flags(self.spec, self.seed), "--flush-ms", str(self.spec["flush_ms"])]
+        return [*benchlib.khist_flags(self.spec), "--flush-ms", str(self.spec["flush_ms"])]
 
 
 def watch_end_to_end(run):
-    """Spawn-to-exit setups, then piped `watch` invocations for the run's
-    seconds (at least MIN_INVOCATIONS), then the output checks."""
+    """Piped `watch` invocations for the run's seconds (at least
+    MIN_INVOCATIONS), each after spawn-to-exit setups, then the output
+    checks."""
     spec = run.spec
     _, data, meta = run.generate(spec["records"])
     cmd = run.watch_cmd("-")
-    setups = []
-    for _ in range(WATCH_SETUPS):
-        seconds, ok = loadgen.watch_setup(cmd, TIMEOUT)
-        setups.append(seconds)
-        run.ops.add(1, not ok)
     records = meta["records"]
     windows = sum(c + p for c, p in benchlib.expected_windows(meta["streams"], spec["every"]).values())
-    invocations, started = [], time.perf_counter()
+    invocations, setups, started = [], [], time.perf_counter()
     while len(invocations) < MIN_INVOCATIONS or time.perf_counter() - started < run.args.seconds:
+        for _ in range(WATCH_SETUPS):
+            seconds, ok = loadgen.watch_setup(cmd, TIMEOUT)
+            setups.append(seconds)
+            run.ops.add(1, not ok)
         invocations.append(loadgen.watch_piped(cmd, data, TIMEOUT))
     byte_ends = benchlib.completions(meta, "byte_end")
     latency, waits, digests = [], [], []
@@ -137,9 +139,10 @@ def watch_end_to_end(run):
         lines = [line for _, line in inv["lines"]]
         digests.append(benchlib.report_digest(lines))
         run.ops.add(records + 1, 0 if inv["ok"] else records + 1)
-        latency += benchlib.watch_latencies(inv["lines"], inv["writes"], loadgen.BLOCK, byte_ends)
-        waits += benchlib.residual_waits(inv["writes"], inv["writes"][0][0], inv["t_eof"],
-                                         loadgen.PROBE_PERIOD)
+        latency.append(benchlib.watch_latencies(inv["lines"], inv["writes"], loadgen.BLOCK,
+                                                byte_ends))
+        waits.append(benchlib.residual_waits(inv["writes"], inv["writes"][0][0], inv["t_eof"],
+                                             loadgen.PROBE_PERIOD))
     failed_windows, _ = run.check_capture([l for _, l in invocations[0]["lines"]], meta, "watch.jsonl")
     run.ops.add(windows * len(invocations), failed_windows * len(invocations))
     run.checks["invocations_ok"] = all(inv["ok"] for inv in invocations)
@@ -152,28 +155,31 @@ def watch_end_to_end(run):
             same = benchlib.report_digest(f.read().splitlines()) == digests[0]
         run.checks[f"same_as_{spec['sibling']}"] = ok and same
     run.notes.append(f"report_digest: {digests[0]}")
-    # Other tenants of a shared host only ever slow an invocation down, by
-    # up to 70% for seconds at a time, so the best invocation is the
-    # steadiest figure for throughput, CPU and shutdown.
+    # Other tenants of a shared host slow the cores down by up to half for
+    # seconds to minutes at a time. Totals over the whole run average the
+    # stretches it spans; the best or the median invocation snaps to one
+    # of them, which spreads runs further apart.
+    total_records = records * len(invocations)
     run.values.update(
-        records_per_s=max(records / inv["wall"] for inv in invocations),
-        cpu_s_per_mrec=min(inv["cpu"] / records * 1e6 for inv in invocations),
+        records_per_s=total_records / sum(inv["wall"] for inv in invocations),
+        cpu_s_per_mrec=sum(inv["cpu"] for inv in invocations) / total_records * 1e6,
         peak_rss_mb=benchlib.median([inv["rss_mb"] for inv in invocations]),
         setup_s=benchlib.median(setups),
-        shutdown_s=min(inv["t_exit"] - inv["t_eof"] for inv in invocations),
+        shutdown_s=benchlib.median([inv["t_exit"] - inv["t_eof"] for inv in invocations]),
     )
     latency_metrics(run, "window_latency", latency)
     latency_metrics(run, "control_rtt", waits)
     run.notes.append(f"invocations: {len(invocations)}")
 
 
-def latency_metrics(run, name, samples):
-    """p50 and p90 in ms, with the sample count; a p90 needs at least 100
-    samples (ten beyond it)."""
-    run.values[f"{name}_samples"] = len(samples)
-    run.checks[f"{name}_p90_has_10_beyond"] = (benchlib.tail_percentile(len(samples)) or 0) >= 90
-    for p in (50, 90):
-        value = benchlib.percentile(samples, p)
+def latency_metrics(run, name, runs):
+    """p50 and p90 in ms over the samples of each of `runs`, repeated runs
+    of one input (`benchlib.grouped_percentiles`), with the sample count;
+    a p90 needs at least 100 samples (ten beyond it) in every group."""
+    values, smallest = benchlib.grouped_percentiles(runs, (50, 90))
+    run.values[f"{name}_samples"] = sum(map(len, runs))
+    run.checks[f"{name}_p90_has_10_beyond"] = (benchlib.tail_percentile(smallest) or 0) >= 90
+    for p, value in values.items():
         run.values[f"{name}_p{p}_ms"] = None if value is None else value * 1e3
 
 
@@ -220,14 +226,19 @@ def serve_end_to_end(run):
     spec = run.spec
     _, data, meta = run.generate(int(spec["rate"] * run.args.seconds))
     setups = []
-    for _ in range(SERVE_SETUPS):
-        seconds, ok = loadgen.serve_setup(run.khist, run.serve_flags(), TIMEOUT)
-        run.ops.add(1, not ok)
-        if seconds is not None:
-            setups.append(seconds)
+
+    def set_up():
+        for _ in range(SERVE_SETUPS):
+            seconds, ok = loadgen.serve_setup(run.khist, run.serve_flags(), TIMEOUT)
+            run.ops.add(1, not ok)
+            if seconds is not None:
+                setups.append(seconds)
+
+    set_up()
     # Per-stream reports are the same at any shard count; two shards
     # check serve against watch in half the time.
     load, _, _ = serve_load(run, data, meta, 2)
+    set_up()
     if load.setup is not None:
         setups.append(load.setup)
     records = meta["records"]
@@ -238,8 +249,8 @@ def serve_end_to_end(run):
         setup_s=benchlib.median(setups),
         shutdown_s=load.shutdown_s,
     )
-    latency_metrics(run, "window_latency", load.window_latency)
-    latency_metrics(run, "control_rtt", load.rtt)
+    latency_metrics(run, "window_latency", [load.window_latency])
+    latency_metrics(run, "control_rtt", [load.rtt])
     run.values["serve.backlog_records_p90"] = benchlib.percentile(load.backlog, 90)
     run.values["serve.windows_per_drain_p90"] = benchlib.percentile(load.per_drain, 90)
 
@@ -250,7 +261,7 @@ def trace(run, capture, chunk, untraced_wall, meta):
     result = run.call_driver(
         "trace", "--input", run.path("input.txt"), "--cli", capture,
         "--sink", run.path("trace.jsonl"), "--n", benchlib.N, "--every", spec["every"],
-        "--shards", spec["shards"], "--chunk", chunk, "--seed", run.seed,
+        "--shards", spec["shards"], "--chunk", chunk, "--seed", benchlib.PROGRAM_SEED,
         # Serve computes a rollup after each drain for its subscriber.
         *(["--fleet"] if spec["fleet"] or spec["mode"] == "serve" else []))
     checks, metrics = result["checks"], result["metrics"]
