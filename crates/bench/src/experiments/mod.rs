@@ -18,9 +18,7 @@ use khist_dist::{generators, DenseDistribution, DistError};
 use khist_oracle::DenseOracle;
 
 /// Samples-and-learns from an explicit pmf through a freshly seeded
-/// [`DenseOracle`] — the experiments' replacement for the deprecated
-/// `learn_dense` wrapper (same rng discipline: one `rng.random()` seed per
-/// run).
+/// [`DenseOracle`] (one `rng.random()` seed per run).
 pub(crate) fn learn_sampled<R: rand::Rng + ?Sized>(
     p: &DenseDistribution,
     params: &GreedyParams,

@@ -9,20 +9,20 @@
 //!
 //! ```text
 //!   ingest_batch(&[(key, value), …])
-//!        │  phase 1 — parallel route: the batch splits into chunks; each
-//!        ▼  chunk fans to a worker that hashes its keys (batched FNV-1a,
-//!           one hash per record, reused for the interner probe *and* the
-//!           consistent-hash ring at debut) and buckets records into
-//!           per-(chunk, shard) sub-partitions over reusable scratch
+//!        │  route: the batch splits into chunks; each chunk's job hashes
+//!        ▼  its keys (batched FNV-1a, one hash per record, reused for the
+//!           interner probe *and* the consistent-hash ring at debut) and
+//!           buckets records into per-(chunk, shard) sub-partitions over
+//!           reusable scratch
 //!   ┌ chunk 0 ┐ ┌ chunk 1 ┐ ┌ chunk 2 ┐ ┌ chunk 3 ┐   debuting keys miss
 //!   │ w0 route│ │ w1 route│ │ w0 route│ │ w1 route│   every chunk and are
-//!   └─┬─────┬─┘ └─┬─────┬─┘ └─┬─────┬─┘ └─┬─────┬─┘   interned serially in
-//!     ▼     ▼     ▼     ▼     ▼     ▼     ▼     ▼     arrival order after
-//!   s0-sub s1-…  s0-…  s1-…  s0-…  s1-…  s0-…  s1-…   the routed chunks land
-//!        │  phase 2 — shard ingest: each busy shard concatenates the
+//!   └─┬─────┬─┘ └─┬─────┬─┘ └─┬─────┬─┘ └─┬─────┬─┘   interned in arrival
+//!     ▼     ▼     ▼     ▼     ▼     ▼     ▼     ▼     order into their own
+//!   s0-sub s1-…  s0-…  s1-…  s0-…  s1-…  s0-…  s1-…   chunk's buckets
+//!        │  shard ingest: each busy shard concatenates the
 //!        ▼  sub-partitions addressed to it *in chunk order* (restoring
 //!           every stream's global arrival order — bit-identity) and
-//!           ingests on its persistent worker
+//!           ingests in one job
 //!   ┌─────────┐  ┌─────────┐       ┌─────────┐   one *persistent* worker
 //!   │ shard 0 │  │ shard 1 │  ...  │ shard S │   thread per shard, spawned
 //!   │ ┌─────┐ │  │ ┌─────┐ │       │ ┌─────┐ │   at build and parked when
@@ -36,32 +36,36 @@
 //!     Vec<WindowReport> tagged by stream, sorted by (stream, window)
 //! ```
 //!
-//! Batches smaller than [`Engine::PARALLEL_ROUTE_MIN`] (and single-shard
-//! engines) skip phase 1's fan-out and route serially on the caller
-//! thread — the output is bit-identical either way; the threshold only
-//! decides who does the hashing.
+//! There is one route, and the batch size picks its chunk count: a batch
+//! smaller than [`Engine::PARALLEL_ROUTE_MIN`] (or any batch on a
+//! single-shard engine, which has no workers) is one chunk routed on the
+//! caller thread; a larger one is `Courier::DEPTH × workers` chunks fanned
+//! across the workers. The output is bit-identical either way; the chunk
+//! count only decides who does the hashing. Route chunks and shard slabs
+//! alike go through one dispatch, which runs a call's jobs inline on the
+//! caller thread when there is at most one and over the workers
+//! otherwise.
 //!
 //! # The allocation-free batch pipeline
 //!
 //! Steady-state `ingest_batch` (every key already interned, no window
-//! closing) performs **zero heap allocations** on both the serial and the
-//! parallel route path — asserted by a counting-allocator integration
-//! test (`tests/engine_zero_alloc.rs`):
+//! closing) performs **zero heap allocations** for every chunk count —
+//! asserted by a counting-allocator integration test
+//! (`tests/engine_zero_alloc.rs`):
 //!
 //! * keys resolve through the interner's open-addressing table (hash +
-//!   probe, no `String`, no `BTreeMap`); the parallel path shares the
-//!   table as a frozen `Arc` snapshot, cloned by refcount only;
-//! * records partition into per-shard scratch buffers (serial) or
-//!   per-chunk arenas + sub-partition buckets (parallel), all reused
-//!   across batches and round-tripped by value through the mailboxes;
+//!   probe, no `String`, no `BTreeMap`); route jobs share the table as a
+//!   frozen `Arc` snapshot, cloned by refcount only;
+//! * records partition into per-chunk arenas + sub-partition buckets,
+//!   all reused across batches and round-tripped by value through the
+//!   jobs;
 //! * each shard groups its sub-partitions with a counting sort over
 //!   reused scratch (counts / touched-slot list / scatter buffer) that
 //!   concatenates logically — no copy of the routed records;
-//! * busy shards move through their worker's bounded mailbox ring by
-//!   value (`mem::take` of the shard slab — no copy, no channel
-//!   allocation) and move back when collected. When at most one shard is
-//!   busy the ingest runs inline on the caller thread — no handoff at
-//!   all.
+//! * jobs move through the workers' bounded mailbox rings by value
+//!   (`mem::take` of the shard slab or route chunk — no copy, no channel
+//!   allocation) and move back when collected. When a call has at most
+//!   one job it runs inline on the caller thread — no handoff at all.
 //!
 //! # Sharding is semantics-free
 //!
@@ -90,8 +94,9 @@
 //!
 //! Operators interrogate one stream mid-window without disturbing it:
 //! [`Engine::snapshot`] answers an on-demand sub-batch from the stream's
-//! current partial window (routed to the owning shard over the same
-//! worker mailboxes as batches), [`Engine::ledger`] reports the stream's
+//! current partial window (on the caller thread, against the owning
+//! shard's slab — it touches one stream, so there is nothing to fan out),
+//! [`Engine::ledger`] reports the stream's
 //! lifetime sample/time spend as bounded per-label totals, and
 //! [`Engine::stream_seen`] lists debut-ordered per-stream record counts.
 //! `khist serve` exposes exactly these as its `STATS` requests.
@@ -412,12 +417,12 @@ impl Interner {
     }
 }
 
-/// Reusable scratch for one chunk of the parallel route phase. The caller
-/// thread fills `arena`/`spans` (a pure memcpy of key bytes — no hashing,
-/// no probing), ships the chunk to a route worker by value through the
-/// courier ring, and gets it back with `hashes`, `buckets`, and `misses`
-/// filled. Every buffer keeps its capacity across batches, so a warm
-/// batch's route phase allocates nothing.
+/// Reusable scratch for one chunk of the route. The caller thread fills
+/// `arena`/`spans` (a pure memcpy of key bytes — no hashing, no probing)
+/// and hands the chunk to a [`Job::Route`], which fills `hashes`,
+/// `buckets`, and `misses` — inline, or on a worker that sends it back by
+/// value. Every buffer keeps its capacity across batches, so a warm
+/// batch's route allocates nothing.
 ///
 /// `Default` is derived so chunks `mem::take` in and out of the scratch
 /// pool without a heap touch.
@@ -435,7 +440,8 @@ struct RouteChunk {
     /// whose keys resolved through the interner, each in arrival order.
     buckets: Vec<Vec<(u32, usize)>>,
     /// Span indices of records whose keys missed the interner snapshot —
-    /// debuts, interned serially (and cold) by the engine afterwards.
+    /// debuts, interned on the caller thread (and cold) by the engine's
+    /// debut pass, which appends them to `buckets`.
     misses: Vec<usize>,
 }
 
@@ -449,12 +455,12 @@ impl RouteChunk {
     }
 }
 
-/// Phase-1 route work, run inside a shard worker: a batched FNV-1a pass
-/// over the chunk's key arena, then one interner probe per record — the
-/// hash is computed once and reused for the probe here and for the ring
-/// lookup if the key turns out to be a debut. Known keys bucket into the
-/// per-shard sub-partitions in arrival order; unknown keys are recorded
-/// as misses for the engine's serial debut pass.
+/// A route job's work: a batched FNV-1a pass over the chunk's key arena,
+/// then one interner probe per record — the hash is computed once and
+/// reused for the probe here and for the ring lookup if the key turns out
+/// to be a debut. Known keys bucket into the per-shard sub-partitions in
+/// arrival order; unknown keys are recorded as misses for the engine's
+/// debut pass.
 fn route_chunk(chunk: &mut RouteChunk, interner: &Interner) {
     hash_spans(&chunk.arena, &chunk.spans, &mut chunk.hashes);
     bucket_records(chunk, interner);
@@ -528,12 +534,12 @@ struct StreamSlot {
 
 /// One worker's worth of streams, plus its reusable batch scratch. Shards
 /// share nothing: every stream key hashes to exactly one shard, and only
-/// that shard's worker (or the caller thread, when the shard runs inline)
-/// ever touches its states.
+/// the thread running the [`Job`] that holds the slab ever touches its
+/// states.
 ///
 /// `Default` is derived so the engine can `mem::take` a shard — an
-/// allocation-free move — to hand it to its persistent worker by value and
-/// reinstall it when the batch result is collected.
+/// allocation-free move — into a job by value and reinstall it when the
+/// job lands.
 #[derive(Default)]
 struct Shard {
     /// Slots in debut order — the shard-local slab the interner's
@@ -548,6 +554,10 @@ struct Shard {
     spans: Vec<(u32, usize, usize)>,
     /// The batch's record values scattered into per-slot contiguous runs.
     grouped: Vec<usize>,
+    /// The current batch's chunk-ordered sub-partitions addressed to this
+    /// shard — one route bucket per chunk, moved in for the ingest job and
+    /// back to the route chunks when it lands.
+    subs: Vec<Vec<(u32, usize)>>,
     /// The shard's fleet rollup partial, accumulated at window production
     /// inside the worker (zero extra oracle draws) and folded shard-wise
     /// by [`Engine::fleet_report`].
@@ -654,10 +664,9 @@ fn concat_group(
 }
 
 impl Shard {
-    /// Ingests one shard's share of a keyed batch, handed over as
-    /// chunk-ordered sub-partitions of `(slot, value)` records (one per
-    /// route chunk, plus the engine's serial/debut partition last; the
-    /// serial path passes a single sub-partition). Records are grouped
+    /// Ingests one shard's share of a keyed batch, handed over in `subs`
+    /// as chunk-ordered sub-partitions of `(slot, value)` records (one per
+    /// route chunk). Records are grouped
     /// per stream with a counting sort over reused scratch (see
     /// [`concat_group`] — preserving each stream's arrival order, the
     /// only order a stream's state can observe) and each touched stream
@@ -670,12 +679,12 @@ impl Shard {
     /// Slot index order is debut order, so the processing order is
     /// deterministic for every batch partitioning — and the whole pass
     /// allocates nothing once the scratch has grown to the working size.
-    fn ingest_parts(&mut self, parts: &[Vec<(u32, usize)>]) -> ShardOutcome {
+    fn ingest_parts(&mut self) -> ShardOutcome {
         if self.counts.len() < self.slots.len() {
             self.counts.resize(self.slots.len(), 0);
         }
         concat_group(
-            parts,
+            &self.subs,
             &mut self.counts,
             &mut self.touched,
             &mut self.spans,
@@ -748,54 +757,68 @@ impl Shard {
     }
 }
 
-/// A job handed to a shard's persistent worker. Owned state (the shard
-/// slab, a route chunk, the sub-partition list) moves in by value and
-/// moves back out inside the matching [`ShardReply`] variant, so every
-/// buffer's capacity survives the round trip.
-enum ShardJob {
-    /// Phase 1 of the parallel shuffle: hash and bucket one chunk of the
-    /// incoming batch against a frozen interner snapshot. Any worker can
-    /// run any chunk — routing is stateless.
+/// What a [`Job::Shard`] does to its slab.
+enum Task {
+    /// Ingest the sub-partitions moved into the shard's `subs`.
+    Ingest,
+    /// Flush every stream the shard owns.
+    Flush,
+}
+
+/// One unit of engine work, run in place (inline, or on a persistent
+/// worker that hands the same value back) and then landed by
+/// [`Engine::land`]. Owned state moves in by value and every variant
+/// carries the index of its home slot, so each buffer's capacity survives
+/// the round trip and no answer can come back in the wrong shape.
+#[allow(clippy::large_enum_variant)] // boxing would allocate per job and break the zero-alloc warm path
+enum Job {
+    /// Hash and bucket one chunk of the incoming batch against a frozen
+    /// interner snapshot. Any worker can run any chunk — routing is
+    /// stateless.
     Route {
+        index: usize,
         chunk: RouteChunk,
         interner: Arc<Interner>,
     },
-    /// Phase 2: ingest the chunk-ordered sub-partitions addressed to this
-    /// worker's shard (the serial path passes a single sub-partition).
-    Ingest {
+    /// Run `task` on shard `index`'s slab, leaving the result in `outcome`.
+    Shard {
+        index: usize,
         shard: Shard,
-        subs: Vec<Vec<(u32, usize)>>,
-    },
-    /// Flush every stream the shard owns.
-    Flush { shard: Shard },
-    /// Answer a control-plane snapshot for one stream the shard owns.
-    Snapshot {
-        shard: Shard,
-        slot: u32,
-        analyses: Arc<Vec<Analysis>>,
+        task: Task,
+        outcome: ShardOutcome,
     },
 }
 
-/// A worker's answer, mirroring [`ShardJob`] variant for variant. Moved
-/// state comes back so the engine can reinstall slabs and recycle scratch
-/// capacity.
-enum ShardReply {
-    /// The routed chunk: `hashes`, `buckets`, and `misses` filled.
-    Routed { chunk: RouteChunk },
-    /// The shard slab back, the batch outcome, and the sub-partition list
-    /// (cleared by the engine on restore; every buffer keeps its capacity).
-    Ingested {
-        shard: Shard,
-        outcome: ShardOutcome,
-        subs: Vec<Vec<(u32, usize)>>,
-    },
-    /// The flushed shard slab and its outcome.
-    Flushed { shard: Shard, outcome: ShardOutcome },
-    /// The shard slab back plus the snapshot's answer.
-    Snapped {
-        shard: Shard,
-        snapshot: Result<Vec<Report>, DistError>,
-    },
+impl Job {
+    /// Moves shard `index`'s slab out of `home` (an allocation-free
+    /// `mem::take`) into a job running `task` on it.
+    fn shard(index: usize, home: &mut Shard, task: Task) -> Job {
+        Job::Shard {
+            index,
+            shard: std::mem::take(home),
+            task,
+            outcome: ShardOutcome::default(),
+        }
+    }
+
+    fn run(&mut self) {
+        match self {
+            Job::Route {
+                chunk, interner, ..
+            } => route_chunk(chunk, interner),
+            Job::Shard {
+                shard,
+                task,
+                outcome,
+                ..
+            } => {
+                *outcome = match task {
+                    Task::Ingest => shard.ingest_parts(),
+                    Task::Flush => shard.flush(),
+                }
+            }
+        }
+    }
 }
 
 /// The deterministic error for a record the engine could not route — the
@@ -812,16 +835,6 @@ fn lost_record(key: &str) -> DistError {
              (interner entry missing); failing the batch instead of \
              silently dropping the record"
         ),
-    }
-}
-
-/// The deterministic error for a shard worker answering with a mismatched
-/// reply variant — unreachable while the courier ring is FIFO, surfaced
-/// as an error rather than a panic to keep the no-panic discipline.
-#[cold]
-fn protocol_error() -> DistError {
-    DistError::BadParameter {
-        reason: "internal: shard worker answered with a mismatched reply variant".into(),
     }
 }
 
@@ -920,21 +933,15 @@ impl EngineBuilder {
         // Persistent workers: spawned once here, parked on their mailbox
         // between batches. A 1-shard engine has no workers at all.
         let workers = Engine::spawn_workers(self.shards);
-        let mut parts = Vec::with_capacity(self.shards);
-        parts.resize_with(self.shards, Vec::new);
         let route = Engine::route_scratch(workers.len(), self.shards);
-        let mut gather = Vec::with_capacity(self.shards);
-        gather.resize_with(self.shards, Vec::new);
         Ok(Engine {
             cfg,
             ring: Ring::new(self.shards),
             shards,
             workers,
             interner: Arc::new(Interner::new()),
-            parts,
             route,
-            gather,
-            busy: Vec::new(),
+            jobs: Vec::new(),
             outcomes: Vec::new(),
             stashed: Vec::new(),
             fleet_base: FleetSummary::new(),
@@ -956,26 +963,18 @@ pub struct Engine {
     /// Persistent shard workers (empty for a 1-shard engine). Index i is
     /// shard i's dedicated worker; dropping the engine parks-then-joins
     /// them.
-    workers: Vec<Courier<ShardJob, ShardReply>>,
+    workers: Vec<Courier<Job, Job>>,
     /// The key interner, shared read-only with in-flight route jobs. The
-    /// engine mutates it through `Arc::make_mut` only between batches,
-    /// when no route job holds a clone — so the copy-on-write never
+    /// engine mutates it through `Arc::make_mut` only after every route
+    /// job has landed and dropped its clone — so the copy-on-write never
     /// actually copies.
     interner: Arc<Interner>,
-    /// Per-shard partition scratch: `(slot, value)` records, reused across
-    /// batches (round-tripped through the workers to keep capacity). On
-    /// the parallel route path this holds only the debut (miss) records;
-    /// the bulk rides the route chunks' buckets.
-    parts: Vec<Vec<(u32, usize)>>,
-    /// Route-chunk scratch for the parallel shuffle:
-    /// `Courier::DEPTH × workers` chunks so every worker's ring pipelines
-    /// two route jobs. Empty for a single-shard engine.
+    /// Route-chunk scratch: `Courier::DEPTH × workers` chunks so every
+    /// worker's ring pipelines two route jobs, or the one chunk a
+    /// single-shard engine routes every batch through.
     route: Vec<RouteChunk>,
-    /// Per-shard sub-partition gather lists (the `subs` vector shipped
-    /// with each `ShardJob::Ingest`), reused across batches.
-    gather: Vec<Vec<Vec<(u32, usize)>>>,
-    /// Indices of the shards busy in the current call.
-    busy: Vec<u32>,
+    /// Jobs queued for [`Engine::run_jobs`]; empty between calls.
+    jobs: Vec<Job>,
     /// Per-call shard outcomes, drained by [`Engine::settle`].
     outcomes: Vec<ShardOutcome>,
     /// Reports computed by healthy streams during a call that returned an
@@ -1007,11 +1006,11 @@ impl Engine {
     }
 
     /// Minimum batch size (in records) at which a multi-shard engine
-    /// routes in parallel. Below this, [`Engine::ingest_batch`] hashes
-    /// and partitions on the caller thread: waking the worker ring costs
-    /// more than the hashing it would spread. Public so callers sizing
-    /// their feed chunks (the CLI uses `4096 × shards`) can reason about
-    /// which path a batch takes; the output is bit-identical either way.
+    /// routes in parallel. Below this, [`Engine::ingest_batch`] routes the
+    /// batch as one chunk on the caller thread: waking the worker ring
+    /// costs more than the hashing it would spread. Public so callers
+    /// sizing their feed chunks (the CLI uses `4096 × shards`) can reason
+    /// about how a batch is split; the output is bit-identical either way.
     pub const PARALLEL_ROUTE_MIN: usize = 2048;
 
     /// The seed stream `key` samples with under base seed `base`: the
@@ -1041,13 +1040,6 @@ impl Engine {
 
     /// Number of distinct stream keys seen so far.
     pub fn streams(&self) -> usize {
-        self.interner.entries.len()
-    }
-
-    /// Number of distinct stream keys seen so far — the control-plane
-    /// name for [`streams`](Engine::streams) (`khist serve`'s `STATS`
-    /// reply and the fleet example both read it).
-    pub fn stream_count(&self) -> usize {
         self.interner.entries.len()
     }
 
@@ -1121,17 +1113,10 @@ impl Engine {
     }
 
     /// Resolves `key` to its interned id, creating the stream's slot (and
-    /// state machine) on debut. Steady state touches no `String`.
-    fn intern(&mut self, key: &str) -> u32 {
-        let hash = key_hash(key);
-        self.intern_hashed(key, hash)
-    }
-
-    /// [`Engine::intern`] with the FNV-1a hash already in hand — the
-    /// parallel route phase hashed every key once in the workers, and the
-    /// debut pass reuses that value for the lookup, the ring owner, *and*
-    /// the cached entry (the "hash computed once" contract).
-    fn intern_hashed(&mut self, key: &str, hash: u64) -> u32 {
+    /// state machine) on debut. `hash` is the key's FNV-1a hash from the
+    /// route pass, reused for the lookup, the ring owner, *and* the cached
+    /// entry (the "hash computed once" contract).
+    fn intern(&mut self, key: &str, hash: u64) -> u32 {
         if let Some(id) = self.interner.lookup(key.as_bytes(), hash) {
             return id;
         }
@@ -1153,60 +1138,35 @@ impl Engine {
             alarmed: false,
         });
         shard.fleet.observe_debut();
-        // Debut is a cold path and runs with no route job in flight, so
+        // Debut is a cold path and runs after every route job landed, so
         // the Arc is unique and make_mut mutates in place (no clone).
         Arc::make_mut(&mut self.interner).insert(key, hash, shard_idx as u32, slot)
     }
 
     /// Spawns the persistent worker pool for `shards` shards: one parked
     /// thread per shard, each owning one end of a bounded two-deep
-    /// mailbox ring. A pool of one (or zero) shards has no workers —
-    /// every job runs inline on the caller thread.
-    fn spawn_workers(shards: usize) -> Vec<Courier<ShardJob, ShardReply>> {
+    /// mailbox ring and running every [`Job`] it is handed in place. A
+    /// pool of one (or zero) shards has no workers — every job runs
+    /// inline on the caller thread.
+    fn spawn_workers(shards: usize) -> Vec<Courier<Job, Job>> {
         if shards <= 1 {
             return Vec::new();
         }
         (0..shards)
             .map(|i| {
-                Courier::spawn(&format!("khist-shard-{i}"), move |job: ShardJob| match job {
-                    ShardJob::Route {
-                        mut chunk,
-                        interner,
-                    } => {
-                        route_chunk(&mut chunk, &interner);
-                        ShardReply::Routed { chunk }
-                    }
-                    ShardJob::Ingest { mut shard, subs } => {
-                        let outcome = shard.ingest_parts(&subs);
-                        ShardReply::Ingested {
-                            shard,
-                            outcome,
-                            subs,
-                        }
-                    }
-                    ShardJob::Flush { mut shard } => {
-                        let outcome = shard.flush();
-                        ShardReply::Flushed { shard, outcome }
-                    }
-                    ShardJob::Snapshot {
-                        mut shard,
-                        slot,
-                        analyses,
-                    } => {
-                        let snapshot = shard.snapshot(slot, &analyses);
-                        ShardReply::Snapped { shard, snapshot }
-                    }
+                Courier::spawn(&format!("khist-shard-{i}"), |mut job: Job| {
+                    job.run();
+                    job
                 })
             })
             .collect()
     }
 
     /// Fresh route-chunk scratch: [`Courier::DEPTH`] chunks per worker so
-    /// each worker's mailbox ring stays two deep during the route phase.
-    /// Empty when the pool has no workers (single-shard engines route
-    /// serially — there is nobody to parallelize across).
+    /// each worker's mailbox ring stays two deep during the route, and
+    /// one chunk when the pool has no workers.
     fn route_scratch(workers: usize, shards: usize) -> Vec<RouteChunk> {
-        let chunks = workers * Courier::<ShardJob, ShardReply>::DEPTH;
+        let chunks = (workers * Courier::<Job, Job>::DEPTH).max(1);
         (0..chunks).map(|_| RouteChunk::new(shards)).collect()
     }
 
@@ -1271,24 +1231,19 @@ impl Engine {
         self.shards = fresh;
         self.ring = ring;
         // Old couriers drop (park → join) when replaced; fresh scratch for
-        // the new pool width (partitions, route chunks, gather lists).
+        // the new pool width.
         self.workers = Engine::spawn_workers(shards);
-        self.parts.clear();
-        self.parts.resize_with(shards, Vec::new);
         self.route = Engine::route_scratch(self.workers.len(), shards);
-        self.gather.clear();
-        self.gather.resize_with(shards, Vec::new);
-        self.busy.clear();
         Ok(moved)
     }
 
     /// Answers an on-demand sub-batch from one stream's *current*
     /// (possibly partial) window — "what does tenant X look like right
     /// now", mid-window, without waiting for the window to complete and
-    /// without disturbing ingestion or the drift baseline. The query is
-    /// routed to the owning shard over its persistent worker's mailbox
-    /// (inline for a single-shard engine), exactly like a batch; the
-    /// sample spend is folded into the stream's ledger.
+    /// without disturbing ingestion or the drift baseline. It touches one
+    /// stream, so it runs on the caller thread against the owning shard's
+    /// slab (every slab is home between calls); the sample spend is
+    /// folded into the stream's ledger.
     ///
     /// The batch may be any sub-batch whose requirements fit the standing
     /// plan — the frozen lanes cannot serve a larger draw (that errors,
@@ -1309,32 +1264,9 @@ impl Engine {
             Some(entry) => (entry.shard as usize, entry.slot),
             None => return Err(unknown()), // unreachable: lookup returned id
         };
-        if self.workers.is_empty() {
-            return match self.shards.get_mut(shard_idx) {
-                Some(shard) => shard.snapshot(slot, analyses),
-                None => Err(unknown()), // unreachable: interned shard index
-            };
-        }
-        // lint:allow(checked-indexing): interned shard indices are < shards.len()
-        let shard = std::mem::take(&mut self.shards[shard_idx]);
-        // lint:allow(checked-indexing): workers.len() == shards.len() when non-empty
-        self.workers[shard_idx].submit(ShardJob::Snapshot {
-            shard,
-            slot,
-            analyses: Arc::new(analyses.to_vec()),
-        });
-        // lint:allow(checked-indexing): same worker index as above
-        match self.workers[shard_idx].collect() {
-            ShardReply::Snapped { shard, snapshot } => {
-                // lint:allow(checked-indexing): interned shard indices are < shards.len()
-                self.shards[shard_idx] = shard;
-                snapshot
-            }
-            // Unreachable: snapshot jobs answer Snapped (FIFO ring).
-            other => {
-                drop(other);
-                Err(protocol_error())
-            }
+        match self.shards.get_mut(shard_idx) {
+            Some(shard) => shard.snapshot(slot, analyses),
+            None => Err(unknown()), // unreachable: interned shard index
         }
     }
 
@@ -1351,31 +1283,6 @@ impl Engine {
             .slots
             .get(entry.slot as usize)
             .map(|s| s.ledger.as_slice())
-    }
-
-    /// Ingests records for a single stream in arrival order, reporting the
-    /// stream's windows that completed during the batch. Runs inline on
-    /// the calling thread (one stream cannot be parallelized without
-    /// changing its output), and never returns other streams' stashed
-    /// reports — those wait for the next
-    /// [`ingest_batch`](Engine::ingest_batch) / [`flush`](Engine::flush).
-    pub fn ingest(&mut self, key: &str, records: &[usize]) -> Result<Vec<WindowReport>, DistError> {
-        let id = self.intern(key);
-        let (shard_idx, slot_idx) = match self.interner.entries.get(id as usize) {
-            Some(entry) => (entry.shard as usize, entry.slot as usize),
-            None => return Ok(Vec::new()), // unreachable: intern just returned id
-        };
-        // lint:allow(checked-indexing): intern placed this (shard, slot) coordinate
-        let shard = &mut self.shards[shard_idx];
-        let Some(slot) = shard.slots.get_mut(slot_idx) else {
-            return Ok(Vec::new()); // unreachable: intern placed the slot
-        };
-        let result = slot.state.ingest(records);
-        slot.state.drain_ledger();
-        if let Ok(reports) = &result {
-            observe_windows(&mut shard.fleet, slot, reports);
-        }
-        result
     }
 
     /// The fleet-wide rollup: every live shard's partial (plus the
@@ -1395,22 +1302,20 @@ impl Engine {
     }
 
     /// Ingests a batch of keyed records in arrival order — the engine's
-    /// main entry point, a two-phase parallel shuffle on multi-shard
-    /// engines. Batches of at least [`Engine::PARALLEL_ROUTE_MIN`]
-    /// records are chunked and fanned across the persistent workers,
-    /// which hash (once per record — the same FNV-1a value feeds the
-    /// interner probe, the ring lookup, and the cached entry) and bucket
-    /// their chunks into per-(chunk, shard) sub-partitions in parallel;
-    /// each busy shard then concatenates the sub-partitions addressed to
+    /// main entry point. The batch goes through the route: one chunk on
+    /// the caller thread below [`Engine::PARALLEL_ROUTE_MIN`] records (or
+    /// on a single-shard engine), `Courier::DEPTH × workers` chunks hashed
+    /// and bucketed in
+    /// parallel at or above it — the hash is computed once per record and
+    /// feeds the interner probe, the ring lookup, and the cached entry.
+    /// Each busy shard then concatenates the sub-partitions addressed to
     /// it in chunk order — restoring every stream's global arrival order,
-    /// hence bit-identity — and ingests. Smaller batches (and single-shard
-    /// engines) route serially on the caller thread; the output is
-    /// bit-identical either way. Busy shards move by value to their
+    /// hence bit-identity — and ingests. Busy shards move by value to the
     /// persistent workers (shared-nothing: a shard's states are touched
-    /// only by its worker), and completed windows come back sorted by
-    /// `(stream, window id)` — a deterministic interleaving with every
-    /// stream's reports in window order. When at most one shard is busy
-    /// the ingest runs inline on the caller thread: no handoff, no wakeup.
+    /// only by the job holding its slab), or run inline on the caller
+    /// thread when only one is busy, and completed windows come back
+    /// sorted by `(stream, window id)` — a deterministic interleaving with
+    /// every stream's reports in window order.
     ///
     /// A warm call — every key interned, no window completing — performs
     /// zero heap allocations (see the [module docs](self)).
@@ -1429,69 +1334,45 @@ impl Engine {
         &mut self,
         records: &[(K, usize)],
     ) -> Result<Vec<WindowReport>, DistError> {
-        // A single-shard engine routes serially no matter the batch size:
-        // with nothing to overlap, fanning chunks to its one worker would
-        // only add arena copies and a cross-thread handoff.
-        let chunk_count = if self.workers.len() > 1 && records.len() >= Self::PARALLEL_ROUTE_MIN {
-            self.route_parallel(records)?
-        } else {
-            self.route_serial(records)?;
-            0
-        };
-        self.dispatch_ingest(chunk_count)
-    }
-
-    /// The serial route: hash, intern, and partition every record on the
-    /// caller thread — right for small batches (below
-    /// [`Engine::PARALLEL_ROUTE_MIN`]) and single-shard engines, where
-    /// waking the worker ring would cost more than the hashing it spreads.
-    fn route_serial<K: AsRef<str>>(&mut self, records: &[(K, usize)]) -> Result<(), DistError> {
-        for (key, value) in records {
-            let id = self.intern(key.as_ref());
-            let Some(entry) = self.interner.entries.get(id as usize) else {
-                // Unreachable: intern just returned this id. If it ever
-                // trips, the record must not vanish silently — fail the
-                // batch deterministically (and loudly under debug).
-                debug_assert!(false, "intern returned id {id} without a backing entry");
-                self.reset_partitions();
-                return Err(lost_record(key.as_ref()));
-            };
-            let (shard_idx, slot) = (entry.shard as usize, entry.slot);
-            // lint:allow(checked-indexing): interned shard indices are < shards.len()
-            self.parts[shard_idx].push((slot, *value));
-        }
-        Ok(())
-    }
-
-    /// Phase 1 of the parallel shuffle: slice the batch into
-    /// `Courier::DEPTH × workers` chunks, memcpy each chunk's key bytes
-    /// into its reusable arena (the only per-record work left on the
-    /// caller thread), and fan the chunks across the worker ring two deep
-    /// — every worker hashes and buckets two chunks back to back without
-    /// a collect round-trip in between. Chunks come back in chunk order
-    /// (the ring is FIFO), after which the interner `Arc` is unique again
-    /// and the (cold) debut pass interns misses in global arrival order.
-    /// Returns the number of chunks routed.
-    fn route_parallel<K: AsRef<str>>(
-        &mut self,
-        records: &[(K, usize)],
-    ) -> Result<usize, DistError> {
-        let workers = self.workers.len();
-        let lanes = self.route.len();
-        let per = records.len().div_ceil(lanes).max(1);
-        let mut submitted = 0usize;
-        for c in 0..lanes {
-            let lo = c * per;
-            if lo >= records.len() {
-                break;
+        let chunks = self.route(records)?;
+        for s in 0..self.shards.len() {
+            let busy = self
+                .route
+                .iter()
+                .take(chunks)
+                .any(|chunk| chunk.buckets.get(s).is_some_and(|b| !b.is_empty()));
+            if !busy {
+                continue;
             }
-            let hi = ((c + 1) * per).min(records.len());
-            let Some(slice) = records.get(lo..hi) else {
-                break; // unreachable: lo < hi <= records.len()
-            };
-            let Some(chunk) = self.route.get_mut(c) else {
-                break; // unreachable: c < lanes == route.len()
-            };
+            // lint:allow(checked-indexing): s < shards.len() by the loop bound
+            let shard = &mut self.shards[s];
+            for chunk in self.route.iter_mut().take(chunks) {
+                if let Some(bucket) = chunk.buckets.get_mut(s) {
+                    shard.subs.push(std::mem::take(bucket));
+                }
+            }
+            self.jobs.push(Job::shard(s, shard, Task::Ingest));
+        }
+        self.run_jobs();
+        self.settle()
+    }
+
+    /// The route: slices the batch into chunks — one when the batch is
+    /// below [`Engine::PARALLEL_ROUTE_MIN`] or the pool has no workers,
+    /// `Courier::DEPTH × workers` otherwise — memcpys each chunk's key
+    /// bytes into its reusable arena (the only per-record work left on
+    /// the caller thread when the chunks fan out), and runs one route job
+    /// per chunk. Chunks land in chunk order, after which the interner
+    /// `Arc` is unique again and the (cold) debut pass interns misses in
+    /// global arrival order. Returns the number of chunks routed.
+    fn route<K: AsRef<str>>(&mut self, records: &[(K, usize)]) -> Result<usize, DistError> {
+        let lanes = if self.workers.is_empty() || records.len() < Self::PARALLEL_ROUTE_MIN {
+            1
+        } else {
+            self.route.len()
+        };
+        let per = records.len().div_ceil(lanes).max(1);
+        for (index, (chunk, slice)) in self.route.iter_mut().zip(records.chunks(per)).enumerate() {
             chunk.arena.clear();
             chunk.spans.clear();
             for (key, value) in slice {
@@ -1500,48 +1381,36 @@ impl Engine {
                 chunk.arena.extend_from_slice(key);
                 chunk.spans.push((start, chunk.arena.len(), *value));
             }
-            let job = ShardJob::Route {
+            self.jobs.push(Job::Route {
+                index,
                 chunk: std::mem::take(chunk),
                 interner: Arc::clone(&self.interner),
-            };
-            // lint:allow(checked-indexing): c % workers < workers == workers.len()
-            self.workers[c % workers].submit(job);
-            submitted += 1;
+            });
         }
-        // Collect in chunk order — each worker's ring is FIFO, so chunk c
-        // is the next reply of worker c % workers.
-        for c in 0..submitted {
-            // lint:allow(checked-indexing): c % workers < workers == workers.len()
-            if let ShardReply::Routed { chunk } = self.workers[c % workers].collect() {
-                if let Some(home) = self.route.get_mut(c) {
-                    *home = chunk;
-                }
-            }
-            // A mismatched reply is unreachable (only Route jobs are in
-            // flight); dropping it costs scratch capacity, never records
-            // or stream state.
-        }
-        for c in 0..submitted {
+        let chunks = self.jobs.len();
+        self.run_jobs();
+        for c in 0..chunks {
             self.absorb_misses(c)?;
         }
-        Ok(submitted)
+        Ok(chunks)
     }
 
-    /// The debut pass of the parallel route: records whose keys missed the
-    /// frozen interner snapshot are interned serially — in global arrival
-    /// order (chunk order, then in-chunk order), which preserves debut
-    /// numbering exactly as the serial route assigns it — and pushed onto
-    /// their shard's partition. A key missing from the snapshot misses in
-    /// *every* chunk, so all its records funnel through here in order.
-    /// Cold: a warm batch has no misses and skips straight through.
+    /// The debut pass of the route: records of chunk `c` whose keys missed
+    /// the frozen interner snapshot are interned — in global arrival
+    /// order (chunk order, then in-chunk order), so debut numbering is
+    /// the order of first appearance — and appended to the chunk's own
+    /// bucket for their shard. A key missing from the snapshot misses in
+    /// *every* chunk, so all its records in a chunk are misses and stay in
+    /// arrival order behind that chunk's hits. Cold: a warm batch has no
+    /// misses and skips straight through.
     fn absorb_misses(&mut self, c: usize) -> Result<(), DistError> {
         let Some(home) = self.route.get_mut(c) else {
-            return Ok(()); // unreachable: c < submitted <= route.len()
+            return Ok(()); // unreachable: c < chunks <= route.len()
         };
         if home.misses.is_empty() {
             return Ok(());
         }
-        let chunk = std::mem::take(home);
+        let mut chunk = std::mem::take(home);
         let mut failed: Option<DistError> = None;
         for &i in &chunk.misses {
             let record = chunk
@@ -1562,16 +1431,20 @@ impl Engine {
                 failed = Some(lost_record("<non-utf8 key bytes>"));
                 break;
             };
-            let hash = chunk.hashes.get(i).copied().unwrap_or_else(|| key_hash(key));
-            let id = self.intern_hashed(key, hash);
+            let hash = chunk
+                .hashes
+                .get(i)
+                .copied()
+                .unwrap_or_else(|| key_hash(key));
+            let id = self.intern(key, hash);
             let Some(entry) = self.interner.entries.get(id as usize) else {
                 debug_assert!(false, "intern returned id {id} without a backing entry");
                 failed = Some(lost_record(key));
                 break;
             };
             let (shard_idx, slot) = (entry.shard as usize, entry.slot);
-            match self.parts.get_mut(shard_idx) {
-                Some(part) => part.push((slot, value)),
+            match chunk.buckets.get_mut(shard_idx) {
+                Some(bucket) => bucket.push((slot, value)),
                 None => {
                     debug_assert!(false, "interned shard {shard_idx} outside the pool");
                     failed = Some(lost_record(key));
@@ -1591,140 +1464,80 @@ impl Engine {
         }
     }
 
-    /// Phase 2 dispatch: find the busy shards, assemble each one's
-    /// chunk-ordered sub-partition list, and run the ingest — inline on
-    /// the caller thread when at most one shard is busy (a worker handoff
-    /// would buy no parallelism and cost two context switches), over the
-    /// persistent workers otherwise. Collection is in shard order —
-    /// deterministic regardless of which worker finishes first.
-    fn dispatch_ingest(&mut self, chunk_count: usize) -> Result<Vec<WindowReport>, DistError> {
-        self.busy.clear();
-        for s in 0..self.shards.len() {
-            let in_parts = self.parts.get(s).is_some_and(|p| !p.is_empty());
-            let routed = self
-                .route
-                .iter()
-                .take(chunk_count)
-                .any(|chunk| chunk.buckets.get(s).is_some_and(|b| !b.is_empty()));
-            if in_parts || routed {
-                self.busy.push(s as u32);
-            }
-        }
-        if self.busy.len() <= 1 || self.workers.is_empty() {
-            for j in 0..self.busy.len() {
-                // lint:allow(checked-indexing): j < busy.len(); busy holds shard indices
-                let i = self.busy[j] as usize;
-                if chunk_count == 0 {
-                    // Serial route, one busy shard: ingest its partition
-                    // in place — no gather, no moves.
-                    // lint:allow(checked-indexing): busy holds indices < shards.len()
-                    let outcome = self.shards[i].ingest_parts(std::slice::from_ref(&self.parts[i]));
-                    // lint:allow(checked-indexing): same index as above
-                    self.parts[i].clear();
-                    self.outcomes.push(outcome);
-                } else {
-                    let subs = self.build_subs(i, chunk_count);
-                    // lint:allow(checked-indexing): busy holds indices < shards.len()
-                    let outcome = self.shards[i].ingest_parts(&subs);
-                    self.restore_subs(i, chunk_count, subs);
-                    self.outcomes.push(outcome);
-                }
+    /// The one dispatch: runs every queued job and lands it back home.
+    /// Jobs run inline on the caller thread when the pool has no workers
+    /// or at most one job is queued (a handoff would buy no parallelism
+    /// and cost two context switches); otherwise job `j` goes to worker
+    /// `j mod workers`, every job is submitted before any is collected,
+    /// and collection is in submission order — deterministic regardless
+    /// of which worker finishes first. A call queues at most
+    /// `Courier::DEPTH` route chunks per worker, or one job per shard (and
+    /// there are as many workers as shards), so no mailbox ring overfills.
+    fn run_jobs(&mut self) {
+        let mut jobs = std::mem::take(&mut self.jobs);
+        let workers = self.workers.len();
+        if workers == 0 || jobs.len() <= 1 {
+            for mut job in jobs.drain(..) {
+                job.run();
+                self.land(job);
             }
         } else {
-            for j in 0..self.busy.len() {
-                // lint:allow(checked-indexing): j < busy.len(); busy holds shard indices
-                let i = self.busy[j] as usize;
-                let subs = self.build_subs(i, chunk_count);
-                // lint:allow(checked-indexing): busy holds indices < shards.len()
-                let shard = std::mem::take(&mut self.shards[i]);
-                // lint:allow(checked-indexing): workers.len() == shards.len() when non-empty
-                self.workers[i].submit(ShardJob::Ingest { shard, subs });
+            let count = jobs.len();
+            for (j, job) in jobs.drain(..).enumerate() {
+                // lint:allow(checked-indexing): j % workers < workers == workers.len()
+                self.workers[j % workers].submit(job);
             }
-            for j in 0..self.busy.len() {
-                // lint:allow(checked-indexing): j < busy.len(); busy holds shard indices
-                let i = self.busy[j] as usize;
-                // lint:allow(checked-indexing): workers.len() == shards.len() when non-empty
-                match self.workers[i].collect() {
-                    ShardReply::Ingested {
-                        shard,
-                        outcome,
-                        subs,
-                    } => {
-                        // lint:allow(checked-indexing): busy holds indices < shards.len()
-                        self.shards[i] = shard;
-                        self.restore_subs(i, chunk_count, subs);
-                        self.outcomes.push(outcome);
-                    }
-                    // Unreachable: ingest jobs answer Ingested (the ring
-                    // is FIFO). Surface the protocol violation as a
-                    // deterministic error instead of losing it silently.
-                    other => {
-                        drop(other);
-                        self.outcomes
-                            .push((Vec::new(), vec![(String::new(), protocol_error())]));
-                    }
+            for j in 0..count {
+                // lint:allow(checked-indexing): j % workers < workers == workers.len()
+                let job = self.workers[j % workers].collect();
+                self.land(job);
+            }
+        }
+        // The emptied queue keeps its capacity for the next call.
+        self.jobs = jobs;
+    }
+
+    /// Returns a finished job's state to its home: a route chunk to its
+    /// scratch slot (dropping the job's interner clone), a shard slab to
+    /// its pool slot with its outcome queued for [`Engine::settle`], and
+    /// the slab's sub-partition buffers — cleared, capacity intact — to
+    /// the route chunks' buckets in chunk order.
+    fn land(&mut self, job: Job) {
+        match job {
+            Job::Route { index, chunk, .. } => {
+                if let Some(home) = self.route.get_mut(index) {
+                    *home = chunk;
                 }
             }
-        }
-        self.settle()
-    }
-
-    /// Assembles the sub-partition list for shard `s`: the route chunks'
-    /// buckets in chunk order (restoring global arrival order), then the
-    /// engine's serial/debut partition last — pushed unconditionally,
-    /// even when empty, so [`Engine::restore_subs`] can undo the moves by
-    /// position alone. Every move is a `mem::take`; nothing is copied.
-    fn build_subs(&mut self, s: usize, chunk_count: usize) -> Vec<Vec<(u32, usize)>> {
-        let mut subs = match self.gather.get_mut(s) {
-            Some(g) => std::mem::take(g),
-            None => Vec::new(), // unreachable: gather is sized to the pool
-        };
-        for chunk in self.route.iter_mut().take(chunk_count) {
-            if let Some(bucket) = chunk.buckets.get_mut(s) {
-                subs.push(std::mem::take(bucket));
+            Job::Shard {
+                index,
+                mut shard,
+                outcome,
+                ..
+            } => {
+                for (c, mut bucket) in shard.subs.drain(..).enumerate() {
+                    bucket.clear();
+                    let home = self
+                        .route
+                        .get_mut(c)
+                        .and_then(|ch| ch.buckets.get_mut(index));
+                    if let Some(home) = home {
+                        *home = bucket;
+                    }
+                }
+                // lint:allow(checked-indexing): shard jobs carry the index they were taken from
+                self.shards[index] = shard;
+                self.outcomes.push(outcome);
             }
-        }
-        if let Some(part) = self.parts.get_mut(s) {
-            subs.push(std::mem::take(part));
-        }
-        subs
-    }
-
-    /// Returns a sub-partition list's buffers to their scratch homes —
-    /// the last one to `parts[s]`, the rest to the route chunks' buckets
-    /// in chunk order — cleared but with capacity intact, and parks the
-    /// emptied list itself back in `gather[s]`.
-    fn restore_subs(&mut self, s: usize, chunk_count: usize, mut subs: Vec<Vec<(u32, usize)>>) {
-        if let Some(mut part) = subs.pop() {
-            part.clear();
-            if let Some(home) = self.parts.get_mut(s) {
-                *home = part;
-            }
-        }
-        for c in (0..chunk_count).rev() {
-            let Some(mut bucket) = subs.pop() else {
-                break; // unreachable: build_subs pushed one bucket per chunk
-            };
-            bucket.clear();
-            if let Some(home) = self.route.get_mut(c).and_then(|ch| ch.buckets.get_mut(s)) {
-                *home = bucket;
-            }
-        }
-        subs.clear();
-        if let Some(g) = self.gather.get_mut(s) {
-            *g = subs;
         }
     }
 
-    /// Clears every partition and route-bucket scratch buffer — the
-    /// consistent-state bailout when a route pass fails mid-batch (only
-    /// reachable through states that are themselves unreachable; see
+    /// Clears every route-bucket scratch buffer — the consistent-state
+    /// bailout when the debut pass fails mid-batch (only reachable
+    /// through states that are themselves unreachable; see
     /// [`lost_record`]). Capacities are retained.
     #[cold]
     fn reset_partitions(&mut self) {
-        for part in &mut self.parts {
-            part.clear();
-        }
         for chunk in &mut self.route {
             for bucket in &mut chunk.buckets {
                 bucket.clear();
@@ -1734,54 +1547,18 @@ impl Engine {
     }
 
     /// Flushes every stream: completed-but-uncollected windows, then each
-    /// stream's partial tail (when it holds records) — fanned across the
-    /// persistent workers like [`ingest_batch`](Engine::ingest_batch)
-    /// (inline when at most one shard holds streams), sorted by
-    /// `(stream, window id)`, with the same independent-failure contract.
+    /// stream's partial tail (when it holds records) — one job per shard
+    /// that holds streams, dispatched like
+    /// [`ingest_batch`](Engine::ingest_batch)'s (inline when there is only
+    /// one), sorted by `(stream, window id)`, with the same
+    /// independent-failure contract.
     pub fn flush(&mut self) -> Result<Vec<WindowReport>, DistError> {
-        self.busy.clear();
-        for (i, shard) in self.shards.iter().enumerate() {
+        for (index, shard) in self.shards.iter_mut().enumerate() {
             if !shard.slots.is_empty() {
-                self.busy.push(i as u32);
+                self.jobs.push(Job::shard(index, shard, Task::Flush));
             }
         }
-        if self.busy.len() <= 1 || self.workers.is_empty() {
-            for j in 0..self.busy.len() {
-                // lint:allow(checked-indexing): j < busy.len(); busy holds shard indices
-                let i = self.busy[j] as usize;
-                // lint:allow(checked-indexing): busy holds indices < shards.len()
-                let outcome = self.shards[i].flush();
-                self.outcomes.push(outcome);
-            }
-        } else {
-            for j in 0..self.busy.len() {
-                // lint:allow(checked-indexing): j < busy.len(); busy holds shard indices
-                let i = self.busy[j] as usize;
-                // lint:allow(checked-indexing): busy holds indices < shards.len()
-                let shard = std::mem::take(&mut self.shards[i]);
-                // lint:allow(checked-indexing): workers.len() == shards.len() when non-empty
-                self.workers[i].submit(ShardJob::Flush { shard });
-            }
-            for j in 0..self.busy.len() {
-                // lint:allow(checked-indexing): j < busy.len(); busy holds shard indices
-                let i = self.busy[j] as usize;
-                // lint:allow(checked-indexing): workers.len() == shards.len() when non-empty
-                match self.workers[i].collect() {
-                    ShardReply::Flushed { shard, outcome } => {
-                        // lint:allow(checked-indexing): busy holds indices < shards.len()
-                        self.shards[i] = shard;
-                        self.outcomes.push(outcome);
-                    }
-                    // Unreachable: flush jobs answer Flushed (FIFO ring);
-                    // surface the violation deterministically.
-                    other => {
-                        drop(other);
-                        self.outcomes
-                            .push((Vec::new(), vec![(String::new(), protocol_error())]));
-                    }
-                }
-            }
-        }
+        self.run_jobs();
         self.settle()
     }
 
@@ -1960,7 +1737,7 @@ mod tests {
     fn stream_keys_come_back_in_debut_order() {
         // Debut order — not lexicographic, not shard order.
         let mut engine = engine(3, 1_000);
-        engine.ingest("zeta", &[1]).unwrap();
+        engine.ingest_batch(&[("zeta", 1usize)]).unwrap();
         let batch = vec![
             ("mid".to_string(), 2usize),
             ("alpha".to_string(), 3),
@@ -1983,7 +1760,7 @@ mod tests {
                 ])
                 .build()
                 .unwrap();
-            e.ingest("zeta", &[1]).unwrap();
+            e.ingest_batch(&[("zeta", 1usize)]).unwrap();
             let batch = vec![
                 ("mid".to_string(), 2usize),
                 ("alpha".to_string(), 3),
@@ -2050,19 +1827,6 @@ mod tests {
     }
 
     #[test]
-    fn single_stream_ingest_is_the_same_stream() {
-        let records = keyed_events(64, 2_000, &["solo"], 4);
-        let values: Vec<usize> = records.iter().map(|&(_, v)| v).collect();
-        let mut a = engine(4, 900);
-        let mut b = engine(4, 900);
-        let mut via_single = a.ingest("solo", &values).unwrap();
-        via_single.extend(a.flush().unwrap());
-        let mut via_batch = b.ingest_batch(&records).unwrap();
-        via_batch.extend(b.flush().unwrap());
-        assert_eq!(via_single, via_batch);
-    }
-
-    #[test]
     fn duplicate_keys_within_one_batch_group_in_arrival_order() {
         // The same key appearing in many disjoint positions of one batch
         // must see its records in arrival order — bit-identical to a
@@ -2098,14 +1862,11 @@ mod tests {
         let empty: [(String, usize); 0] = [];
         assert!(eng.ingest_batch(&empty).unwrap().is_empty());
         assert_eq!(eng.streams(), 0);
-        // An empty single-stream slice still debuts the key (a monitor
-        // fed no records exists, with zero seen) but reports nothing.
-        assert!(eng.ingest("quiet", &[]).unwrap().is_empty());
-        assert_eq!(eng.streams(), 1);
-        assert_eq!(eng.stream_state("quiet").unwrap().seen(), 0);
-        // And an engine with streams but an empty batch stays warm.
-        eng.ingest("quiet", &[1, 2, 3]).unwrap();
+        // An engine with streams but an empty batch stays warm.
+        eng.ingest_batch(&[("quiet", 1usize), ("quiet", 2), ("quiet", 3)])
+            .unwrap();
         assert!(eng.ingest_batch(&empty).unwrap().is_empty());
+        assert_eq!(eng.streams(), 1);
         assert_eq!(eng.seen(), 3);
     }
 
@@ -2120,7 +1881,8 @@ mod tests {
             let mut eng = engine(shards, span);
             // Prime the engine with another stream so the debuting key is
             // not the only slot in its shard.
-            eng.ingest("primer", &[5, 6, 7]).unwrap();
+            eng.ingest_batch(&[("primer", 5usize), ("primer", 6), ("primer", 7)])
+                .unwrap();
             let batch: Vec<(String, usize)> = records
                 .iter()
                 .map(|&v| ("newcomer".to_string(), v))
@@ -2142,8 +1904,13 @@ mod tests {
     #[test]
     fn errors_name_the_problem_and_keep_prior_records() {
         let mut engine = engine(2, 1_000);
-        engine.ingest("ok", &[1, 2, 3]).unwrap();
-        let err = engine.ingest("ok", &[99]).unwrap_err().to_string();
+        engine
+            .ingest_batch(&[("ok", 1usize), ("ok", 2), ("ok", 3)])
+            .unwrap();
+        let err = engine
+            .ingest_batch(&[("ok", 99usize)])
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("record 99"), "{err}");
         assert_eq!(engine.seen(), 3, "bad record must not count");
         // Batched path: a bad record stops only its own stream; every
@@ -2294,11 +2061,13 @@ mod tests {
     #[test]
     fn stream_seen_reports_debut_ordered_totals() {
         let mut engine = engine(3, 1_000);
-        engine.ingest("zeta", &[1, 2]).unwrap();
+        engine
+            .ingest_batch(&[("zeta", 1usize), ("zeta", 2)])
+            .unwrap();
         engine
             .ingest_batch(&[("alpha".to_string(), 3usize), ("zeta".to_string(), 4)])
             .unwrap();
-        assert_eq!(engine.stream_count(), 2);
+        assert_eq!(engine.streams(), 2);
         assert_eq!(engine.stream_seen(), [("zeta", 3), ("alpha", 1)]);
     }
 
@@ -2332,7 +2101,7 @@ mod tests {
         }
         // Coordinates, counters and ledgers survived the moves.
         assert_eq!(live.shards(), 2);
-        assert_eq!(live.stream_count(), keys.len());
+        assert_eq!(live.streams(), keys.len());
         for key in keys {
             assert_eq!(live.shard_of(key), {
                 let id = live.interner.lookup(key.as_bytes(), key_hash(key)).unwrap();
@@ -2351,7 +2120,7 @@ mod tests {
         let mut eng = engine(4, 100_000);
         for i in 0..500usize {
             let key = format!("stream-{i}");
-            eng.ingest(&key, &[i % 64]).unwrap();
+            eng.ingest_batch(&[(key.as_str(), i % 64)]).unwrap();
         }
         assert_eq!(eng.streams(), 500);
         for i in 0..500usize {

@@ -26,10 +26,8 @@
 //! * [`CandidatePolicy::Grid`] — endpoints on a fixed stride (an ablation
 //!   showing why *sample-adaptive* endpoints matter on skewed data).
 
-use rand::Rng;
-
-use khist_dist::{DenseDistribution, DistError, Interval, PriorityHistogram, TilingHistogram};
-use khist_oracle::{DenseOracle, LearnerBudget, SampleOracle, SampleSet};
+use khist_dist::{DistError, Interval, PriorityHistogram, TilingHistogram};
+use khist_oracle::{LearnerBudget, SampleOracle, SampleSet};
 
 use crate::api::SamplePlan;
 use crate::cost::{CostOracle, SampleCostOracle};
@@ -142,21 +140,6 @@ pub fn learn<O: SampleOracle + ?Sized>(
         reason: "learner budget requests an empty main sample".into(),
     })?;
     learn_from_samples(oracle.domain_size(), &main, &sets, params)
-}
-
-/// Convenience wrapper: learns from an explicit [`DenseDistribution`] by
-/// spinning up a seeded [`DenseOracle`] (the pre-oracle entry point;
-/// existing call sites migrate by appending `_dense`).
-#[deprecated(
-    note = "construct a DenseOracle (or api::Session with api::Learn) and call learn"
-)]
-pub fn learn_dense<R: Rng + ?Sized>(
-    p: &DenseDistribution,
-    params: &GreedyParams,
-    rng: &mut R,
-) -> Result<GreedyOutcome, DistError> {
-    let mut oracle = DenseOracle::new(p, rng.random());
-    learn(&mut oracle, params)
 }
 
 /// Runs the greedy learner on pre-drawn samples (the entry point for real
@@ -312,9 +295,10 @@ fn enumerate_candidates(endpoints: &[usize]) -> Vec<Interval> {
 mod tests {
     use super::*;
     use khist_baseline::v_optimal;
-    use khist_dist::generators;
+    use khist_dist::{generators, DenseDistribution};
+    use khist_oracle::DenseOracle;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn run(
         p: &DenseDistribution,
@@ -454,18 +438,6 @@ mod tests {
         let main = SampleSet::draw(&p, 10, &mut rng);
         assert!(learn_from_samples(8, &main, &[], &params).is_err());
         assert!(learn_from_samples(0, &main, std::slice::from_ref(&main), &params).is_err());
-    }
-
-    #[test]
-    fn deprecated_dense_wrapper_still_works() {
-        #[allow(deprecated)] // the test exercises the deprecated wrapper on purpose
-        {
-            let p = generators::two_level(32, 0.25, 0.75).unwrap();
-            let mut rng = StdRng::seed_from_u64(4);
-            let budget = LearnerBudget::calibrated(32, 2, 0.2, 0.05).unwrap();
-            let params = GreedyParams::new(2, 0.2, budget);
-            assert!(learn_dense(&p, &params, &mut rng).is_ok());
-        }
     }
 
     #[test]

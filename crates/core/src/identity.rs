@@ -24,10 +24,8 @@
 //! set; the harness uses them to validate the far-instance generators from
 //! a second angle.
 
-use rand::Rng;
-
 use khist_dist::{DenseDistribution, DistError, Interval};
-use khist_oracle::{absolute_collision_estimate, DenseOracle, SampleOracle, SampleSet};
+use khist_oracle::{absolute_collision_estimate, SampleOracle, SampleSet};
 
 use crate::api::SamplePlan;
 use crate::tester::TestOutcome;
@@ -131,23 +129,6 @@ pub fn test_closeness_l2_from_sets(
     })
 }
 
-/// Convenience wrapper: closeness testing between two explicit
-/// [`DenseDistribution`]s through seeded [`DenseOracle`]s.
-#[deprecated(
-    note = "construct DenseOracles (or api::Session with api::ClosenessL2) and call test_closeness_l2"
-)]
-pub fn test_closeness_l2_dense<R: Rng + ?Sized>(
-    p: &DenseDistribution,
-    q: &DenseDistribution,
-    eps: f64,
-    m: usize,
-    rng: &mut R,
-) -> Result<ClosenessReport, DistError> {
-    let mut oracle_p = DenseOracle::new(p, rng.random());
-    let mut oracle_q = DenseOracle::new(q, rng.random());
-    test_closeness_l2(&mut oracle_p, &mut oracle_q, eps, m)
-}
-
 /// Tests identity `p = q` (vs `‖p − q‖₂ > ε`) against an explicitly known
 /// `q`: the `q`-side moments are exact, only `‖p‖₂²` and `⟨p, q⟩` are
 /// estimated. `p` is reached only through its [`SampleOracle`]; `q` stays
@@ -222,28 +203,13 @@ pub fn test_identity_l2_from_set(
     })
 }
 
-/// Convenience wrapper: identity testing of an explicit
-/// [`DenseDistribution`] `p` through a seeded [`DenseOracle`].
-#[deprecated(
-    note = "construct a DenseOracle (or api::Session with api::IdentityL2) and call test_identity_l2"
-)]
-pub fn test_identity_l2_dense<R: Rng + ?Sized>(
-    p: &DenseDistribution,
-    known_q: &DenseDistribution,
-    eps: f64,
-    m: usize,
-    rng: &mut R,
-) -> Result<ClosenessReport, DistError> {
-    let mut oracle_p = DenseOracle::new(p, rng.random());
-    test_identity_l2(&mut oracle_p, known_q, eps, m)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use khist_dist::generators;
+    use khist_oracle::DenseOracle;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn estimate_converges_to_true_distance() {
@@ -371,17 +337,6 @@ mod tests {
         assert!(test_identity_l2(&mut op, &q, 0.3, 100).is_err());
         assert!(test_identity_l2(&mut op, &q8, 0.0, 100).is_err());
         assert!(test_identity_l2(&mut op, &q8, 0.3, 0).is_err());
-    }
-
-    #[test]
-    fn deprecated_dense_wrappers_still_work() {
-        #[allow(deprecated)] // the test exercises the deprecated wrapper on purpose
-        {
-            let p = DenseDistribution::uniform(32).unwrap();
-            let mut rng = StdRng::seed_from_u64(9);
-            assert!(test_closeness_l2_dense(&p, &p, 0.3, 500, &mut rng).is_ok());
-            assert!(test_identity_l2_dense(&p, &p, 0.3, 500, &mut rng).is_ok());
-        }
     }
 
     #[test]

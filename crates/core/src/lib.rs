@@ -27,8 +27,7 @@
 //! [`api::Analysis`] requests run through one [`api::Session`] engine that
 //! computes a shared [`api::SamplePlan`] per batch and returns uniform,
 //! serde-serializable [`api::Report`]s. The per-algorithm free functions
-//! remain as thin shims over the same plan layer; the `*_dense`
-//! convenience wrappers are deprecated in favour of explicit oracles.
+//! remain as thin shims over the same plan layer.
 //!
 //! # Example: learn a histogram from samples
 //!
@@ -87,17 +86,3 @@ pub use partition_search::{partition_search, PartitionOutcome};
 pub use tester::{test_l1, test_l2, TestOutcome, TestReport};
 pub use tiling_state::TilingState;
 pub use uniformity::{test_uniformity, UniformityBudget, UniformityReport};
-
-// The deprecated `*_dense` wrappers stay re-exported so downstream code
-// migrates on its own schedule; the deprecation fires at *their* call
-// sites, not here.
-#[allow(deprecated)] // re-export keeps compiling; callers get the warning
-pub use greedy::learn_dense;
-#[allow(deprecated)] // re-export keeps compiling; callers get the warning
-pub use identity::{test_closeness_l2_dense, test_identity_l2_dense};
-#[allow(deprecated)] // re-export keeps compiling; callers get the warning
-pub use monotone::test_monotone_non_increasing_dense;
-#[allow(deprecated)] // re-export keeps compiling; callers get the warning
-pub use tester::{test_l1_dense, test_l2_dense};
-#[allow(deprecated)] // re-export keeps compiling; callers get the warning
-pub use uniformity::test_uniformity_dense;

@@ -21,10 +21,8 @@
 //! [`pav_non_increasing`] (weighted least-squares isotonic regression) is a
 //! classical substrate implemented from scratch and reusable on its own.
 
-use rand::Rng;
-
-use khist_dist::{DenseDistribution, DistError, Interval, TilingHistogram};
-use khist_oracle::{DenseOracle, SampleOracle, SampleSet};
+use khist_dist::{DistError, Interval, TilingHistogram};
+use khist_oracle::{SampleOracle, SampleSet};
 
 use crate::api::SamplePlan;
 use crate::tester::TestOutcome;
@@ -155,21 +153,6 @@ pub fn test_monotone_non_increasing<O: SampleOracle + ?Sized>(
     test_monotone_from_set(oracle.domain_size(), eps, &set)
 }
 
-/// Convenience wrapper: monotonicity testing of an explicit
-/// [`DenseDistribution`] through a seeded [`DenseOracle`].
-#[deprecated(
-    note = "construct a DenseOracle (or api::Session with api::Monotone) and call test_monotone_non_increasing"
-)]
-pub fn test_monotone_non_increasing_dense<R: Rng + ?Sized>(
-    p: &DenseDistribution,
-    eps: f64,
-    m: usize,
-    rng: &mut R,
-) -> Result<MonotonicityReport, DistError> {
-    let mut oracle = DenseOracle::new(p, rng.random());
-    test_monotone_non_increasing(&mut oracle, eps, m)
-}
-
 /// Tests monotonicity from a pre-drawn sample multiset.
 pub fn test_monotone_from_set(
     n: usize,
@@ -240,9 +223,10 @@ pub fn monotone_fit(n: usize, eps: f64, set: &SampleSet) -> Result<TilingHistogr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use khist_dist::generators;
+    use khist_dist::{generators, DenseDistribution};
+    use khist_oracle::DenseOracle;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn birge_partition_covers_domain_geometrically() {
@@ -394,16 +378,6 @@ mod tests {
         assert!(test_monotone_from_set(8, 1.5, &set).is_err());
         let empty = SampleSet::from_samples(vec![]);
         assert!(test_monotone_from_set(8, 0.3, &empty).is_err());
-    }
-
-    #[test]
-    fn deprecated_dense_wrapper_still_works() {
-        #[allow(deprecated)] // the test exercises the deprecated wrapper on purpose
-        {
-            let p = generators::geometric(64, 0.9).unwrap();
-            let mut rng = StdRng::seed_from_u64(6);
-            assert!(test_monotone_non_increasing_dense(&p, 0.3, 5_000, &mut rng).is_ok());
-        }
     }
 
     #[test]

@@ -12,10 +12,8 @@
 //! * **Theorem 4 (`ℓ₁`)** — the same with `ℓ₁` distance; samples
 //!   `Õ(ε⁻⁵ √(kn))`.
 
-use rand::Rng;
-
-use khist_dist::{DenseDistribution, DistError};
-use khist_oracle::{DenseOracle, L1TesterBudget, L2TesterBudget, SampleOracle, SampleSet};
+use khist_dist::DistError;
+use khist_oracle::{L1TesterBudget, L2TesterBudget, SampleOracle, SampleSet};
 
 use crate::api::SamplePlan;
 use crate::flatness::{L1Flatness, L2Flatness};
@@ -65,22 +63,6 @@ pub fn test_l2<O: SampleOracle + ?Sized>(
     test_l2_from_sets(oracle.domain_size(), k, eps, &sets)
 }
 
-/// Convenience wrapper: runs the `ℓ₂` tester against an explicit
-/// [`DenseDistribution`] through a seeded [`DenseOracle`].
-#[deprecated(
-    note = "construct a DenseOracle (or api::Session with api::TestL2) and call test_l2"
-)]
-pub fn test_l2_dense<R: Rng + ?Sized>(
-    p: &DenseDistribution,
-    k: usize,
-    eps: f64,
-    budget: L2TesterBudget,
-    rng: &mut R,
-) -> Result<TestReport, DistError> {
-    let mut oracle = DenseOracle::new(p, rng.random());
-    test_l2(&mut oracle, k, eps, budget)
-}
-
 /// Runs the `ℓ₂` tester on pre-drawn sample sets (entry point for real
 /// data; the flatness thresholds are normalized per set, so sets of
 /// slightly different sizes — e.g. reservoir lanes of a shared streaming
@@ -117,22 +99,6 @@ pub fn test_l1<O: SampleOracle + ?Sized>(
 ) -> Result<TestReport, DistError> {
     let (_, sets) = SamplePlan::sets(budget.r, budget.m).draw(oracle)?;
     test_l1_from_sets(oracle.domain_size(), k, eps, &sets)
-}
-
-/// Convenience wrapper: runs the `ℓ₁` tester against an explicit
-/// [`DenseDistribution`] through a seeded [`DenseOracle`].
-#[deprecated(
-    note = "construct a DenseOracle (or api::Session with api::TestL1) and call test_l1"
-)]
-pub fn test_l1_dense<R: Rng + ?Sized>(
-    p: &DenseDistribution,
-    k: usize,
-    eps: f64,
-    budget: L1TesterBudget,
-    rng: &mut R,
-) -> Result<TestReport, DistError> {
-    let mut oracle = DenseOracle::new(p, rng.random());
-    test_l1(&mut oracle, k, eps, budget)
 }
 
 /// Runs the `ℓ₁` tester on pre-drawn sample sets (per-set-normalized
@@ -204,9 +170,10 @@ fn validate(n: usize, k: usize, eps: f64, sets: &[SampleSet]) -> Result<(), Dist
 #[cfg(test)]
 mod tests {
     use super::*;
-    use khist_dist::generators;
+    use khist_dist::{generators, DenseDistribution};
+    use khist_oracle::DenseOracle;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     /// Majority verdict over repeated runs — the paper's testers only
     /// guarantee 2/3 success, so tests vote.
@@ -341,19 +308,6 @@ mod tests {
         assert!(rep.probes > 0);
         if rep.outcome.is_accept() {
             assert!(rep.cuts.len() < 2);
-        }
-    }
-
-    #[test]
-    fn deprecated_dense_wrappers_still_work() {
-        #[allow(deprecated)] // the test exercises the deprecated wrapper on purpose
-        {
-            let p = DenseDistribution::uniform(64).unwrap();
-            let mut rng = StdRng::seed_from_u64(2);
-            let l2 = L2TesterBudget::calibrated(64, 0.3, 0.02).unwrap();
-            assert!(test_l2_dense(&p, 2, 0.3, l2, &mut rng).is_ok());
-            let l1 = L1TesterBudget::calibrated(64, 2, 0.4, 0.01).unwrap();
-            assert!(test_l1_dense(&p, 2, 0.4, l1, &mut rng).is_ok());
         }
     }
 

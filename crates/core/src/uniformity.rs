@@ -16,10 +16,8 @@
 //! that is `ε√2`-far in `ℓ₁` scaled appropriately) pushes
 //! `E[ẑ] = ‖p‖₂² = 1/n + ‖p − u‖₂²` past the threshold.
 
-use rand::Rng;
-
-use khist_dist::{DenseDistribution, DistError, Interval};
-use khist_oracle::{absolute_collision_estimate, Budget, DenseOracle, SampleOracle, SampleSet};
+use khist_dist::{DistError, Interval};
+use khist_oracle::{absolute_collision_estimate, Budget, SampleOracle, SampleSet};
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 
 use crate::api::SamplePlan;
@@ -133,21 +131,6 @@ pub fn test_uniformity<O: SampleOracle + ?Sized>(
     test_uniformity_from_set(oracle.domain_size(), eps, &set)
 }
 
-/// Convenience wrapper: tests uniformity of an explicit
-/// [`DenseDistribution`] through a seeded [`DenseOracle`].
-#[deprecated(
-    note = "construct a DenseOracle (or api::Session::from_dense) and call test_uniformity"
-)]
-pub fn test_uniformity_dense<R: Rng + ?Sized>(
-    p: &DenseDistribution,
-    eps: f64,
-    budget: UniformityBudget,
-    rng: &mut R,
-) -> Result<UniformityReport, DistError> {
-    let mut oracle = DenseOracle::new(p, rng.random());
-    test_uniformity(&mut oracle, eps, budget)
-}
-
 /// Tests uniformity from a pre-drawn sample multiset.
 pub fn test_uniformity_from_set(
     n: usize,
@@ -185,9 +168,10 @@ pub fn test_uniformity_from_set(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use khist_dist::generators;
+    use khist_dist::{generators, DenseDistribution};
+    use khist_oracle::DenseOracle;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn majority(p: &DenseDistribution, eps: f64, scale: f64, seed: u64) -> TestOutcome {
         let budget = UniformityBudget::calibrated(p.n(), eps, scale).unwrap();
@@ -237,17 +221,6 @@ mod tests {
         let rep = test_uniformity(&mut oracle, 0.3, budget).unwrap();
         assert!((rep.statistic - p.l2_norm_sq()).abs() < 0.002);
         assert_eq!(rep.samples_used, 50_000);
-    }
-
-    #[test]
-    fn deprecated_dense_wrapper_still_works() {
-        #[allow(deprecated)] // the test exercises the deprecated wrapper on purpose
-        {
-            let p = DenseDistribution::uniform(256).unwrap();
-            let budget = UniformityBudget::calibrated(256, 0.4, 0.1).unwrap();
-            let mut rng = StdRng::seed_from_u64(3);
-            assert!(test_uniformity_dense(&p, 0.4, budget, &mut rng).is_ok());
-        }
     }
 
     #[test]

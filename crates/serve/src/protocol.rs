@@ -1,16 +1,18 @@
-//! Line protocols: data-plane record framing and the control-plane
-//! request language, plus the JSON rendering of control replies.
+//! Line protocols: data-plane record framing and buffering, the
+//! control-plane request language, plus the JSON rendering of control
+//! replies.
 //!
-//! Data lines are exactly `khist watch --key-field`'s input format —
-//! two whitespace-separated fields per line, blank lines and `#`
-//! comments skipped — so a file replayed through `watch` and the same
-//! records pushed through a socket produce bit-identical per-stream
-//! JSONL. The one addition is that serve validates the record against
-//! the declared domain *at parse time*: the engine ingests batches from
-//! many connections at once, and a domain error surfacing there could
-//! not be pinned on the connection (and line) that sent it.
+//! The data plane is shared with `khist watch --key-field`, which parses
+//! its input with [`parse_data_line`] and buffers it in [`Pending`]: two
+//! whitespace-separated fields per line, blank lines and `#` comments
+//! skipped — so a file replayed through `watch` and the same records
+//! pushed through a socket produce bit-identical per-stream JSONL. Each
+//! record is validated against the declared domain *at parse time*: the
+//! engine ingests batches from many connections at once, and a domain
+//! error surfacing there could not be pinned on the connection (and line)
+//! that sent it.
 
-use khist_core::api::Engine;
+use khist_core::api::{Engine, WindowReport};
 use serde::{Serialize, Value};
 
 /// One parsed data-plane line.
@@ -28,8 +30,8 @@ pub enum DataLine<'a> {
 }
 
 /// Parses one data line (`key value`, or `value key` for `field == 1`),
-/// mirroring `khist watch --key-field` framing, plus the parse-time
-/// domain check described in the [module docs](self).
+/// with the parse-time domain check described in the
+/// [module docs](self).
 ///
 /// Errors are the one-line human messages sent back as
 /// `ERR line <n>: …` replies.
@@ -71,6 +73,62 @@ pub fn parse_data_line(
         ));
     }
     Ok(DataLine::Record { key, value })
+}
+
+/// Parsed-but-uningested records: keys in one arena addressed by spans,
+/// exactly the zero-copy shape [`Engine::ingest_batch`] wants. Both keyed
+/// front ends buffer through it: `khist serve` between drains, and
+/// `khist watch --key-field` per chunk.
+#[derive(Debug, Default)]
+pub struct Pending {
+    arena: String,
+    spans: Vec<(usize, usize, usize)>,
+    bytes: usize,
+}
+
+/// Per-record bookkeeping overhead charged against the global budget on
+/// top of the key bytes (span + value storage).
+const RECORD_OVERHEAD: usize = 24;
+
+impl Pending {
+    /// Buffers one record, copying its key into the arena.
+    pub fn push(&mut self, key: &str, value: usize) {
+        let start = self.arena.len();
+        self.arena.push_str(key);
+        self.spans.push((start, self.arena.len(), value));
+        self.bytes += key.len() + RECORD_OVERHEAD;
+    }
+
+    /// Whether no record is buffered.
+    pub fn is_empty(&self) -> bool {
+        self.spans.is_empty()
+    }
+
+    /// Buffered records.
+    pub fn len(&self) -> usize {
+        self.spans.len()
+    }
+
+    /// Buffered bytes as serve's global budget counts them: key bytes
+    /// plus a fixed per-record overhead.
+    pub fn bytes(&self) -> usize {
+        self.bytes
+    }
+
+    /// Ingests every buffered record as one batch and empties the buffer
+    /// (keeping its capacity), returning the windows the batch completed.
+    pub fn drain_into(&mut self, engine: &mut Engine) -> Result<Vec<WindowReport>, String> {
+        let records: Vec<(&str, usize)> = self
+            .spans
+            .iter()
+            .map(|&(start, end, value)| (self.arena.get(start..end).unwrap_or(""), value))
+            .collect();
+        let result = engine.ingest_batch(&records).map_err(|e| e.to_string());
+        self.spans.clear();
+        self.arena.clear();
+        self.bytes = 0;
+        result
+    }
 }
 
 /// One parsed control-plane request.
@@ -143,7 +201,7 @@ pub fn stats_summary(engine: &Engine) -> String {
         })
         .collect();
     reply_line(&Value::map([
-        ("streams", engine.stream_count().serialize()),
+        ("streams", engine.streams().serialize()),
         ("records", engine.seen().serialize()),
         ("windows", engine.windows().serialize()),
         ("shards", engine.shards().serialize()),

@@ -26,7 +26,7 @@ use polling::{PollFd, Poller};
 use serde::Value;
 
 use crate::conn::{Conn, ReadStatus, Role};
-use crate::protocol::{self, ControlRequest, DataLine};
+use crate::protocol::{self, ControlRequest, DataLine, Pending};
 
 /// Everything `run` needs beyond the engine itself.
 #[derive(Debug, Clone)]
@@ -85,51 +85,6 @@ pub struct ServerSummary {
 /// reviewable clock; all other code passes `Instant` values around.
 fn clock() -> Instant {
     Instant::now()
-}
-
-/// Parsed-but-uningested records: keys in one arena addressed by spans,
-/// exactly the zero-copy shape [`Engine::ingest_batch`] wants.
-#[derive(Default)]
-struct Pending {
-    arena: String,
-    spans: Vec<(usize, usize, usize)>,
-    bytes: usize,
-}
-
-/// Per-record bookkeeping overhead charged against the global budget on
-/// top of the key bytes (span + value storage).
-const RECORD_OVERHEAD: usize = 24;
-
-impl Pending {
-    fn push(&mut self, key: &str, value: usize) {
-        let start = self.arena.len();
-        self.arena.push_str(key);
-        self.spans.push((start, self.arena.len(), value));
-        self.bytes += key.len() + RECORD_OVERHEAD;
-    }
-
-    fn is_empty(&self) -> bool {
-        self.spans.is_empty()
-    }
-
-    fn len(&self) -> usize {
-        self.spans.len()
-    }
-
-    fn drain_into(&mut self, engine: &mut Engine) -> Result<Vec<WindowReport>, String> {
-        let records: Vec<(&str, usize)> = self
-            .spans
-            .iter()
-            .map(|&(start, end, value)| {
-                (self.arena.get(start..end).unwrap_or(""), value)
-            })
-            .collect();
-        let result = engine.ingest_batch(&records).map_err(|e| e.to_string());
-        self.spans.clear();
-        self.arena.clear();
-        self.bytes = 0;
-        result
-    }
 }
 
 /// Binds a nonblocking Unix listener, clearing a stale socket file left
@@ -245,22 +200,26 @@ fn emit_reports<W: Write>(
                 Err(e) => return Err(format!("write to sink failed: {e}")),
             }
         }
-        for conn in conns.iter_mut() {
-            if conn.subscribed {
-                conn.outbuf.extend_from_slice(line.as_bytes());
-                if conn.outbuf.len() > sub_cap {
-                    // Slow consumer: dropping it is the bounded-memory
-                    // answer; the main sink never loses lines.
-                    conn.subscribed = false;
-                    conn.eof = true;
-                    conn.outbuf.clear();
-                    conn.inbuf.clear();
-                }
-            }
-        }
+        broadcast(&line, conns, sub_cap);
         *windows += 1;
     }
     Ok(())
+}
+
+/// Queues one feed line on every subscribed control connection. A
+/// subscriber whose buffer then exceeds `sub_cap` is dropped as a slow
+/// consumer: dropping it is the bounded-memory answer, and the main sink
+/// never loses lines.
+fn broadcast(line: &str, conns: &mut [Conn], sub_cap: usize) {
+    for conn in conns.iter_mut().filter(|c| c.subscribed) {
+        conn.outbuf.extend_from_slice(line.as_bytes());
+        if conn.outbuf.len() > sub_cap {
+            conn.subscribed = false;
+            conn.eof = true;
+            conn.outbuf.clear();
+            conn.inbuf.clear();
+        }
+    }
 }
 
 /// Pushes the current fleet rollup line to every subscribed control
@@ -271,21 +230,8 @@ fn emit_reports<W: Write>(
 /// the way `watch --fleet` users do, and one-shot readers poll the
 /// `FLEET` verb instead.
 fn emit_fleet_line(engine: &Engine, conns: &mut [Conn], sub_cap: usize) {
-    if !conns.iter().any(|c| c.subscribed) {
-        return;
-    }
-    let line = protocol::fleet(engine);
-    for conn in conns.iter_mut() {
-        if conn.subscribed {
-            conn.outbuf.extend_from_slice(line.as_bytes());
-            if conn.outbuf.len() > sub_cap {
-                // Same slow-consumer policy as the window feed.
-                conn.subscribed = false;
-                conn.eof = true;
-                conn.outbuf.clear();
-                conn.inbuf.clear();
-            }
-        }
+    if conns.iter().any(|c| c.subscribed) {
+        broadcast(&protocol::fleet(engine), conns, sub_cap);
     }
 }
 
@@ -359,7 +305,7 @@ pub fn run<W: Write>(
             fds.push(PollFd::read(l.as_raw_fd()));
         }
         let base = fds.len();
-        let parked = pending.bytes >= cfg.global_budget;
+        let parked = pending.bytes() >= cfg.global_budget;
         for conn in &conns {
             fds.push(PollFd {
                 fd: conn.fd(),
@@ -420,7 +366,7 @@ pub fn run<W: Write>(
             }
             let mut saw_eof = false;
             loop {
-                if conn.role == Role::Data && pending.bytes >= cfg.global_budget {
+                if conn.role == Role::Data && pending.bytes() >= cfg.global_budget {
                     // Budget full mid-iteration: park this reader (and
                     // the rest); the drain below frees the budget.
                     break;
@@ -478,7 +424,7 @@ pub fn run<W: Write>(
         let due = !pending.is_empty()
             && clock().duration_since(last_drain) >= flush_every;
         if pending.len() >= cfg.batch_records
-            || pending.bytes >= cfg.global_budget
+            || pending.bytes() >= cfg.global_budget
             || due
             || (shutdown && !pending.is_empty())
         {
@@ -541,7 +487,7 @@ pub fn run<W: Write>(
 
     Ok(ServerSummary {
         records: engine.seen(),
-        streams: engine.stream_count(),
+        streams: engine.streams(),
         windows,
         shards: engine.shards(),
     })

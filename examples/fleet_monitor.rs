@@ -100,7 +100,7 @@ fn main() {
     // what each one has sent. `khist serve`'s STATS replies are built from
     // exactly these calls.
     let roster = engine.stream_seen();
-    assert_eq!(roster.len(), engine.stream_count());
+    assert_eq!(roster.len(), engine.streams());
     assert!(
         roster.iter().map(|&(key, _)| key).eq(keys.iter().map(String::as_str)),
         "stream_seen reports tenants in debut order"
@@ -113,7 +113,7 @@ fn main() {
     println!(
         "ingested {} records over {} streams ({per_tenant} per tenant); alarms: {alarms:?}",
         engine.seen(),
-        engine.stream_count(),
+        engine.streams(),
     );
     assert_eq!(
         alarms,

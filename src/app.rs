@@ -29,8 +29,9 @@ use khist_core::monotone::monotonicity_budget;
 use khist_core::uniformity::UniformityBudget;
 use khist_oracle::{
     empirical_distribution, L1TesterBudget, L2TesterBudget, LearnerBudget, RecordFileOracle,
-    ReplayOracle, SampleOracle, SampleSet,
+    ReplayOracle, SampleOracle, SampleSet, Window,
 };
+use khist_serve::protocol::{parse_data_line, DataLine, Pending};
 use serde::{Serialize, Value};
 
 /// The analysis names `--run` accepts, listed verbatim in error messages.
@@ -730,6 +731,59 @@ pub fn render_fleet(report: &FleetReport, json: bool) -> String {
     text
 }
 
+/// The window policy `--every` and `--window` select (sliding windows
+/// cover [`SLIDING_STEPS`] steps of `every`), and the standing batch
+/// sized to the window's span — the setup `watch` and `serve` share.
+fn window_and_batch(
+    n: usize,
+    k: usize,
+    eps: f64,
+    every: u64,
+    sliding: bool,
+    runs: &[String],
+) -> Result<(Window, Vec<Analysis>), String> {
+    let window = if sliding {
+        let span = every
+            .checked_mul(SLIDING_STEPS)
+            .ok_or_else(|| format!("--every {every} overflows the sliding span"))?;
+        Window::Sliding { span, step: every }
+    } else {
+        Window::Tumbling { span: every }
+    };
+    let (Window::Tumbling { span } | Window::Sliding { span, .. }) = window;
+    let batch = analyze_batch(n, k, eps, span as usize, runs)?;
+    Ok((window, batch))
+}
+
+/// Writes one rendered line and flushes it, so live output never waits in
+/// a buffer. `Ok(false)` means the consumer hung up (broken pipe) — for a
+/// streaming tool that is a normal way to stop (`watch … | head`), not an
+/// error.
+fn write_line<W: std::io::Write>(out: &mut W, line: &str) -> Result<bool, String> {
+    match out.write_all(line.as_bytes()).and_then(|()| out.flush()) {
+        Ok(()) => Ok(true),
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(false),
+        Err(e) => Err(fmt_err(e)),
+    }
+}
+
+/// Writes every report as one rendered line, counting them into
+/// `windows`; `Ok(false)` when the consumer hung up.
+fn emit_windows<W: std::io::Write>(
+    out: &mut W,
+    reports: Vec<WindowReport>,
+    json: bool,
+    windows: &mut u64,
+) -> Result<bool, String> {
+    for report in reports {
+        if !write_line(out, &render_window(&report, json))? {
+            return Ok(false);
+        }
+        *windows += 1;
+    }
+    Ok(true)
+}
+
 /// Streams records from `input` through a push-based [`Monitor`], writing
 /// one report per completed window to `out` *as it completes* (live
 /// monitoring: output must not wait for EOF). The final partial window is
@@ -756,39 +810,20 @@ pub fn run_watch<R: std::io::BufRead, W: std::io::Write>(
                 .into(),
         );
     }
-    let span = if opts.sliding {
-        opts.every
-            .checked_mul(SLIDING_STEPS)
-            .ok_or_else(|| format!("--every {} overflows the sliding span", opts.every))?
-    } else {
-        opts.every
-    };
-    let batch = analyze_batch(opts.n, opts.k, opts.eps, span as usize, &opts.runs)?;
-    let mut builder = Monitor::builder(opts.n).seed(opts.seed).analyses(batch);
-    builder = if opts.sliding {
-        builder.sliding(span, opts.every)
-    } else {
-        builder.tumbling(span)
-    };
-    let mut monitor = builder.build().map_err(fmt_err)?;
-
-    // `Ok(None)` means the consumer hung up (broken pipe) — for a
-    // streaming tool that is a normal way to stop (`watch … | head`),
-    // not an error.
-    let emit = |out: &mut W, reports: Vec<WindowReport>| -> Result<Option<u64>, String> {
-        let mut windows = 0;
-        for report in reports {
-            let write = out
-                .write_all(render_window(&report, opts.json).as_bytes())
-                .and_then(|()| out.flush());
-            match write {
-                Ok(()) => windows += 1,
-                Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => return Ok(None),
-                Err(e) => return Err(fmt_err(e)),
-            }
-        }
-        Ok(Some(windows))
-    };
+    let (window, batch) = window_and_batch(
+        opts.n,
+        opts.k,
+        opts.eps,
+        opts.every,
+        opts.sliding,
+        &opts.runs,
+    )?;
+    let mut monitor = Monitor::builder(opts.n)
+        .seed(opts.seed)
+        .analyses(batch)
+        .window(window)
+        .build()
+        .map_err(fmt_err)?;
 
     let mut windows = 0u64;
     let mut buffer: Vec<usize> = Vec::with_capacity(1024);
@@ -818,23 +853,20 @@ pub fn run_watch<R: std::io::BufRead, W: std::io::Write>(
         if buffer.len() >= 1024 {
             let reports = monitor.ingest(&buffer).map_err(fmt_err)?;
             buffer.clear();
-            match emit(out, reports)? {
-                Some(emitted) => windows += emitted,
-                None => return Ok(String::new()),
+            if !emit_windows(out, reports, opts.json, &mut windows)? {
+                return Ok(String::new());
             }
         }
     }
     // Emit the final buffer's completed windows before flushing the tail,
     // so a tail-flush failure can never lose an already-computed report.
     let reports = monitor.ingest(&buffer).map_err(fmt_err)?;
-    match emit(out, reports)? {
-        Some(emitted) => windows += emitted,
-        None => return Ok(String::new()),
+    if !emit_windows(out, reports, opts.json, &mut windows)? {
+        return Ok(String::new());
     }
     let tail = monitor.flush().map_err(fmt_err)?;
-    match emit(out, tail)? {
-        Some(emitted) => windows += emitted,
-        None => return Ok(String::new()),
+    if !emit_windows(out, tail, opts.json, &mut windows)? {
+        return Ok(String::new());
     }
     if opts.json {
         return Ok(String::new());
@@ -846,107 +878,59 @@ pub fn run_watch<R: std::io::BufRead, W: std::io::Write>(
     ))
 }
 
-/// Parses one keyed record line (`key value` or `value key`, whitespace
-/// separated): `Ok(None)` for blanks and `#` comments, a line-numbered
-/// error for un-keyed lines (a single field), extra fields, or a
-/// non-integer value field.
-///
-/// The key is returned as a slice borrowed from `line` — the hot path
-/// allocates only when building an error message.
-fn parse_keyed_record(
-    line: &str,
-    lineno: usize,
-    field: usize,
-) -> Result<Option<(&str, usize)>, String> {
-    let trimmed = line.trim();
-    if trimmed.is_empty() || trimmed.starts_with('#') {
-        return Ok(None);
-    }
-    let mut fields = trimmed.split_whitespace();
-    let (Some(first), Some(second)) = (fields.next(), fields.next()) else {
-        return Err(format!(
-            "line {lineno}: --key-field {field} needs keyed records (key and value per \
-             line), but this input is un-keyed: {trimmed}"
-        ));
-    };
-    if fields.next().is_some() {
-        // Two consumed above plus the one just seen plus whatever remains.
-        let total = 3 + fields.count();
-        return Err(format!(
-            "line {lineno}: keyed records carry exactly two fields (key and value), got \
-             {total}: {trimmed}"
-        ));
-    }
-    let (key, value_text) = if field == 0 {
-        (first, second)
-    } else {
-        (second, first)
-    };
-    let value: usize = value_text
-        .parse()
-        .map_err(|_| format!("line {lineno}: not an integer record: {value_text}"))?;
-    Ok(Some((key, value)))
-}
-
 /// The keyed flavour of [`run_watch`]: demultiplexes `key value` lines
 /// onto a sharded [`Engine`] (one [`Monitor`]-equivalent state machine
 /// per stream key) and emits every stream's window reports as they
 /// complete, tagged by stream. Per-stream output is bit-identical for
 /// every `--shards` value; the interleaving is deterministic (sorted by
 /// stream, then window, within each ingested chunk).
+///
+/// Lines go through serve's data plane — the same framing, errors and
+/// parse-time domain check ([`parse_data_line`]) and the same zero-copy
+/// record buffer ([`Pending`]) — so a capture replayed here and pushed
+/// through `khist serve` produces the same per-stream JSONL.
 fn run_watch_keyed<R: std::io::BufRead, W: std::io::Write>(
     input: R,
     out: &mut W,
     opts: &WatchOptions,
     field: usize,
 ) -> Result<String, String> {
-    let span = if opts.sliding {
-        opts.every
-            .checked_mul(SLIDING_STEPS)
-            .ok_or_else(|| format!("--every {} overflows the sliding span", opts.every))?
-    } else {
-        opts.every
-    };
-    let batch = analyze_batch(opts.n, opts.k, opts.eps, span as usize, &opts.runs)?;
-    let mut builder = Engine::builder(opts.n)
+    let (window, batch) = window_and_batch(
+        opts.n,
+        opts.k,
+        opts.eps,
+        opts.every,
+        opts.sliding,
+        &opts.runs,
+    )?;
+    let mut engine = Engine::builder(opts.n)
         .seed(opts.seed)
         .shards(opts.shards)
-        .analyses(batch);
-    builder = if opts.sliding {
-        builder.sliding(span, opts.every)
-    } else {
-        builder.tumbling(span)
-    };
-    let mut engine = builder.build().map_err(fmt_err)?;
-
-    // `Ok(None)` means the consumer hung up (broken pipe) — a normal way
-    // to stop a streaming tool, not an error.
-    let emit = |out: &mut W, reports: Vec<WindowReport>| -> Result<Option<u64>, String> {
-        let mut windows = 0;
-        for report in reports {
-            let write = out
-                .write_all(render_window(&report, opts.json).as_bytes())
-                .and_then(|()| out.flush());
-            match write {
-                Ok(()) => windows += 1,
-                Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => return Ok(None),
-                Err(e) => return Err(fmt_err(e)),
-            }
-        }
-        Ok(Some(windows))
-    };
+        .analyses(batch)
+        .window(window)
+        .build()
+        .map_err(fmt_err)?;
     // With --fleet, a rollup line follows every chunk that reported a
     // window (and the final tails): the fleet state as of everything
     // ingested so far. `Ok(false)` = consumer hung up.
     let emit_fleet = |out: &mut W, engine: &Engine| -> Result<bool, String> {
-        let write = out
-            .write_all(render_fleet(&engine.fleet_report(), opts.json).as_bytes())
-            .and_then(|()| out.flush());
-        match write {
-            Ok(()) => Ok(true),
-            Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(false),
-            Err(e) => Err(fmt_err(e)),
+        write_line(out, &render_fleet(&engine.fleet_report(), opts.json))
+    };
+    // Ingests one chunk and emits its windows, then its rollup line.
+    let drain = |out: &mut W,
+                 engine: &mut Engine,
+                 pending: &mut Pending,
+                 windows: &mut u64|
+     -> Result<bool, String> {
+        let reports = pending.drain_into(engine)?;
+        let reported = !reports.is_empty();
+        if !emit_windows(out, reports, opts.json, windows)? {
+            return Ok(false);
         }
+        if opts.fleet && reported {
+            return emit_fleet(out, engine);
+        }
+        Ok(true)
     };
 
     let mut windows = 0u64;
@@ -956,26 +940,13 @@ fn run_watch_keyed<R: std::io::BufRead, W: std::io::Write>(
     // bounded (chunk × ~word-sized records), and report latency stays well
     // under a window span.
     let chunk = 4096 * opts.shards;
-    // Zero-copy line handling: one reused read buffer, keys copied into a
-    // per-chunk byte arena (cleared, not freed, between chunks) and
-    // addressed by spans. No per-line `String` is ever allocated.
+    // Zero-copy line handling: one reused read buffer, keys copied into
+    // the pending buffer's arena (cleared, not freed, between chunks). No
+    // per-line `String` is ever allocated.
     let mut input = input;
     let mut line = String::with_capacity(256);
     let mut lineno = 0usize;
-    let mut arena = String::with_capacity(chunk * 8);
-    let mut spans: Vec<(usize, usize, usize)> = Vec::with_capacity(chunk);
-    // Borrows `arena` for the duration of one `ingest_batch` call.
-    let ingest_chunk = |engine: &mut Engine,
-                        arena: &str,
-                        spans: &[(usize, usize, usize)]|
-     -> Result<Vec<WindowReport>, String> {
-        let records: Vec<(&str, usize)> = spans
-            .iter()
-            // lint:allow(checked-indexing): spans are valid arena offsets by construction
-            .map(|&(start, end, value)| (&arena[start..end], value))
-            .collect();
-        engine.ingest_batch(&records).map_err(fmt_err)
-    };
+    let mut pending = Pending::default();
     loop {
         line.clear();
         let read = input
@@ -985,44 +956,25 @@ fn run_watch_keyed<R: std::io::BufRead, W: std::io::Write>(
             break;
         }
         lineno += 1;
-        let Some((key, value)) = parse_keyed_record(&line, lineno, field)? else {
+        let DataLine::Record { key, value } = parse_data_line(&line, lineno, field, opts.n)? else {
             continue;
         };
-        let start = arena.len();
-        arena.push_str(key);
-        spans.push((start, arena.len(), value));
-        if spans.len() >= chunk {
-            let reports = ingest_chunk(&mut engine, &arena, &spans)?;
-            spans.clear();
-            arena.clear();
-            let reported = !reports.is_empty();
-            match emit(out, reports)? {
-                Some(emitted) => windows += emitted,
-                None => return Ok(String::new()),
-            }
-            if opts.fleet && reported && !emit_fleet(out, &engine)? {
-                return Ok(String::new());
-            }
+        pending.push(key, value);
+        if pending.len() >= chunk && !drain(out, &mut engine, &mut pending, &mut windows)? {
+            return Ok(String::new());
         }
     }
     // Emit the final buffer's completed windows before flushing the tails,
     // so a tail-flush failure can never lose an already-computed report.
-    let reports = ingest_chunk(&mut engine, &arena, &spans)?;
-    let reported = !reports.is_empty();
-    match emit(out, reports)? {
-        Some(emitted) => windows += emitted,
-        None => return Ok(String::new()),
-    }
-    if opts.fleet && reported && !emit_fleet(out, &engine)? {
+    if !drain(out, &mut engine, &mut pending, &mut windows)? {
         return Ok(String::new());
     }
     // Tails come out in debut order — the order streams first appeared —
     // not key-lexicographic order, so the end-of-stream output lines up
     // with the input's own history.
     let tails = engine.flush_debut_ordered().map_err(fmt_err)?;
-    match emit(out, tails)? {
-        Some(emitted) => windows += emitted,
-        None => return Ok(String::new()),
+    if !emit_windows(out, tails, opts.json, &mut windows)? {
+        return Ok(String::new());
     }
     // The closing rollup: the whole stream's fleet state, tails included.
     if opts.fleet && !emit_fleet(out, &engine)? {
@@ -1298,21 +1250,15 @@ pub fn dispatch(cmd: Command) -> Result<String, String> {
                         .into(),
                 );
             }
-            let span = if window == "sliding" {
-                every
-                    .checked_mul(SLIDING_STEPS)
-                    .ok_or_else(|| format!("--every {every} overflows the sliding span"))?
-            } else {
-                every
-            };
-            let analyses = analyze_batch(n, k, eps, span as usize, &runs)?;
-            let mut builder = Engine::builder(n).seed(seed).shards(shards).analyses(analyses);
-            builder = if window == "sliding" {
-                builder.sliding(span, every)
-            } else {
-                builder.tumbling(span)
-            };
-            let engine = builder.build().map_err(fmt_err)?;
+            let (policy, analyses) =
+                window_and_batch(n, k, eps, every, window == "sliding", &runs)?;
+            let engine = Engine::builder(n)
+                .seed(seed)
+                .shards(shards)
+                .analyses(analyses)
+                .window(policy)
+                .build()
+                .map_err(fmt_err)?;
             let cfg = khist_serve::ServerConfig {
                 socket: socket.map(std::path::PathBuf::from),
                 control: control.map(std::path::PathBuf::from),
@@ -1853,6 +1799,10 @@ mod tests {
         let mut out = Vec::new();
         let err = run_watch("api foo\n".as_bytes(), &mut out, &opts).unwrap_err();
         assert!(err.contains("line 1") && err.contains("foo"), "{err}");
+        // Out-of-domain records fail at parse time, naming their line.
+        let mut out = Vec::new();
+        let err = run_watch("api 3\nweb 99\n".as_bytes(), &mut out, &opts).unwrap_err();
+        assert!(err.contains("line 2") && err.contains("record 99"), "{err}");
         // --key-field 1 swaps the roles: "value key" lines.
         let mut opts = keyed_opts(1, false);
         opts.key_field = Some(1);

@@ -76,7 +76,7 @@
 //! [`oracle::RecordFileOracle`]'s file — where the pre-API free functions
 //! cost one pass each. The per-algorithm free functions (`greedy::learn`,
 //! `tester::test_l2`, …) remain as thin shims over the same
-//! [`api::SamplePlan`] layer; the `*_dense` wrappers are **deprecated**.
+//! [`api::SamplePlan`] layer.
 //!
 //! Push and pull are two transports for one sampling process: a tumbling
 //! window pushed into a [`oracle::WindowedSink`] freezes lanes
@@ -186,17 +186,6 @@ pub mod prelude {
         ReplayOracle, Reservoir, SampleOracle, SampleSet, SampleSink, Window, WindowSnapshot,
         WindowedSink,
     };
-
-    // Deprecated pre-API wrappers, re-exported so downstream code keeps
-    // compiling while it migrates (the deprecation fires at call sites).
-    #[allow(deprecated)] // re-export keeps compiling; callers get the warning
-    pub use khist_core::greedy::learn_dense;
-    #[allow(deprecated)] // re-export keeps compiling; callers get the warning
-    pub use khist_core::identity::{test_closeness_l2_dense, test_identity_l2_dense};
-    #[allow(deprecated)] // re-export keeps compiling; callers get the warning
-    pub use khist_core::tester::{test_l1_dense, test_l2_dense};
-    #[allow(deprecated)] // re-export keeps compiling; callers get the warning
-    pub use khist_core::uniformity::test_uniformity_dense;
 }
 
 #[cfg(test)]

@@ -53,7 +53,7 @@ proptest! {
         for n in [2usize, 4, 8] {
             let mut engine = engine(n, 1_000_000);
             engine.ingest_batch(&keyed).unwrap();
-            prop_assert_eq!(engine.stream_count(), streams);
+            prop_assert_eq!(engine.streams(), streams);
 
             let moved = engine.resize(n + 1).unwrap();
             prop_assert!(
@@ -130,7 +130,7 @@ fn single_shard_ring_degenerates_cleanly() {
     let mut engine = engine(1, 500);
     let keyed = population(50, 0xdead);
     engine.ingest_batch(&keyed).unwrap();
-    assert_eq!(engine.stream_count(), 50);
+    assert_eq!(engine.streams(), 50);
     assert_eq!(engine.shards(), 1);
     assert_eq!(engine.resize(1).unwrap(), 0, "same-size resize moves nothing");
     assert!(engine.resize(0).is_err(), "zero shards is rejected");
@@ -138,5 +138,5 @@ fn single_shard_ring_degenerates_cleanly() {
     let moved = engine.resize(2).unwrap();
     assert!(moved <= 50, "{moved} of 50 moved");
     assert_eq!(engine.shards(), 2);
-    assert_eq!(engine.stream_count(), 50, "no stream lost in migration");
+    assert_eq!(engine.streams(), 50, "no stream lost in migration");
 }

@@ -9,11 +9,12 @@
 //! The counter is process-global, so this file holds exactly one `#[test]`
 //! (integration tests are separate binaries; within one binary the default
 //! harness would interleave tests on multiple threads and contaminate the
-//! count). Shard counts 1 (inline path), 2 and 4 (persistent-worker path)
-//! are exercised sequentially inside that single test, each with a batch
-//! large enough to engage the parallel route fan-out
-//! (`Engine::PARALLEL_ROUTE_MIN`) *and* a small batch that routes serially
-//! on the caller thread — both paths must be allocation-free warm.
+//! count). Shard counts 1 (no workers: every job inline), 2 and 4
+//! (persistent workers) are exercised sequentially inside that single
+//! test, each with a batch large enough to split into one route chunk per
+//! worker mailbox slot (`Engine::PARALLEL_ROUTE_MIN`) *and* a small batch
+//! routed as one chunk on the caller thread — both chunk counts must be
+//! allocation-free warm.
 
 use alloc_counter::CountingAllocator;
 use khist::prelude::*;
@@ -61,9 +62,9 @@ fn engine(shards: usize) -> Engine {
 #[test]
 fn warm_ingest_batch_allocates_nothing() {
     // The large batch crosses `Engine::PARALLEL_ROUTE_MIN`, so multi-shard
-    // engines route it through the parallel chunk fan-out; the small batch
-    // stays below the threshold and routes serially on the caller thread.
-    // Both paths must be allocation-free once warm.
+    // engines fan its route chunks across the workers; the small batch
+    // stays below the threshold and is one chunk routed on the caller
+    // thread. Both must be allocation-free once warm.
     let large = batch(64, Engine::PARALLEL_ROUTE_MIN * 4);
     let small = batch(64, Engine::PARALLEL_ROUTE_MIN / 4);
     assert!(large.len() >= Engine::PARALLEL_ROUTE_MIN);
@@ -72,9 +73,9 @@ fn warm_ingest_batch_allocates_nothing() {
         for (path, records) in [("parallel", &large), ("serial", &small)] {
             let mut engine = engine(shards);
             // Warm-up: debut every key, push every reservoir past its fill
-            // phase, and let every scratch buffer (partitions, route-chunk
-            // arenas and buckets, counting-sort slots, mailbox round-trip
-            // buffers) reach steady-state capacity.
+            // phase, and let every scratch buffer (route-chunk arenas and
+            // buckets, counting-sort slots, mailbox round-trip buffers)
+            // reach steady-state capacity.
             for _ in 0..3 {
                 let reports = engine.ingest_batch(records).unwrap();
                 assert!(reports.is_empty(), "span must outlast the test feed");
