@@ -78,8 +78,8 @@ use std::time::Instant;
 
 use khist_dist::{DenseDistribution, DistError, Interval, TilingHistogram};
 use khist_oracle::{
-    stream_seed, Budget, DenseOracle, L1TesterBudget, L2TesterBudget, LearnerBudget,
-    RecordFileOracle, SampleOracle, SampleSet,
+    stream_seed, DenseOracle, L1TesterBudget, L2TesterBudget, LearnerBudget, RecordFileOracle,
+    SampleOracle, SampleSet,
 };
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 
@@ -529,6 +529,17 @@ impl BudgetSpec {
             BudgetSpec::Fixed { m } => Ok(*m),
         }
     }
+
+    /// The draw this budget needs: `ℓ` main + `r × m` for the learner,
+    /// `r × m` for the set testers, one set of `m` otherwise.
+    fn plan(&self) -> SamplePlan {
+        match self {
+            BudgetSpec::Learner(b) => SamplePlan::learner(b),
+            BudgetSpec::L2(b) => SamplePlan::sets(b.r, b.m),
+            BudgetSpec::L1(b) => SamplePlan::sets(b.r, b.m),
+            BudgetSpec::Fixed { m } => SamplePlan::single(*m),
+        }
+    }
 }
 
 impl Serialize for BudgetSpec {
@@ -785,111 +796,66 @@ impl std::fmt::Display for Report {
     }
 }
 
-/// A fully resolved sample requirement: how much one analysis needs from
-/// the shared draw.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Requirement {
-    /// Main/single set size (`ℓ` for the learner, `m` for the one-set
-    /// analyses, `0` for the pure set-based testers).
-    main: usize,
-    /// Number of equal-size sets.
-    r: usize,
-    /// Per-set size.
-    m: usize,
-}
-
-/// One analysis resolved against a concrete domain: requirement, runtime
-/// budget, and everything the executor needs.
+/// One analysis resolved against a concrete domain: the analysis and the
+/// budget it runs with.
 struct Resolved {
     analysis: Analysis,
-    requirement: Requirement,
     budget: BudgetSpec,
 }
 
-fn resolve(analysis: &Analysis, n: usize) -> Result<Resolved, DistError> {
-    let (requirement, budget) = match analysis {
-        Analysis::Learn(req) => {
-            let budget = match req.budget {
-                Some(b) => b,
-                None => LearnerBudget::calibrated(n, req.k, req.eps, req.scale)?,
-            };
-            (
-                Requirement {
-                    main: budget.ell,
-                    r: budget.r,
-                    m: budget.m,
-                },
-                BudgetSpec::Learner(budget),
-            )
-        }
-        Analysis::TestL2(req) => {
-            let budget = match req.budget {
-                Some(b) => b,
-                None => L2TesterBudget::calibrated(n, req.eps, req.scale)?,
-            };
-            (
-                Requirement {
-                    main: 0,
-                    r: budget.r,
-                    m: budget.m,
-                },
-                BudgetSpec::L2(budget),
-            )
-        }
-        Analysis::TestL1(req) => {
-            let budget = match req.budget {
-                Some(b) => b,
-                None => L1TesterBudget::calibrated(n, req.k, req.eps, req.scale)?,
-            };
-            (
-                Requirement {
-                    main: 0,
-                    r: budget.r,
-                    m: budget.m,
-                },
-                BudgetSpec::L1(budget),
-            )
-        }
-        Analysis::Uniformity(req) => {
-            let budget = match req.budget {
-                Some(b) => b,
-                None => UniformityBudget::calibrated(n, req.eps, req.scale)?,
-            };
-            (
-                Requirement {
-                    main: budget.m,
-                    r: 0,
-                    m: 0,
-                },
-                BudgetSpec::Fixed { m: budget.m },
-            )
-        }
-        Analysis::IdentityL2(req) => {
-            let m = match req.m {
+/// Resolves every analysis of a batch against domain size `n`.
+fn resolve_all(analyses: &[Analysis], n: usize) -> Result<Vec<Resolved>, DistError> {
+    analyses
+        .iter()
+        .map(|analysis| {
+            Ok(Resolved {
+                analysis: analysis.clone(),
+                budget: resolve(analysis, n)?,
+            })
+        })
+        .collect()
+}
+
+/// The budget `analysis` runs with over the domain `[0, n)`: its explicit
+/// budget, or the calibrated default.
+fn resolve(analysis: &Analysis, n: usize) -> Result<BudgetSpec, DistError> {
+    Ok(match analysis {
+        Analysis::Learn(req) => BudgetSpec::Learner(match req.budget {
+            Some(b) => b,
+            None => LearnerBudget::calibrated(n, req.k, req.eps, req.scale)?,
+        }),
+        Analysis::TestL2(req) => BudgetSpec::L2(match req.budget {
+            Some(b) => b,
+            None => L2TesterBudget::calibrated(n, req.eps, req.scale)?,
+        }),
+        Analysis::TestL1(req) => BudgetSpec::L1(match req.budget {
+            Some(b) => b,
+            None => L1TesterBudget::calibrated(n, req.k, req.eps, req.scale)?,
+        }),
+        Analysis::Uniformity(req) => BudgetSpec::Fixed {
+            m: match req.budget {
+                Some(b) => b.m,
+                None => UniformityBudget::calibrated(n, req.eps, req.scale)?.m,
+            },
+        },
+        Analysis::IdentityL2(req) => BudgetSpec::Fixed {
+            m: match req.m {
                 Some(m) => m,
                 None => UniformityBudget::calibrated(n, req.eps, req.scale)?.m,
-            };
-            (Requirement { main: m, r: 0, m: 0 }, BudgetSpec::Fixed { m })
-        }
-        Analysis::ClosenessL2(req) => {
-            let m = match req.m {
+            },
+        },
+        Analysis::ClosenessL2(req) => BudgetSpec::Fixed {
+            m: match req.m {
                 Some(m) => m,
                 None => UniformityBudget::calibrated(n, req.eps, req.scale)?.m,
-            };
-            (Requirement { main: m, r: 0, m: 0 }, BudgetSpec::Fixed { m })
-        }
-        Analysis::Monotone(req) => {
-            let m = match req.m {
+            },
+        },
+        Analysis::Monotone(req) => BudgetSpec::Fixed {
+            m: match req.m {
                 Some(m) => m,
                 None => monotonicity_budget(n, req.eps, req.scale)?,
-            };
-            (Requirement { main: m, r: 0, m: 0 }, BudgetSpec::Fixed { m })
-        }
-    };
-    Ok(Resolved {
-        analysis: analysis.clone(),
-        requirement,
-        budget,
+            },
+        },
     })
 }
 
@@ -932,13 +898,15 @@ impl SamplePlan {
         SamplePlan { main: m, r: 0, m: 0 }
     }
 
-    fn for_requirements(reqs: impl IntoIterator<Item = Requirement>) -> SamplePlan {
-        reqs.into_iter().fold(
+    /// The smallest plan every one of `plans` fits: the maximum of each
+    /// dimension.
+    fn for_plans(plans: impl IntoIterator<Item = SamplePlan>) -> SamplePlan {
+        plans.into_iter().fold(
             SamplePlan { main: 0, r: 0, m: 0 },
-            |acc, req| SamplePlan {
-                main: acc.main.max(req.main),
-                r: acc.r.max(req.r),
-                m: acc.m.max(req.m),
+            |acc, plan| SamplePlan {
+                main: acc.main.max(plan.main),
+                r: acc.r.max(plan.r),
+                m: acc.m.max(plan.m),
             },
         )
     }
@@ -1088,11 +1056,6 @@ impl Session {
         self.seed
     }
 
-    /// Direct access to the oracle (e.g. to inspect backend state).
-    pub fn oracle_mut(&mut self) -> &mut dyn SampleOracle {
-        &mut *self.oracle
-    }
-
     /// The cumulative sample ledger across all `run` calls.
     pub fn ledger(&self) -> &[LedgerEntry] {
         &self.ledger
@@ -1143,12 +1106,9 @@ impl std::fmt::Debug for Session {
 /// lane sizing, cost estimators) can answer "how many samples would this
 /// batch take?" without running it.
 pub fn plan_for(analyses: &[Analysis], n: usize) -> Result<SamplePlan, DistError> {
-    let resolved = analyses
-        .iter()
-        .map(|a| resolve(a, n))
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(SamplePlan::for_requirements(
-        resolved.iter().map(|r| r.requirement),
+    let resolved = resolve_all(analyses, n)?;
+    Ok(SamplePlan::for_plans(
+        resolved.iter().map(|r| r.budget.plan()),
     ))
 }
 
@@ -1164,12 +1124,8 @@ pub fn run_analyses<O: SampleOracle + ?Sized>(
     seed: u64,
     analyses: &[Analysis],
 ) -> Result<(Vec<Report>, Vec<LedgerEntry>), DistError> {
-    let n = oracle.domain_size();
-    let resolved = analyses
-        .iter()
-        .map(|a| resolve(a, n))
-        .collect::<Result<Vec<_>, _>>()?;
-    let plan = SamplePlan::for_requirements(resolved.iter().map(|r| r.requirement));
+    let resolved = resolve_all(analyses, oracle.domain_size())?;
+    let plan = SamplePlan::for_plans(resolved.iter().map(|r| r.budget.plan()));
     run_resolved(oracle, seed, resolved, plan)
 }
 
@@ -1189,13 +1145,9 @@ pub fn run_analyses_with_plan<O: SampleOracle + ?Sized>(
     analyses: &[Analysis],
     plan: SamplePlan,
 ) -> Result<(Vec<Report>, Vec<LedgerEntry>), DistError> {
-    let n = oracle.domain_size();
-    let resolved = analyses
-        .iter()
-        .map(|a| resolve(a, n))
-        .collect::<Result<Vec<_>, _>>()?;
+    let resolved = resolve_all(analyses, oracle.domain_size())?;
     for item in &resolved {
-        let req = item.requirement;
+        let req = item.budget.plan();
         if req.main > plan.main || req.r > plan.r || req.m > plan.m {
             return Err(DistError::BadParameter {
                 reason: format!(
@@ -1284,8 +1236,8 @@ fn execute(
                 // lint:allow(no-panic): resolve() pairs Learn with a learner budget one match arm up
                 unreachable!("learn resolves to a learner budget");
             };
-            // lint:allow(checked-indexing): the plan drew requirement.r sets for this analysis
-            let view = &sets[..item.requirement.r];
+            // lint:allow(checked-indexing): the plan drew budget.plan().r sets for this analysis
+            let view = &sets[..item.budget.plan().r];
             let params = GreedyParams {
                 k: req.k,
                 eps: req.eps,
@@ -1299,8 +1251,8 @@ fn execute(
             report.samples_spent = outcome.stats.samples_used;
         }
         Analysis::TestL2(req) => {
-            // lint:allow(checked-indexing): the plan drew requirement.r sets for this analysis
-            let view = &sets[..item.requirement.r];
+            // lint:allow(checked-indexing): the plan drew budget.plan().r sets for this analysis
+            let view = &sets[..item.budget.plan().r];
             let tr = test_l2_from_sets(n, req.k, req.eps, view)?;
             report.verdict = Some(tr.outcome);
             report.cuts = tr.cuts;
@@ -1308,8 +1260,8 @@ fn execute(
             report.samples_spent = tr.samples_used;
         }
         Analysis::TestL1(req) => {
-            // lint:allow(checked-indexing): the plan drew requirement.r sets for this analysis
-            let view = &sets[..item.requirement.r];
+            // lint:allow(checked-indexing): the plan drew budget.plan().r sets for this analysis
+            let view = &sets[..item.budget.plan().r];
             let tr = test_l1_from_sets(n, req.k, req.eps, view)?;
             report.verdict = Some(tr.outcome);
             report.cuts = tr.cuts;
@@ -1421,22 +1373,14 @@ mod tests {
 
     #[test]
     fn plan_maximizes_over_requirements() {
-        let plan = SamplePlan::for_requirements([
-            Requirement {
+        let plan = SamplePlan::for_plans([
+            SamplePlan {
                 main: 100,
                 r: 5,
                 m: 30,
             },
-            Requirement {
-                main: 0,
-                r: 9,
-                m: 20,
-            },
-            Requirement {
-                main: 250,
-                r: 0,
-                m: 0,
-            },
+            SamplePlan::sets(9, 20),
+            SamplePlan::single(250),
         ]);
         assert_eq!(plan, SamplePlan { main: 250, r: 9, m: 30 });
         assert_eq!(plan.total_samples().unwrap(), 250 + 9 * 30);

@@ -11,7 +11,7 @@
 //!   ingest_batch(&[(key, value), …])
 //!        │  route: the batch splits into chunks; each chunk's job hashes
 //!        ▼  its keys (batched FNV-1a, one hash per record, reused for the
-//!           interner probe *and* the consistent-hash ring at debut) and
+//!           interner probe *and* the home-shard placement at debut) and
 //!           buckets records into per-(chunk, shard) sub-partitions over
 //!           reusable scratch
 //!   ┌ chunk 0 ┐ ┌ chunk 1 ┐ ┌ chunk 2 ┐ ┌ chunk 3 ┐   debuting keys miss
@@ -83,12 +83,11 @@
 //! transport, not a semantic. Property-tested in
 //! `tests/engine_sharding.rs`.
 //!
-//! Routing rides a consistent-hash **virtual-node ring** (64 mixed
-//! FNV-1a points per shard) instead of `hash mod N`, so
-//! [`Engine::resize`] can grow or shrink a *live* pool migrating only
-//! ~1/(N+1) of streams — each migrated stream's state machine moves
-//! between shard slabs untouched, keeping its reports bit-identical
-//! across any resize history (`tests/engine_ring.rs`).
+//! Each key is placed once, at debut, on its home shard
+//! `mix64(FNV-1a(key)) mod shards` and never moves; the interner caches
+//! the `(shard, slot)` coordinates, so placement costs nothing on the
+//! warm path. Which shard holds a stream is invisible in its reports
+//! (`tests/engine_sharding.rs`).
 //!
 //! # The control plane
 //!
@@ -178,24 +177,13 @@ fn key_hash_bytes(key: &[u8]) -> u64 {
     h
 }
 
-/// Virtual nodes per shard on the consistent-hash ring. 64 points keep a
-/// shard's share of the hash space within ~1/√64 ≈ 12% (relative) of the
-/// ideal 1/N, which is what makes the resize-migration bound of
-/// `2/(N+1)` (property-tested in `tests/engine_ring.rs`) comfortably
-/// hold while keeping the ring small enough that a debut lookup is a
-/// sub-microsecond binary search.
-const VNODES: u32 = 64;
-
-/// Full-avalanche 64-bit finalizer (MurmurHash3's `fmix64`). The ring
-/// needs its positions *uniform over the whole `u64` space*, and raw
-/// FNV-1a cannot deliver that for the ring's inputs: over 8-byte records
-/// that differ in one or two bytes (vnode ids) or short ASCII keys, FNV
-/// clusters its outputs in a narrow band, which measured as one shard
-/// owning ~80–90% of a 3-shard ring. One multiply–xor–shift cascade on
-/// top spreads every input bit across every output bit, restoring the
-/// ~1/N shares (± ~12% with [`VNODES`] points) the migration bound
-/// assumes. Not a seed path: seeds derive from the *unmixed* FNV hash via
-/// `stream_seed`, so report bytes are unchanged by ring placement.
+/// Full-avalanche 64-bit finalizer (MurmurHash3's `fmix64`). Raw FNV-1a
+/// over short ASCII keys clusters its outputs in a narrow band, so its low
+/// bits make a poor bucket index: one multiply–xor–shift cascade on top
+/// spreads every input bit across every output bit before the hash picks
+/// a home shard or an interner probe start. Not a seed path: seeds derive
+/// from the *unmixed* FNV hash via `stream_seed`, so report bytes do not
+/// depend on placement.
 fn mix64(mut h: u64) -> u64 {
     h ^= h >> 33;
     h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
@@ -205,66 +193,11 @@ fn mix64(mut h: u64) -> u64 {
     h
 }
 
-/// Ring position for one virtual node. The point depends only on
-/// `(shard, vnode)` — *not* on the total shard count — so growing a pool
-/// from N to N+1 shards only **adds** shard N's points to the ring. Keys
-/// move only where a new point lands between them and their old owner:
-/// the expected migrated fraction is exactly the new shard's share,
-/// ~1/(N+1), instead of the (N-1)/N reshuffle `hash mod N` causes.
-fn vnode_point(shard: u32, vnode: u32) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in shard.to_le_bytes().into_iter().chain(vnode.to_le_bytes()) {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    mix64(h)
-}
-
-/// A fixed virtual-node consistent-hash ring: the deterministic
-/// replacement for `fnv1a(key) mod N` shard routing.
-///
-/// `points` holds every shard's [`VNODES`] virtual nodes sorted by hash
-/// position; a key belongs to the first point at or clockwise-after its
-/// FNV-1a hash (wrapping). Routing is only consulted at key debut and at
-/// [`Engine::resize`] — steady-state records resolve through the
-/// interner's cached `(shard, slot)` coordinates, so the ring adds zero
-/// work (and zero allocations) to the warm ingest path.
-struct Ring {
-    /// Sorted `(point, shard)` pairs. Ties (two vnodes hashing to the
-    /// same point — astronomically unlikely with FNV-1a over 8 distinct
-    /// bytes) order by shard id, keeping ownership deterministic.
-    points: Vec<(u64, u32)>,
-}
-
-impl Ring {
-    /// Builds the ring for a pool of `shards` shards (cold path: called
-    /// once at [`EngineBuilder::build`] and once per [`Engine::resize`]).
-    fn new(shards: usize) -> Ring {
-        let mut points = Vec::with_capacity(shards * VNODES as usize);
-        for shard in 0..shards as u32 {
-            for vnode in 0..VNODES {
-                points.push((vnode_point(shard, vnode), shard));
-            }
-        }
-        points.sort_unstable();
-        Ring { points }
-    }
-
-    /// The shard owning `hash`: the first virtual node at or after the
-    /// hash's mixed ring position, wrapping past the top back to the
-    /// smallest point. The key hash goes through the same [`mix64`]
-    /// finalizer as the vnode points — FNV-1a over short keys clusters,
-    /// and clustered lookups would land on the same few arcs however well
-    /// the points themselves are spread.
-    // lint:hot-path
-    fn owner(&self, hash: u64) -> u32 {
-        let hash = mix64(hash);
-        let idx = self.points.partition_point(|&(p, _)| p < hash);
-        match self.points.get(idx).or_else(|| self.points.first()) {
-            Some(&(_, shard)) => shard,
-            None => 0, // unreachable: a ring always holds ≥ VNODES points
-        }
-    }
+/// The home shard of a key with FNV-1a hash `hash` in a pool of `shards`
+/// shards: `mix64(hash) mod shards`. Consulted at debut and by
+/// [`Engine::shard_of`] only; interned keys carry their coordinates.
+fn home_shard(hash: u64, shards: usize) -> u32 {
+    (mix64(hash) % shards as u64) as u32
 }
 
 /// Folds freshly drained [`LedgerEntry`]s into a stream's retained
@@ -331,9 +264,9 @@ struct KeyEntry {
 ///
 /// The table stores `entry index + 1` so `0` marks an empty bucket; its
 /// length is always a power of two; the probe start index runs the raw
-/// FNV-1a hash through [`mix64`] (the same finalizer the ring applies) so
-/// short-key clustering cannot pile entries into one probe chain — the
-/// *stored* hash stays raw, because seeds derive from it. Stream counts
+/// FNV-1a hash through [`mix64`] (the same finalizer [`home_shard`]
+/// applies) so short-key clustering cannot pile entries into one probe
+/// chain — the *stored* hash stays raw, because seeds derive from it. Stream counts
 /// are capped at `u32` range (4 billion keys) by the id width — far
 /// beyond the slab sizes the monitor layer supports in memory anyway.
 ///
@@ -447,7 +380,7 @@ struct RouteChunk {
 
 impl RouteChunk {
     /// Fresh chunk scratch for a pool of `shards` shards (cold path:
-    /// engine build and resize only).
+    /// engine build only).
     fn new(shards: usize) -> Self {
         let mut chunk = RouteChunk::default();
         chunk.buckets.resize_with(shards, Vec::new);
@@ -457,10 +390,10 @@ impl RouteChunk {
 
 /// A route job's work: a batched FNV-1a pass over the chunk's key arena,
 /// then one interner probe per record — the hash is computed once and
-/// reused for the probe here and for the ring lookup if the key turns out
-/// to be a debut. Known keys bucket into the per-shard sub-partitions in
-/// arrival order; unknown keys are recorded as misses for the engine's
-/// debut pass.
+/// reused for the probe here and for the home-shard placement if the key
+/// turns out to be a debut. Known keys bucket into the per-shard
+/// sub-partitions in arrival order; unknown keys are recorded as misses
+/// for the engine's debut pass.
 fn route_chunk(chunk: &mut RouteChunk, interner: &Interner) {
     hash_spans(&chunk.arena, &chunk.spans, &mut chunk.hashes);
     bucket_records(chunk, interner);
@@ -525,7 +458,7 @@ struct StreamSlot {
     /// stream's lifetime cost, served by [`Engine::ledger`].
     ledger: Vec<LedgerEntry>,
     /// The stream's global debut index (engine interner id) — the fleet
-    /// rollup's stream key, stable across live resizes.
+    /// rollup's stream key.
     debut: u32,
     /// Whether the stream has ever produced a non-quiet window; gates the
     /// fleet rollup's "alarming streams" counter to first alarms only.
@@ -936,7 +869,6 @@ impl EngineBuilder {
         let route = Engine::route_scratch(workers.len(), self.shards);
         Ok(Engine {
             cfg,
-            ring: Ring::new(self.shards),
             shards,
             workers,
             interner: Arc::new(Interner::new()),
@@ -944,7 +876,6 @@ impl EngineBuilder {
             jobs: Vec::new(),
             outcomes: Vec::new(),
             stashed: Vec::new(),
-            fleet_base: FleetSummary::new(),
         })
     }
 }
@@ -956,9 +887,6 @@ impl EngineBuilder {
 /// contract.
 pub struct Engine {
     cfg: Arc<EngineConfig>,
-    /// Consistent-hash routing: consulted at key debut, [`Engine::shard_of`]
-    /// and [`Engine::resize`] only — interned keys carry their coordinates.
-    ring: Ring,
     shards: Vec<Shard>,
     /// Persistent shard workers (empty for a 1-shard engine). Index i is
     /// shard i's dedicated worker; dropping the engine parks-then-joins
@@ -981,13 +909,9 @@ pub struct Engine {
     /// error for some *other* stream. Streams are independent, so those
     /// reports are valid and must not be lost — they are delivered (in
     /// sorted position) by the next successful
-    /// [`ingest_batch`](Engine::ingest_batch) or [`flush`](Engine::flush).
+    /// [`ingest_batch`](Engine::ingest_batch) or
+    /// [`flush_debut_ordered`](Engine::flush_debut_ordered).
     stashed: Vec<WindowReport>,
-    /// Fleet partials retired by past [`Engine::resize`] calls (each
-    /// resize folds every old shard's partial here before redistributing
-    /// its slots). [`Engine::fleet_report`] merges this base with every
-    /// live shard's partial.
-    fleet_base: FleetSummary,
 }
 
 impl Engine {
@@ -1105,24 +1029,23 @@ impl Engine {
         shard.slots.get(entry.slot as usize).map(|s| &s.state)
     }
 
-    /// The shard index `key` routes to on the consistent-hash ring. Pure
-    /// in `(key, shard count)`: independent of debut order, and stable
-    /// under [`Engine::resize`] for every key the resize did not migrate.
+    /// The shard `key` lives on (or will, from its debut). Pure in
+    /// `(key, shard count)`: independent of debut order.
     pub fn shard_of(&self, key: &str) -> usize {
-        self.ring.owner(key_hash(key)) as usize
+        home_shard(key_hash(key), self.shards.len()) as usize
     }
 
     /// Resolves `key` to its interned id, creating the stream's slot (and
     /// state machine) on debut. `hash` is the key's FNV-1a hash from the
-    /// route pass, reused for the lookup, the ring owner, *and* the cached
+    /// route pass, reused for the lookup, the home shard, *and* the cached
     /// entry (the "hash computed once" contract).
     fn intern(&mut self, key: &str, hash: u64) -> u32 {
         if let Some(id) = self.interner.lookup(key.as_bytes(), hash) {
             return id;
         }
-        let shard_idx = self.ring.owner(hash) as usize;
+        let shard_idx = home_shard(hash, self.shards.len()) as usize;
         let Some(shard) = self.shards.get_mut(shard_idx) else {
-            // Unreachable: ring owners are < shards.len() by construction;
+            // Unreachable: home shards are < shards.len() by construction;
             // keep the no-panic discipline anyway.
             return 0;
         };
@@ -1168,73 +1091,6 @@ impl Engine {
     fn route_scratch(workers: usize, shards: usize) -> Vec<RouteChunk> {
         let chunks = (workers * Courier::<Job, Job>::DEPTH).max(1);
         (0..chunks).map(|_| RouteChunk::new(shards)).collect()
-    }
-
-    /// Re-routes the pool onto `shards` shards, **migrating only the
-    /// streams whose ring owner changed** — the point of consistent
-    /// hashing: growing N→N+1 moves ~1/(N+1) of live streams (bounded at
-    /// 2/(N+1), property-tested in `tests/engine_ring.rs`) instead of the
-    /// (N-1)/N a `hash mod N` re-key would. Migration moves each stream's
-    /// [`MonitorState`] between shard slabs without touching its contents,
-    /// so per-stream reports are bit-identical across any resize history.
-    /// The worker pool is respawned for the new count (old workers park,
-    /// join, and drop first). Returns how many streams moved.
-    pub fn resize(&mut self, shards: usize) -> Result<usize, DistError> {
-        if shards == 0 {
-            return Err(DistError::BadParameter {
-                reason: "engine needs at least one shard (1 = unsharded)".into(),
-            });
-        }
-        if shards == self.shards.len() {
-            return Ok(0);
-        }
-        let ring = Ring::new(shards);
-        // Drain every shard's slab; donors[shard][slot] holds the stream
-        // until its new owner claims it (debut order = entry order, so
-        // claims arrive in increasing slot order per donor).
-        let old = std::mem::take(&mut self.shards);
-        let fleet_base = &mut self.fleet_base;
-        let mut donors: Vec<Vec<Option<StreamSlot>>> = old
-            .into_iter()
-            .map(|s| {
-                // A shard's fleet partial outlives the shard: fold it into
-                // the engine-level base before the slab is redistributed,
-                // so the rollup is invariant under any resize history.
-                fleet_base.merge(&s.fleet);
-                s.slots.into_iter().map(Some).collect()
-            })
-            .collect();
-        let mut fresh: Vec<Shard> = Vec::with_capacity(shards);
-        fresh.resize_with(shards, Shard::default);
-        let mut moved = 0usize;
-        // No route job is in flight between batches, so the Arc is unique
-        // and make_mut mutates the interner in place (no clone).
-        for entry in &mut Arc::make_mut(&mut self.interner).entries {
-            let slot = donors
-                .get_mut(entry.shard as usize)
-                .and_then(|d| d.get_mut(entry.slot as usize))
-                .and_then(Option::take);
-            let Some(slot) = slot else {
-                continue; // unreachable: interner coordinates index live slots
-            };
-            let owner = ring.owner(entry.hash);
-            if owner != entry.shard {
-                moved += 1;
-            }
-            let Some(dest) = fresh.get_mut(owner as usize) else {
-                continue; // unreachable: ring owners are < shards by construction
-            };
-            entry.shard = owner;
-            entry.slot = dest.slots.len() as u32;
-            dest.slots.push(slot);
-        }
-        self.shards = fresh;
-        self.ring = ring;
-        // Old couriers drop (park → join) when replaced; fresh scratch for
-        // the new pool width.
-        self.workers = Engine::spawn_workers(shards);
-        self.route = Engine::route_scratch(self.workers.len(), shards);
-        Ok(moved)
     }
 
     /// Answers an on-demand sub-batch from one stream's *current*
@@ -1285,16 +1141,15 @@ impl Engine {
             .map(|s| s.ledger.as_slice())
     }
 
-    /// The fleet-wide rollup: every live shard's partial (plus the
-    /// partials retired by past [`resize`](Engine::resize) calls) folded
-    /// into one [`FleetReport`], with top-K entries resolved through the
+    /// The fleet-wide rollup: every shard's partial folded into one
+    /// [`FleetReport`], with top-K entries resolved through the
     /// debut-ordered key table. Composed purely from the window reports
     /// the shards already produced — **zero extra oracle draws** — and
-    /// bit-identical for every shard count, batch partitioning, and
-    /// resize history, because the fold is associative and commutative
-    /// (see [`khist_fleet::FleetSummary::merge`]).
+    /// bit-identical for every shard count and batch partitioning,
+    /// because the fold is associative and commutative (see
+    /// [`khist_fleet::FleetSummary::merge`]).
     pub fn fleet_report(&self) -> FleetReport {
-        let mut total = self.fleet_base.clone();
+        let mut total = FleetSummary::new();
         for shard in &self.shards {
             total.merge(&shard.fleet);
         }
@@ -1307,7 +1162,8 @@ impl Engine {
     /// on a single-shard engine), `Courier::DEPTH × workers` chunks hashed
     /// and bucketed in
     /// parallel at or above it — the hash is computed once per record and
-    /// feeds the interner probe, the ring lookup, and the cached entry.
+    /// feeds the interner probe, the home-shard placement, and the cached
+    /// entry.
     /// Each busy shard then concatenates the sub-partitions addressed to
     /// it in chunk order — restoring every stream's global arrival order,
     /// hence bit-identity — and ingests. Busy shards move by value to the
@@ -1329,7 +1185,7 @@ impl Engine {
     /// every shard count), and the reports the healthy streams computed
     /// during the call are *not* lost: they are delivered, in sorted
     /// position, by the next successful `ingest_batch` or
-    /// [`flush`](Engine::flush).
+    /// [`flush_debut_ordered`](Engine::flush_debut_ordered).
     pub fn ingest_batch<K: AsRef<str>>(
         &mut self,
         records: &[(K, usize)],
@@ -1550,28 +1406,22 @@ impl Engine {
     /// stream's partial tail (when it holds records) — one job per shard
     /// that holds streams, dispatched like
     /// [`ingest_batch`](Engine::ingest_batch)'s (inline when there is only
-    /// one), sorted by `(stream, window id)`, with the same
-    /// independent-failure contract.
-    pub fn flush(&mut self) -> Result<Vec<WindowReport>, DistError> {
+    /// one), with the same independent-failure contract. Reports come back
+    /// in stream **debut order** (the order each key's first record
+    /// reached the engine), windows in id order within a stream. This is
+    /// the order live tools emit end-of-stream tails in: `khist watch
+    /// --key-field` and `khist serve` both finish with it, so tail output
+    /// lines up with the order streams appeared, not with key spelling.
+    pub fn flush_debut_ordered(&mut self) -> Result<Vec<WindowReport>, DistError> {
         for (index, shard) in self.shards.iter_mut().enumerate() {
             if !shard.slots.is_empty() {
                 self.jobs.push(Job::shard(index, shard, Task::Flush));
             }
         }
         self.run_jobs();
-        self.settle()
-    }
-
-    /// [`Engine::flush`], reordered into stream **debut order** (the
-    /// order each key's first record reached the engine) instead of the
-    /// lexicographic `(stream, window)` order. Within a stream, windows
-    /// stay in id order (the reorder is a stable sort on the debut
-    /// index). This is the order live tools emit end-of-stream tails in:
-    /// `khist watch --key-field` and `khist serve` both finish with it,
-    /// so tail output lines up with the order streams appeared, not with
-    /// key spelling.
-    pub fn flush_debut_ordered(&mut self) -> Result<Vec<WindowReport>, DistError> {
-        let mut tails = self.flush()?;
+        // settle sorts by (stream, window); the stable re-sort on the
+        // debut index keeps each stream's windows in id order.
+        let mut tails = self.settle()?;
         tails.sort_by_key(|report| {
             report.stream.as_deref().map_or(u32::MAX, |key| {
                 self.interner
@@ -1769,7 +1619,7 @@ mod tests {
             e.ingest_batch(&batch).unwrap();
             e
         }
-        let _ = other.flush();
+        let _ = other.flush_debut_ordered();
     }
 
     #[test]
@@ -1781,7 +1631,7 @@ mod tests {
             // Split across two calls to exercise batch boundaries.
             let mut reports = engine.ingest_batch(&records[..3_333]).unwrap();
             reports.extend(engine.ingest_batch(&records[3_333..]).unwrap());
-            reports.extend(engine.flush().unwrap());
+            reports.extend(engine.flush_debut_ordered().unwrap());
             reports
         };
         let single = run(1);
@@ -1809,7 +1659,7 @@ mod tests {
         let records = keyed_events(64, 6_000, &keys, 3);
         let mut engine = engine(2, 700);
         let mut got = engine.ingest_batch(&records).unwrap();
-        got.extend(engine.flush().unwrap());
+        got.extend(engine.flush_debut_ordered().unwrap());
         for key in keys {
             let mine: Vec<usize> = records
                 .iter()
@@ -1838,7 +1688,7 @@ mod tests {
         for shards in [1usize, 2, 4] {
             let mut eng = engine(shards, span);
             let mut got = eng.ingest_batch(&batch).unwrap();
-            got.extend(eng.flush().unwrap());
+            got.extend(eng.flush_debut_ordered().unwrap());
             for key in ["dup", "other"] {
                 let mine: Vec<usize> = batch
                     .iter()
@@ -1890,7 +1740,7 @@ mod tests {
             let mut got = eng.ingest_batch(&batch).unwrap();
             got.retain(|r| r.stream.as_deref() == Some("newcomer"));
             got.extend(
-                eng.flush()
+                eng.flush_debut_ordered()
                     .unwrap()
                     .into_iter()
                     .filter(|r| r.stream.as_deref() == Some("newcomer")),
@@ -1939,7 +1789,7 @@ mod tests {
         let err = engine.ingest_batch(&batch).unwrap_err().to_string();
         assert!(err.contains("record 9999"), "{err}");
         // The stashed window arrives with the next successful call.
-        let delivered = engine.flush().unwrap();
+        let delivered = engine.flush_debut_ordered().unwrap();
         let good: Vec<WindowReport> = delivered
             .iter()
             .filter(|r| r.stream.as_deref() == Some("good"))
@@ -1971,28 +1821,47 @@ mod tests {
         let mut engine = engine(2, 1_000);
         let records = keyed_events(64, 900, &["x", "y", "z"], 5);
         assert!(engine.ingest_batch(&records).unwrap().is_empty());
-        let tails = engine.flush().unwrap();
+        let tails = engine.flush_debut_ordered().unwrap();
         assert_eq!(tails.len(), 3);
         assert!(tails.iter().all(|t| !t.complete && t.seen == 300));
         let keys: Vec<&str> = tails.iter().map(|t| t.stream.as_deref().unwrap()).collect();
-        assert_eq!(keys, ["x", "y", "z"], "sorted by stream");
+        assert_eq!(keys, ["x", "y", "z"], "debut order");
     }
 
     #[test]
-    fn ring_owner_is_deterministic_and_in_range() {
+    fn home_shards_are_pure_in_range_and_balanced() {
+        // The mix64 finalizer is what keeps this balanced: raw FNV-1a over
+        // short keys clusters, and `hash mod N` would inherit the clusters.
+        let hashes: Vec<u64> = (0..10_000).map(|i| key_hash(&format!("key-{i}"))).collect();
         for shards in [1usize, 2, 3, 8, 13] {
-            let ring = Ring::new(shards);
-            assert_eq!(ring.points.len(), shards * VNODES as usize);
-            for i in 0..1_000u64 {
-                let hash = key_hash(&format!("key-{i}"));
-                let owner = ring.owner(hash);
-                assert!((owner as usize) < shards);
-                assert_eq!(owner, ring.owner(hash), "pure in the hash");
+            let mut load = vec![0usize; shards];
+            for &hash in &hashes {
+                let home = home_shard(hash, shards) as usize;
+                assert!(home < shards, "shard {home} of {shards}");
+                assert_eq!(home, home_shard(hash, shards) as usize, "pure in the hash");
+                load[home] += 1;
+            }
+            let fair = hashes.len() as f64 / shards as f64;
+            for (shard, &count) in load.iter().enumerate() {
+                assert!(
+                    (count as f64 - fair).abs() <= 0.1 * fair,
+                    "shard {shard} of {shards} holds {count} keys (fair {fair:.0})"
+                );
             }
         }
-        // Degenerate single-shard ring: everything routes to shard 0.
-        let solo = Ring::new(1);
-        assert!((0..1_000u64).all(|h| solo.owner(h.wrapping_mul(0x9e37)) == 0));
+        // Debuting keys land where shard_of says they live.
+        let mut eng = engine(3, 100_000);
+        let keys: Vec<String> = (0..50).map(|i| format!("tenant-{i}")).collect();
+        let batch: Vec<(&str, usize)> = keys.iter().map(|k| (k.as_str(), 1)).collect();
+        eng.ingest_batch(&batch).unwrap();
+        for entry in &eng.interner.entries {
+            assert_eq!(
+                eng.shard_of(&entry.key),
+                entry.shard as usize,
+                "{}",
+                entry.key
+            );
+        }
     }
 
     #[test]
@@ -2069,48 +1938,6 @@ mod tests {
             .unwrap();
         assert_eq!(engine.streams(), 2);
         assert_eq!(engine.stream_seen(), [("zeta", 3), ("alpha", 1)]);
-    }
-
-    #[test]
-    fn resize_migrates_states_not_semantics() {
-        // Same records through a static 3-shard engine and through an
-        // engine resized 1→3→2 mid-stream: per-stream reports identical.
-        let keys = ["api", "web", "batch", "mobile", "edge", "iot"];
-        let records = keyed_events(64, 12_000, &keys, 6);
-        let mut baseline = engine(3, 500);
-        let mut want = baseline.ingest_batch(&records).unwrap();
-        want.extend(baseline.flush().unwrap());
-
-        let mut live = engine(1, 500);
-        let mut got = live.ingest_batch(&records[..4_000]).unwrap();
-        let moved = live.resize(3).unwrap();
-        assert!(moved <= live.streams(), "moved {moved} of {}", live.streams());
-        got.extend(live.ingest_batch(&records[4_000..9_000]).unwrap());
-        live.resize(2).unwrap();
-        got.extend(live.ingest_batch(&records[9_000..]).unwrap());
-        got.extend(live.flush().unwrap());
-
-        for key in keys {
-            let of = |rs: &[WindowReport]| -> Vec<WindowReport> {
-                rs.iter()
-                    .filter(|r| r.stream.as_deref() == Some(key))
-                    .cloned()
-                    .collect()
-            };
-            assert_eq!(of(&want), of(&got), "stream {key} across resizes");
-        }
-        // Coordinates, counters and ledgers survived the moves.
-        assert_eq!(live.shards(), 2);
-        assert_eq!(live.streams(), keys.len());
-        for key in keys {
-            assert_eq!(live.shard_of(key), {
-                let id = live.interner.lookup(key.as_bytes(), key_hash(key)).unwrap();
-                live.interner.entries[id as usize].shard as usize
-            });
-            assert!(live.ledger(key).is_some());
-        }
-        assert!(live.resize(0).is_err());
-        assert_eq!(live.resize(2).unwrap(), 0, "same-size resize is a no-op");
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! `E[ẑ] = ‖p‖₂² = 1/n + ‖p − u‖₂²` past the threshold.
 
 use khist_dist::{DistError, Interval};
-use khist_oracle::{absolute_collision_estimate, Budget, SampleOracle, SampleSet};
+use khist_oracle::{absolute_collision_estimate, SampleOracle, SampleSet};
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 
 use crate::api::SamplePlan;
@@ -31,6 +31,9 @@ pub struct UniformityBudget {
 }
 
 impl UniformityBudget {
+    /// Tag naming this budget shape in serialized reports.
+    pub const KIND: &'static str = "uniformity";
+
     /// The `Õ(√n/ε⁴)` budget from the Goldreich–Ron analysis (constant
     /// from [BFR+10]'s presentation), scaled by `scale` like the other
     /// calibrated budgets. Fails on out-of-range parameters or a sample
@@ -65,19 +68,6 @@ impl UniformityBudget {
     /// Total samples drawn under this budget.
     pub fn total_samples(&self) -> Result<usize, DistError> {
         Ok(self.m)
-    }
-}
-
-impl Budget for UniformityBudget {
-    type Params = (usize, f64);
-    const KIND: &'static str = "uniformity";
-
-    fn calibrated((n, eps): Self::Params, scale: f64) -> Result<Self, DistError> {
-        UniformityBudget::calibrated(n, eps, scale)
-    }
-
-    fn total_samples(&self) -> Result<usize, DistError> {
-        UniformityBudget::total_samples(self)
     }
 }
 

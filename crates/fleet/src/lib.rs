@@ -10,10 +10,10 @@
 //! [`FleetReport`].
 //!
 //! The merge laws are load-bearing: the engine guarantees its fleet rollup
-//! is bit-identical for every shard count and across live resizes, which
-//! holds exactly when a summary is a pure function of the *multiset* of
-//! observations, independent of how they were partitioned. Every component
-//! here is built for that:
+//! is bit-identical for every shard count, which holds exactly when a
+//! summary is a pure function of the *multiset* of observations,
+//! independent of how they were partitioned. Every component here is
+//! built for that:
 //!
 //! - counters are integer sums ([`khist_stats::SuccessCounter::merge`]);
 //! - the [`DriftSketch`] quantile sketch stores an order-canonical exact

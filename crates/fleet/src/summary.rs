@@ -44,7 +44,7 @@ pub struct WindowObservation {
 /// [`WindowObservation`]s (plus the debut count), so
 /// [`FleetSummary::merge`] is associative and commutative bit-for-bit —
 /// the property that makes the engine's fleet report identical for every
-/// shard count, batch partitioning, and live-resize history.
+/// shard count and batch partitioning.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FleetSummary {
     /// Streams that have debuted.

@@ -23,42 +23,14 @@
 //! measured growth exponents reflect the formulas' `ln n`, `√(kn)`, `ε⁻ᶜ`
 //! dependence rather than the constant.
 //!
-//! All constructors and [`total_samples`](Budget::total_samples) use
-//! checked arithmetic: extreme `n`/`k`/`ε` (think `ε = 1e-300`, where
-//! `ε⁻⁵` dwarfs `usize::MAX`) yield a [`DistError::BadParameter`] instead
-//! of a silently saturated or wrapped count. The [`Budget`] trait unifies
-//! the three budget shapes behind one vocabulary (`calibrated` /
-//! `theoretical` / `total_samples` / serde round-trip) so generic layers —
-//! the `khist-core` analysis API in particular — can treat them uniformly.
+//! All constructors and `total_samples` use checked arithmetic: extreme
+//! `n`/`k`/`ε` (think `ε = 1e-300`, where `ε⁻⁵` dwarfs `usize::MAX`)
+//! yield a [`DistError::BadParameter`] instead of a silently saturated or
+//! wrapped count. Each budget serializes with a `kind` tag (its `KIND`
+//! constant), so a serialized budget cannot deserialize as another shape.
 
 use khist_dist::DistError;
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
-
-/// The unified vocabulary of the three sample budgets.
-///
-/// Each implementor fixes its constructor parameters via
-/// [`Budget::Params`] — `(n, k, ε)` for the learner and the `ℓ₁` tester,
-/// `(n, ε)` for the `ℓ₂` tester — so generic code can build, size and
-/// serialize any budget without knowing which algorithm it feeds.
-pub trait Budget: Sized + Clone + Serialize + Deserialize {
-    /// Constructor parameters (domain size, optional piece count, accuracy).
-    type Params: Copy;
-
-    /// Stable name used in serialized reports (`"learner"`, `"l2"`, `"l1"`).
-    const KIND: &'static str;
-
-    /// The paper's formulas with sample counts scaled by `scale ∈ (0, 1]`.
-    fn calibrated(params: Self::Params, scale: f64) -> Result<Self, DistError>;
-
-    /// The paper's constants, verbatim (`scale = 1`).
-    fn theoretical(params: Self::Params) -> Result<Self, DistError> {
-        Self::calibrated(params, 1.0)
-    }
-
-    /// Total number of samples drawn under this budget, or an error when
-    /// the count exceeds `usize`.
-    fn total_samples(&self) -> Result<usize, DistError>;
-}
 
 /// Budget for the greedy learner (Algorithm 1 / Theorem 2).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -138,6 +110,9 @@ fn checked_total(main: usize, r: usize, m: usize) -> Result<usize, DistError> {
 }
 
 impl LearnerBudget {
+    /// Tag naming this budget shape in serialized reports.
+    pub const KIND: &'static str = "learner";
+
     /// The paper's constants, verbatim.
     ///
     /// Fails when `n == 0`, `k == 0`, `ε ∉ (0, 1)`, or a sample count
@@ -168,19 +143,6 @@ impl LearnerBudget {
     /// Total number of samples drawn under this budget: `ℓ + r·m`.
     pub fn total_samples(&self) -> Result<usize, DistError> {
         checked_total(self.ell, self.r, self.m)
-    }
-}
-
-impl Budget for LearnerBudget {
-    type Params = (usize, usize, f64);
-    const KIND: &'static str = "learner";
-
-    fn calibrated((n, k, eps): Self::Params, scale: f64) -> Result<Self, DistError> {
-        LearnerBudget::calibrated(n, k, eps, scale)
-    }
-
-    fn total_samples(&self) -> Result<usize, DistError> {
-        LearnerBudget::total_samples(self)
     }
 }
 
@@ -243,6 +205,9 @@ pub struct L2TesterBudget {
 }
 
 impl L2TesterBudget {
+    /// Tag naming this budget shape in serialized reports.
+    pub const KIND: &'static str = "l2";
+
     /// The paper's constants, verbatim.
     pub fn theoretical(n: usize, eps: f64) -> Result<Self, DistError> {
         Self::calibrated(n, eps, 1.0)
@@ -263,19 +228,6 @@ impl L2TesterBudget {
     /// Total samples `r·m`.
     pub fn total_samples(&self) -> Result<usize, DistError> {
         checked_total(0, self.r, self.m)
-    }
-}
-
-impl Budget for L2TesterBudget {
-    type Params = (usize, f64);
-    const KIND: &'static str = "l2";
-
-    fn calibrated((n, eps): Self::Params, scale: f64) -> Result<Self, DistError> {
-        L2TesterBudget::calibrated(n, eps, scale)
-    }
-
-    fn total_samples(&self) -> Result<usize, DistError> {
-        L2TesterBudget::total_samples(self)
     }
 }
 
@@ -309,6 +261,9 @@ pub struct L1TesterBudget {
 }
 
 impl L1TesterBudget {
+    /// Tag naming this budget shape in serialized reports.
+    pub const KIND: &'static str = "l1";
+
     /// The paper's constants, verbatim.
     pub fn theoretical(n: usize, k: usize, eps: f64) -> Result<Self, DistError> {
         Self::calibrated(n, k, eps, 1.0)
@@ -330,19 +285,6 @@ impl L1TesterBudget {
     /// Total samples `r·m`.
     pub fn total_samples(&self) -> Result<usize, DistError> {
         checked_total(0, self.r, self.m)
-    }
-}
-
-impl Budget for L1TesterBudget {
-    type Params = (usize, usize, f64);
-    const KIND: &'static str = "l1";
-
-    fn calibrated((n, k, eps): Self::Params, scale: f64) -> Result<Self, DistError> {
-        L1TesterBudget::calibrated(n, k, eps, scale)
-    }
-
-    fn total_samples(&self) -> Result<usize, DistError> {
-        L1TesterBudget::total_samples(self)
     }
 }
 
@@ -526,16 +468,19 @@ mod tests {
     }
 
     #[test]
-    fn trait_constructors_match_inherent() {
-        let via_trait = <LearnerBudget as Budget>::calibrated((500, 3, 0.2), 0.1).unwrap();
-        let direct = LearnerBudget::calibrated(500, 3, 0.2, 0.1).unwrap();
-        assert_eq!(via_trait, direct);
-        let via_trait = <L2TesterBudget as Budget>::theoretical((256, 0.5)).unwrap();
-        let direct = L2TesterBudget::theoretical(256, 0.5).unwrap();
-        assert_eq!(via_trait, direct);
-        assert_eq!(LearnerBudget::KIND, "learner");
-        assert_eq!(L2TesterBudget::KIND, "l2");
-        assert_eq!(L1TesterBudget::KIND, "l1");
+    fn kinds_tag_serialized_budgets() {
+        let learner = LearnerBudget::calibrated(500, 3, 0.2, 0.1).unwrap();
+        let l2 = L2TesterBudget::theoretical(256, 0.5).unwrap();
+        let l1 = L1TesterBudget::calibrated(256, 4, 0.3, 0.05).unwrap();
+        let tags = [learner.serialize(), l2.serialize(), l1.serialize()]
+            .map(|value| value.get("kind").and_then(Value::as_str).map(String::from));
+        let kinds = [
+            LearnerBudget::KIND,
+            L2TesterBudget::KIND,
+            L1TesterBudget::KIND,
+        ];
+        assert_eq!(kinds, ["learner", "l2", "l1"]);
+        assert_eq!(tags, kinds.map(|kind| Some(kind.to_string())));
     }
 
     #[test]

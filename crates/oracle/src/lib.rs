@@ -23,8 +23,7 @@
 //!   median-of-`r` boosting;
 //! * [`budget`] — the paper's sample-size formulas (`theoretical`) and
 //!   scaled-down `calibrated` profiles that keep the functional form in
-//!   `n`, `k`, `ε`, unified behind the [`Budget`] trait (checked
-//!   arithmetic, serde round-trip);
+//!   `n`, `k`, `ε` (checked arithmetic, serde round-trip);
 //! * [`empirical`] — empirical distributions built from sample sets.
 
 #![forbid(unsafe_code)]
@@ -38,11 +37,12 @@ pub mod reservoir;
 pub mod sample_set;
 pub mod sink;
 
-pub use budget::{Budget, L1TesterBudget, L2TesterBudget, LearnerBudget};
+pub use budget::{L1TesterBudget, L2TesterBudget, LearnerBudget};
 pub use collision::{absolute_collision_estimate, conditional_collision_estimate, MedianBooster};
 pub use empirical::empirical_distribution;
 pub use oracle::{
-    stream_seed, DenseOracle, LaneRouter, RecordFileOracle, ReplayOracle, SampleOracle,
+    parse_record, stream_seed, DenseOracle, LaneRouter, RecordFileOracle, ReplayOracle,
+    SampleOracle,
 };
 pub use reservoir::Reservoir;
 pub use sample_set::{choose2, SampleSet};

@@ -401,8 +401,10 @@ pub struct RecordFileOracle {
     passes: Cell<u64>,
 }
 
-/// Parses one record line; `Ok(None)` for blanks and `#` comments.
-fn parse_record(line: &str, lineno: usize) -> Result<Option<usize>, DistError> {
+/// Parses line `lineno` of a record file: `Ok(None)` for blanks and `#`
+/// comments, the record for a (whitespace-padded) non-negative integer,
+/// and a message naming the line for anything else.
+pub fn parse_record(line: &str, lineno: usize) -> Result<Option<usize>, String> {
     let trimmed = line.trim();
     if trimmed.is_empty() || trimmed.starts_with('#') {
         return Ok(None);
@@ -410,9 +412,7 @@ fn parse_record(line: &str, lineno: usize) -> Result<Option<usize>, DistError> {
     trimmed
         .parse::<usize>()
         .map(Some)
-        .map_err(|_| DistError::BadParameter {
-            reason: format!("line {lineno}: not an integer record: {trimmed}"),
-        })
+        .map_err(|_| format!("line {lineno}: not an integer record: {trimmed}"))
 }
 
 impl RecordFileOracle {
@@ -430,7 +430,9 @@ impl RecordFileOracle {
             let line = line.map_err(|e| DistError::BadParameter {
                 reason: format!("{}: read failed at line {}: {e}", path.display(), idx + 1),
             })?;
-            if let Some(value) = parse_record(&line, idx + 1)? {
+            let record = parse_record(&line, idx + 1)
+                .map_err(|reason| DistError::BadParameter { reason })?;
+            if let Some(value) = record {
                 if n_override > 0 && value >= n_override {
                     return Err(DistError::BadParameter {
                         reason: format!(
@@ -725,6 +727,22 @@ mod tests {
             assert_eq!(oracle.domain_size(), 64);
             assert!(oracle.draw_set(3).total() >= 3);
         }
+    }
+
+    #[test]
+    fn parse_record_skips_comments_and_blanks_and_names_bad_lines() {
+        let lines = ["# header", "3", "", " 7 ", "0"];
+        let parsed: Vec<Option<usize>> = lines
+            .iter()
+            .enumerate()
+            .map(|(i, line)| parse_record(line, i + 1).unwrap())
+            .collect();
+        assert_eq!(parsed, [None, Some(3), None, Some(7), Some(0)]);
+        assert_eq!(
+            parse_record("foo", 2).unwrap_err(),
+            "line 2: not an integer record: foo"
+        );
+        assert!(parse_record("-3", 1).is_err());
     }
 
     #[test]

@@ -21,11 +21,7 @@
 //!
 //! The kept-set law is exactly that of Algorithm R — a uniform sample
 //! without replacement of the offered records (this is property-tested
-//! against a per-record reference implementation below). [`Reservoir::offer`]
-//! and [`Reservoir::offer_all`] advance the *same* skip state machine, so a
-//! stream produces bit-identical contents no matter how it is chopped into
-//! batches; `offer_all` additionally bulk-advances over full skips without
-//! touching the passed-over records.
+//! against a per-record reference implementation below).
 //!
 //! # Seed-stream contract
 //!
@@ -66,14 +62,14 @@ struct SkipState {
 ///
 /// See the [module docs](self) for the skip-sampling algorithm and the
 /// seed-stream contract. The public surface is deliberately small: offer
-/// records (singly or in batches), snapshot the kept set, reset per window,
-/// or merge two reservoirs lane-wise for sliding windows.
+/// records one at a time, snapshot the kept set, or merge two reservoirs
+/// lane-wise for sliding windows.
 #[derive(Debug, Clone)]
 pub struct Reservoir {
     items: Vec<usize>,
     capacity: usize,
     seen: u64,
-    /// `None` until the first post-full offer (and after `reset`/`merge`);
+    /// `None` until the first post-full offer (and after a `merge`);
     /// initialized lazily so clones, merges and snapshots need no RNG.
     skip: Option<SkipState>,
 }
@@ -138,7 +134,7 @@ impl Reservoir {
     /// (no RNG). After that, skipped records cost one counter decrement and
     /// an accepted record costs three RNG draws (slot, `W` update, next
     /// gap) — drawn in that fixed order, which is part of the determinism
-    /// contract shared with [`Self::offer_all`].
+    /// contract.
     // lint:hot-path
     pub fn offer<R: Rng + ?Sized>(&mut self, value: usize, rng: &mut R) {
         if self.items.len() < self.capacity {
@@ -161,66 +157,6 @@ impl Reservoir {
             self.items[j] = value;
             self.advance_skip(rng);
         }
-    }
-
-    /// Offers a batch of records, bulk-advancing over skipped spans.
-    ///
-    /// Bit-identical to calling [`Self::offer`] once per record with the
-    /// same RNG — the skip state machine is shared — but a fully-skipped
-    /// slice costs one subtraction instead of a loop, so arbitrary batch
-    /// boundaries neither change the kept set nor slow the fast path.
-    ///
-    /// The loop is branchless in the skip/fill sense: the fill branch and
-    /// the `Option<SkipState>` load are hoisted out, so each iteration is
-    /// one bulk `skip = min(gap, remaining)` subtraction followed (only
-    /// when the gap landed inside the slice) by the acceptance's three RNG
-    /// draws in the fixed slot → `W` update → next-gap order.
-    // lint:hot-path
-    pub fn offer_all<R: Rng + ?Sized>(&mut self, values: &[usize], rng: &mut R) {
-        let mut rest = values;
-        // Fill phase, hoisted out of the loop: copy records verbatim until
-        // the reservoir is full.
-        if self.items.len() < self.capacity {
-            let take = (self.capacity - self.items.len()).min(rest.len());
-            let (head, tail) = rest.split_at(take);
-            self.items.extend_from_slice(head);
-            self.seen += take as u64;
-            rest = tail;
-        }
-        if rest.is_empty() {
-            return;
-        }
-        // Skip-sampling phase: jump straight to each accepted record. The
-        // skip state lives in locals — the Option is resolved once here,
-        // not per record — and is written back exactly once on exit.
-        self.ensure_skip(rng);
-        let Some(SkipState { mut gap, mut w }) = self.skip else {
-            debug_assert!(false, "ensure_skip always installs a skip state");
-            return;
-        };
-        let k = self.capacity as f64;
-        loop {
-            let len = rest.len() as u64;
-            let skip = gap.min(len);
-            self.seen += skip;
-            gap -= skip;
-            if skip == len {
-                // The whole remaining slice was passed over.
-                break;
-            }
-            // The gap landed inside the slice: accept the record after it.
-            // lint:allow(checked-indexing): skip < len == rest.len(), so the slice is in range
-            rest = &rest[skip as usize..];
-            let j = rng.random_range(0..self.capacity);
-            // lint:allow(checked-indexing): j < capacity == items.len(); rest is non-empty (skip < len)
-            self.items[j] = rest[0];
-            self.seen += 1;
-            w *= (positive_unit(rng).ln() / k).exp();
-            gap = next_gap(w, rng);
-            // lint:allow(checked-indexing): rest is non-empty, so 1 <= rest.len()
-            rest = &rest[1..];
-        }
-        self.skip = Some(SkipState { gap, w });
     }
 
     /// Number of records offered so far.
@@ -258,13 +194,6 @@ impl Reservoir {
     /// reservoir will not be offered any further records.
     pub fn into_sample_set(self) -> SampleSet {
         SampleSet::from_samples(self.items)
-    }
-
-    /// Clears the reservoir for a fresh window.
-    pub fn reset(&mut self) {
-        self.items.clear();
-        self.seen = 0;
-        self.skip = None;
     }
 
     /// Merges two reservoirs into one whose contents approximate a uniform
@@ -329,9 +258,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut r = Reservoir::new(4);
         assert!(r.is_empty());
-        r.offer_all(&[10, 11, 12], &mut rng);
+        for v in [10, 11, 12] {
+            r.offer(v, &mut rng);
+        }
         assert_eq!(r.items(), &[10, 11, 12]);
-        r.offer_all(&[13], &mut rng);
+        r.offer(13, &mut rng);
         assert_eq!(r.len(), 4);
         assert_eq!(r.seen(), 4);
     }
@@ -405,7 +336,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         for _ in 0..trials {
             let mut r = Reservoir::new(6);
-            r.offer_all(&records, &mut rng);
+            for &v in &records {
+                r.offer(v, &mut rng);
+            }
             for &v in r.items() {
                 new_hits[v] += 1;
             }
@@ -425,27 +358,6 @@ mod tests {
                 (p_new - p_old).abs() < 0.015,
                 "position {v}: skip {p_new} vs per-record {p_old}"
             );
-        }
-    }
-
-    #[test]
-    fn batched_and_per_record_offers_are_bit_identical() {
-        // Arbitrary batch boundaries must not change the kept set: the
-        // engine chops streams at batch edges, the sink offers per record.
-        let records: Vec<usize> = (0..1_000).map(|v| v * 7 % 257).collect();
-        for &chunk in &[1usize, 2, 3, 7, 64, 333, 1_000] {
-            let mut per_record = Reservoir::new(9);
-            let mut batched = Reservoir::new(9);
-            let mut rng_a = StdRng::seed_from_u64(42);
-            let mut rng_b = StdRng::seed_from_u64(42);
-            for &v in &records {
-                per_record.offer(v, &mut rng_a);
-            }
-            for slice in records.chunks(chunk) {
-                batched.offer_all(slice, &mut rng_b);
-            }
-            assert_eq!(per_record.items(), batched.items(), "chunk {chunk}");
-            assert_eq!(per_record.seen(), batched.seen(), "chunk {chunk}");
         }
     }
 
@@ -472,9 +384,8 @@ mod tests {
             calls: 0,
         };
         let mut r = Reservoir::new(8);
-        let records: Vec<usize> = (0..100_000).map(|v| v % 64).collect();
-        for slice in records.chunks(1024) {
-            r.offer_all(slice, &mut rng);
+        for v in 0..100_000 {
+            r.offer(v % 64, &mut rng);
         }
         assert_eq!(r.seen(), 100_000);
         assert!(
@@ -488,16 +399,21 @@ mod tests {
     fn snapshot_and_reset() {
         let mut rng = StdRng::seed_from_u64(4);
         let mut r = Reservoir::new(3);
-        r.offer_all(&[7, 7, 9], &mut rng);
+        for v in [7, 7, 9] {
+            r.offer(v, &mut rng);
+        }
         let set = r.to_sample_set();
         assert_eq!(set.total(), 3);
         assert_eq!(set.occurrences(7), 2);
-        r.reset();
+        // Windowed sinks reset a lane by replacing its reservoir with a
+        // fresh one of the same capacity, which starts in the fill phase.
+        r = Reservoir::new(r.capacity());
         assert!(r.is_empty());
         assert_eq!(r.seen(), 0);
         assert_eq!(r.capacity(), 3);
-        // A reset reservoir re-enters the fill phase from scratch.
-        r.offer_all(&[1, 2, 3], &mut rng);
+        for v in [1, 2, 3] {
+            r.offer(v, &mut rng);
+        }
         assert_eq!(r.items(), &[1, 2, 3]);
     }
 
@@ -505,7 +421,9 @@ mod tests {
     fn into_sample_set_matches_snapshot() {
         let mut rng = StdRng::seed_from_u64(8);
         let mut r = Reservoir::new(5);
-        r.offer_all(&[3, 1, 4, 1, 5, 9, 2, 6], &mut rng);
+        for v in [3, 1, 4, 1, 5, 9, 2, 6] {
+            r.offer(v, &mut rng);
+        }
         let snapshot = r.to_sample_set();
         let moved = r.into_sample_set();
         assert_eq!(snapshot, moved);
@@ -522,8 +440,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let mut a = Reservoir::new(4);
         let mut b = Reservoir::new(4);
-        a.offer_all(&[1, 1, 1], &mut rng);
-        b.offer_all(&[2, 2], &mut rng);
+        for _ in 0..3 {
+            a.offer(1, &mut rng);
+        }
+        for _ in 0..2 {
+            b.offer(2, &mut rng);
+        }
         let merged = a.merge(&b, &mut rng);
         assert_eq!(merged.seen(), 5);
         assert_eq!(merged.capacity(), 4);

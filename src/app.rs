@@ -13,11 +13,10 @@
 //! ([`khist_core::api`]): `learn`/`test` run a single [`Analysis`] and
 //! `analyze` runs a whole batch through one shared
 //! [`SamplePlan`](khist_core::api::SamplePlan) — a single streaming pass
-//! over the record file no matter how many analyses ride on it. The
-//! binary streams record files through a [`RecordFileOracle`] (fixed-size
-//! reservoirs, so a multi-million-line file never gets materialized),
-//! while the in-memory helpers ([`run_learn`] / [`run_test`]) feed
-//! pre-split data through a [`ReplayOracle`]. Randomness comes from
+//! over the record file no matter how many analyses ride on it. `learn`,
+//! `test`, `analyze` and `summarize` stream their record file through a
+//! [`RecordFileOracle`] (fixed-size reservoirs, so a multi-million-line
+//! file never gets materialized by the analyses). Randomness comes from
 //! `--seed` (default 0), so every run is reproducible. `--json` swaps the
 //! human rendering for the serde [`Report`] JSON.
 
@@ -28,8 +27,8 @@ use khist_core::api::{
 use khist_core::monotone::monotonicity_budget;
 use khist_core::uniformity::UniformityBudget;
 use khist_oracle::{
-    empirical_distribution, L1TesterBudget, L2TesterBudget, LearnerBudget, RecordFileOracle,
-    ReplayOracle, SampleOracle, SampleSet, Window,
+    empirical_distribution, parse_record, L1TesterBudget, L2TesterBudget, LearnerBudget,
+    RecordFileOracle, SampleOracle, SampleSet, Window,
 };
 use khist_serve::protocol::{parse_data_line, DataLine, Pending};
 use serde::{Serialize, Value};
@@ -384,55 +383,6 @@ fn next_parsed<'a, T: std::str::FromStr>(
         .map_err(|_| format!("invalid value for {flag}"))
 }
 
-/// Parses newline-delimited sample text (`#` comments, blank lines ok).
-pub fn parse_samples_text(text: &str) -> Result<Vec<usize>, String> {
-    let mut out = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        let value: usize = trimmed
-            .parse()
-            .map_err(|_| format!("line {}: not an integer: {trimmed}", lineno + 1))?;
-        out.push(value);
-    }
-    if out.is_empty() {
-        return Err("no samples in input".into());
-    }
-    Ok(out)
-}
-
-/// Infers the domain size: explicit override or `max + 1`.
-pub fn infer_domain(samples: &[usize], override_n: usize) -> Result<usize, String> {
-    let max = *samples.iter().max().expect("samples non-empty");
-    if override_n == 0 {
-        return Ok(max + 1);
-    }
-    if max >= override_n {
-        return Err(format!(
-            "sample {max} outside declared domain [0, {override_n})"
-        ));
-    }
-    Ok(override_n)
-}
-
-/// Splits raw samples into the learner's main + `r` collision sets by
-/// round-robin (keeps the sets independent when the input is i.i.d.).
-pub fn split_for_learner(samples: &[usize], r: usize) -> (SampleSet, Vec<SampleSet>) {
-    let lanes = r + 1;
-    let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); lanes];
-    for (t, &s) in samples.iter().enumerate() {
-        buckets[t % lanes].push(s);
-    }
-    let main = SampleSet::from_samples(buckets[0].clone());
-    let sets = buckets[1..]
-        .iter()
-        .map(|b| SampleSet::from_samples(b.clone()))
-        .collect();
-    (main, sets)
-}
-
 /// Builds the CLI's learn request: the paper's budget clamped to the data
 /// actually available, Theorem 2 candidates.
 fn learn_analysis(n: usize, k: usize, eps: f64, available: usize) -> Result<Analysis, String> {
@@ -481,30 +431,7 @@ pub fn render_learn(report: &Report) -> String {
     text
 }
 
-/// Runs `learn` on in-memory samples: splits *all* of them round-robin
-/// into one equal lane per budgeted set (the seed behaviour — unlike the
-/// streaming path, which reservoir-subsamples down to the budgeted sizes)
-/// and replays the split through the generic path.
-pub fn run_learn(
-    samples: &[usize],
-    k: usize,
-    eps: f64,
-    n_override: usize,
-) -> Result<String, String> {
-    let n = infer_domain(samples, n_override)?;
-    // run_learn_with recomputes this same (deterministic) budget; it fixes
-    // the lane count the replayed split must provide.
-    let budget = budget_for_data(n, k, eps, samples.len())?;
-    let (main, sets) = split_for_learner(samples, budget.r);
-    let mut recorded = vec![main];
-    recorded.extend(sets);
-    let mut oracle = ReplayOracle::from_sets(n, recorded);
-    run_learn_with(&mut oracle, k, eps, samples.len(), 0).map(|r| render_learn(&r))
-}
-
 /// The tester's split of `available` records: `r` equal sets of `m`.
-/// Single source of truth — [`run_test`]'s replayed chunks must match the
-/// sets [`run_test_with`] requests.
 fn tester_split(available: usize) -> Result<(usize, usize), String> {
     let r = 7usize.min(available / 2).max(1);
     let m = available / r;
@@ -559,21 +486,6 @@ pub fn render_test(report: &Report, k: usize) -> String {
         report.samples_spent,
         report.probes.unwrap_or(0),
     )
-}
-
-/// Runs `test` on in-memory samples via a [`ReplayOracle`] of equal chunks.
-pub fn run_test(
-    samples: &[usize],
-    k: usize,
-    eps: f64,
-    n_override: usize,
-    norm: &str,
-) -> Result<String, String> {
-    let n = infer_domain(samples, n_override)?;
-    let (r, m) = tester_split(samples.len())?;
-    let chunks: Vec<Vec<usize>> = (0..r).map(|j| samples[j * m..(j + 1) * m].to_vec()).collect();
-    let mut oracle = ReplayOracle::from_raw(n, chunks);
-    run_test_with(&mut oracle, k, eps, norm, samples.len(), 0).map(|rep| render_test(&rep, k))
 }
 
 /// Builds the `analyze` batch from the `--run` list, every budget clamped
@@ -842,13 +754,9 @@ pub fn run_watch<R: std::io::BufRead, W: std::io::Write>(
             break;
         }
         lineno += 1;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
+        let Some(value) = parse_record(&line, lineno)? else {
             continue;
-        }
-        let value: usize = trimmed
-            .parse()
-            .map_err(|_| format!("line {lineno}: not an integer record: {trimmed}"))?;
+        };
         buffer.push(value);
         if buffer.len() >= 1024 {
             let reports = monitor.ingest(&buffer).map_err(fmt_err)?;
@@ -992,11 +900,9 @@ fn run_watch_keyed<R: std::io::BufRead, W: std::io::Write>(
     ))
 }
 
-/// Runs `summarize` and renders basic statistics.
-pub fn run_summarize(samples: &[usize], n_override: usize) -> Result<String, String> {
-    let n = infer_domain(samples, n_override)?;
-    let set = SampleSet::from_samples(samples.to_vec());
-    let emp = empirical_distribution(&set, n).map_err(fmt_err)?;
+/// Renders `summarize`'s basic statistics of `set` over the domain `[0, n)`.
+fn render_summary(set: &SampleSet, n: usize) -> Result<String, String> {
+    let emp = empirical_distribution(set, n).map_err(fmt_err)?;
     Ok(format!(
         "samples: {}\ndomain: [0, {n})\ndistinct values: {}\nentropy: {:.4} nats (max {:.4})\ncollision rate ‖p̂‖₂²: {:.6e} (uniform floor {:.6e})\n",
         set.total(),
@@ -1104,11 +1010,11 @@ fn fmt_err(e: impl std::fmt::Display) -> String {
 
 /// Entry point shared by the binary: dispatches a parsed command.
 ///
-/// `learn`, `test` and `analyze` stream the record file through a
-/// [`RecordFileOracle`] — the file is scanned once for validation (domain
-/// violations against `--n` fail here with the offending line) and then
-/// streamed per draw, never materialized. `analyze` serves its whole
-/// batch from one draw, i.e. one pass.
+/// `learn`, `test`, `analyze` and `summarize` stream the record file
+/// through a [`RecordFileOracle`] — the file is scanned once for
+/// validation (domain violations against `--n` fail here with the
+/// offending line) and then streamed per draw. `analyze` serves its whole
+/// batch from one draw, i.e. one pass; `summarize` draws every record.
 pub fn dispatch(cmd: Command) -> Result<String, String> {
     let open = |path: &str, n: usize, seed: u64| -> Result<RecordFileOracle, String> {
         RecordFileOracle::open(path, n, seed).map_err(fmt_err)
@@ -1284,8 +1190,9 @@ pub fn dispatch(cmd: Command) -> Result<String, String> {
             Ok(String::new())
         }
         Command::Summarize { path, n } => {
-            let text = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
-            run_summarize(&parse_samples_text(&text)?, n)
+            let mut oracle = open(&path, n, 0)?;
+            let set = oracle.draw_set(oracle.records() as usize);
+            render_summary(&set, oracle.domain_size())
         }
     }
 }
@@ -1293,7 +1200,7 @@ pub fn dispatch(cmd: Command) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::{Rng, SeedableRng};
+    use rand::SeedableRng;
     use std::io::Write;
 
     fn strings(args: &[&str]) -> Vec<String> {
@@ -1833,8 +1740,8 @@ mod tests {
         // No stream ever completes a window (every = 1_000, 300 records
         // each), so everything the command emits is flushed tails. Those
         // must come out in *debut* order — "web" connected first — not
-        // the lexicographic order Engine::flush sorts by (which would put
-        // "api" first), and regardless of the shard count.
+        // lexicographic order (which would put "api" first), and
+        // regardless of the shard count.
         let mut text = String::new();
         for i in 0..300 {
             text.push_str(&format!("web {}\napi {}\n", (i * 7) % 64, (i * 11) % 64));
@@ -1879,73 +1786,6 @@ mod tests {
     fn parse_args_empty_is_help() {
         assert_eq!(parse_args(&[]).unwrap(), Command::Help);
         assert_eq!(parse_args(&strings(&["help"])).unwrap(), Command::Help);
-    }
-
-    #[test]
-    fn parse_samples_handles_comments_and_blanks() {
-        let text = "# header\n3\n\n 7 \n0\n";
-        assert_eq!(parse_samples_text(text).unwrap(), vec![3, 7, 0]);
-    }
-
-    #[test]
-    fn parse_samples_rejects_garbage() {
-        assert!(parse_samples_text("1\nfoo\n").is_err());
-        assert!(parse_samples_text("-3\n").is_err());
-        assert!(parse_samples_text("").is_err());
-        assert!(parse_samples_text("# only comments\n").is_err());
-    }
-
-    #[test]
-    fn infer_domain_rules() {
-        assert_eq!(infer_domain(&[0, 5, 2], 0).unwrap(), 6);
-        assert_eq!(infer_domain(&[0, 5, 2], 10).unwrap(), 10);
-        assert!(infer_domain(&[0, 5, 2], 5).is_err());
-    }
-
-    #[test]
-    fn split_for_learner_round_robins() {
-        let samples: Vec<usize> = (0..10).collect();
-        let (main, sets) = split_for_learner(&samples, 2);
-        assert_eq!(main.total(), 4); // indices 0,3,6,9
-        assert_eq!(sets.len(), 2);
-        assert_eq!(sets[0].total(), 3);
-        assert_eq!(sets[1].total(), 3);
-        let total: u64 = main.total() + sets.iter().map(|s| s.total()).sum::<u64>();
-        assert_eq!(total, 10);
-    }
-
-    #[test]
-    fn end_to_end_learn_from_text() {
-        // Synthesize a 2-histogram data file and learn it back.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
-        let p = khist_dist::generators::two_level(64, 0.25, 0.75).unwrap();
-        let samples = p.sample_many(30_000, &mut rng);
-        let text: String = samples
-            .iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>()
-            .join("\n");
-        let parsed = parse_samples_text(&text).unwrap();
-        let report = run_learn(&parsed, 2, 0.15, 64).unwrap();
-        assert!(report.contains("2-piece"), "report: {report}");
-        // the heavy/light boundary at 16 should appear within a few slots
-        let found = (14..=18)
-            .any(|b| report.contains(&format!("{b}]")) || report.contains(&format!("{b},")));
-        assert!(found, "no boundary near 16 in: {report}");
-    }
-
-    #[test]
-    fn end_to_end_test_verdicts() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(10);
-        let flat = khist_dist::generators::staircase(64, 4).unwrap();
-        let samples = flat.sample_many(100_000, &mut rng);
-        let verdict = run_test(&samples, 4, 0.25, 64, "l2").unwrap();
-        assert!(verdict.contains("Accept"), "{verdict}");
-
-        let spiky = khist_dist::generators::spike_comb(64, 8).unwrap();
-        let samples = spiky.sample_many(100_000, &mut rng);
-        let verdict = run_test(&samples, 2, 0.2, 64, "l2").unwrap();
-        assert!(verdict.contains("Reject"), "{verdict}");
     }
 
     #[test]
@@ -2006,6 +1846,22 @@ mod tests {
         let parsed = Report::from_json(json.trim()).unwrap();
         assert_eq!(parsed.analysis, AnalysisKind::TestL2);
         assert!(parsed.accepted(), "{json}");
+        std::fs::remove_file(&path).ok();
+
+        // A spike comb is far from every 2-histogram.
+        let spiky = khist_dist::generators::spike_comb(64, 8).unwrap();
+        let path = temp_file(&spiky.sample_many(100_000, &mut rng), "test-spiky");
+        let verdict = dispatch(Command::Test {
+            path: path.clone(),
+            k: 2,
+            eps: 0.2,
+            n: 64,
+            norm: "l2".into(),
+            seed: 3,
+            json: false,
+        })
+        .unwrap();
+        assert!(verdict.contains("Reject"), "{verdict}");
         std::fs::remove_file(&path).ok();
     }
 
@@ -2091,9 +1947,16 @@ mod tests {
     #[test]
     fn summarize_reports_entropy() {
         let samples: Vec<usize> = (0..64).flat_map(|v| std::iter::repeat_n(v, 10)).collect();
-        let report = run_summarize(&samples, 0).unwrap();
-        assert!(report.contains("distinct values: 64"));
-        assert!(report.contains("entropy"));
+        let path = temp_file(&samples, "summarize");
+        let report = dispatch(Command::Summarize {
+            path: path.clone(),
+            n: 0,
+        })
+        .unwrap();
+        assert!(report.contains("samples: 640"), "{report}");
+        assert!(report.contains("distinct values: 64"), "{report}");
+        assert!(report.contains("entropy"), "{report}");
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -2135,13 +1998,5 @@ mod tests {
         })
         .unwrap_err();
         assert!(err.contains("/nonexistent/x.txt"));
-    }
-
-    #[test]
-    fn random_learner_cli_smoke() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-        let samples: Vec<usize> = (0..5000).map(|_| rng.random_range(0..32)).collect();
-        let report = run_learn(&samples, 3, 0.2, 0).unwrap();
-        assert!(report.contains("histogram over [0, 32)"));
     }
 }

@@ -96,9 +96,8 @@
 //!
 //! ## Budgets
 //!
-//! All sample budgets implement the [`oracle::Budget`] trait (checked
-//! `total_samples`, `calibrated`/`theoretical` constructors, serde
-//! round-trip):
+//! Every sample budget has checked `total_samples`,
+//! `calibrated`/`theoretical` constructors and a serde round-trip:
 //!
 //! | budget | params | shape | feeds |
 //! |---|---|---|---|
@@ -182,9 +181,8 @@ pub mod prelude {
     pub use khist_core::uniformity::{test_uniformity, UniformityBudget};
     pub use khist_dist::{DenseDistribution, Interval, PriorityHistogram, TilingHistogram};
     pub use khist_oracle::{
-        Budget, DenseOracle, L1TesterBudget, L2TesterBudget, LearnerBudget, RecordFileOracle,
-        ReplayOracle, Reservoir, SampleOracle, SampleSet, SampleSink, Window, WindowSnapshot,
-        WindowedSink,
+        DenseOracle, L1TesterBudget, L2TesterBudget, LearnerBudget, RecordFileOracle, ReplayOracle,
+        Reservoir, SampleOracle, SampleSet, SampleSink, Window, WindowSnapshot, WindowedSink,
     };
 }
 

@@ -4,8 +4,8 @@
 //! The engine composes its fleet report by folding per-shard
 //! `FleetSummary` partials, so two properties carry the whole feature:
 //! the fold must be associative and commutative **at the bit level** (any
-//! shard count, any merge grouping, any resize history collapses to the
-//! same state), and the end-to-end `FleetReport` must be bit-identical
+//! shard count and any merge grouping collapse to the same state), and
+//! the end-to-end `FleetReport` must be bit-identical
 //! for shards ∈ {1, 2, 4, 8} over the same keyed records — the fleet
 //! analogue of `tests/engine_sharding.rs`.
 
@@ -80,8 +80,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// `FleetSummary::merge` is associative and commutative bit for bit —
-    /// the algebra that makes shard count, merge grouping, and resize
-    /// history invisible in the rollup.
+    /// the algebra that makes shard count and merge grouping invisible in
+    /// the rollup.
     #[test]
     fn prop_fleet_merge_associative_and_commutative(
         xs in proptest::collection::vec(raw_observation(), 0..160),
@@ -148,7 +148,7 @@ proptest! {
                 .unwrap();
             engine.ingest_batch(&keyed[..split]).unwrap();
             engine.ingest_batch(&keyed[split..]).unwrap();
-            engine.flush().unwrap();
+            engine.flush_debut_ordered().unwrap();
             let line = engine.fleet_report().to_json();
             match &reference {
                 None => reference = Some(line),
@@ -156,37 +156,6 @@ proptest! {
             }
         }
     }
-}
-
-/// A live resize mid-stream does not perturb the rollup: partials retired
-/// by `Engine::resize` fold into the report exactly as if the pool had
-/// never changed shape.
-#[test]
-fn fleet_report_survives_live_resizes() {
-    let keyed: Vec<(String, usize)> = (0..2_400)
-        .map(|i| (KEYS[(i * 13) % KEYS.len()].to_string(), (i * 11) % 32))
-        .collect();
-    let run = |resizes: &[(usize, usize)]| {
-        let mut engine = Engine::builder(32)
-            .seed(9)
-            .shards(2)
-            .tumbling(120)
-            .analyses(batch())
-            .build()
-            .unwrap();
-        let mut at = 0;
-        for &(cut, shards) in resizes {
-            engine.ingest_batch(&keyed[at..cut]).unwrap();
-            engine.resize(shards).unwrap();
-            at = cut;
-        }
-        engine.ingest_batch(&keyed[at..]).unwrap();
-        engine.flush().unwrap();
-        engine.fleet_report().to_json()
-    };
-    let steady = run(&[]);
-    assert_eq!(run(&[(700, 5)]), steady, "grow mid-stream");
-    assert_eq!(run(&[(400, 7), (1_500, 1)]), steady, "grow then collapse");
 }
 
 /// The rollup's counters reconcile with the reports the engine actually
@@ -206,7 +175,7 @@ fn fleet_report_reconciles_with_window_reports() {
         .map(|i| (KEYS[(i * 7) % KEYS.len()].to_string(), (i * 5) % 32))
         .collect();
     let mut reports = engine.ingest_batch(&keyed).unwrap();
-    reports.extend(engine.flush().unwrap());
+    reports.extend(engine.flush_debut_ordered().unwrap());
     let fleet = engine.fleet_report();
 
     assert_eq!(fleet.streams, KEYS.len() as u64);

@@ -93,7 +93,7 @@ proptest! {
                 .unwrap();
             let mut got = engine.ingest_batch(&keyed[..split]).unwrap();
             got.extend(engine.ingest_batch(&keyed[split..]).unwrap());
-            got.extend(engine.flush().unwrap());
+            got.extend(engine.flush_debut_ordered().unwrap());
 
             let mut covered = 0;
             for key in KEYS {
@@ -158,7 +158,7 @@ proptest! {
             // parallel route's miss path, and the rest of the records
             // cross the per-chunk sub-partitions.
             let mut got = engine.ingest_batch(&keyed).unwrap();
-            got.extend(engine.flush().unwrap());
+            got.extend(engine.flush_debut_ordered().unwrap());
 
             let mut covered = 0;
             for key in KEYS {
@@ -216,7 +216,7 @@ fn parallel_route_hot_stream_runs_across_every_chunk_edge() {
             .build()
             .unwrap();
         let mut got = engine.ingest_batch(&keyed).unwrap();
-        got.extend(engine.flush().unwrap());
+        got.extend(engine.flush_debut_ordered().unwrap());
 
         for key in ["hot", KEYS[0], KEYS[1], KEYS[2]] {
             let mine: Vec<usize> = keyed
@@ -254,7 +254,7 @@ fn flush_covers_every_partial_tail() {
         .map(|i| (KEYS[i % KEYS.len()].to_string(), (i * 7) % n))
         .collect();
     assert!(engine.ingest_batch(&keyed).unwrap().is_empty());
-    let tails = engine.flush().unwrap();
+    let tails = engine.flush_debut_ordered().unwrap();
     assert_eq!(tails.len(), KEYS.len());
     for tail in &tails {
         assert!(!tail.complete);
@@ -278,12 +278,13 @@ fn flush_covers_every_partial_tail() {
     }
     // A second flush re-reports the same still-live tails (the partial
     // window is not consumed), exactly like a dedicated monitor would.
-    assert_eq!(engine.flush().unwrap(), tails);
+    assert_eq!(engine.flush_debut_ordered().unwrap(), tails);
 }
 
-/// The engine's output order is deterministic — every `ingest_batch` /
-/// `flush` call returns its reports sorted by (stream, window id) — and
-/// stable across repeated identical runs.
+/// The engine's output order is deterministic — every `ingest_batch` call
+/// returns its reports sorted by (stream, window id), and the flush returns
+/// its tails in stream debut order — and stable across repeated identical
+/// runs.
 #[test]
 fn engine_output_order_is_deterministic() {
     let run = || {
@@ -297,18 +298,59 @@ fn engine_output_order_is_deterministic() {
         let keyed: Vec<(String, usize)> = (0..2_000)
             .map(|i| (KEYS[(i * 13) % KEYS.len()].to_string(), (i * 11) % 32))
             .collect();
-        (engine.ingest_batch(&keyed).unwrap(), engine.flush().unwrap())
+        (
+            engine.ingest_batch(&keyed).unwrap(),
+            engine.flush_debut_ordered().unwrap(),
+        )
     };
     let (a, b) = (run(), run());
     assert_eq!(a, b, "identical runs produce identical interleavings");
-    for call in [&a.0, &a.1] {
-        let order: Vec<(Option<&str>, u64)> = call
-            .iter()
+    let order: Vec<(Option<&str>, u64)> =
+        a.0.iter()
             .map(|r| (r.stream.as_deref(), r.window))
             .collect();
-        let mut sorted = order.clone();
-        sorted.sort();
-        assert_eq!(order, sorted, "each call's reports sorted by (stream, window)");
+    let mut sorted = order.clone();
+    sorted.sort();
+    assert_eq!(
+        order, sorted,
+        "ingest_batch reports sorted by (stream, window)"
+    );
+    // KEYS[(i * 13) % 4] debuts the keys in KEYS order; each holds one tail.
+    let tails: Vec<Option<&str>> = a.1.iter().map(|r| r.stream.as_deref()).collect();
+    assert_eq!(tails, KEYS.map(Some), "flush returns tails in debut order");
+}
+
+/// Exact output equality across shard counts: reports — completed
+/// windows and flushed tails alike — are bit-identical at 1, 2, 4 and 8
+/// shards. With identical batch boundaries the whole interleaving
+/// matches, so the comparison is exact output equality, not per-stream
+/// filtering.
+#[test]
+fn reports_bit_identical_across_shard_counts_1_2_4_8() {
+    let keys = ["api", "web", "batch", "edge", "ops"];
+    let keyed: Vec<(String, usize)> = (0..4_000)
+        .map(|i| (keys[(i * 13) % keys.len()].to_string(), (i * 7) % 32))
+        .collect();
+    let run = |shards: usize| {
+        let mut engine = Engine::builder(32)
+            .seed(11)
+            .shards(shards)
+            .tumbling(300)
+            .analysis(Uniformity::eps(0.3).budget(UniformityBudget { m: 40 }))
+            .build()
+            .unwrap();
+        let mut out = engine.ingest_batch(&keyed[..1_500]).unwrap();
+        out.extend(engine.ingest_batch(&keyed[1_500..]).unwrap());
+        out.extend(engine.flush_debut_ordered().unwrap());
+        out
+    };
+    let reference = run(1);
+    assert!(
+        reference.iter().any(|w| w.complete) && reference.iter().any(|w| !w.complete),
+        "fixture covers both completed windows and partial tails"
+    );
+    for shards in [2usize, 4, 8] {
+        assert_eq!(run(shards), reference, "{shards} shards");
     }
 }
 
@@ -337,7 +379,7 @@ fn key_arrival_order_does_not_change_reports() {
             .collect();
         keyed.extend((0..3_000).map(|i| (KEYS[(i * 7) % KEYS.len()].to_string(), (i * 11) % 32)));
         let mut out = engine.ingest_batch(&keyed).unwrap();
-        out.extend(engine.flush().unwrap());
+        out.extend(engine.flush_debut_ordered().unwrap());
         out.sort_by(|a, b| (&a.stream, a.window).cmp(&(&b.stream, b.window)));
         out
     };

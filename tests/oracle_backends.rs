@@ -91,7 +91,17 @@ fn record_file_and_replay_testers_agree_on_clear_instances() {
             khist::app::run_test_with(&mut streaming, 4, 0.25, "l2", samples.len(), 3)
                 .map(|r| khist::app::render_test(&r, 4))
                 .unwrap();
-        let verdict_mem = khist::app::run_test(&samples, 4, 0.25, 64, "l2").unwrap();
+        // The same records replayed as the tester's 7 equal chunks.
+        let m = samples.len() / 7;
+        let chunks = samples
+            .chunks_exact(m)
+            .take(7)
+            .map(<[usize]>::to_vec)
+            .collect();
+        let mut replay = ReplayOracle::from_raw(64, chunks);
+        let verdict_mem = khist::app::run_test_with(&mut replay, 4, 0.25, "l2", samples.len(), 0)
+            .map(|r| khist::app::render_test(&r, 4))
+            .unwrap();
 
         let want = if expect_accept { "Accept" } else { "Reject" };
         assert!(verdict_file.contains(want), "file path: {verdict_file}");

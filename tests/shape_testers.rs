@@ -122,13 +122,25 @@ fn monotonicity_and_khistogram_testers_are_orthogonal() {
 
 #[test]
 fn cli_pipeline_matches_library_results() {
-    // The CLI's split/learn path and the library's direct path agree on an
-    // easy instance.
+    // The CLI's record-file learn path and the library's direct path agree
+    // on an easy instance.
     let mut rng = StdRng::seed_from_u64(13);
     let p = khist::dist::generators::two_level(64, 0.25, 0.75).unwrap();
     let samples = p.sample_many(40_000, &mut rng);
-    let report = khist::app::run_learn(&samples, 2, 0.15, 64).unwrap();
-    assert!(report.contains("2-piece"));
+    let path = std::env::temp_dir().join(format!("khist-shape-cli-{}.txt", std::process::id()));
+    let text: String = samples.iter().map(|s| format!("{s}\n")).collect();
+    std::fs::write(&path, text).unwrap();
+    let report = khist::app::dispatch(khist::app::Command::Learn {
+        path: path.to_string_lossy().into_owned(),
+        k: 2,
+        eps: 0.15,
+        n: 64,
+        seed: 0,
+        json: false,
+    })
+    .unwrap();
+    std::fs::remove_file(&path).ok();
+    assert!(report.contains("2-piece"), "{report}");
     // Direct library path:
     let budget = LearnerBudget::calibrated(64, 2, 0.15, 0.05).unwrap();
     let mut oracle = DenseOracle::new(&p, rand::Rng::random(&mut rng));
