@@ -1220,6 +1220,16 @@ mod tests {
         path.to_string_lossy().into_owned()
     }
 
+    /// Writes raw text to a unique temp record file.
+    fn temp_text(text: &str, tag: &str) -> String {
+        let path = std::env::temp_dir().join(format!(
+            "khist-app-{tag}-{}.txt",
+            std::process::id()
+        ));
+        std::fs::write(&path, text).expect("temp file writable");
+        path.to_string_lossy().into_owned()
+    }
+
     #[test]
     fn parse_args_learn_defaults() {
         let cmd = parse_args(&strings(&["learn", "data.txt"])).unwrap();
@@ -1789,6 +1799,42 @@ mod tests {
     }
 
     #[test]
+    fn parse_samples_handles_comments_and_blanks() {
+        // Record files skip `#` comments and blank lines and trim padding.
+        let path = temp_text("# header\n3\n\n 7 \n0\n", "comments");
+        let mut oracle = RecordFileOracle::open(&path, 0, 1).unwrap();
+        assert_eq!(oracle.records(), 3);
+        assert_eq!(oracle.domain_size(), 8);
+        assert_eq!(oracle.draw_set(3), SampleSet::from_samples(vec![3, 7, 0]));
+        let summary = dispatch(Command::Summarize {
+            path: path.clone(),
+            n: 0,
+        })
+        .unwrap();
+        assert!(summary.contains("samples: 3\ndomain: [0, 8)"), "{summary}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn parse_samples_rejects_garbage() {
+        for (tag, text, expect) in [
+            ("garbage", "1\nfoo\n", "line 2: not an integer record: foo"),
+            ("negative", "-3\n", "line 1: not an integer record: -3"),
+            ("empty", "", "no records in input"),
+            ("only-comments", "# only comments\n", "no records in input"),
+        ] {
+            let path = temp_text(text, tag);
+            let err = dispatch(Command::Summarize {
+                path: path.clone(),
+                n: 0,
+            })
+            .unwrap_err();
+            assert!(err.contains(expect), "{tag}: {err}");
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    #[test]
     fn dispatch_learn_streams_record_file() {
         // The full CLI path: record file → RecordFileOracle → analysis API.
         let mut rng = rand::rngs::StdRng::seed_from_u64(14);
@@ -1847,22 +1893,36 @@ mod tests {
         assert_eq!(parsed.analysis, AnalysisKind::TestL2);
         assert!(parsed.accepted(), "{json}");
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn end_to_end_test_verdicts() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(10);
+        let verdict = |samples: &[usize], k: usize, eps: f64, tag: &str| {
+            let path = temp_file(samples, tag);
+            let verdict = dispatch(Command::Test {
+                path: path.clone(),
+                k,
+                eps,
+                n: 64,
+                norm: "l2".into(),
+                seed: 3,
+                json: false,
+            })
+            .unwrap();
+            std::fs::remove_file(&path).ok();
+            verdict
+        };
+        let flat = khist_dist::generators::staircase(64, 4).unwrap();
+        let samples = flat.sample_many(100_000, &mut rng);
+        let v = verdict(&samples, 4, 0.25, "verdict-flat");
+        assert!(v.contains("Accept"), "{v}");
 
         // A spike comb is far from every 2-histogram.
         let spiky = khist_dist::generators::spike_comb(64, 8).unwrap();
-        let path = temp_file(&spiky.sample_many(100_000, &mut rng), "test-spiky");
-        let verdict = dispatch(Command::Test {
-            path: path.clone(),
-            k: 2,
-            eps: 0.2,
-            n: 64,
-            norm: "l2".into(),
-            seed: 3,
-            json: false,
-        })
-        .unwrap();
-        assert!(verdict.contains("Reject"), "{verdict}");
-        std::fs::remove_file(&path).ok();
+        let samples = spiky.sample_many(100_000, &mut rng);
+        let v = verdict(&samples, 2, 0.2, "verdict-spiky");
+        assert!(v.contains("Reject"), "{v}");
     }
 
     #[test]
