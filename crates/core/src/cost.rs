@@ -9,15 +9,12 @@
 //!
 //! Two oracles implement the same interface:
 //!
-//! * [`SampleCostOracle`] — the real thing, backed by sample sets, with
-//!   memoization (the greedy revisits the same intervals across its
-//!   `k·ln(1/ε)` iterations, and `y`/`z` never change within a run);
+//! * [`SampleCostOracle`] — the real thing, backed by sample sets: `y` and
+//!   `z` are `O(log m)` prefix-sum queries on the sorted [`SampleSet`]s,
+//!   so the greedy re-asks instead of caching;
 //! * [`ExactCostOracle`] — plugs in the true `p(I)` and `Σ p_i²`; used by
 //!   tests and ablations to isolate the greedy's convergence behaviour from
 //!   sampling noise.
-
-use std::cell::RefCell;
-use std::collections::BTreeMap;
 
 use khist_dist::{DenseDistribution, Interval};
 use khist_oracle::{MedianBooster, SampleSet};
@@ -39,11 +36,10 @@ pub trait CostOracle {
     }
 }
 
-/// Cost oracle backed by the paper's sample statistics, with memoization.
+/// Cost oracle backed by the paper's sample statistics.
 pub struct SampleCostOracle<'a> {
     main: &'a SampleSet,
     booster: MedianBooster<'a>,
-    cache: RefCell<BTreeMap<(usize, usize), (f64, f64)>>,
 }
 
 impl<'a> SampleCostOracle<'a> {
@@ -53,39 +49,17 @@ impl<'a> SampleCostOracle<'a> {
         SampleCostOracle {
             main,
             booster: MedianBooster::new(collision_sets),
-            cache: RefCell::new(BTreeMap::new()),
         }
-    }
-
-    /// The main sample set (used for candidate generation in Theorem 2).
-    pub fn main(&self) -> &'a SampleSet {
-        self.main
-    }
-
-    /// Number of cached intervals so far (diagnostics).
-    pub fn cached_intervals(&self) -> usize {
-        self.cache.borrow().len()
-    }
-
-    fn lookup(&self, iv: Interval) -> (f64, f64) {
-        let key = (iv.lo(), iv.hi());
-        if let Some(&v) = self.cache.borrow().get(&key) {
-            return v;
-        }
-        let y = self.main.empirical_mass(iv);
-        let z = self.booster.absolute_median(iv);
-        self.cache.borrow_mut().insert(key, (y, z));
-        (y, z)
     }
 }
 
 impl CostOracle for SampleCostOracle<'_> {
     fn weight(&self, iv: Interval) -> f64 {
-        self.lookup(iv).0
+        self.main.empirical_mass(iv)
     }
 
     fn power(&self, iv: Interval) -> f64 {
-        self.lookup(iv).1
+        self.booster.absolute_median(iv)
     }
 }
 
@@ -157,31 +131,5 @@ mod tests {
         );
         // piece_cost approximates the flatten SSE
         assert!((o.piece_cost(heavy) - p.flatten_sse(heavy)).abs() < 0.03);
-    }
-
-    #[test]
-    fn sample_oracle_memoizes() {
-        let p = DenseDistribution::uniform(8).unwrap();
-        let mut rng = StdRng::seed_from_u64(1);
-        let main = SampleSet::draw(&p, 100, &mut rng);
-        let sets = SampleSet::draw_many(&p, 100, 3, &mut rng);
-        let o = SampleCostOracle::new(&main, &sets);
-        assert_eq!(o.cached_intervals(), 0);
-        let _ = o.weight(iv(0, 3));
-        assert_eq!(o.cached_intervals(), 1);
-        let _ = o.power(iv(0, 3)); // same interval: no new entry
-        assert_eq!(o.cached_intervals(), 1);
-        let _ = o.piece_cost(iv(1, 2));
-        assert_eq!(o.cached_intervals(), 2);
-    }
-
-    #[test]
-    fn main_accessor_returns_set() {
-        let p = DenseDistribution::uniform(8).unwrap();
-        let mut rng = StdRng::seed_from_u64(2);
-        let main = SampleSet::draw(&p, 64, &mut rng);
-        let sets = SampleSet::draw_many(&p, 16, 3, &mut rng);
-        let o = SampleCostOracle::new(&main, &sets);
-        assert_eq!(o.main().total(), 64);
     }
 }

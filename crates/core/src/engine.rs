@@ -1,11 +1,11 @@
 //! The keyed multi-stream ingest path: an [`Engine`] over a shared-nothing
-//! pool of [`MonitorState`] shards.
+//! pool of [`Monitor`] shards.
 //!
-//! A single [`Monitor`](crate::monitor::Monitor) watches one stream on one
-//! core. Real deployments watch *many* keyed streams at once — per-tenant,
-//! per-shard, per-endpoint latency histograms — and the per-window workload
-//! (the standing batch plus the Diakonikolas–Kane–Nikishkin-style `ℓ₂`
-//! closeness drift check) is exactly the CPU-bound work worth scaling out:
+//! A single [`Monitor`] watches one stream on one core. Real deployments
+//! watch *many* keyed streams at once — per-tenant, per-shard, per-endpoint
+//! latency histograms — and the per-window workload (the standing batch
+//! plus the Diakonikolas–Kane–Nikishkin-style `ℓ₂` closeness drift check)
+//! is exactly the CPU-bound work worth scaling out:
 //!
 //! ```text
 //!   ingest_batch(&[(key, value), …])
@@ -30,7 +30,7 @@
 //!   │ │state│ │  │ └─────┘ │       │ │state│ │   route chunks travel by
 //!   │ └─────┘ │  └─────────┘       │ └─────┘ │   value through a bounded
 //!   └─────────┘                    └─────────┘   two-deep mailbox ring
-//!        │              │               │        state = MonitorState of
+//!        │              │               │        state = Monitor of
 //!        └──────────────┴───────────────┘        one stream key (a slab
 //!                       ▼                        slot in debut order)
 //!     Vec<WindowReport> tagged by stream, sorted by (stream, window)
@@ -69,13 +69,12 @@
 //!
 //! # Sharding is semantics-free
 //!
-//! Each stream key `k` gets its own [`MonitorState`] seeded with
+//! Each stream key `k` gets its own [`Monitor`] seeded with
 //! [`Engine::stream_seed`]`(base_seed, k)` — a SplitMix64 stream derived
 //! from the engine's base seed and a deterministic (FNV-1a) hash of the
 //! key. A state depends on nothing but its own records and seed, and
 //! shards share nothing, so for every stream the engine's reports are
-//! **bit-identical** to a dedicated single-threaded
-//! [`Monitor`](crate::monitor::Monitor) built with
+//! **bit-identical** to a dedicated single-threaded [`Monitor`] built with
 //! `Monitor::builder(n).seed(Engine::stream_seed(base, key)).stream(key)`
 //! and fed that stream's records — for *any* shard count, any batch
 //! boundaries, and any interleaving with other streams. The push≡pull
@@ -142,7 +141,7 @@ use khist_fleet::{FleetReport, FleetSummary, WindowObservation};
 use khist_oracle::{stream_seed, SinkShape, Window};
 
 use crate::api::{Analysis, LedgerEntry, Report, SamplePlan};
-use crate::monitor::{resolve_config, MonitorState, WindowReport};
+use crate::monitor::{resolve_config, Monitor, WindowReport};
 
 /// One shard's answer to a batch: everything that succeeded, plus every
 /// per-stream failure. Streams are independent state machines, so one
@@ -232,8 +231,8 @@ struct EngineConfig {
 impl EngineConfig {
     /// Stamps out the state machine for a new stream key — cheap: the
     /// shape and batch were validated once at [`EngineBuilder::build`].
-    fn new_state(&self, key: &str) -> MonitorState {
-        MonitorState::from_parts(
+    fn new_state(&self, key: &str) -> Monitor {
+        Monitor::from_parts(
             &self.shape,
             Engine::stream_seed(self.seed, key),
             Arc::clone(&self.analyses),
@@ -453,7 +452,7 @@ fn bucket_records(chunk: &mut RouteChunk, interner: &Interner) {
 /// One stream owned by a shard.
 struct StreamSlot {
     key: String,
-    state: MonitorState,
+    state: Monitor,
     /// Retained per-label ledger totals (see [`absorb_ledger`]) — the
     /// stream's lifetime cost, served by [`Engine::ledger`].
     ledger: Vec<LedgerEntry>,
@@ -880,11 +879,10 @@ impl EngineBuilder {
     }
 }
 
-/// A keyed multi-stream ingest engine: [`Monitor`](crate::monitor::Monitor)
-/// semantics per stream key, scaled across a shared-nothing pool of worker
-/// shards. See the [module docs](self) for the architecture, the
-/// allocation-free batch pipeline, and the sharding-is-semantics-free
-/// contract.
+/// A keyed multi-stream ingest engine: [`Monitor`] semantics per stream
+/// key, scaled across a shared-nothing pool of worker shards. See the
+/// [module docs](self) for the architecture, the allocation-free batch
+/// pipeline, and the sharding-is-semantics-free contract.
 pub struct Engine {
     cfg: Arc<EngineConfig>,
     shards: Vec<Shard>,
@@ -939,8 +937,7 @@ impl Engine {
 
     /// The seed stream `key` samples with under base seed `base`: the
     /// SplitMix64 stream of the key's deterministic FNV-1a hash. A
-    /// dedicated [`Monitor`](crate::monitor::Monitor) seeded with this
-    /// value (and tagged via
+    /// dedicated [`Monitor`] seeded with this value (and tagged via
     /// [`MonitorBuilder::stream`](crate::monitor::MonitorBuilder::stream))
     /// reproduces the engine's reports for that stream bit for bit.
     pub fn stream_seed(base: u64, key: &str) -> u64 {
@@ -1021,8 +1018,8 @@ impl Engine {
     }
 
     /// Read access to one stream's state machine (e.g. to check `seen` or
-    /// probe [`drift`](MonitorState::drift) for a single tenant).
-    pub fn stream_state(&self, key: &str) -> Option<&MonitorState> {
+    /// probe [`drift`](Monitor::drift) for a single tenant).
+    pub fn stream_state(&self, key: &str) -> Option<&Monitor> {
         let id = self.interner.lookup(key.as_bytes(), key_hash(key))?;
         let entry = self.interner.entries.get(id as usize)?;
         let shard = self.shards.get(entry.shard as usize)?;
@@ -1178,8 +1175,8 @@ impl Engine {
     ///
     /// Streams fail *independently*: a record outside `[0, n)` (or a
     /// failing standing analysis) stops only its own stream — exactly
-    /// what would happen to a dedicated [`Monitor`](crate::monitor::Monitor)
-    /// on that stream — while every other stream ingests its full slice.
+    /// what would happen to a dedicated [`Monitor`] on that stream —
+    /// while every other stream ingests its full slice.
     /// When any stream failed, the call returns the error of the
     /// lexicographically smallest failing key (a deterministic choice for
     /// every shard count), and the reports the healthy streams computed
@@ -1473,7 +1470,7 @@ impl Engine {
         });
     }
 
-    fn states(&self) -> impl Iterator<Item = &MonitorState> {
+    fn states(&self) -> impl Iterator<Item = &Monitor> {
         self.shards
             .iter()
             .flat_map(|s| s.slots.iter().map(|slot| &slot.state))

@@ -67,7 +67,7 @@ pub mod uniformity;
 pub use api::{
     plan_for, run_analyses, run_analyses_with_plan, Analysis, AnalysisKind, BudgetSpec,
     ClosenessL2, Engine, EngineBuilder, IdentityL2, Learn, LedgerEntry, Monitor, MonitorBuilder,
-    MonitorState, Monotone, Report, SamplePlan, Session, TestL1, TestL2, Uniformity, WindowReport,
+    Monotone, Report, SamplePlan, Session, TestL1, TestL2, Uniformity, WindowReport,
 };
 pub use compress::compress_to_k;
 pub use cost::{CostOracle, ExactCostOracle, SampleCostOracle};

@@ -1,6 +1,5 @@
-//! The push-based front door: a long-lived [`Monitor`] over a live record
-//! stream, split into a pure per-stream state machine ([`MonitorState`])
-//! and a thin reporting shell ([`Monitor`]).
+//! The push-based front door: a long-lived [`Monitor`], the pure
+//! per-stream state machine over a live record stream.
 //!
 //! [`Session`](crate::api::Session) is pull-based and one-shot: every
 //! answer draws fresh samples through a
@@ -19,18 +18,14 @@
 //!                                   newest disjoint earlier window)
 //! ```
 //!
-//! # Two layers
-//!
-//! * [`MonitorState`] is the I/O-free state machine: windowing, frozen-lane
-//!   bookkeeping, drift baselines, and the deterministic window→report
-//!   computation. It owns no channels, no files, no clocks beyond the
-//!   per-report wall timers (which [`Report`] equality ignores) — a
-//!   `MonitorState` is a pure function of the records pushed into it and
-//!   its seed, which is what makes it safe to farm out to worker threads.
-//!   The keyed multi-stream [`Engine`](crate::engine::Engine) owns one
-//!   `MonitorState` per stream across a pool of shards.
-//! * [`Monitor`] is the single-stream shell callers use directly: it wraps
-//!   one state and accumulates the cumulative sample [`ledger`](Monitor::ledger).
+//! A [`Monitor`] is I/O-free: windowing, frozen-lane bookkeeping, drift
+//! baselines, and the deterministic window→report computation. It owns no
+//! channels, no files, no clocks beyond the per-report wall timers (which
+//! [`Report`] equality ignores) — a monitor is a pure function of the
+//! records pushed into it and its seed, which is what makes it safe to
+//! farm out to worker threads. Callers use one directly for a single
+//! stream; the keyed multi-stream [`Engine`](crate::engine::Engine) owns
+//! one `Monitor` per stream across a pool of shards.
 //!
 //! The monitor is configured once with a *standing batch* of
 //! [`Analysis`] requests; their shared [`SamplePlan`] shapes the sink's
@@ -235,8 +230,7 @@ impl std::fmt::Display for WindowReport {
     }
 }
 
-/// Configures a [`Monitor`] (or a bare [`MonitorState`]); obtained from
-/// [`Monitor::builder`].
+/// Configures a [`Monitor`]; obtained from [`Monitor::builder`].
 #[derive(Debug, Clone)]
 pub struct MonitorBuilder {
     n: usize,
@@ -307,13 +301,11 @@ impl MonitorBuilder {
         self
     }
 
-    /// Builds the bare state machine: resolves the standing batch into a
-    /// plan and shapes the window sink's lanes from it. Prefer
-    /// [`build`](MonitorBuilder::build) unless you are managing many
-    /// states yourself (as the [`Engine`](crate::engine::Engine) does).
-    pub fn build_state(self) -> Result<MonitorState, DistError> {
+    /// Builds the monitor: resolves the standing batch into a plan and
+    /// shapes the window sink's lanes from it.
+    pub fn build(self) -> Result<Monitor, DistError> {
         let (plan, shape) = resolve_config(self.n, self.window, &self.analyses, self.drift_eps)?;
-        Ok(MonitorState::from_parts(
+        Ok(Monitor::from_parts(
             &shape,
             self.seed,
             Arc::new(self.analyses),
@@ -321,15 +313,6 @@ impl MonitorBuilder {
             self.drift_eps,
             self.stream,
         ))
-    }
-
-    /// Builds the monitor (the reporting shell around
-    /// [`build_state`](MonitorBuilder::build_state)).
-    pub fn build(self) -> Result<Monitor, DistError> {
-        Ok(Monitor {
-            state: self.build_state()?,
-            ledger: Vec::new(),
-        })
     }
 }
 
@@ -362,18 +345,17 @@ pub(crate) fn resolve_config(
     Ok((plan, shape))
 }
 
-/// The pure, I/O-free per-stream state machine behind [`Monitor`]:
-/// windowing, frozen-lane bookkeeping, drift baselines, and the
-/// deterministic window→report computation.
+/// A long-lived, push-based analysis pipeline over a record stream — the
+/// streaming peer of [`Session`](crate::api::Session). See the [module
+/// docs](self) for the data flow and determinism contract.
 ///
-/// A `MonitorState` talks to nothing but its own memory — no files,
-/// sockets or channels — so a pool of them can be processed on worker
-/// threads with no coordination beyond ownership (the
-/// [`Engine`](crate::engine::Engine) does exactly that, one state per
-/// stream key). Ledger entries produced while reporting accumulate
-/// internally until [`drain_ledger`](MonitorState::drain_ledger) collects
-/// them; the single-stream [`Monitor`] shell drains after every call.
-pub struct MonitorState {
+/// A `Monitor` talks to nothing but its own memory — no files, sockets or
+/// channels — so a pool of them can be processed on worker threads with no
+/// coordination beyond ownership (the [`Engine`](crate::engine::Engine)
+/// does exactly that, one monitor per stream key). Ledger entries produced
+/// while reporting accumulate in [`ledger`](Monitor::ledger) until
+/// [`drain_ledger`](Monitor::drain_ledger) collects them.
+pub struct Monitor {
     n: usize,
     seed: u64,
     analyses: Arc<Vec<Analysis>>,
@@ -391,16 +373,31 @@ pub struct MonitorState {
     /// windows the previous window is already disjoint, so this reduces
     /// to comparing consecutive windows.
     baselines: std::collections::VecDeque<(u64, u64, SampleSet)>,
-    /// Ledger entries not yet drained by the owning shell.
-    pending_ledger: Vec<LedgerEntry>,
+    /// Ledger entries since the last drain.
+    ledger: Vec<LedgerEntry>,
     emitted: u64,
 }
 
-impl MonitorState {
-    /// Assembles a state from already-validated shared parts. The
+impl Monitor {
+    /// Starts configuring a monitor over the domain `[0, n)`. The domain
+    /// must be declared up front — a push stream cannot be pre-scanned the
+    /// way [`Session::open_records`](crate::api::Session::open_records)
+    /// scans a file.
+    pub fn builder(n: usize) -> MonitorBuilder {
+        MonitorBuilder {
+            n,
+            seed: 0,
+            window: Window::Tumbling { span: 100_000 },
+            analyses: Vec::new(),
+            drift_eps: 0.25,
+            stream: None,
+        }
+    }
+
+    /// Assembles a monitor from already-validated shared parts. The
     /// [`Engine`](crate::engine::Engine) validates once and stamps out one
-    /// state per stream key from a shared [`SinkShape`] / analysis batch;
-    /// [`MonitorBuilder::build_state`] is the validating public entry.
+    /// monitor per stream key from a shared [`SinkShape`] / analysis batch;
+    /// [`MonitorBuilder::build`] is the validating public entry.
     pub(crate) fn from_parts(
         shape: &SinkShape,
         seed: u64,
@@ -409,7 +406,7 @@ impl MonitorState {
         drift_eps: f64,
         stream: Option<String>,
     ) -> Self {
-        MonitorState {
+        Monitor {
             n: shape.domain_size(),
             seed,
             analyses,
@@ -418,7 +415,7 @@ impl MonitorState {
             stream,
             sink: shape.sink(seed),
             baselines: std::collections::VecDeque::new(),
-            pending_ledger: Vec::new(),
+            ledger: Vec::new(),
             emitted: 0,
         }
     }
@@ -428,7 +425,7 @@ impl MonitorState {
         self.n
     }
 
-    /// The state's seed.
+    /// The monitor's base seed.
     pub fn seed(&self) -> u64 {
         self.seed
     }
@@ -463,11 +460,19 @@ impl MonitorState {
         self.sink.window()
     }
 
+    /// The ledger since the last [`drain_ledger`](Monitor::drain_ledger)
+    /// (cumulative if never drained), across windows and on-demand
+    /// snapshots: one `"draw"` entry per frozen window (samples = the
+    /// window's kept samples — the engine touched nothing beyond the
+    /// freeze) followed by the per-analysis spends.
+    pub fn ledger(&self) -> &[LedgerEntry] {
+        &self.ledger
+    }
+
     /// Removes and returns the ledger entries accumulated since the last
-    /// drain (one `"draw"` per frozen window followed by the per-analysis
-    /// spends).
+    /// drain.
     pub fn drain_ledger(&mut self) -> Vec<LedgerEntry> {
-        std::mem::take(&mut self.pending_ledger)
+        std::mem::take(&mut self.ledger)
     }
 
     /// Ingests a batch of records in arrival order, reporting every window
@@ -530,7 +535,7 @@ impl MonitorState {
             0,
             "a snapshot must consume exactly the frozen window"
         );
-        self.pending_ledger.extend(ledger);
+        self.ledger.extend(ledger);
         Ok(reports)
     }
 
@@ -590,7 +595,7 @@ impl MonitorState {
             0,
             "a window report must consume exactly the frozen window"
         );
-        self.pending_ledger.extend(ledger);
+        self.ledger.extend(ledger);
         let drift = match self.disjoint_baseline(snap.start) {
             Some(baseline) if baseline.total() >= 2 && current.total() >= 2 => {
                 Some(self.drift_between(baseline, &current, snap.seed)?)
@@ -651,9 +656,9 @@ impl MonitorState {
     }
 }
 
-impl std::fmt::Debug for MonitorState {
+impl std::fmt::Debug for Monitor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MonitorState")
+        f.debug_struct("Monitor")
             .field("domain_size", &self.n)
             .field("seed", &self.seed)
             .field("stream", &self.stream)
@@ -661,127 +666,6 @@ impl std::fmt::Debug for MonitorState {
             .field("standing_analyses", &self.analyses.len())
             .field("seen", &self.sink.seen())
             .field("windows", &self.emitted)
-            .finish()
-    }
-}
-
-/// A long-lived, push-based analysis pipeline over a record stream — the
-/// streaming peer of [`Session`](crate::api::Session). See the [module
-/// docs](self) for the data flow and determinism contract.
-///
-/// `Monitor` is a thin reporting shell over [`MonitorState`]: the state
-/// machine does the windowing and per-window analysis, the shell
-/// accumulates the cumulative sample [`ledger`](Monitor::ledger) across
-/// calls.
-pub struct Monitor {
-    state: MonitorState,
-    ledger: Vec<LedgerEntry>,
-}
-
-impl Monitor {
-    /// Starts configuring a monitor over the domain `[0, n)`. The domain
-    /// must be declared up front — a push stream cannot be pre-scanned the
-    /// way [`Session::open_records`](crate::api::Session::open_records)
-    /// scans a file.
-    pub fn builder(n: usize) -> MonitorBuilder {
-        MonitorBuilder {
-            n,
-            seed: 0,
-            window: Window::Tumbling { span: 100_000 },
-            analyses: Vec::new(),
-            drift_eps: 0.25,
-            stream: None,
-        }
-    }
-
-    /// Domain size records must lie in.
-    pub fn domain_size(&self) -> usize {
-        self.state.domain_size()
-    }
-
-    /// The monitor's base seed.
-    pub fn seed(&self) -> u64 {
-        self.state.seed()
-    }
-
-    /// Total records ingested so far.
-    pub fn seen(&self) -> u64 {
-        self.state.seen()
-    }
-
-    /// Completed windows reported so far.
-    pub fn windows(&self) -> u64 {
-        self.state.windows()
-    }
-
-    /// The standing batch.
-    pub fn analyses(&self) -> &[Analysis] {
-        self.state.analyses()
-    }
-
-    /// The shared plan shaping every window's lanes.
-    pub fn plan(&self) -> SamplePlan {
-        self.state.plan()
-    }
-
-    /// The configured window policy.
-    pub fn window(&self) -> Window {
-        self.state.window()
-    }
-
-    /// The cumulative ledger across all windows and on-demand snapshots:
-    /// one `"draw"` entry per frozen window (samples = the window's kept
-    /// samples — the engine touched nothing beyond the freeze) followed by
-    /// the per-analysis spends.
-    pub fn ledger(&self) -> &[LedgerEntry] {
-        &self.ledger
-    }
-
-    /// Collects the state's pending ledger into the cumulative one, even
-    /// when the call that produced it failed part-way.
-    fn settle<T>(&mut self, result: Result<T, DistError>) -> Result<T, DistError> {
-        self.ledger.extend(self.state.drain_ledger());
-        result
-    }
-
-    /// Ingests a batch of records in arrival order, reporting every window
-    /// that completed during the batch. See [`MonitorState::ingest`].
-    pub fn ingest(&mut self, records: &[usize]) -> Result<Vec<WindowReport>, DistError> {
-        let result = self.state.ingest(records);
-        self.settle(result)
-    }
-
-    /// Reports any still-unreported data: completed-but-uncollected
-    /// windows, then the current partial window (when it holds records).
-    /// See [`MonitorState::flush`].
-    pub fn flush(&mut self) -> Result<Vec<WindowReport>, DistError> {
-        let result = self.state.flush();
-        self.settle(result)
-    }
-
-    /// Answers an on-demand batch from the *current* (possibly partial)
-    /// window. See [`MonitorState::snapshot`].
-    pub fn snapshot(&mut self, analyses: &[Analysis]) -> Result<Vec<Report>, DistError> {
-        let result = self.state.snapshot(analyses);
-        self.settle(result)
-    }
-
-    /// `ℓ₂` closeness of the current window's sample against the newest
-    /// disjoint completed window's. See [`MonitorState::drift`].
-    pub fn drift(&self) -> Result<Report, DistError> {
-        self.state.drift()
-    }
-}
-
-impl std::fmt::Debug for Monitor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Monitor")
-            .field("domain_size", &self.state.domain_size())
-            .field("seed", &self.state.seed())
-            .field("window", &self.state.window())
-            .field("standing_analyses", &self.state.analyses().len())
-            .field("seen", &self.state.seen())
-            .field("windows", &self.state.windows())
             .finish()
     }
 }
@@ -1057,13 +941,13 @@ mod tests {
 
     #[test]
     fn state_machine_is_usable_bare() {
-        // The engine's view: a bare MonitorState with a manually drained
-        // ledger behaves exactly like the shell.
+        // The engine's view: a monitor with a manually drained ledger
+        // behaves exactly like one that is never drained.
         let mut state = Monitor::builder(64)
             .seed(5)
             .tumbling(2_000)
             .analyses(standing())
-            .build_state()
+            .build()
             .unwrap();
         let windows = state.ingest(&events(64, 4_500, 1)).unwrap();
         assert_eq!(windows.len(), 2);

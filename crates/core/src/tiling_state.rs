@@ -67,37 +67,34 @@ impl TilingState {
             .map(|(&lo, &(hi, _))| Interval::new(lo, hi).expect("valid piece"))
     }
 
-    /// The pieces of the current tiling overlapping `j`, in order.
-    fn overlapping(&self, j: Interval) -> Vec<(usize, usize, f64)> {
-        let mut out = Vec::new();
-        // The piece containing j.lo() is the last piece starting ≤ j.lo().
-        let first_start = *self
+    /// Start of the piece containing `i`: the last piece starting ≤ `i`.
+    /// The pieces overlapping an interval `j` are then the map range
+    /// `piece_start(j.lo())..=j.hi()`, in tiling order.
+    fn piece_start(&self, i: usize) -> usize {
+        *self
             .pieces
-            .range(..=j.lo())
+            .range(..=i)
             .next_back()
             // lint:allow(no-panic): the tiling always has a piece starting at index 0
             .expect("tiling always covers index 0")
-            .0;
-        for (&lo, &(hi, cost)) in self.pieces.range(first_start..) {
-            if lo > j.hi() {
-                break;
-            }
-            out.push((lo, hi, cost));
-        }
-        out
+            .0
     }
 
     /// The total cost the state would have after inserting `j`, without
     /// mutating anything. This is the greedy's candidate score `c_J`.
     pub fn preview_insert(&self, j: Interval, oracle: &impl CostOracle) -> f64 {
         debug_assert!(j.hi() < self.n);
-        let overlapped = self.overlapping(j);
-        let removed: f64 = overlapped.iter().map(|&(_, _, c)| c).sum();
+        let first_lo = self.piece_start(j.lo());
+        let mut last_hi = j.hi();
+        let removed: f64 = self
+            .pieces
+            .range(first_lo..=j.hi())
+            .map(|(_, &(hi, cost))| {
+                last_hi = hi;
+                cost
+            })
+            .sum();
         let mut added = oracle.piece_cost(j);
-        // lint:allow(checked-indexing): overlapping() returns at least the piece containing j.lo()
-        let (first_lo, _, _) = overlapped[0];
-        // lint:allow(checked-indexing): same non-empty guarantee
-        let (_, last_hi, _) = overlapped[overlapped.len() - 1];
         if first_lo < j.lo() {
             // lint:allow(no-panic): first_lo < j.lo() guards the trim bounds
             added += oracle.piece_cost(Interval::new(first_lo, j.lo() - 1).expect("left trim"));
@@ -115,14 +112,12 @@ impl TilingState {
     /// histogram with their values.
     pub fn insert(&mut self, j: Interval, oracle: &impl CostOracle) -> Vec<Interval> {
         debug_assert!(j.hi() < self.n);
-        let overlapped = self.overlapping(j);
-        // lint:allow(checked-indexing): overlapping() returns at least the piece containing j.lo()
-        let (first_lo, _, _) = overlapped[0];
-        // lint:allow(checked-indexing): same non-empty guarantee
-        let (_, last_hi, _) = overlapped[overlapped.len() - 1];
-        for &(lo, _, cost) in &overlapped {
+        let first_lo = self.piece_start(j.lo());
+        let mut last_hi = j.hi();
+        while let Some((&lo, &(hi, cost))) = self.pieces.range(first_lo..=j.hi()).next() {
             self.pieces.remove(&lo);
             self.total_cost -= cost;
+            last_hi = hi;
         }
         let mut created = Vec::with_capacity(3);
         if first_lo < j.lo() {

@@ -8,7 +8,7 @@
 //! | rule | invariant it protects |
 //! |------|-----------------------|
 //! | `default-hasher` | `RandomState` iteration order would break bit-identity across processes |
-//! | `wall-clock` | `MonitorState` and everything under it stays clock-free; timing lives in `api.rs` (plus one budgeted reactor read in `crates/serve`) |
+//! | `wall-clock` | `Monitor` and everything under it stays clock-free; timing lives in `api.rs` (plus one budgeted reactor read in `crates/serve`) |
 //! | `no-panic` | library hot paths in `crates/{core,oracle}` return `Result`, not aborts |
 //! | `checked-indexing` | same, for `x[i]` bounds panics |
 //! | `seed-discipline` | all randomness derives from `stream_seed`/`window_seed`, never ad-hoc SplitMix64 |
@@ -255,8 +255,8 @@ fn default_hasher(ctx: &FileContext, tok: &Token, out: &mut Vec<Diagnostic>) {
 }
 
 /// `wall-clock`: `Instant`/`SystemTime` outside the designated boundary
-/// (`crates/core/src/api.rs`). The pure state machines (`MonitorState`
-/// and below) must stay replayable: push ≡ pull holds only if nothing in
+/// (`crates/core/src/api.rs`). The pure state machines (`Monitor` and
+/// below) must stay replayable: push ≡ pull holds only if nothing in
 /// them observes time. `crates/serve` gets its own arm of this rule
 /// ([`wall_clock_serve`]): a reactor cannot be clock-free, but it can be
 /// clock-*disciplined*.

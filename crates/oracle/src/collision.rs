@@ -100,13 +100,6 @@ impl<'a> MedianBooster<'a> {
                 .filter_map(|s| conditional_collision_estimate(s, iv)),
         )
     }
-
-    /// Smallest per-set hit count for `I` (used by Algorithm 3's
-    /// light-interval check, which requires *every* `|Sⁱ_I|` to clear the
-    /// threshold).
-    pub fn min_hits(&self, iv: Interval) -> u64 {
-        self.sets.iter().map(|s| s.count_in(iv)).min().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -258,7 +251,6 @@ mod tests {
         assert!((z - 0.5).abs() < 1e-12);
         // interval nobody hits twice
         assert!(b.conditional_median(iv(0, 1)).is_none());
-        assert_eq!(b.min_hits(iv(5, 6)), 1);
     }
 
     #[test]

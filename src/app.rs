@@ -36,132 +36,108 @@ use serde::{Serialize, Value};
 /// The analysis names `--run` accepts, listed verbatim in error messages.
 const VALID_RUNS: &str = "learn, l1, l2, uniformity, monotone";
 
-/// Parsed command-line request.
+/// Every `khist` flag, at its default until [`parse_args`] sets it. The
+/// parser accepts every flag for every subcommand; each subcommand reads
+/// the fields it uses.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Options {
+    /// Input path (`-` = stdin for `watch`; empty for `serve`).
+    pub path: String,
+    /// Number of pieces for `learn`/`l1`/`l2` (`--k`).
+    pub k: usize,
+    /// Accuracy parameter (`--eps`).
+    pub eps: f64,
+    /// Domain size (`--n`; `0` = infer from a record file).
+    pub n: usize,
+    /// `test`'s norm, `"l1"` or `"l2"` (`--norm`).
+    pub norm: String,
+    /// RNG seed for the sampling oracle and the window reservoirs
+    /// (`--seed`).
+    pub seed: u64,
+    /// Emit the serde reports as JSON instead of human text (`--json`).
+    pub json: bool,
+    /// Report cadence in records: the window span, or the step of a
+    /// sliding window covering four steps (`--every`).
+    pub every: u64,
+    /// Sliding windows instead of tumbling ones (`--window`).
+    pub sliding: bool,
+    /// Which analyses to run (`--run learn,l2,uniformity`).
+    pub runs: Vec<String>,
+    /// Which of the two whitespace-separated fields per line is the
+    /// stream key (`--key-field`; `None` = un-keyed single-stream input,
+    /// and `serve` defaults it to 0).
+    pub key_field: Option<usize>,
+    /// Worker shards stream keys are hashed onto (`--shards`; `1` =
+    /// unsharded).
+    pub shards: usize,
+    /// Interleave fleet-level rollup lines next to the per-stream output:
+    /// one after every chunk that reported a window, plus a final rollup
+    /// after the tails (`--fleet`; keyed `watch` only).
+    pub fleet: bool,
+    /// `serve`'s data-plane Unix socket path (`--socket`).
+    pub socket: Option<String>,
+    /// `serve`'s control-plane Unix socket path, for
+    /// `STATS`/`SUB`/`SHUTDOWN` (`--control`).
+    pub control: Option<String>,
+    /// `serve` reads stdin as a data source (`--stdin`; implied when no
+    /// `--socket` is given).
+    pub stdin: bool,
+    /// `serve` drains into the engine at this many accumulated records
+    /// (`--batch`) …
+    pub batch: usize,
+    /// … or after this many milliseconds, whichever first (`--flush-ms`).
+    pub flush_ms: u64,
+    /// `serve`'s per-connection unframed-input budget in bytes
+    /// (`--conn-buffer`).
+    pub conn_buffer: usize,
+    /// `serve`'s global parsed-but-uningested budget in bytes
+    /// (`--budget`).
+    pub budget: usize,
+}
+
+impl Default for Options {
+    fn default() -> Self {
+        Options {
+            path: String::new(),
+            k: 8,
+            eps: 0.1,
+            n: 0,
+            norm: "l2".into(),
+            seed: 0,
+            json: false,
+            every: 100_000,
+            sliding: false,
+            runs: vec!["learn".into(), "l2".into(), "uniformity".into()],
+            key_field: None,
+            shards: 1,
+            fleet: false,
+            socket: None,
+            control: None,
+            stdin: false,
+            batch: 4096,
+            flush_ms: 50,
+            conn_buffer: 64 * 1024,
+            budget: 4 * 1024 * 1024,
+        }
+    }
+}
+
+/// Parsed command-line request: a subcommand and its [`Options`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
     /// Learn a `k`-histogram from the samples in a file.
-    Learn {
-        /// Input path.
-        path: String,
-        /// Number of pieces.
-        k: usize,
-        /// Accuracy parameter.
-        eps: f64,
-        /// Domain override (`0` = infer from data).
-        n: usize,
-        /// RNG seed for the sampling oracle.
-        seed: u64,
-        /// Emit the serde `Report` as JSON instead of human text.
-        json: bool,
-    },
+    Learn(Options),
     /// Test whether the file's distribution is a tiling `k`-histogram.
-    Test {
-        /// Input path.
-        path: String,
-        /// Number of pieces.
-        k: usize,
-        /// Accuracy parameter.
-        eps: f64,
-        /// Domain override (`0` = infer from data).
-        n: usize,
-        /// `"l1"` or `"l2"`.
-        norm: String,
-        /// RNG seed for the sampling oracle.
-        seed: u64,
-        /// Emit the serde `Report` as JSON instead of human text.
-        json: bool,
-    },
+    Test(Options),
     /// Run a batch of analyses through one shared sample plan.
-    Analyze {
-        /// Input path.
-        path: String,
-        /// Number of pieces (for `learn`/`l1`/`l2`).
-        k: usize,
-        /// Accuracy parameter.
-        eps: f64,
-        /// Domain override (`0` = infer from data).
-        n: usize,
-        /// RNG seed for the sampling oracle.
-        seed: u64,
-        /// Emit the reports as a JSON array instead of human text.
-        json: bool,
-        /// Which analyses to run (`--run learn,l2,uniformity`).
-        runs: Vec<String>,
-    },
+    Analyze(Options),
     /// Monitor a record stream push-style: windowed reports + drift.
-    Watch {
-        /// Input path, or `-` for stdin.
-        path: String,
-        /// Number of pieces (for `learn`/`l1`/`l2`).
-        k: usize,
-        /// Accuracy parameter.
-        eps: f64,
-        /// Domain size (required for stdin; `0` = infer by pre-scanning a
-        /// file).
-        n: usize,
-        /// RNG seed for the window reservoirs.
-        seed: u64,
-        /// Report cadence in records (window span; sliding windows step by
-        /// this and cover four steps).
-        every: u64,
-        /// `"tumbling"` or `"sliding"`.
-        window: String,
-        /// Which analyses to run per window (`--run learn,l2,uniformity`).
-        runs: Vec<String>,
-        /// Emit one JSON object per window (JSONL) instead of human text.
-        json: bool,
-        /// Which of the two whitespace-separated fields per line is the
-        /// stream key (`None` = un-keyed single-stream input).
-        key_field: Option<usize>,
-        /// Worker shards stream keys are hashed onto (`1` = unsharded).
-        shards: usize,
-        /// Interleave fleet-level rollup lines next to the per-stream
-        /// output (requires `key_field`).
-        fleet: bool,
-    },
+    Watch(Options),
     /// Serve keyed ingest over Unix sockets / stdin: the reactor in
     /// [`khist_serve`], with `watch --key-field`'s analysis options.
-    Serve {
-        /// Data-plane Unix socket path (`None` = stdin only).
-        socket: Option<String>,
-        /// Control-plane Unix socket path (`STATS`/`SUB`/`SHUTDOWN`).
-        control: Option<String>,
-        /// Read stdin as a data source (implied when no `--socket`).
-        stdin: bool,
-        /// Number of pieces (for `learn`/`l1`/`l2`).
-        k: usize,
-        /// Accuracy parameter.
-        eps: f64,
-        /// Domain size (required — a live stream cannot be pre-scanned).
-        n: usize,
-        /// RNG seed for the window reservoirs.
-        seed: u64,
-        /// Report cadence in records.
-        every: u64,
-        /// `"tumbling"` or `"sliding"`.
-        window: String,
-        /// Which analyses to run per window.
-        runs: Vec<String>,
-        /// Which of the two whitespace-separated fields is the key.
-        key_field: usize,
-        /// Worker shards stream keys are routed onto.
-        shards: usize,
-        /// Drain into the engine at this many accumulated records.
-        batch: usize,
-        /// … or after this many milliseconds, whichever first.
-        flush_ms: u64,
-        /// Per-connection unframed-input budget (bytes).
-        conn_buffer: usize,
-        /// Global parsed-but-uningested budget (bytes).
-        budget: usize,
-    },
+    Serve(Options),
     /// Print summary statistics of the file's empirical distribution.
-    Summarize {
-        /// Input path.
-        path: String,
-        /// Domain override (`0` = infer from data).
-        n: usize,
-    },
+    Summarize(Options),
     /// Print usage.
     Help,
 }
@@ -173,60 +149,22 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
         None => return Ok(Command::Help),
         Some(s) => s.as_str(),
     };
+    let mut o = Options::default();
     let mut path: Option<String> = None;
-    let mut k = 8usize;
-    let mut eps = 0.1f64;
-    let mut n = 0usize;
-    let mut norm = "l2".to_string();
-    let mut seed = 0u64;
-    let mut json = false;
-    let mut every = 100_000u64;
-    let mut window = "tumbling".to_string();
-    let mut runs: Vec<String> = vec!["learn".into(), "l2".into(), "uniformity".into()];
-    let mut key_field: Option<usize> = None;
-    let mut shards = 1usize;
-    let mut fleet = false;
-    let mut socket: Option<String> = None;
-    let mut control: Option<String> = None;
-    let mut stdin = false;
-    let mut batch = 4096usize;
-    let mut flush_ms = 50u64;
-    let mut conn_buffer = 64 * 1024usize;
-    let mut budget = 4 * 1024 * 1024usize;
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--socket" => socket = Some(it.next().ok_or("--socket requires a path")?.clone()),
-            "--control" => control = Some(it.next().ok_or("--control requires a path")?.clone()),
-            "--stdin" => stdin = true,
-            "--batch" => {
-                batch = next_parsed(&mut it, "--batch")?;
-                if batch == 0 {
-                    return Err("--batch must be positive".into());
-                }
-            }
-            "--flush-ms" => flush_ms = next_parsed(&mut it, "--flush-ms")?,
-            "--conn-buffer" => {
-                conn_buffer = next_parsed(&mut it, "--conn-buffer")?;
-                if conn_buffer == 0 {
-                    return Err("--conn-buffer must be positive".into());
-                }
-            }
-            "--budget" => {
-                budget = next_parsed(&mut it, "--budget")?;
-                if budget == 0 {
-                    return Err("--budget must be positive".into());
-                }
-            }
-            "--k" => k = next_parsed(&mut it, "--k")?,
-            "--eps" => eps = next_parsed(&mut it, "--eps")?,
-            "--n" => n = next_parsed(&mut it, "--n")?,
-            "--seed" => seed = next_parsed(&mut it, "--seed")?,
-            "--every" => {
-                every = next_parsed(&mut it, "--every")?;
-                if every == 0 {
-                    return Err("--every must be positive".into());
-                }
-            }
+            "--socket" => o.socket = Some(it.next().ok_or("--socket requires a path")?.clone()),
+            "--control" => o.control = Some(it.next().ok_or("--control requires a path")?.clone()),
+            "--stdin" => o.stdin = true,
+            "--batch" => o.batch = next_positive(&mut it, "--batch", "")?,
+            "--flush-ms" => o.flush_ms = next_parsed(&mut it, "--flush-ms")?,
+            "--conn-buffer" => o.conn_buffer = next_positive(&mut it, "--conn-buffer", "")?,
+            "--budget" => o.budget = next_positive(&mut it, "--budget", "")?,
+            "--k" => o.k = next_parsed(&mut it, "--k")?,
+            "--eps" => o.eps = next_parsed(&mut it, "--eps")?,
+            "--n" => o.n = next_parsed(&mut it, "--n")?,
+            "--seed" => o.seed = next_parsed(&mut it, "--seed")?,
+            "--every" => o.every = next_positive(&mut it, "--every", "")?,
             "--key-field" => {
                 let field: usize = next_parsed(&mut it, "--key-field")?;
                 if field > 1 {
@@ -235,35 +173,28 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                          whitespace-separated fields per line), got {field}"
                     ));
                 }
-                key_field = Some(field);
+                o.key_field = Some(field);
             }
-            "--shards" => {
-                shards = next_parsed(&mut it, "--shards")?;
-                if shards == 0 {
-                    return Err("--shards must be positive (1 = unsharded)".into());
-                }
-            }
-            "--json" => json = true,
-            "--fleet" => fleet = true,
+            "--shards" => o.shards = next_positive(&mut it, "--shards", " (1 = unsharded)")?,
+            "--json" => o.json = true,
+            "--fleet" => o.fleet = true,
             "--norm" => {
-                norm = it.next().ok_or("--norm requires a value")?.clone();
-                if norm != "l1" && norm != "l2" {
-                    return Err(format!("--norm must be l1 or l2, got {norm}"));
+                o.norm = it.next().ok_or("--norm requires a value")?.clone();
+                if o.norm != "l1" && o.norm != "l2" {
+                    return Err(format!("--norm must be l1 or l2, got {}", o.norm));
                 }
             }
             "--window" => {
-                window = it.next().ok_or("--window requires a value")?.to_lowercase();
+                let window = it.next().ok_or("--window requires a value")?.to_lowercase();
                 if window != "tumbling" && window != "sliding" {
                     return Err(format!("--window must be tumbling or sliding, got {window}"));
                 }
+                o.sliding = window == "sliding";
             }
             "--run" => {
                 let list = it.next().ok_or("--run requires a value")?;
-                runs = list
-                    .split(',')
-                    .map(|s| s.trim().to_lowercase())
-                    .collect();
-                for run in &runs {
+                o.runs = list.split(',').map(|s| s.trim().to_lowercase()).collect();
+                for run in &o.runs {
                     if !matches!(run.as_str(), "learn" | "l1" | "l2" | "uniformity" | "monotone") {
                         return Err(format!(
                             "--run got unknown analysis '{run}'; valid analyses: {VALID_RUNS}"
@@ -279,98 +210,58 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             }
         }
     }
-    let need_path = |p: Option<String>| p.ok_or_else(|| "missing input path".to_string());
-    match sub {
-        "learn" => Ok(Command::Learn {
-            path: need_path(path)?,
-            k,
-            eps,
-            n,
-            seed,
-            json,
-        }),
-        "test" => Ok(Command::Test {
-            path: need_path(path)?,
-            k,
-            eps,
-            n,
-            norm,
-            seed,
-            json,
-        }),
-        "analyze" => Ok(Command::Analyze {
-            path: need_path(path)?,
-            k,
-            eps,
-            n,
-            seed,
-            json,
-            runs,
-        }),
-        "watch" => {
-            if shards > 1 && key_field.is_none() {
-                return Err(
-                    "--shards needs --key-field: sharding distributes keyed streams, and \
-                     un-keyed input is a single stream"
-                        .into(),
-                );
-            }
-            if fleet && key_field.is_none() {
-                return Err(
-                    "--fleet needs --key-field: the fleet rollup aggregates keyed \
-                     streams, and un-keyed input is a single stream"
-                        .into(),
-                );
-            }
-            Ok(Command::Watch {
-                path: need_path(path)?,
-                k,
-                eps,
-                n,
-                seed,
-                every,
-                window,
-                runs,
-                json,
-                key_field,
-                shards,
-                fleet,
-            })
+    let command: fn(Options) -> Command = match sub {
+        "learn" => Command::Learn,
+        "test" => Command::Test,
+        "analyze" => Command::Analyze,
+        "watch" => Command::Watch,
+        "serve" => Command::Serve,
+        "summarize" => Command::Summarize,
+        "help" | "--help" | "-h" => return Ok(Command::Help),
+        other => return Err(format!("unknown subcommand {other}")),
+    };
+    if sub == "watch" && o.key_field.is_none() {
+        if o.shards > 1 {
+            return Err(
+                "--shards needs --key-field: sharding distributes keyed streams, and \
+                 un-keyed input is a single stream"
+                    .into(),
+            );
         }
-        "serve" => {
-            if path.is_some() {
-                return Err(
-                    "serve takes no input path: records arrive over --socket and/or stdin"
-                        .into(),
-                );
-            }
-            Ok(Command::Serve {
-                // No socket means stdin is the only possible source.
-                stdin: stdin || socket.is_none(),
-                socket,
-                control,
-                k,
-                eps,
-                n,
-                seed,
-                every,
-                window,
-                runs,
-                key_field: key_field.unwrap_or(0),
-                shards,
-                batch,
-                flush_ms,
-                conn_buffer,
-                budget,
-            })
+        if o.fleet {
+            return Err(
+                "--fleet needs --key-field: the fleet rollup aggregates keyed \
+                 streams, and un-keyed input is a single stream"
+                    .into(),
+            );
         }
-        "summarize" => Ok(Command::Summarize {
-            path: need_path(path)?,
-            n,
-        }),
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        other => Err(format!("unknown subcommand {other}")),
     }
+    if sub == "serve" {
+        if path.is_some() {
+            return Err(
+                "serve takes no input path: records arrive over --socket and/or stdin".into(),
+            );
+        }
+        // No socket means stdin is the only possible source.
+        o.stdin |= o.socket.is_none();
+        o.key_field.get_or_insert(0);
+    } else {
+        o.path = path.ok_or("missing input path")?;
+    }
+    Ok(command(o))
+}
+
+/// [`next_parsed`], rejecting zero with `"{flag} must be positive{note}"`.
+fn next_positive<'a, T: std::str::FromStr + Default + PartialEq>(
+    it: &mut impl Iterator<Item = &'a String>,
+    flag: &str,
+    note: &str,
+) -> Result<T, String> {
+    let value = next_parsed(it, flag)?;
+    if value == T::default() {
+        return Err(format!("{flag} must be positive{note}"));
+    }
+    Ok(value)
 }
 
 fn next_parsed<'a, T: std::str::FromStr>(
@@ -569,38 +460,6 @@ pub fn reports_to_json(reports: &[Report]) -> String {
         .expect("reports serialize finite numbers only (non-finite statistics become null)")
 }
 
-/// Configuration of one `khist watch` run (already validated by
-/// [`parse_args`] / [`dispatch`]).
-#[derive(Debug, Clone)]
-pub struct WatchOptions {
-    /// Number of pieces for `learn`/`l1`/`l2`.
-    pub k: usize,
-    /// Accuracy parameter.
-    pub eps: f64,
-    /// Domain size (must be resolved — watch cannot infer from a stream).
-    pub n: usize,
-    /// Seed for the window reservoirs.
-    pub seed: u64,
-    /// Report cadence in records.
-    pub every: u64,
-    /// Sliding windows (span = 4 × `every`) instead of tumbling.
-    pub sliding: bool,
-    /// Which analyses each window runs.
-    pub runs: Vec<String>,
-    /// Emit JSONL instead of human text.
-    pub json: bool,
-    /// Keyed input: which of the two whitespace-separated fields per line
-    /// is the stream key (`None` = un-keyed single-stream input).
-    pub key_field: Option<usize>,
-    /// Worker shards stream keys are hashed onto (`1` = unsharded; only
-    /// meaningful with `key_field`).
-    pub shards: usize,
-    /// Interleave fleet-level rollup lines next to the per-stream output:
-    /// one after every chunk that reported a window, plus a final rollup
-    /// after the tails (requires `key_field`).
-    pub fleet: bool,
-}
-
 /// How many steps a sliding `khist watch` window covers.
 const SLIDING_STEPS: u64 = 4;
 
@@ -646,15 +505,9 @@ pub fn render_fleet(report: &FleetReport, json: bool) -> String {
 /// The window policy `--every` and `--window` select (sliding windows
 /// cover [`SLIDING_STEPS`] steps of `every`), and the standing batch
 /// sized to the window's span — the setup `watch` and `serve` share.
-fn window_and_batch(
-    n: usize,
-    k: usize,
-    eps: f64,
-    every: u64,
-    sliding: bool,
-    runs: &[String],
-) -> Result<(Window, Vec<Analysis>), String> {
-    let window = if sliding {
+fn window_and_batch(o: &Options) -> Result<(Window, Vec<Analysis>), String> {
+    let every = o.every;
+    let window = if o.sliding {
         let span = every
             .checked_mul(SLIDING_STEPS)
             .ok_or_else(|| format!("--every {every} overflows the sliding span"))?;
@@ -663,7 +516,7 @@ fn window_and_batch(
         Window::Tumbling { span: every }
     };
     let (Window::Tumbling { span } | Window::Sliding { span, .. }) = window;
-    let batch = analyze_batch(n, k, eps, span as usize, runs)?;
+    let batch = analyze_batch(o.n, o.k, o.eps, span as usize, &o.runs)?;
     Ok((window, batch))
 }
 
@@ -707,7 +560,7 @@ fn emit_windows<W: std::io::Write>(
 pub fn run_watch<R: std::io::BufRead, W: std::io::Write>(
     input: R,
     out: &mut W,
-    opts: &WatchOptions,
+    opts: &Options,
 ) -> Result<String, String> {
     if opts.n == 0 {
         return Err("watch needs a declared domain (--n)".into());
@@ -722,14 +575,7 @@ pub fn run_watch<R: std::io::BufRead, W: std::io::Write>(
                 .into(),
         );
     }
-    let (window, batch) = window_and_batch(
-        opts.n,
-        opts.k,
-        opts.eps,
-        opts.every,
-        opts.sliding,
-        &opts.runs,
-    )?;
+    let (window, batch) = window_and_batch(opts)?;
     let mut monitor = Monitor::builder(opts.n)
         .seed(opts.seed)
         .analyses(batch)
@@ -787,9 +633,8 @@ pub fn run_watch<R: std::io::BufRead, W: std::io::Write>(
 }
 
 /// The keyed flavour of [`run_watch`]: demultiplexes `key value` lines
-/// onto a sharded [`Engine`] (one [`Monitor`]-equivalent state machine
-/// per stream key) and emits every stream's window reports as they
-/// complete, tagged by stream. Per-stream output is bit-identical for
+/// onto a sharded [`Engine`] (one [`Monitor`] per stream key) and emits
+/// every stream's window reports as they complete, tagged by stream. Per-stream output is bit-identical for
 /// every `--shards` value; the interleaving is deterministic (sorted by
 /// stream, then window, within each ingested chunk).
 ///
@@ -800,17 +645,10 @@ pub fn run_watch<R: std::io::BufRead, W: std::io::Write>(
 fn run_watch_keyed<R: std::io::BufRead, W: std::io::Write>(
     input: R,
     out: &mut W,
-    opts: &WatchOptions,
+    opts: &Options,
     field: usize,
 ) -> Result<String, String> {
-    let (window, batch) = window_and_batch(
-        opts.n,
-        opts.k,
-        opts.eps,
-        opts.every,
-        opts.sliding,
-        &opts.runs,
-    )?;
+    let (window, batch) = window_and_batch(opts)?;
     let mut engine = Engine::builder(opts.n)
         .seed(opts.seed)
         .shards(opts.shards)
@@ -1021,159 +859,92 @@ pub fn dispatch(cmd: Command) -> Result<String, String> {
     };
     match cmd {
         Command::Help => Ok(usage().to_string()),
-        Command::Learn {
-            path,
-            k,
-            eps,
-            n,
-            seed,
-            json,
-        } => {
-            let mut oracle = open(&path, n, seed)?;
+        Command::Learn(o) => {
+            let mut oracle = open(&o.path, o.n, o.seed)?;
             let available = oracle.records() as usize;
-            let report = run_learn_with(&mut oracle, k, eps, available, seed)?;
-            Ok(if json {
+            let report = run_learn_with(&mut oracle, o.k, o.eps, available, o.seed)?;
+            Ok(if o.json {
                 format!("{}\n", report.to_json())
             } else {
                 render_learn(&report)
             })
         }
-        Command::Test {
-            path,
-            k,
-            eps,
-            n,
-            norm,
-            seed,
-            json,
-        } => {
-            let mut oracle = open(&path, n, seed)?;
+        Command::Test(o) => {
+            let mut oracle = open(&o.path, o.n, o.seed)?;
             let available = oracle.records() as usize;
-            let report = run_test_with(&mut oracle, k, eps, &norm, available, seed)?;
-            Ok(if json {
+            let report = run_test_with(&mut oracle, o.k, o.eps, &o.norm, available, o.seed)?;
+            Ok(if o.json {
                 format!("{}\n", report.to_json())
             } else {
-                render_test(&report, k)
+                render_test(&report, o.k)
             })
         }
-        Command::Analyze {
-            path,
-            k,
-            eps,
-            n,
-            seed,
-            json,
-            runs,
-        } => {
-            let mut oracle = open(&path, n, seed)?;
+        Command::Analyze(o) => {
+            let mut oracle = open(&o.path, o.n, o.seed)?;
             let available = oracle.records() as usize;
             let (reports, ledger) =
-                run_analyze_with(&mut oracle, k, eps, &runs, available, seed)?;
+                run_analyze_with(&mut oracle, o.k, o.eps, &o.runs, available, o.seed)?;
             debug_assert_eq!(oracle.passes(), 1, "analyze must make exactly one pass");
-            Ok(if json {
+            Ok(if o.json {
                 format!("{}\n", reports_to_json(&reports))
             } else {
                 render_analyze(&reports, &ledger)
             })
         }
-        Command::Watch {
-            path,
-            k,
-            eps,
-            n,
-            seed,
-            every,
-            window,
-            runs,
-            json,
-            key_field,
-            shards,
-            fleet,
-        } => {
-            let n = if n > 0 {
-                n
-            } else if key_field.is_some() {
-                return Err(
-                    "watch --key-field needs an explicit --n: keyed records cannot be \
-                     pre-scanned by the record-file oracle to infer their domain"
-                        .into(),
-                );
-            } else if path == "-" {
-                return Err(
-                    "watch - (stdin) needs an explicit --n: a live stream cannot be \
-                     pre-scanned to infer its domain"
-                        .into(),
-                );
-            } else {
+        Command::Watch(mut o) => {
+            if o.n == 0 {
+                if o.key_field.is_some() {
+                    return Err(
+                        "watch --key-field needs an explicit --n: keyed records cannot be \
+                         pre-scanned by the record-file oracle to infer their domain"
+                            .into(),
+                    );
+                }
+                if o.path == "-" {
+                    return Err(
+                        "watch - (stdin) needs an explicit --n: a live stream cannot be \
+                         pre-scanned to infer its domain"
+                            .into(),
+                    );
+                }
                 // A file input can be pre-scanned the way `learn`/`test`
                 // do it; reuse the oracle's validating scan.
-                open(&path, 0, seed)?.domain_size()
-            };
-            let opts = WatchOptions {
-                k,
-                eps,
-                n,
-                seed,
-                every,
-                sliding: window == "sliding",
-                runs,
-                json,
-                key_field,
-                shards,
-                fleet,
-            };
+                o.n = open(&o.path, 0, o.seed)?.domain_size();
+            }
             let stdout = std::io::stdout();
-            if path == "-" {
+            if o.path == "-" {
                 let stdin = std::io::stdin();
-                run_watch(stdin.lock(), &mut stdout.lock(), &opts)
+                run_watch(stdin.lock(), &mut stdout.lock(), &o)
             } else {
-                let file = std::fs::File::open(&path).map_err(|e| format!("{path}: {e}"))?;
-                run_watch(std::io::BufReader::new(file), &mut stdout.lock(), &opts)
+                let file = std::fs::File::open(&o.path).map_err(|e| format!("{}: {e}", o.path))?;
+                run_watch(std::io::BufReader::new(file), &mut stdout.lock(), &o)
             }
         }
-        Command::Serve {
-            socket,
-            control,
-            stdin,
-            k,
-            eps,
-            n,
-            seed,
-            every,
-            window,
-            runs,
-            key_field,
-            shards,
-            batch,
-            flush_ms,
-            conn_buffer,
-            budget,
-        } => {
-            if n == 0 {
+        Command::Serve(o) => {
+            if o.n == 0 {
                 return Err(
                     "serve needs an explicit --n: a live stream cannot be pre-scanned to \
                      infer its domain"
                         .into(),
                 );
             }
-            let (policy, analyses) =
-                window_and_batch(n, k, eps, every, window == "sliding", &runs)?;
-            let engine = Engine::builder(n)
-                .seed(seed)
-                .shards(shards)
+            let (policy, analyses) = window_and_batch(&o)?;
+            let engine = Engine::builder(o.n)
+                .seed(o.seed)
+                .shards(o.shards)
                 .analyses(analyses)
                 .window(policy)
                 .build()
                 .map_err(fmt_err)?;
             let cfg = khist_serve::ServerConfig {
-                socket: socket.map(std::path::PathBuf::from),
-                control: control.map(std::path::PathBuf::from),
-                stdin,
-                key_field,
-                batch_records: batch,
-                flush_ms,
-                conn_buffer,
-                global_budget: budget,
+                socket: o.socket.map(std::path::PathBuf::from),
+                control: o.control.map(std::path::PathBuf::from),
+                stdin: o.stdin,
+                key_field: o.key_field.unwrap_or(0),
+                batch_records: o.batch,
+                flush_ms: o.flush_ms,
+                conn_buffer: o.conn_buffer,
+                global_budget: o.budget,
             };
             let stdout = std::io::stdout();
             let summary = khist_serve::run(engine, cfg, &mut stdout.lock())?;
@@ -1189,8 +960,8 @@ pub fn dispatch(cmd: Command) -> Result<String, String> {
             );
             Ok(String::new())
         }
-        Command::Summarize { path, n } => {
-            let mut oracle = open(&path, n, 0)?;
+        Command::Summarize(o) => {
+            let mut oracle = open(&o.path, o.n, 0)?;
             let set = oracle.draw_set(oracle.records() as usize);
             render_summary(&set, oracle.domain_size())
         }
@@ -1235,14 +1006,15 @@ mod tests {
         let cmd = parse_args(&strings(&["learn", "data.txt"])).unwrap();
         assert_eq!(
             cmd,
-            Command::Learn {
+            Command::Learn(Options {
                 path: "data.txt".into(),
                 k: 8,
                 eps: 0.1,
                 n: 0,
                 seed: 0,
                 json: false,
-            }
+                ..Options::default()
+            })
         );
     }
 
@@ -1254,7 +1026,7 @@ mod tests {
         .unwrap();
         assert_eq!(
             cmd,
-            Command::Test {
+            Command::Test(Options {
                 path: "d.txt".into(),
                 k: 4,
                 eps: 0.3,
@@ -1262,7 +1034,8 @@ mod tests {
                 norm: "l1".into(),
                 seed: 9,
                 json: true,
-            }
+                ..Options::default()
+            })
         );
     }
 
@@ -1270,10 +1043,10 @@ mod tests {
     fn parse_args_analyze() {
         let cmd = parse_args(&strings(&["analyze", "d.txt", "--k", "3"])).unwrap();
         match cmd {
-            Command::Analyze { k, runs, json, .. } => {
-                assert_eq!(k, 3);
-                assert!(!json);
-                assert_eq!(runs, vec!["learn", "l2", "uniformity"]);
+            Command::Analyze(o) => {
+                assert_eq!(o.k, 3);
+                assert!(!o.json);
+                assert_eq!(o.runs, vec!["learn", "l2", "uniformity"]);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -1282,9 +1055,9 @@ mod tests {
         ]))
         .unwrap();
         match cmd {
-            Command::Analyze { runs, json, .. } => {
-                assert!(json);
-                assert_eq!(runs, vec!["l1", "monotone"]);
+            Command::Analyze(o) => {
+                assert!(o.json);
+                assert_eq!(o.runs, vec!["l1", "monotone"]);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -1296,17 +1069,9 @@ mod tests {
         // No socket: stdin is implied.
         let cmd = parse_args(&strings(&["serve", "--n", "64"])).unwrap();
         match cmd {
-            Command::Serve {
-                stdin,
-                socket,
-                control,
-                key_field,
-                batch,
-                flush_ms,
-                ..
-            } => {
-                assert!(stdin && socket.is_none() && control.is_none());
-                assert_eq!((key_field, batch, flush_ms), (0, 4096, 50));
+            Command::Serve(o) => {
+                assert!(o.stdin && o.socket.is_none() && o.control.is_none());
+                assert_eq!((o.key_field, o.batch, o.flush_ms), (Some(0), 4096, 50));
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -1318,24 +1083,13 @@ mod tests {
         ]))
         .unwrap();
         match cmd {
-            Command::Serve {
-                stdin,
-                socket,
-                control,
-                key_field,
-                shards,
-                batch,
-                flush_ms,
-                conn_buffer,
-                budget,
-                ..
-            } => {
-                assert!(!stdin);
-                assert_eq!(socket.as_deref(), Some("/tmp/k.sock"));
-                assert_eq!(control.as_deref(), Some("/tmp/c.sock"));
+            Command::Serve(o) => {
+                assert!(!o.stdin);
+                assert_eq!(o.socket.as_deref(), Some("/tmp/k.sock"));
+                assert_eq!(o.control.as_deref(), Some("/tmp/c.sock"));
                 assert_eq!(
-                    (key_field, shards, batch, flush_ms, conn_buffer, budget),
-                    (1, 4, 512, 10, 1024, 8192)
+                    (o.key_field, o.shards, o.batch, o.flush_ms, o.conn_buffer, o.budget),
+                    (Some(1), 4, 512, 10, 1024, 8192)
                 );
             }
             other => panic!("unexpected {other:?}"),
@@ -1352,19 +1106,12 @@ mod tests {
         ]))
         .unwrap();
         match cmd {
-            Command::Watch {
-                path,
-                every,
-                window,
-                n,
-                json,
-                ..
-            } => {
-                assert_eq!(path, "-");
-                assert_eq!(every, 5000);
-                assert_eq!(window, "sliding");
-                assert_eq!(n, 64);
-                assert!(json);
+            Command::Watch(o) => {
+                assert_eq!(o.path, "-");
+                assert_eq!(o.every, 5000);
+                assert!(o.sliding);
+                assert_eq!(o.n, 64);
+                assert!(o.json);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -1383,7 +1130,7 @@ mod tests {
         // --run matching is case-insensitive.
         let cmd = parse_args(&strings(&["analyze", "d.txt", "--run", "Learn,L2"])).unwrap();
         match cmd {
-            Command::Analyze { runs, .. } => assert_eq!(runs, vec!["learn", "l2"]),
+            Command::Analyze(o) => assert_eq!(o.runs, vec!["learn", "l2"]),
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -1398,7 +1145,7 @@ mod tests {
             .map(|s| s.to_string())
             .collect::<Vec<_>>()
             .join("\n");
-        let opts = WatchOptions {
+        let opts = Options {
             k: 4,
             eps: 0.25,
             n: 64,
@@ -1410,6 +1157,7 @@ mod tests {
             key_field: None,
             shards: 1,
             fleet: false,
+            ..Options::default()
         };
         let mut out = Vec::new();
         let summary = run_watch(text.as_bytes(), &mut out, &opts).unwrap();
@@ -1432,7 +1180,7 @@ mod tests {
             .map(|s| s.to_string())
             .collect::<Vec<_>>()
             .join("\n");
-        let opts = WatchOptions {
+        let opts = Options {
             k: 4,
             eps: 0.25,
             n: 64,
@@ -1444,6 +1192,7 @@ mod tests {
             key_field: None,
             shards: 1,
             fleet: false,
+            ..Options::default()
         };
         let mut out = Vec::new();
         let summary = run_watch(text.as_bytes(), &mut out, &opts).unwrap();
@@ -1462,7 +1211,7 @@ mod tests {
 
     #[test]
     fn watch_rejects_streams_it_cannot_size() {
-        let opts = WatchOptions {
+        let opts = Options {
             k: 2,
             eps: 0.3,
             n: 0,
@@ -1474,32 +1223,34 @@ mod tests {
             key_field: None,
             shards: 1,
             fleet: false,
+            ..Options::default()
         };
         let mut out = Vec::new();
         let err = run_watch("1\n2\n".as_bytes(), &mut out, &opts).unwrap_err();
         assert!(err.contains("--n"), "{err}");
 
-        let err = dispatch(Command::Watch {
+        let err = dispatch(Command::Watch(Options {
             path: "-".into(),
             k: 2,
             eps: 0.3,
             n: 0,
             seed: 0,
             every: 100,
-            window: "tumbling".into(),
+            sliding: false,
             runs: strings(&["uniformity"]),
             json: false,
             key_field: None,
             shards: 1,
             fleet: false,
-        })
+            ..Options::default()
+        }))
         .unwrap_err();
         assert!(err.contains("--n") && err.contains("stdin"), "{err}");
     }
 
     #[test]
     fn watch_reports_bad_records_with_line_numbers() {
-        let opts = WatchOptions {
+        let opts = Options {
             k: 2,
             eps: 0.3,
             n: 16,
@@ -1511,6 +1262,7 @@ mod tests {
             key_field: None,
             shards: 1,
             fleet: false,
+            ..Options::default()
         };
         let mut out = Vec::new();
         let err = run_watch("1\nfoo\n".as_bytes(), &mut out, &opts).unwrap_err();
@@ -1527,11 +1279,9 @@ mod tests {
         ]))
         .unwrap();
         match cmd {
-            Command::Watch {
-                key_field, shards, ..
-            } => {
-                assert_eq!(key_field, Some(0));
-                assert_eq!(shards, 4);
+            Command::Watch(o) => {
+                assert_eq!(o.key_field, Some(0));
+                assert_eq!(o.shards, 4);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -1551,7 +1301,7 @@ mod tests {
         ]))
         .unwrap();
         match cmd {
-            Command::Watch { fleet, .. } => assert!(fleet),
+            Command::Watch(o) => assert!(o.fleet),
             other => panic!("unexpected {other:?}"),
         }
         // Documented in --help.
@@ -1560,8 +1310,8 @@ mod tests {
         assert!(help.contains("--fleet") && help.contains("FLEET"), "{help}");
     }
 
-    fn keyed_opts(shards: usize, json: bool) -> WatchOptions {
-        WatchOptions {
+    fn keyed_opts(shards: usize, json: bool) -> Options {
+        Options {
             k: 2,
             eps: 0.25,
             n: 64,
@@ -1573,6 +1323,7 @@ mod tests {
             key_field: Some(0),
             shards,
             fleet: false,
+            ..Options::default()
         }
     }
 
@@ -1727,20 +1478,21 @@ mod tests {
         assert!(run_watch("3 api\n".as_bytes(), &mut out, &opts).is_ok());
 
         // Keyed watch cannot infer a domain: dispatch demands --n.
-        let err = dispatch(Command::Watch {
+        let err = dispatch(Command::Watch(Options {
             path: "-".into(),
             k: 2,
             eps: 0.3,
             n: 0,
             seed: 0,
             every: 100,
-            window: "tumbling".into(),
+            sliding: false,
             runs: strings(&["uniformity"]),
             json: false,
             key_field: Some(0),
             shards: 2,
             fleet: false,
-        })
+            ..Options::default()
+        }))
         .unwrap_err();
         assert!(err.contains("--n") && err.contains("key"), "{err}");
     }
@@ -1774,7 +1526,7 @@ mod tests {
     fn parse_args_seed_flag() {
         let cmd = parse_args(&strings(&["learn", "d.txt", "--seed", "12345"])).unwrap();
         match cmd {
-            Command::Learn { seed, .. } => assert_eq!(seed, 12345),
+            Command::Learn(o) => assert_eq!(o.seed, 12345),
             other => panic!("unexpected {other:?}"),
         }
         assert!(parse_args(&strings(&["learn", "d.txt", "--seed"])).is_err());
@@ -1806,10 +1558,11 @@ mod tests {
         assert_eq!(oracle.records(), 3);
         assert_eq!(oracle.domain_size(), 8);
         assert_eq!(oracle.draw_set(3), SampleSet::from_samples(vec![3, 7, 0]));
-        let summary = dispatch(Command::Summarize {
+        let summary = dispatch(Command::Summarize(Options {
             path: path.clone(),
             n: 0,
-        })
+            ..Options::default()
+        }))
         .unwrap();
         assert!(summary.contains("samples: 3\ndomain: [0, 8)"), "{summary}");
         std::fs::remove_file(&path).ok();
@@ -1824,10 +1577,11 @@ mod tests {
             ("only-comments", "# only comments\n", "no records in input"),
         ] {
             let path = temp_text(text, tag);
-            let err = dispatch(Command::Summarize {
+            let err = dispatch(Command::Summarize(Options {
                 path: path.clone(),
                 n: 0,
-            })
+                ..Options::default()
+            }))
             .unwrap_err();
             assert!(err.contains(expect), "{tag}: {err}");
             std::fs::remove_file(&path).ok();
@@ -1840,14 +1594,15 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(14);
         let p = khist_dist::generators::two_level(64, 0.25, 0.75).unwrap();
         let path = temp_file(&p.sample_many(30_000, &mut rng), "learn");
-        let learn = |json: bool| Command::Learn {
+        let learn = |json: bool| Command::Learn(Options {
             path: path.clone(),
             k: 2,
             eps: 0.15,
             n: 64,
             seed: 7,
             json,
-        };
+            ..Options::default()
+        });
         let report = dispatch(learn(false)).unwrap();
         assert!(report.contains("2-piece"), "report: {report}");
         assert!(report.contains("[0, 64)"), "report: {report}");
@@ -1868,7 +1623,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(15);
         let flat = khist_dist::generators::staircase(64, 4).unwrap();
         let path = temp_file(&flat.sample_many(100_000, &mut rng), "test");
-        let verdict = dispatch(Command::Test {
+        let verdict = dispatch(Command::Test(Options {
             path: path.clone(),
             k: 4,
             eps: 0.25,
@@ -1876,10 +1631,11 @@ mod tests {
             norm: "l2".into(),
             seed: 3,
             json: false,
-        })
+            ..Options::default()
+        }))
         .unwrap();
         assert!(verdict.contains("Accept"), "{verdict}");
-        let json = dispatch(Command::Test {
+        let json = dispatch(Command::Test(Options {
             path: path.clone(),
             k: 4,
             eps: 0.25,
@@ -1887,7 +1643,8 @@ mod tests {
             norm: "l2".into(),
             seed: 3,
             json: true,
-        })
+            ..Options::default()
+        }))
         .unwrap();
         let parsed = Report::from_json(json.trim()).unwrap();
         assert_eq!(parsed.analysis, AnalysisKind::TestL2);
@@ -1900,7 +1657,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(10);
         let verdict = |samples: &[usize], k: usize, eps: f64, tag: &str| {
             let path = temp_file(samples, tag);
-            let verdict = dispatch(Command::Test {
+            let verdict = dispatch(Command::Test(Options {
                 path: path.clone(),
                 k,
                 eps,
@@ -1908,7 +1665,8 @@ mod tests {
                 norm: "l2".into(),
                 seed: 3,
                 json: false,
-            })
+                ..Options::default()
+            }))
             .unwrap();
             std::fs::remove_file(&path).ok();
             verdict
@@ -1930,7 +1688,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(16);
         let p = khist_dist::generators::staircase(64, 4).unwrap();
         let path = temp_file(&p.sample_many(60_000, &mut rng), "analyze");
-        let human = dispatch(Command::Analyze {
+        let human = dispatch(Command::Analyze(Options {
             path: path.clone(),
             k: 4,
             eps: 0.25,
@@ -1938,13 +1696,14 @@ mod tests {
             seed: 5,
             json: false,
             runs: strings(&["learn", "l2", "uniformity", "monotone"]),
-        })
+            ..Options::default()
+        }))
         .unwrap();
         assert!(human.contains("4 analyses"), "{human}");
         assert!(human.contains("ledger:"), "{human}");
         assert!(human.contains("draw"), "{human}");
 
-        let json = dispatch(Command::Analyze {
+        let json = dispatch(Command::Analyze(Options {
             path: path.clone(),
             k: 4,
             eps: 0.25,
@@ -1952,7 +1711,8 @@ mod tests {
             seed: 5,
             json: true,
             runs: strings(&["learn", "l2", "uniformity"]),
-        })
+            ..Options::default()
+        }))
         .unwrap();
         let value = serde::json::from_str(json.trim()).expect("valid JSON");
         let reports = value.as_seq().expect("JSON array");
@@ -1988,14 +1748,15 @@ mod tests {
         // An explicit --n smaller than a record must produce a clear error
         // (not a panic deep inside sample-set construction).
         let path = temp_file(&[1, 2, 99], "baddomain");
-        let err = dispatch(Command::Learn {
+        let err = dispatch(Command::Learn(Options {
             path: path.clone(),
             k: 2,
             eps: 0.2,
             n: 50,
             seed: 0,
             json: false,
-        })
+            ..Options::default()
+        }))
         .unwrap_err();
         assert!(
             err.contains("record 99") && err.contains("[0, 50)"),
@@ -2008,10 +1769,11 @@ mod tests {
     fn summarize_reports_entropy() {
         let samples: Vec<usize> = (0..64).flat_map(|v| std::iter::repeat_n(v, 10)).collect();
         let path = temp_file(&samples, "summarize");
-        let report = dispatch(Command::Summarize {
+        let report = dispatch(Command::Summarize(Options {
             path: path.clone(),
             n: 0,
-        })
+            ..Options::default()
+        }))
         .unwrap();
         assert!(report.contains("samples: 640"), "{report}");
         assert!(report.contains("distinct values: 64"), "{report}");
@@ -2041,21 +1803,23 @@ mod tests {
 
     #[test]
     fn dispatch_missing_file() {
-        let err = dispatch(Command::Summarize {
+        let err = dispatch(Command::Summarize(Options {
             path: "/nonexistent/x.txt".into(),
             n: 0,
-        })
+            ..Options::default()
+        }))
         .unwrap_err();
         assert!(err.contains("/nonexistent/x.txt"));
 
-        let err = dispatch(Command::Learn {
+        let err = dispatch(Command::Learn(Options {
             path: "/nonexistent/x.txt".into(),
             k: 2,
             eps: 0.2,
             n: 0,
             seed: 0,
             json: false,
-        })
+            ..Options::default()
+        }))
         .unwrap_err();
         assert!(err.contains("/nonexistent/x.txt"));
     }

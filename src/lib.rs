@@ -88,7 +88,7 @@
 //! For fleets of keyed streams (per-tenant, per-endpoint), the
 //! [`api::Engine`] lifts the same property one level up: stream keys hash
 //! onto a shared-nothing pool of worker shards, each owning the pure
-//! per-stream state machines ([`api::MonitorState`]) for its keys, with
+//! per-stream state machines ([`api::Monitor`]) for its keys, with
 //! per-stream seeds derived as `Engine::stream_seed(base_seed, key)` — so
 //! a sharded run is **bit-identical per stream** to a dedicated
 //! single-threaded `Monitor` on that stream's records, for any shard
@@ -171,8 +171,8 @@ pub mod prelude {
     };
     pub use khist_core::api::{
         Analysis, AnalysisKind, BudgetSpec, ClosenessL2, Engine, EngineBuilder, FleetReport,
-        FleetSummary, IdentityL2, Learn, Monitor, MonitorBuilder, MonitorState, Monotone,
-        Report, SamplePlan, Session, TestL1, TestL2, TopStream, Uniformity, WindowReport,
+        FleetSummary, IdentityL2, Learn, Monitor, MonitorBuilder, Monotone, Report, SamplePlan,
+        Session, TestL1, TestL2, TopStream, Uniformity, WindowReport,
     };
     pub use khist_core::compress::compress_to_k;
     pub use khist_core::greedy::{learn, learn_from_samples, CandidatePolicy, GreedyParams};

@@ -130,14 +130,15 @@ fn cli_pipeline_matches_library_results() {
     let path = std::env::temp_dir().join(format!("khist-shape-cli-{}.txt", std::process::id()));
     let text: String = samples.iter().map(|s| format!("{s}\n")).collect();
     std::fs::write(&path, text).unwrap();
-    let report = khist::app::dispatch(khist::app::Command::Learn {
+    let report = khist::app::dispatch(khist::app::Command::Learn(khist::app::Options {
         path: path.to_string_lossy().into_owned(),
         k: 2,
         eps: 0.15,
         n: 64,
         seed: 0,
         json: false,
-    })
+        ..Default::default()
+    }))
     .unwrap();
     std::fs::remove_file(&path).ok();
     assert!(report.contains("2-piece"), "{report}");
