@@ -5,12 +5,17 @@
 //! `J`. Operationally the priority histogram therefore always induces a
 //! **tiling** of `[n]`: inserting `J` deletes every piece it fully covers
 //! and trims the two straddling pieces. [`TilingState`] maintains that
-//! tiling in a `BTreeMap` keyed by piece start, together with the running
-//! cost `Σ_I (z_I − y_I²/|I|)`, so that
+//! tiling in a `BTreeMap` keyed by piece start, together with each piece's
+//! cached cost and the running total `Σ_I (z_I − y_I²/|I|)`, so that
 //!
-//! * previewing a candidate insertion costs `O(overlap + log k)` cost-oracle
-//!   calls (the greedy's hot loop), and
-//! * committing an insertion is the same plus map surgery.
+//! * scoring a candidate `J` in the greedy's hot loop makes no cost-oracle
+//!   call: the cost it removes is [`TilingState::overlap_cost`], one
+//!   `O(log k + overlap)` map walk summing cached costs, and the greedy
+//!   costs what it adds (`J` and the trims of the pieces holding its ends,
+//!   found with [`TilingState::piece_containing`]) once per window or
+//!   iteration, not per candidate;
+//! * committing an insertion makes one oracle call per new piece (`≤ 3`)
+//!   plus map surgery.
 
 use khist_dist::{DistError, Interval};
 
@@ -67,43 +72,36 @@ impl TilingState {
             .map(|(&lo, &(hi, _))| Interval::new(lo, hi).expect("valid piece"))
     }
 
-    /// Start of the piece containing `i`: the last piece starting ≤ `i`.
-    /// The pieces overlapping an interval `j` are then the map range
-    /// `piece_start(j.lo())..=j.hi()`, in tiling order.
-    fn piece_start(&self, i: usize) -> usize {
-        *self
-            .pieces
+    /// The piece holding index `i` (`i < n`): the last piece starting at or
+    /// before `i`.
+    pub fn piece_containing(&self, i: usize) -> Interval {
+        debug_assert!(i < self.n);
+        self.pieces
             .range(..=i)
             .next_back()
-            // lint:allow(no-panic): the tiling always has a piece starting at index 0
+            .and_then(|(&lo, &(hi, _))| Interval::new(lo, hi).ok())
+            // lint:allow(no-panic): the tiling always has a piece starting at index 0, and lo <= hi holds for every stored piece
             .expect("tiling always covers index 0")
-            .0
     }
 
-    /// The total cost the state would have after inserting `j`, without
-    /// mutating anything. This is the greedy's candidate score `c_J`.
-    pub fn preview_insert(&self, j: Interval, oracle: &impl CostOracle) -> f64 {
+    /// Start of the piece containing `i`. The pieces overlapping an
+    /// interval `j` are then the map range `piece_start(j.lo())..=j.hi()`,
+    /// in tiling order.
+    fn piece_start(&self, i: usize) -> usize {
+        self.piece_containing(i).lo()
+    }
+
+    /// The cached costs of the pieces `j` overlaps, summed in tiling order:
+    /// what inserting `j` removes from [`TilingState::total_cost`]. The
+    /// greedy's score for `j` is `total_cost − overlap_cost(j) + added`,
+    /// `added` being the cost of `j` plus, when non-empty, the left trim
+    /// and then the right trim.
+    pub fn overlap_cost(&self, j: Interval) -> f64 {
         debug_assert!(j.hi() < self.n);
-        let first_lo = self.piece_start(j.lo());
-        let mut last_hi = j.hi();
-        let removed: f64 = self
-            .pieces
-            .range(first_lo..=j.hi())
-            .map(|(_, &(hi, cost))| {
-                last_hi = hi;
-                cost
-            })
-            .sum();
-        let mut added = oracle.piece_cost(j);
-        if first_lo < j.lo() {
-            // lint:allow(no-panic): first_lo < j.lo() guards the trim bounds
-            added += oracle.piece_cost(Interval::new(first_lo, j.lo() - 1).expect("left trim"));
-        }
-        if last_hi > j.hi() {
-            // lint:allow(no-panic): last_hi > j.hi() guards the trim bounds
-            added += oracle.piece_cost(Interval::new(j.hi() + 1, last_hi).expect("right trim"));
-        }
-        self.total_cost - removed + added
+        self.pieces
+            .range(self.piece_start(j.lo())..=j.hi())
+            .map(|(_, &(_, cost))| cost)
+            .sum()
     }
 
     /// Inserts `j` at top priority: deletes covered pieces, trims straddling
@@ -167,6 +165,22 @@ mod tests {
 
     fn iv(lo: usize, hi: usize) -> Interval {
         Interval::new(lo, hi).unwrap()
+    }
+
+    /// The greedy's score for inserting `j`, from the state's primitives:
+    /// the total, less the overlapped pieces, plus `j`, the left trim and
+    /// the right trim.
+    fn preview(st: &TilingState, j: Interval, o: &impl CostOracle) -> f64 {
+        let first = st.piece_containing(j.lo());
+        let last = st.piece_containing(j.hi());
+        let mut added = o.piece_cost(j);
+        if first.lo() < j.lo() {
+            added += o.piece_cost(iv(first.lo(), j.lo() - 1));
+        }
+        if last.hi() > j.hi() {
+            added += o.piece_cost(iv(j.hi() + 1, last.hi()));
+        }
+        st.total_cost() - st.overlap_cost(j) + added
     }
 
     #[test]
@@ -251,7 +265,7 @@ mod tests {
             (6, 11),
         ] {
             let j = iv(lo, hi);
-            let preview = st.preview_insert(j, &o);
+            let preview = preview(&st, j, &o);
             let mut copy = st.clone();
             copy.insert(j, &o);
             assert!(
@@ -291,7 +305,7 @@ mod tests {
             for &(a, b) in &ops {
                 let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
                 let j = iv(lo, hi);
-                let preview = st.preview_insert(j, &o);
+                let preview = preview(&st, j, &o);
                 let created = st.insert(j, &o);
                 prop_assert!(st.check_invariants());
                 prop_assert!((preview - st.total_cost()).abs() < 1e-9);

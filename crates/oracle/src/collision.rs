@@ -44,17 +44,25 @@ pub fn conditional_collision_estimate(set: &SampleSet, iv: Interval) -> Option<f
 
 /// Median over the defined values of an iterator; `None` when all are `None`.
 fn median_of(values: impl Iterator<Item = f64>) -> Option<f64> {
-    let mut v: Vec<f64> = values.collect();
-    if v.is_empty() {
-        return None;
-    }
-    v.sort_by(f64::total_cmp);
-    let mid = v.len() / 2;
-    if v.len() % 2 == 1 {
-        v.get(mid).copied()
+    median_in_place(&mut values.collect::<Vec<f64>>())
+}
+
+/// Median of `values`, sorting them in place by [`f64::total_cmp`]; an even
+/// count averages the two middle values. `None` when empty.
+///
+/// The one median rule behind [`MedianBooster`] and the greedy learner's
+/// tabulated cost oracle. It does not allocate, so a caller that owns a
+/// scratch buffer can take medians on a hot path.
+pub fn median_in_place(values: &mut [f64]) -> Option<f64> {
+    // Values equal under total_cmp have equal bits, so the unstable
+    // (allocation-free) sort leaves the same sequence a stable one would.
+    values.sort_unstable_by(f64::total_cmp);
+    let mid = values.len() / 2;
+    if values.len() % 2 == 1 {
+        values.get(mid).copied()
     } else {
-        // lint:allow(checked-indexing): mid >= 1 because v is non-empty with even length
-        Some((v[mid - 1] + v[mid]) / 2.0)
+        let low = values.get(mid.checked_sub(1)?)?;
+        Some((low + values.get(mid)?) / 2.0)
     }
 }
 

@@ -140,6 +140,15 @@ impl SampleSet {
         self.pair_prefix[b] - self.pair_prefix[a]
     }
 
+    /// Hit and collision counts over `[0, x)` in `O(log m)`: the prefix
+    /// sums that [`SampleSet::count_in`] and [`SampleSet::collisions_in`]
+    /// difference, so `count_in([lo, hi])` equals
+    /// `counts_below(hi + 1).0 − counts_below(lo).0` (likewise for pairs).
+    pub fn counts_below(&self, x: usize) -> (u64, u64) {
+        let j = self.values.partition_point(|&v| v < x);
+        (self.count_prefix[j], self.pair_prefix[j])
+    }
+
     /// Total collision count over the whole domain.
     pub fn collisions_total(&self) -> u64 {
         self.pair_prefix.last().copied().unwrap_or(0)
