@@ -32,6 +32,19 @@
 //! kernel socket buffer, and eventually the producer's `write`, absorb
 //! the stall) and drains into the engine before reading on.
 //!
+//! Records reach the engine only at a drain, so the reactor does not
+//! wake for each one. After a read that found records, data connections
+//! are not read again for about the time 64 more records take to arrive
+//! at the rate just seen: at most 20 ms, none under a millisecond, and
+//! never past the flush deadline. When a hold ends each is read until it
+//! would block, so a deadline drain takes everything delivered by then.
+//! A trickle costs a few wakeups per flush period rather than one per
+//! record, and a hold ends long before a steady producer could fill its
+//! socket buffer. `SHUTDOWN` reads every open data connection first,
+//! then drains and flushes the tails. The final flush of replies and
+//! feed lines is bounded: it never blocks, and it drops a connection
+//! that accepts no bytes for one second.
+//!
 //! # Control plane
 //!
 //! A second Unix socket accepts line-oriented control requests:
@@ -42,7 +55,7 @@
 //! | `STATS <key>` | one JSON line: a mid-window snapshot (the standing batch run on the partial window) + the stream's sample ledger |
 //! | `SUB` | subscribes the connection to the JSONL window feed, fleet rollup lines included |
 //! | `FLEET` | one `{"fleet":true,…}` JSON line: the mergeable fleet rollup (`khist watch --fleet`'s closing line, byte for byte) |
-//! | `SHUTDOWN` | flushes every stream's partial tail (debut order), then exits |
+//! | `SHUTDOWN` | reads what the data connections already delivered, flushes every stream's partial tail (debut order), then exits |
 //!
 //! The fleet rollup never appears on the main JSONL sink — stdout stays
 //! a pure per-stream window feed. Subscribers receive a fleet line after

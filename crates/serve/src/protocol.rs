@@ -264,6 +264,60 @@ pub fn stats_key(engine: &mut Engine, key: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// What the parser properties build lines from: keys, verbs,
+    /// separators, digits, and the inputs a parser trips on (NUL,
+    /// non-ASCII digits and spaces, signs, a byte-order mark, integers
+    /// past `u64`, and a 70,000-byte token).
+    fn pieces() -> Vec<String> {
+        let mut pieces: Vec<String> = [
+            "api", "STATS", "SUB", "FLEET", "SHUTDOWN", " ", "\t", "#", "\0", "7", "42", "-1",
+            "+3", "\u{663}", "\u{ff11}", "\u{3000}", "\u{85}", "\u{e9}", "\u{feff}",
+            "18446744073709551615", "18446744073709551616",
+            "340282366920938463463374607431768211456",
+        ]
+        .map(String::from)
+        .to_vec();
+        pieces.push("k".repeat(70_000));
+        pieces
+    }
+
+    fn line_of(picks: &[usize]) -> String {
+        let pieces = pieces();
+        picks.iter().map(|&i| pieces[i % pieces.len()].as_str()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn prop_data_lines_never_panic_and_errors_name_their_line(
+            picks in proptest::collection::vec(0usize..64, 0..12),
+            lineno in 0usize..usize::MAX,
+            field in 0usize..2,
+            n in 1usize..1_000,
+        ) {
+            let line = line_of(&picks);
+            match parse_data_line(&line, lineno, field, n) {
+                Ok(DataLine::Record { key, value }) => {
+                    prop_assert!(value < n);
+                    prop_assert!(!key.is_empty() && !key.contains(char::is_whitespace));
+                }
+                Ok(DataLine::Skip) => {}
+                Err(msg) => prop_assert!(msg.starts_with(&format!("line {lineno}: ")), "{msg}"),
+            }
+        }
+
+        #[test]
+        fn prop_control_lines_never_panic_and_errors_name_their_line(
+            picks in proptest::collection::vec(0usize..64, 0..12),
+            lineno in 0usize..usize::MAX,
+        ) {
+            if let Err(msg) = parse_control_line(&line_of(&picks), lineno) {
+                prop_assert!(msg.starts_with(&format!("line {lineno}: ")), "{msg}");
+            }
+        }
+    }
 
     #[test]
     fn data_lines_mirror_watch_framing() {

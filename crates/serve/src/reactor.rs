@@ -3,12 +3,30 @@
 //!
 //! One thread multiplexes every source over [`polling::Poller`] (the
 //! vendored `poll(2)` shim). Each iteration: wait for readiness, accept
-//! new connections, read and frame what arrived (parking readers when
-//! the global budget fills), answer control requests, and drain the
-//! accumulated records into [`Engine::ingest_batch`] once the batch is
-//! big enough *or* the flush deadline passes — whichever comes first.
-//! Completed windows stream to the JSONL sink (stdout under the CLI)
-//! and to every subscribed control connection.
+//! on the listeners that have connections queued, read and frame what
+//! arrived (parking readers when the global budget fills), answer
+//! control requests, and drain the accumulated records into
+//! [`Engine::ingest_batch`] once the batch is big enough *or* the flush
+//! deadline passes — whichever comes first. Completed windows stream to
+//! the JSONL sink (stdout under the CLI) and to every subscribed control
+//! connection.
+//!
+//! The reactor sleeps until there is work. Its `poll` timeout rounds
+//! *up* to whole milliseconds, so it never wakes just short of a deadline
+//! with nothing to do. Records reach the engine only at a drain, so
+//! reading each one the moment it lands buys nothing: after a read that
+//! found records, data connections leave the read interest for about the
+//! time `HOLD_RECORDS` (64) more take to arrive at the rate just seen, at
+//! most `MAX_HOLD` (20 ms), none when that is under a millisecond, and
+//! never past the flush deadline. A trickle costs a few wakeups per flush
+//! period, not one per record, and a hold ends long before a steady
+//! producer could fill its socket buffer. When a hold runs out every data
+//! connection is read until it would block, so a deadline drain takes
+//! all they delivered by then; `SHUTDOWN` reads them all before the final
+//! drain.
+//! Listeners, control connections and pending writes stay polled
+//! throughout. The final flush of replies and feed lines is bounded: a
+//! connection that accepts no bytes for a second is dropped.
 //!
 //! Batch *boundaries* depend on arrival timing; per-stream window
 //! contents and reports do not (windows are record-counted), which is
@@ -77,7 +95,15 @@ pub struct ServerSummary {
     pub windows: u64,
     /// Worker shards the engine ran on.
     pub shards: usize,
+    /// `poll(2)` calls the reactor made, the final flush's included: how
+    /// often it woke up.
+    pub polls: u64,
 }
+
+/// How long the final flush waits on a connection that accepts no bytes
+/// before dropping it, so a subscriber that stopped reading cannot hold
+/// up shutdown.
+const FINAL_FLUSH_STALL: Duration = Duration::from_secs(1);
 
 /// The reactor's only wall-clock read. khist-lint's `wall-clock` rule
 /// budgets `crates/serve` exactly one `Instant::now` call site — this
@@ -85,6 +111,41 @@ pub struct ServerSummary {
 /// reviewable clock; all other code passes `Instant` values around.
 fn clock() -> Instant {
     Instant::now()
+}
+
+/// The `poll(2)` timeout for a wait of `left`: whole milliseconds rounded
+/// *up*, saturating at `i32::MAX`. Truncating would wake the reactor
+/// before its deadline, with nothing to do, for the last millisecond of
+/// every wait.
+fn timeout_ms(left: Duration) -> i32 {
+    i32::try_from(left.as_nanos().div_ceil(1_000_000)).unwrap_or(i32::MAX)
+}
+
+/// How many records a read hold lets arrive, at the rate last seen,
+/// before the next read. Far fewer than a socket buffer takes even one
+/// record per `send` (a few hundred such sends on Linux's defaults), so a
+/// hold ends before a steady producer could block on it; a faster
+/// producer gets proportionally shorter holds.
+const HOLD_RECORDS: u32 = 64;
+
+/// The longest read hold. The rate seen after a quiet spell says nothing
+/// about a burst that may follow, so this bounds how long such a burst
+/// can wait, whatever `--flush-ms` is.
+const MAX_HOLD: Duration = Duration::from_millis(20);
+
+/// How long data reads wait after a read that found `records` records,
+/// `gap` after the previous one: `gap × HOLD_RECORDS / records`, at most
+/// [`MAX_HOLD`], or no wait when that is under `poll`'s one-millisecond
+/// resolution (a hold rounded up to 1 ms would let more than
+/// `HOLD_RECORDS` pile up).
+fn hold_for(gap: Duration, records: usize) -> Duration {
+    let records = u32::try_from(records).unwrap_or(u32::MAX).max(1);
+    let hold = (gap.saturating_mul(HOLD_RECORDS) / records).min(MAX_HOLD);
+    if hold < Duration::from_millis(1) {
+        Duration::ZERO
+    } else {
+        hold
+    }
 }
 
 /// Binds a nonblocking Unix listener, clearing a stale socket file left
@@ -176,6 +237,66 @@ fn process_lines(
     true
 }
 
+/// Reads one connection until it would block, ends, or — for a data
+/// connection — the global budget fills, framing and handling every
+/// complete line. With `hangup` (the peer closed) a would-block read
+/// ends the connection.
+fn read_conn(
+    conn: &mut Conn,
+    hangup: bool,
+    scratch: &mut [u8],
+    cfg: &ServerConfig,
+    engine: &mut Engine,
+    pending: &mut Pending,
+    shutdown: &mut bool,
+) {
+    let n = engine.domain_size();
+    let mut saw_eof = false;
+    loop {
+        if conn.role == Role::Data && pending.bytes() >= cfg.global_budget {
+            // Budget full: park this reader (and the rest); the next
+            // drain frees the budget.
+            break;
+        }
+        match conn.read_some(scratch) {
+            Ok(ReadStatus::Data(_)) => {
+                if let Some(buf) = conn.take_complete_lines() {
+                    if !process_lines(conn, &buf, cfg, n, engine, pending, shutdown) {
+                        break;
+                    }
+                }
+                if conn.inbuf.len() > cfg.conn_buffer {
+                    conn.push_reply(&format!(
+                        "ERR line {}: line exceeds the {}-byte connection buffer\n",
+                        conn.lineno + 1,
+                        cfg.conn_buffer
+                    ));
+                    conn.eof = true;
+                    conn.inbuf.clear();
+                    break;
+                }
+            }
+            Ok(ReadStatus::Blocked) => {
+                saw_eof = hangup;
+                break;
+            }
+            Ok(ReadStatus::Eof) | Err(_) => {
+                saw_eof = true;
+                break;
+            }
+        }
+    }
+    if saw_eof && !conn.eof {
+        conn.eof = true;
+        // The final line may lack a trailing newline — frame it the way
+        // `read_line` would.
+        if !conn.inbuf.is_empty() {
+            let buf = conn.take_tail();
+            process_lines(conn, &buf, cfg, n, engine, pending, shutdown);
+        }
+    }
+}
+
 /// Emits window reports: one JSONL line each to the main sink and to
 /// every subscribed control connection. A broken-pipe sink flips
 /// `out_ok` (the caller decides to shut down); a subscriber whose
@@ -246,6 +367,48 @@ fn error_line(msg: &str) -> String {
     format!("{rendered}\n")
 }
 
+/// Delivers the replies and feed lines still buffered at shutdown,
+/// without blocking: a `poll`-driven loop that ends when every buffer is
+/// empty and drops a connection once it has accepted no bytes for
+/// [`FINAL_FLUSH_STALL`]. Returns the number of `poll` calls it made.
+fn flush_final(conns: Vec<Conn>, poller: &mut Poller, fds: &mut Vec<PollFd>) -> u64 {
+    let start = clock();
+    let mut waiting: Vec<(Conn, Instant)> = conns
+        .into_iter()
+        .filter(|c| !c.outbuf.is_empty())
+        .map(|c| (c, start))
+        .collect();
+    let mut polls = 0;
+    loop {
+        let now = clock();
+        waiting.retain(|(conn, progress)| {
+            !conn.outbuf.is_empty() && now.duration_since(*progress) < FINAL_FLUSH_STALL
+        });
+        let Some(oldest) = waiting.iter().map(|&(_, progress)| progress).min() else {
+            return polls;
+        };
+        fds.clear();
+        fds.extend(waiting.iter().map(|(conn, _)| PollFd::write(conn.fd())));
+        let left = FINAL_FLUSH_STALL.saturating_sub(now.duration_since(oldest));
+        polls += 1;
+        if poller.wait(fds, timeout_ms(left)).is_err() {
+            return polls;
+        }
+        let now = clock();
+        for ((conn, progress), ready) in waiting.iter_mut().zip(fds.iter()) {
+            if !(ready.writable || ready.hangup || ready.invalid) {
+                continue;
+            }
+            let before = conn.outbuf.len();
+            if ready.invalid || conn.flush_out().is_err() {
+                conn.outbuf.clear();
+            } else if conn.outbuf.len() < before {
+                *progress = now;
+            }
+        }
+    }
+}
+
 /// Runs the serve reactor until its sources finish (stdin-only mode) or
 /// a `SHUTDOWN` control request arrives, then flushes every stream's
 /// partial tail in debut order. See the [crate docs](crate) for the
@@ -255,98 +418,96 @@ pub fn run<W: Write>(
     cfg: ServerConfig,
     out: &mut W,
 ) -> Result<ServerSummary, String> {
-    let n = engine.domain_size();
-    let data_listener = match &cfg.socket {
-        Some(path) => Some(bind_listener(path)?),
-        None => None,
-    };
-    let control_listener = match &cfg.control {
-        Some(path) => Some(bind_listener(path)?),
-        None => None,
-    };
+    let mut listeners: Vec<(UnixListener, Role)> = Vec::new();
+    if let Some(path) = &cfg.socket {
+        listeners.push((bind_listener(path)?, Role::Data));
+    }
+    if let Some(path) = &cfg.control {
+        listeners.push((bind_listener(path)?, Role::Control));
+    }
     let mut conns: Vec<Conn> = Vec::new();
     if cfg.stdin {
         polling::set_nonblocking(0, true)
             .map_err(|e| format!("set stdin nonblocking: {e}"))?;
         conns.push(Conn::stdin());
     }
-    if data_listener.is_none() && control_listener.is_none() && conns.is_empty() {
+    if listeners.is_empty() && conns.is_empty() {
         return Err("serve needs at least one source: --socket, --control, or stdin".into());
     }
 
     let flush_every = Duration::from_millis(cfg.flush_ms);
     let sub_cap = cfg.conn_buffer.saturating_mul(4);
     let mut poller = Poller::new();
+    let mut polls = 0u64;
     let mut fds: Vec<PollFd> = Vec::new();
     let mut scratch = vec![0u8; 16 * 1024];
     let mut pending = Pending::default();
     let mut last_drain = clock();
+    // Data connections are out of the read interest until `hold_until`;
+    // `last_read` is when the last read that found records ended.
+    let mut hold_until = last_drain;
+    let mut last_read = last_drain;
     let mut shutdown = false;
     let mut out_ok = true;
     let mut windows = 0u64;
 
     loop {
         conns.retain(|c| !c.done());
-        if shutdown {
-            break;
-        }
-        if data_listener.is_none() && control_listener.is_none() && conns.is_empty() {
-            // Every source finished (stdin-only mode): fall through to
-            // the tail flush.
+        if shutdown || (listeners.is_empty() && conns.is_empty()) {
+            // SHUTDOWN, a closed sink, or every source finished
+            // (stdin-only mode): fall through to the tail flush.
             break;
         }
 
-        // Interest set: listeners first, then connections in order.
+        // Interest set: listeners first, then connections in order. Data
+        // readers need no parking for the budget here: each iteration ends
+        // with a drain once `pending` reaches the batch or the budget.
+        let now = clock();
+        let held = now < hold_until;
         fds.clear();
-        if let Some(l) = &data_listener {
-            fds.push(PollFd::read(l.as_raw_fd()));
-        }
-        if let Some(l) = &control_listener {
-            fds.push(PollFd::read(l.as_raw_fd()));
-        }
+        fds.extend(listeners.iter().map(|(l, _)| PollFd::read(l.as_raw_fd())));
         let base = fds.len();
-        let parked = pending.bytes() >= cfg.global_budget;
         for conn in &conns {
             fds.push(PollFd {
                 fd: conn.fd(),
-                read: !(conn.eof || (parked && conn.role == Role::Data)),
+                read: !(conn.eof || (held && conn.role == Role::Data)),
                 write: !conn.outbuf.is_empty(),
                 ..PollFd::default()
             });
         }
 
-        let timeout_ms: i32 = if pending.is_empty() {
+        let timeout = if held {
+            timeout_ms(hold_until - now)
+        } else if pending.is_empty() {
             -1
         } else {
-            let elapsed = clock().duration_since(last_drain);
-            let left = flush_every.saturating_sub(elapsed);
-            i32::try_from(left.as_millis()).unwrap_or(i32::MAX)
+            timeout_ms(flush_every.saturating_sub(now.duration_since(last_drain)))
         };
+        polls += 1;
         poller
-            .wait(&mut fds, timeout_ms)
+            .wait(&mut fds, timeout)
             .map_err(|e| format!("poll failed: {e}"))?;
 
-        // Accept everything queued on the listeners.
-        for (listener, role) in [
-            (&data_listener, Role::Data),
-            (&control_listener, Role::Control),
-        ] {
-            let Some(listener) = listener else { continue };
-            loop {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        if stream.set_nonblocking(true).is_ok() {
-                            conns.push(Conn::socket(stream, role));
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(_) => break,
+        // Accept everything queued on a readable listener.
+        for ((listener, role), ready) in listeners.iter().zip(&fds) {
+            if !ready.readable {
+                continue;
+            }
+            while let Ok((stream, _)) = listener.accept() {
+                if stream.set_nonblocking(true).is_ok() {
+                    conns.push(Conn::socket(stream, *role));
                 }
             }
         }
 
         // Connection I/O. `fds` only covers conns that existed before the
-        // accepts above; freshly accepted ones wait for the next round.
+        // accepts above; freshly accepted ones wait for the next round. A
+        // hold that ran out ends with a read of every data connection, so
+        // a deadline drain takes all they delivered by then; a held
+        // connection that hung up is read to its end, or `poll` would
+        // keep reporting it.
+        let hold_over = held && clock() >= hold_until;
+        let before = pending.len();
         for i in 0..conns.len() {
             let Some(&ready) = fds.get(base + i) else { break };
             let Some(conn) = conns.get_mut(i) else { break };
@@ -361,63 +522,21 @@ pub fn run<W: Write>(
                 conn.inbuf.clear();
                 continue;
             }
-            if !(ready.readable || ready.hangup) || conn.eof {
-                continue;
+            let read = ready.readable || ready.hangup || (hold_over && conn.role == Role::Data);
+            if read && !conn.eof {
+                read_conn(
+                    conn, ready.hangup, &mut scratch, &cfg, &mut engine, &mut pending,
+                    &mut shutdown,
+                );
             }
-            let mut saw_eof = false;
-            loop {
-                if conn.role == Role::Data && pending.bytes() >= cfg.global_budget {
-                    // Budget full mid-iteration: park this reader (and
-                    // the rest); the drain below frees the budget.
-                    break;
-                }
-                match conn.read_some(&mut scratch) {
-                    Ok(ReadStatus::Data(_)) => {
-                        if let Some(buf) = conn.take_complete_lines() {
-                            if !process_lines(
-                                conn, &buf, &cfg, n, &mut engine, &mut pending, &mut shutdown,
-                            ) {
-                                break;
-                            }
-                        }
-                        if conn.inbuf.len() > cfg.conn_buffer {
-                            conn.push_reply(&format!(
-                                "ERR line {}: line exceeds the {}-byte connection buffer\n",
-                                conn.lineno + 1,
-                                cfg.conn_buffer
-                            ));
-                            conn.eof = true;
-                            conn.inbuf.clear();
-                            break;
-                        }
-                    }
-                    Ok(ReadStatus::Blocked) => {
-                        if ready.hangup {
-                            saw_eof = true;
-                        }
-                        break;
-                    }
-                    Ok(ReadStatus::Eof) => {
-                        saw_eof = true;
-                        break;
-                    }
-                    Err(_) => {
-                        saw_eof = true;
-                        break;
-                    }
-                }
-            }
-            if saw_eof && !conn.eof {
-                conn.eof = true;
-                // The final line may lack a trailing newline — frame it
-                // the way `read_line` would.
-                if !conn.inbuf.is_empty() {
-                    let buf = conn.take_tail();
-                    process_lines(
-                        conn, &buf, &cfg, n, &mut engine, &mut pending, &mut shutdown,
-                    );
-                }
-            }
+        }
+        let found = pending.len() - before;
+        if found > 0 {
+            let now = clock();
+            // A hold never outlasts the flush deadline.
+            let to_deadline = flush_every.saturating_sub(now.duration_since(last_drain));
+            hold_until = now + hold_for(now.duration_since(last_read), found).min(to_deadline);
+            last_read = now;
         }
 
         // Size-or-deadline drain.
@@ -452,8 +571,15 @@ pub fn run<W: Write>(
         }
     }
 
-    // Finish: drain what's buffered, then flush every stream's partial
-    // tail in debut order (the same order `watch --key-field` emits).
+    // Finish: read what the data connections already delivered (a hold
+    // may have left some unread), drain it, then flush every stream's
+    // partial tail in debut order (the same order `watch --key-field`
+    // emits).
+    for conn in conns.iter_mut().filter(|c| c.role == Role::Data && !c.eof) {
+        read_conn(
+            conn, false, &mut scratch, &cfg, &mut engine, &mut pending, &mut shutdown,
+        );
+    }
     if !pending.is_empty() {
         let reports = pending.drain_into(&mut engine)?;
         emit_reports(&reports, out, &mut out_ok, &mut conns, sub_cap, &mut windows)?;
@@ -469,18 +595,10 @@ pub fn run<W: Write>(
     // `FLEET` poll (or `watch --fleet`'s last line) would show.
     emit_fleet_line(&engine, &mut conns, sub_cap);
 
-    // Best-effort delivery of buffered replies/feed lines: switch the
-    // sockets back to blocking and drain.
-    for conn in &mut conns {
-        if let crate::conn::Transport::Socket(s) = &conn.transport {
-            let _ = s.set_nonblocking(false);
-        }
-        let _ = conn.flush_out();
-    }
+    polls += flush_final(conns, &mut poller, &mut fds);
     if cfg.stdin {
         let _ = polling::set_nonblocking(0, false);
     }
-    drop(conns);
     for path in [&cfg.socket, &cfg.control].into_iter().flatten() {
         let _ = std::fs::remove_file(path);
     }
@@ -490,6 +608,7 @@ pub fn run<W: Write>(
         streams: engine.streams(),
         windows,
         shards: engine.shards(),
+        polls,
     })
 }
 
@@ -532,6 +651,265 @@ mod tests {
         })
         .unwrap();
         (summary.unwrap(), String::from_utf8(sink).unwrap())
+    }
+
+    /// Connects to a listener, retrying until the server has bound it.
+    fn connect(path: &Path) -> UnixStream {
+        loop {
+            match UnixStream::connect(path) {
+                Ok(s) => break s,
+                Err(_) => std::thread::yield_now(),
+            }
+        }
+    }
+
+    /// Fresh data and control socket paths, and a stdin-less config
+    /// listening on them.
+    fn sockets(tag: &str, flush_ms: u64) -> (PathBuf, PathBuf, ServerConfig) {
+        let socket = tmp_path(&format!("data-{tag}"));
+        let control = tmp_path(&format!("ctl-{tag}"));
+        let cfg = ServerConfig {
+            socket: Some(socket.clone()),
+            control: Some(control.clone()),
+            stdin: false,
+            flush_ms,
+            ..ServerConfig::default()
+        };
+        (socket, control, cfg)
+    }
+
+    /// Sends `SHUTDOWN` on a new control connection and waits for its
+    /// acknowledgement.
+    fn shut_down(control: &Path) {
+        let ctl = connect(control);
+        writeln!(&ctl, "SHUTDOWN").unwrap();
+        let mut reply = String::new();
+        BufReader::new(&ctl).read_line(&mut reply).unwrap();
+        assert!(reply.contains("shutting_down"), "{reply}");
+    }
+
+    /// `jsonl` with every `"wall_seconds"` value blanked (the one field
+    /// that varies between runs over the same records).
+    fn mask_wall(jsonl: &str) -> String {
+        const FIELD: &str = "\"wall_seconds\":";
+        let mut masked = String::new();
+        let mut rest = jsonl;
+        while let Some(at) = rest.find(FIELD) {
+            let (head, tail) = rest.split_at(at + FIELD.len());
+            masked.push_str(head);
+            masked.push('_');
+            rest = tail.get(tail.find([',', '}']).unwrap_or(tail.len())..).unwrap();
+        }
+        masked.push_str(rest);
+        masked
+    }
+
+    #[test]
+    fn poll_timeouts_round_up_to_the_next_millisecond() {
+        assert_eq!(timeout_ms(Duration::ZERO), 0);
+        assert_eq!(timeout_ms(Duration::from_nanos(1)), 1);
+        assert_eq!(timeout_ms(Duration::from_micros(49_200)), 50);
+        assert_eq!(timeout_ms(Duration::from_millis(50)), 50);
+        assert_eq!(timeout_ms(Duration::MAX), i32::MAX);
+    }
+
+    #[test]
+    fn holds_last_while_hold_records_more_arrive_at_the_rate_seen() {
+        let ms = Duration::from_millis;
+        assert_eq!(hold_for(ms(16), 256), ms(4));
+        assert_eq!(hold_for(ms(1), 16), ms(4));
+        assert_eq!(hold_for(ms(1), 1), MAX_HOLD);
+        assert_eq!(hold_for(ms(1), 64), ms(1));
+        // Under a millisecond (poll's resolution): no hold.
+        assert_eq!(hold_for(ms(1), 65), Duration::ZERO);
+        assert_eq!(hold_for(ms(1), usize::MAX), Duration::ZERO);
+        assert_eq!(hold_for(Duration::MAX, 1), MAX_HOLD);
+    }
+
+    #[test]
+    fn a_trickle_wakes_the_reactor_per_hold_not_per_record() {
+        // About one record per millisecond for half a second, at the
+        // default 50 ms flush: ten periods of ~50 records each.
+        let lines: Vec<String> = (0..500u32).map(|i| format!("api {}\n", (i * 7) % 64)).collect();
+        let (socket, control, cfg) = sockets("trickle", 50);
+        let (trickled, jsonl) = drive(cfg, 1, || {
+            let mut data = connect(&socket);
+            for line in &lines {
+                data.write_all(line.as_bytes()).unwrap();
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            drop(data);
+            shut_down(&control);
+        });
+        let (socket, control, cfg) = sockets("trickle-bulk", 50);
+        let (_, at_once) = drive(cfg, 1, || {
+            connect(&socket).write_all(lines.concat().as_bytes()).unwrap();
+            shut_down(&control);
+        });
+        assert_eq!(trickled.records, 500);
+        // A hold per read: at the ~1 record/ms seen, each lasts MAX_HOLD.
+        // Waking per arrival would cost a poll per record, and a truncated
+        // timeout spun through the last millisecond of every period on top
+        // of that.
+        assert!(trickled.polls <= 500 / 4, "{} polls for 500 records", trickled.polls);
+        assert_eq!(mask_wall(&jsonl), mask_wall(&at_once));
+    }
+
+    /// The `"records"` count in a `STATS` reply.
+    fn records_in(reply: &str) -> u64 {
+        let at = reply.find("\"records\":").unwrap() + "\"records\":".len();
+        let digits = reply[at..].split(|c: char| !c.is_ascii_digit()).next().unwrap();
+        digits.parse().unwrap()
+    }
+
+    /// After a quiet 100 ms, sends `records` lines at one `write` each, as
+    /// fast as the server takes them, then asks `STATS` every 10 ms until
+    /// it counts them all. Returns the time from the first write until
+    /// then.
+    fn ingest(tag: &str, batch_records: usize, flush_ms: u64, records: u32) -> Duration {
+        let (socket, control, cfg) = sockets(tag, flush_ms);
+        let cfg = ServerConfig {
+            batch_records,
+            ..cfg
+        };
+        let lines: Vec<String> = (0..records).map(|i| format!("api {}\n", i % 64)).collect();
+        let mut took = Duration::ZERO;
+        let (summary, _) = drive(cfg, 1, || {
+            let mut data = connect(&socket);
+            let ctl = connect(&control);
+            let mut replies = BufReader::new(&ctl);
+            std::thread::sleep(Duration::from_millis(100));
+            let start = Instant::now();
+            for line in &lines {
+                data.write_all(line.as_bytes()).unwrap();
+            }
+            // Bounded, so lost records fail the summary check, not hang.
+            let mut counted = 0;
+            while counted < u64::from(records) && start.elapsed() < Duration::from_secs(60) {
+                std::thread::sleep(Duration::from_millis(10));
+                writeln!(&ctl, "STATS").unwrap();
+                let mut reply = String::new();
+                replies.read_line(&mut reply).unwrap();
+                counted = records_in(&reply);
+            }
+            took = start.elapsed();
+            drop(data);
+            shut_down(&control);
+        });
+        assert_eq!(summary.records, u64::from(records));
+        took
+    }
+
+    #[test]
+    fn per_record_sends_are_ingested_within_about_one_period() {
+        // Far more one-record sends than a socket buffer takes (a few
+        // hundred on Linux's defaults), at a one-second flush: size drains
+        // take the first 16,384 and the first deadline drain the rest.
+        // Holding the connection until the deadline after a read would
+        // let about one socket buffer through per period.
+        let took = ingest("sends", 4096, 1_000, 20_000);
+        assert!(took < Duration::from_secs(3), "ingesting took {took:?}");
+    }
+
+    #[test]
+    fn per_record_sends_past_a_batch_drain_at_the_size_trigger() {
+        // 24 batches' worth at a 10 s flush: size drains ingest every
+        // record long before the deadline, even though the first read
+        // follows a quiet spell (no rate to go by).
+        let took = ingest("sends-past", 128, 10_000, 24 * 128);
+        assert!(took < Duration::from_secs(5), "ingesting took {took:?}");
+    }
+
+    #[test]
+    fn shutdown_reads_what_a_hold_left_unread() {
+        // A 10 s flush, so only SHUTDOWN drains. The first record follows
+        // a quiet spell, so its read starts a MAX_HOLD hold; the other 99
+        // and SHUTDOWN land inside it, with the data connection still
+        // open.
+        let (socket, control, cfg) = sockets("held", 10_000);
+        let (summary, _) = drive(cfg, 1, || {
+            let mut data = connect(&socket);
+            std::thread::sleep(Duration::from_millis(100));
+            data.write_all(b"api 0\n").unwrap();
+            std::thread::sleep(Duration::from_millis(2));
+            let rest: String = (1..100u32).map(|i| format!("api {}\n", i % 64)).collect();
+            data.write_all(rest.as_bytes()).unwrap();
+            shut_down(&control);
+            drop(data);
+        });
+        assert_eq!(summary.records, 100);
+    }
+
+    /// Subscribes a control connection, sends 40,000 records (1,000
+    /// window lines: far more feed than a socket buffer holds) while the
+    /// subscriber does not read, waits until every record is ingested,
+    /// then sends `SHUTDOWN`. With `reads` the subscriber starts reading
+    /// right after; without it, it never reads again. Returns the summary,
+    /// the main sink, the subscriber's window lines, and the time from
+    /// `SHUTDOWN` until the server removed its sockets.
+    fn shutdown_behind_a_subscriber(
+        tag: &str,
+        reads: bool,
+    ) -> (ServerSummary, String, Vec<String>, Duration) {
+        let (socket, control, cfg) = sockets(tag, 5);
+        // Subscribers are dropped past 4 × conn_buffer of backlog; keep
+        // this one through the run.
+        let cfg = ServerConfig {
+            conn_buffer: 1 << 20,
+            ..cfg
+        };
+        let records: String = (0..40_000u32).map(|i| format!("api {}\n", (i * 7) % 64)).collect();
+        let mut feed = Vec::new();
+        let mut took = Duration::ZERO;
+        let (summary, jsonl) = drive(cfg, 1, || {
+            let sub = connect(&control);
+            writeln!(&sub, "SUB").unwrap();
+            connect(&socket).write_all(records.as_bytes()).unwrap();
+            let ctl = connect(&control);
+            let mut replies = BufReader::new(&ctl);
+            let mut line = String::new();
+            // Bounded, so lost records fail the summary check, not hang.
+            let give_up = Instant::now() + Duration::from_secs(30);
+            while !line.contains("\"records\":40000") && Instant::now() < give_up {
+                writeln!(&ctl, "STATS").unwrap();
+                line.clear();
+                replies.read_line(&mut line).unwrap();
+            }
+            let start = Instant::now();
+            writeln!(&ctl, "SHUTDOWN").unwrap();
+            if reads {
+                feed = BufReader::new(&sub)
+                    .lines()
+                    .map(Result::unwrap)
+                    .filter(|l| l.contains("\"complete\":"))
+                    .collect();
+            }
+            // The server removes its socket files on its way out.
+            while control.exists() {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            took = start.elapsed();
+        });
+        (summary, jsonl, feed, took)
+    }
+
+    #[test]
+    fn shutdown_drops_a_subscriber_that_stopped_reading() {
+        let (summary, jsonl, _, took) = shutdown_behind_a_subscriber("stalled", false);
+        assert_eq!(summary.records, 40_000);
+        assert_eq!(jsonl.lines().count(), 1_000);
+        assert!(
+            took < FINAL_FLUSH_STALL + Duration::from_secs(1),
+            "shutdown took {took:?}"
+        );
+    }
+
+    #[test]
+    fn shutdown_delivers_every_line_to_a_subscriber_that_reads() {
+        let (summary, jsonl, feed, _) = shutdown_behind_a_subscriber("reading", true);
+        assert_eq!(summary.records, 40_000);
+        assert_eq!(feed.len(), 1_000);
+        assert_eq!(feed, jsonl.lines().collect::<Vec<_>>());
     }
 
     #[test]
@@ -623,6 +1001,35 @@ mod tests {
         // One record from the poisoned connection (line 1 was fine) plus
         // fifty from the healthy one.
         assert_eq!(summary.records, 51);
+        assert_eq!(summary.streams, 2);
+    }
+
+    #[test]
+    fn non_utf8_and_nul_lines_poison_only_their_own_connections() {
+        let (socket, control, cfg) = sockets("bytes", 5);
+        let mut replies = Vec::new();
+        let (summary, _) = drive(cfg, 1, || {
+            let mut good = connect(&socket);
+            let bad_utf8 = connect(&socket);
+            let nul = connect(&socket);
+            (&bad_utf8).write_all(b"api 1\napi \xff\xfe\n").unwrap();
+            (&nul).write_all(b"api 2\nweb 3\0\n").unwrap();
+            for conn in [&bad_utf8, &nul] {
+                // The one reply, then the server closes the connection.
+                let mut reply = String::new();
+                BufReader::new(conn).read_to_string(&mut reply).unwrap();
+                replies.push(reply);
+            }
+            for i in 0..50u32 {
+                writeln!(good, "web {}", i % 64).unwrap();
+            }
+            drop(good);
+            shut_down(&control);
+        });
+        assert_eq!(replies[0], "ERR line 2: invalid UTF-8\n");
+        assert!(replies[1].starts_with("ERR line 2: not an integer record"), "{}", replies[1]);
+        // Line 1 of each poisoned connection, plus fifty healthy records.
+        assert_eq!(summary.records, 52);
         assert_eq!(summary.streams, 2);
     }
 
