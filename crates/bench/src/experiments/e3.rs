@@ -14,9 +14,9 @@
 //! linear.
 
 use khist_baseline::v_optimal;
-use khist_core::tester::test_l2;
+use khist_core::api::{Session, TestL2};
 use khist_dist::generators;
-use khist_oracle::{DenseOracle, L2TesterBudget};
+use khist_oracle::L2TesterBudget;
 use khist_stats::SuccessCounter;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -51,17 +51,18 @@ pub fn run(quick: bool) -> Vec<Table> {
         let mut yes_counter = SuccessCounter::new();
         let mut no_counter = SuccessCounter::new();
         let mut rng = StdRng::seed_from_u64(seed_for(3, &[n]));
-        // The NO instance is fixed for the whole row: one oracle (one alias
-        // table) serves every trial's sample sets.
-        let mut far_oracle = DenseOracle::new(&far, rng.random());
+        let test = || TestL2::k(k).eps(eps).budget(budget);
+        // The NO instance is fixed for the whole row: one session (one
+        // alias table) serves every trial's sample sets.
+        let mut far_session = Session::from_dense(&far, rng.random());
         for _ in 0..trials {
             let (_, p) = generators::random_tiling_histogram_distinct(n, k, &mut rng)
                 .expect("valid instance");
-            let mut p_oracle = DenseOracle::new(&p, rng.random());
-            let verdict = test_l2(&mut p_oracle, k, eps, budget).expect("tester runs");
-            yes_counter.record(verdict.outcome.is_accept());
-            let verdict = test_l2(&mut far_oracle, k, eps, budget).expect("tester runs");
-            no_counter.record(!verdict.outcome.is_accept());
+            let mut p_session = Session::from_dense(&p, rng.random());
+            let report = p_session.run_one(test()).expect("tester runs");
+            yes_counter.record(report.accepted());
+            let report = far_session.run_one(test()).expect("tester runs");
+            no_counter.record(!report.accepted());
         }
         let yes_ci = yes_counter.interval(1.96);
         let no_ci = no_counter.interval(1.96);

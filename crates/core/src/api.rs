@@ -36,10 +36,12 @@
 //!   samples spent, budget, seed, wall time), serde-serializable so `khist
 //!   … --json` can emit it.
 //!
-//! The pre-existing free functions (`greedy::learn`, `tester::test_l2`, …)
-//! remain as thin shims: they draw through the same [`SamplePlan`]
-//! single-analysis path, so their sampling behaviour is bit-identical to
-//! the engine's (property-tested in `tests/api_session.rs`).
+//! [`run_analyses`] is the one way to run a sampled analysis:
+//! [`Session::run`] calls it, and every [`Monitor`] window runs
+//! [`run_analyses_with_plan`] on its frozen lanes. The kernels behind it
+//! (`test_l2_from_sets`, …) take pre-drawn sets. [`crate::greedy::learn`]
+//! is the learner's raw entry point: it draws a `Learn` request's plan
+//! and returns the whole greedy outcome.
 //!
 //! [`Session`] *pulls*: every run draws fresh samples on demand. Its
 //! streaming peer is the push-based [`Monitor`] (re-exported here from
@@ -378,8 +380,8 @@ impl IdentityL2 {
 ///
 /// `q`'s samples are drawn from a [`DenseOracle`] seeded deterministically
 /// from the session seed — they are *not* part of the shared plan, which
-/// only covers the unknown `p`. Closeness of two arbitrary oracles stays
-/// available via [`crate::identity::test_closeness_l2`].
+/// only covers the unknown `p`. To compare two arbitrary oracles, draw a
+/// set from each and call [`crate::identity::test_closeness_l2_from_sets`].
 #[derive(Debug, Clone)]
 pub struct ClosenessL2 {
     q: DenseDistribution,
@@ -885,9 +887,8 @@ impl SamplePlan {
         }
     }
 
-    /// The plan of a pure set-based tester: `r` sets of `m`.
-    /// [`crate::tester::test_l1`]/[`test_l2`](crate::tester::test_l2) draw
-    /// through this.
+    /// The plan of a pure set-based tester ([`TestL1`], [`TestL2`]): `r`
+    /// sets of `m`.
     pub fn sets(r: usize, m: usize) -> SamplePlan {
         SamplePlan { main: 0, r, m }
     }
@@ -939,10 +940,8 @@ impl SamplePlan {
             })
     }
 
-    /// Executes the plan: **one** oracle call, shaped to match what the
-    /// pre-API free functions issued (`draw_set` for a lone main set,
-    /// `draw_sets` for pure set batches, `draw_batch` for main + sets), so
-    /// single-analysis runs are bit-identical to the legacy entry points.
+    /// Executes the plan: **one** oracle call — `draw_set` for a lone main
+    /// set, `draw_sets` for pure set batches, `draw_batch` for main + sets.
     ///
     /// Fails when the backend violates the batch contract (wrong number of
     /// sets returned).

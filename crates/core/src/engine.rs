@@ -1017,8 +1017,8 @@ impl Engine {
         &self.cfg.analyses
     }
 
-    /// Read access to one stream's state machine (e.g. to check `seen` or
-    /// probe [`drift`](Monitor::drift) for a single tenant).
+    /// Read access to one stream's state machine (e.g. to check `seen`
+    /// for a single tenant).
     pub fn stream_state(&self, key: &str) -> Option<&Monitor> {
         let id = self.interner.lookup(key.as_bytes(), key_hash(key))?;
         let entry = self.interner.entries.get(id as usize)?;

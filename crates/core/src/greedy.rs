@@ -139,14 +139,16 @@ impl GreedyOutcome {
     }
 }
 
-/// Draws the budgeted samples through a [`SampleOracle`] and runs the
-/// greedy learner.
+/// The learner's raw entry point: draws the budgeted samples through a
+/// [`SampleOracle`], runs the greedy learner, and returns the whole
+/// [`GreedyOutcome`] — the priority histogram, the uncompressed tiling
+/// and the candidate counts, which a [`Learn`](crate::api::Learn)
+/// report (the `k`-piece compression) does not carry.
 ///
-/// The main sample and the `r` collision sets are requested through the
-/// single-analysis [`SamplePlan`] (one [`SampleOracle::draw_batch`] call),
-/// so streaming backends serve them from a single pass with disjoint lanes
-/// — batch the learner with testers via [`crate::api::Session`] to share
-/// that pass further.
+/// The main sample and the `r` collision sets come from
+/// [`SamplePlan::learner`] (one [`SampleOracle::draw_batch`] call, the
+/// draw a `Learn` request with the same budget makes), so streaming
+/// backends serve them from a single pass with disjoint lanes.
 pub fn learn<O: SampleOracle + ?Sized>(
     oracle: &mut O,
     params: &GreedyParams,

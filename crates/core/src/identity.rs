@@ -13,21 +13,25 @@
 //!
 //! * [`l2_distance_sq_estimate`] — the unbiased plug-in estimator of
 //!   `‖p − q‖₂²` from two sample sets;
-//! * [`test_closeness_l2`] — sample-only closeness testing: accept iff the
-//!   estimate is below `ε²/2` (both sides of the promise gap ≥ 2/3 at
-//!   budget `m = Θ(√(‖p‖₂ + ‖q‖₂})/ε²)`-style sizes; calibrated budgets as
-//!   everywhere);
-//! * [`test_identity_l2`] — identity against an *explicitly known* `q`
-//!   (the `q`-side statistics are computed exactly, halving the variance).
+//! * [`test_closeness_l2_from_sets`] — sample-only closeness testing:
+//!   accept iff the estimate is below `ε²/2` (both sides of the promise
+//!   gap ≥ 2/3 at budget `m = Θ(√(‖p‖₂ + ‖q‖₂})/ε²)`-style sizes;
+//!   calibrated budgets as everywhere);
+//! * [`test_identity_l2_from_set`] — identity against an *explicitly
+//!   known* `q` (the `q`-side statistics are computed exactly, halving the
+//!   variance).
+//!
+//! Both take pre-drawn sample sets; the [`IdentityL2`](crate::api::IdentityL2)
+//! and [`ClosenessL2`](crate::api::ClosenessL2) requests draw them from a
+//! [`khist_oracle::SampleOracle`].
 //!
 //! These are cross-checks and companions, not part of the paper's theorem
 //! set; the harness uses them to validate the far-instance generators from
 //! a second angle.
 
 use khist_dist::{DenseDistribution, DistError, Interval};
-use khist_oracle::{absolute_collision_estimate, SampleOracle, SampleSet};
+use khist_oracle::{absolute_collision_estimate, SampleSet};
 
-use crate::api::SamplePlan;
 use crate::tester::TestOutcome;
 
 fn check_eps(eps: f64) -> Result<(), DistError> {
@@ -67,44 +71,8 @@ pub struct ClosenessReport {
     pub samples_used: usize,
 }
 
-/// Tests `‖p − q‖₂ ≤ ε/√2` vs `‖p − q‖₂ > ε` from `m` samples drawn
-/// through each side's [`SampleOracle`].
-pub fn test_closeness_l2<OP, OQ>(
-    oracle_p: &mut OP,
-    oracle_q: &mut OQ,
-    eps: f64,
-    m: usize,
-) -> Result<ClosenessReport, DistError>
-where
-    OP: SampleOracle + ?Sized,
-    OQ: SampleOracle + ?Sized,
-{
-    let n = oracle_p.domain_size();
-    if n != oracle_q.domain_size() {
-        return Err(DistError::BadParameter {
-            reason: format!("domain mismatch: {n} vs {}", oracle_q.domain_size()),
-        });
-    }
-    check_eps(eps)?;
-    if m < 2 {
-        return Err(DistError::BadParameter {
-            reason: "need at least two samples per side".into(),
-        });
-    }
-    let (set_p, _) = SamplePlan::single(m).draw(oracle_p)?;
-    let (set_q, _) = SamplePlan::single(m).draw(oracle_q)?;
-    test_closeness_l2_from_sets(
-        // lint:allow(no-panic): SamplePlan::single always allocates a main set
-        &set_p.expect("single plan yields a main set"),
-        // lint:allow(no-panic): SamplePlan::single always allocates a main set
-        &set_q.expect("single plan yields a main set"),
-        n,
-        eps,
-    )
-}
-
-/// Tests closeness from pre-drawn sample sets, one per side (the entry
-/// point the analysis API's engine uses on its shared draw).
+/// Tests `‖p − q‖₂ ≤ ε/√2` vs `‖p − q‖₂ > ε` from pre-drawn sample
+/// sets, one per side.
 pub fn test_closeness_l2_from_sets(
     set_p: &SampleSet,
     set_q: &SampleSet,
@@ -130,40 +98,11 @@ pub fn test_closeness_l2_from_sets(
 }
 
 /// Tests identity `p = q` (vs `‖p − q‖₂ > ε`) against an explicitly known
-/// `q`: the `q`-side moments are exact, only `‖p‖₂²` and `⟨p, q⟩` are
-/// estimated. `p` is reached only through its [`SampleOracle`]; `q` stays
-/// an explicit [`DenseDistribution`] by design — identity testing *means*
-/// comparing sample access against a known description.
-pub fn test_identity_l2<O: SampleOracle + ?Sized>(
-    oracle_p: &mut O,
-    known_q: &DenseDistribution,
-    eps: f64,
-    m: usize,
-) -> Result<ClosenessReport, DistError> {
-    let n = oracle_p.domain_size();
-    check_eps(eps)?;
-    if n != known_q.n() {
-        return Err(DistError::BadParameter {
-            reason: format!("domain mismatch: {n} vs {}", known_q.n()),
-        });
-    }
-    if m < 2 {
-        return Err(DistError::BadParameter {
-            reason: "need at least two samples".into(),
-        });
-    }
-    let (set_p, _) = SamplePlan::single(m).draw(oracle_p)?;
-    test_identity_l2_from_set(
-        // lint:allow(no-panic): SamplePlan::single always allocates a main set
-        &set_p.expect("single plan yields a main set"),
-        known_q,
-        n,
-        eps,
-    )
-}
-
-/// Tests identity from a pre-drawn `p`-sample (the entry point the
-/// analysis API's engine uses on its shared draw).
+/// `q` from a pre-drawn `p`-sample: the `q`-side moments are exact, only
+/// `‖p‖₂²` and `⟨p, q⟩` are estimated. `p` is reached only through its
+/// samples; `q` stays an explicit [`DenseDistribution`] by design —
+/// identity testing *means* comparing sample access against a known
+/// description.
 pub fn test_identity_l2_from_set(
     set_p: &SampleSet,
     known_q: &DenseDistribution,
@@ -206,8 +145,9 @@ pub fn test_identity_l2_from_set(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::{ClosenessL2, IdentityL2, Session};
     use khist_dist::generators;
-    use khist_oracle::DenseOracle;
+    use khist_oracle::{DenseOracle, SampleOracle};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -259,9 +199,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         let accepts = (0..9)
             .filter(|_| {
-                let mut oracle_p = DenseOracle::new(p, rng.random());
-                let mut oracle_q = DenseOracle::new(q, rng.random());
-                test_closeness_l2(&mut oracle_p, &mut oracle_q, eps, m)
+                let set_p = DenseOracle::new(p, rng.random()).draw_set(m);
+                let set_q = DenseOracle::new(q, rng.random()).draw_set(m);
+                test_closeness_l2_from_sets(&set_p, &set_q, p.n(), eps)
                     .unwrap()
                     .outcome
                     .is_accept()
@@ -292,21 +232,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let mut ok_same = 0;
         let mut ok_far = 0;
+        let identity = || IdentityL2::against(q.clone()).eps(0.2).samples(5000);
         for _ in 0..9 {
-            let mut oracle_q = DenseOracle::new(&q, rng.random());
-            if test_identity_l2(&mut oracle_q, &q, 0.2, 5000)
-                .unwrap()
-                .outcome
-                .is_accept()
-            {
+            let mut session_q = Session::from_dense(&q, rng.random());
+            if session_q.run_one(identity()).unwrap().accepted() {
                 ok_same += 1;
             }
-            let mut oracle_far = DenseOracle::new(&far, rng.random());
-            if !test_identity_l2(&mut oracle_far, &q, 0.2, 5000)
-                .unwrap()
-                .outcome
-                .is_accept()
-            {
+            let mut session_far = Session::from_dense(&far, rng.random());
+            if !session_far.run_one(identity()).unwrap().accepted() {
                 ok_far += 1;
             }
         }
@@ -325,42 +258,21 @@ mod tests {
         let p = DenseDistribution::uniform(8).unwrap();
         let q = DenseDistribution::uniform(9).unwrap();
         let q8 = DenseDistribution::uniform(8).unwrap();
-        let pair = |a: &DenseDistribution, b: &DenseDistribution| {
-            (DenseOracle::new(a, 1), DenseOracle::new(b, 2))
-        };
-        let (mut op, mut oq) = pair(&p, &q);
-        assert!(test_closeness_l2(&mut op, &mut oq, 0.3, 100).is_err());
-        let (mut op, mut oq8) = pair(&p, &q8);
-        assert!(test_closeness_l2(&mut op, &mut oq8, 1.5, 100).is_err());
-        assert!(test_closeness_l2(&mut op, &mut oq8, 0.3, 1).is_err());
-        let mut op = DenseOracle::new(&p, 3);
-        assert!(test_identity_l2(&mut op, &q, 0.3, 100).is_err());
-        assert!(test_identity_l2(&mut op, &q8, 0.0, 100).is_err());
-        assert!(test_identity_l2(&mut op, &q8, 0.3, 0).is_err());
-    }
-
-    #[test]
-    fn from_sets_matches_oracle_entry_points() {
-        // The shims draw one set and delegate; feeding the same sets to the
-        // from_sets entry points must reproduce the report exactly.
-        let p = generators::zipf(64, 1.0).unwrap();
-        let q = DenseDistribution::uniform(64).unwrap();
-        let mut oracle_p = DenseOracle::new(&p, 21);
-        let mut oracle_q = DenseOracle::new(&q, 22);
-        let via_oracle = test_closeness_l2(&mut oracle_p, &mut oracle_q, 0.2, 3000).unwrap();
-        let mut oracle_p = DenseOracle::new(&p, 21);
-        let mut oracle_q = DenseOracle::new(&q, 22);
-        let set_p = oracle_p.draw_set(3000);
-        let set_q = oracle_q.draw_set(3000);
-        let via_sets = test_closeness_l2_from_sets(&set_p, &set_q, 64, 0.2).unwrap();
-        assert_eq!(via_oracle, via_sets);
-
-        let mut oracle_p = DenseOracle::new(&p, 23);
-        let via_oracle = test_identity_l2(&mut oracle_p, &q, 0.2, 3000).unwrap();
-        let mut oracle_p = DenseOracle::new(&p, 23);
-        let set_p = oracle_p.draw_set(3000);
-        let via_set = test_identity_l2_from_set(&set_p, &q, 64, 0.2).unwrap();
-        assert_eq!(via_oracle, via_set);
+        let mut session = Session::from_dense(&p, 1);
+        let closeness = |q: &DenseDistribution| ClosenessL2::against(q.clone());
+        assert!(session
+            .run_one(closeness(&q).eps(0.3).samples(100))
+            .is_err());
+        assert!(session
+            .run_one(closeness(&q8).eps(1.5).samples(100))
+            .is_err());
+        assert!(session.run_one(closeness(&q8).eps(0.3).samples(1)).is_err());
+        let identity = |q: &DenseDistribution| IdentityL2::against(q.clone());
+        assert!(session.run_one(identity(&q).eps(0.3).samples(100)).is_err());
+        assert!(session
+            .run_one(identity(&q8).eps(0.0).samples(100))
+            .is_err());
+        assert!(session.run_one(identity(&q8).eps(0.3).samples(1)).is_err());
     }
 
     #[test]

@@ -21,13 +21,14 @@
 //! * [`lower_bound`] — the **Theorem 5** distinguishing harness over the
 //!   YES/NO ensemble from `khist_dist::generators::lower_bound`.
 //!
-//! Every algorithm entry point is generic over
-//! [`khist_oracle::SampleOracle`] — the sample-access model of §2 made into
-//! a seam. The [`api`] module is the front door above them all: typed
-//! [`api::Analysis`] requests run through one [`api::Session`] engine that
-//! computes a shared [`api::SamplePlan`] per batch and returns uniform,
-//! serde-serializable [`api::Report`]s. The per-algorithm free functions
-//! remain as thin shims over the same plan layer.
+//! The algorithms reach `p` only through samples. Typed
+//! [`api::Analysis`] requests run through [`api::run_analyses`] (or an
+//! [`api::Session`] built on it) — the one way to run a sampled analysis —
+//! which draws one shared [`api::SamplePlan`] per batch from any
+//! [`khist_oracle::SampleOracle`] (the sample-access model of §2 made into
+//! a seam) and returns uniform, serde-serializable [`api::Report`]s. The
+//! per-algorithm kernels (`test_l2_from_sets`, …) take pre-drawn sample
+//! sets; [`greedy::learn`] is the learner's raw entry point.
 //!
 //! # Example: learn a histogram from samples
 //!
@@ -75,14 +76,9 @@ pub use flatness::{FlatnessTest, L1Flatness, L2Flatness};
 pub use greedy::{
     greedy_with_oracle, learn, learn_from_samples, CandidatePolicy, GreedyOutcome, GreedyParams,
 };
-pub use identity::{
-    test_closeness_l2, test_closeness_l2_from_sets, test_identity_l2, test_identity_l2_from_set,
-    ClosenessReport,
-};
-pub use monotone::{
-    birge_partition, pav_non_increasing, test_monotone_non_increasing, MonotonicityReport,
-};
+pub use identity::{test_closeness_l2_from_sets, test_identity_l2_from_set, ClosenessReport};
+pub use monotone::{birge_partition, pav_non_increasing, MonotonicityReport};
 pub use partition_search::{partition_search, PartitionOutcome};
-pub use tester::{test_l1, test_l2, TestOutcome, TestReport};
+pub use tester::{TestOutcome, TestReport};
 pub use tiling_state::TilingState;
-pub use uniformity::{test_uniformity, UniformityBudget, UniformityReport};
+pub use uniformity::{UniformityBudget, UniformityReport};

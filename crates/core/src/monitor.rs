@@ -562,23 +562,6 @@ impl Monitor {
         }
     }
 
-    /// `ℓ₂` closeness of the current window's sample against the newest
-    /// disjoint completed window's — the on-demand "did the distribution
-    /// move?" check. Fails until a window disjoint from the current one
-    /// has completed, or when the current window holds fewer than two
-    /// samples.
-    pub fn drift(&self) -> Result<Report, DistError> {
-        let snap = self.sink.snapshot();
-        let baseline =
-            self.disjoint_baseline(snap.start)
-                .ok_or_else(|| DistError::BadParameter {
-                    reason: "drift needs a completed window disjoint from the current one as \
-                             baseline; keep ingesting"
-                        .into(),
-                })?;
-        self.drift_between(baseline, &snap.merged(), snap.seed)
-    }
-
     /// Runs the standing batch + drift over one frozen window and advances
     /// the drift baselines (completed windows only).
     fn report_window(&mut self, mut snap: WindowSnapshot) -> Result<WindowReport, DistError> {
@@ -792,18 +775,13 @@ mod tests {
             .drift_eps(0.3)
             .build()
             .unwrap();
-        assert!(monitor.drift().is_err(), "no baseline yet");
         let steady = generators::staircase(64, 3).unwrap();
         let shifted = generators::spike_comb(64, 8).unwrap();
         monitor.ingest(&events_from(&steady, 5_000, 1)).unwrap();
-        // Mid-window probe against the same source: no drift.
         monitor.ingest(&events_from(&steady, 2_500, 2)).unwrap();
-        assert!(monitor.drift().unwrap().accepted());
         monitor.ingest(&events_from(&steady, 2_500, 4)).unwrap();
-        // Source changes: the partial next window already flags it…
+        // Source changes: the completed window's report flags it.
         monitor.ingest(&events_from(&shifted, 2_500, 3)).unwrap();
-        assert!(!monitor.drift().unwrap().accepted());
-        // …and so does the completed window's report.
         let windows = monitor.ingest(&events_from(&shifted, 2_500, 5)).unwrap();
         let drift = windows[0].drift.as_ref().unwrap();
         assert!(!drift.accepted(), "shift must be flagged: {drift}");

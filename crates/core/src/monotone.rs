@@ -22,9 +22,8 @@
 //! classical substrate implemented from scratch and reusable on its own.
 
 use khist_dist::{DistError, Interval, TilingHistogram};
-use khist_oracle::{SampleOracle, SampleSet};
+use khist_oracle::SampleSet;
 
-use crate::api::SamplePlan;
 use crate::tester::TestOutcome;
 
 /// The Birgé partition of `[n]`: consecutive intervals with lengths
@@ -138,22 +137,9 @@ pub fn monotonicity_budget(n: usize, eps: f64, scale: f64) -> Result<usize, Dist
 }
 
 /// Tests whether the sampled distribution is non-increasing (vs `ε`-far in
-/// `ℓ₁` from every non-increasing distribution) from `m` fresh samples
-/// drawn through a [`SampleOracle`] (a thin shim over the [`SamplePlan`]
-/// single-set path).
-pub fn test_monotone_non_increasing<O: SampleOracle + ?Sized>(
-    oracle: &mut O,
-    eps: f64,
-    m: usize,
-) -> Result<MonotonicityReport, DistError> {
-    let (set, _) = SamplePlan::single(m).draw(oracle)?;
-    let set = set.ok_or_else(|| DistError::BadParameter {
-        reason: "need at least one sample".into(),
-    })?;
-    test_monotone_from_set(oracle.domain_size(), eps, &set)
-}
-
-/// Tests monotonicity from a pre-drawn sample multiset.
+/// `ℓ₁` from every non-increasing distribution) from a pre-drawn sample
+/// multiset (to draw it from a [`khist_oracle::SampleOracle`], run a
+/// [`Monotone`](crate::api::Monotone) request).
 pub fn test_monotone_from_set(
     n: usize,
     eps: f64,
@@ -223,8 +209,9 @@ pub fn monotone_fit(n: usize, eps: f64, set: &SampleSet) -> Result<TilingHistogr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::{Monotone, Session};
     use khist_dist::{generators, DenseDistribution};
-    use khist_oracle::DenseOracle;
+    use khist_oracle::{DenseOracle, SampleOracle};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -303,11 +290,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         let accepts = (0..9)
             .filter(|_| {
-                let mut oracle = DenseOracle::new(p, rng.random());
-                test_monotone_non_increasing(&mut oracle, eps, m)
+                let mut session = Session::from_dense(p, rng.random());
+                session
+                    .run_one(Monotone::eps(eps).samples(m))
                     .unwrap()
-                    .outcome
-                    .is_accept()
+                    .accepted()
             })
             .count();
         if accepts > 4 {
@@ -383,8 +370,8 @@ mod tests {
     #[test]
     fn report_fields_are_consistent() {
         let p = generators::geometric(128, 0.95).unwrap();
-        let mut oracle = DenseOracle::new(&p, 5);
-        let rep = test_monotone_non_increasing(&mut oracle, 0.3, 20_000).unwrap();
+        let set = DenseOracle::new(&p, 5).draw_set(20_000);
+        let rep = test_monotone_from_set(128, 0.3, &set).unwrap();
         assert_eq!(rep.samples_used, 20_000);
         assert!(rep.buckets > 3 && rep.buckets < 128);
         assert!(rep.isotonic_distance >= 0.0);

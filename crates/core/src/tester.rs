@@ -1,9 +1,13 @@
 //! The assembled tiling-`k`-histogram testers (Theorems 3 and 4).
 //!
-//! Both testers draw `r` independent sample sets of size `m` (the budgets of
-//! [`khist_oracle::L2TesterBudget`] / [`khist_oracle::L1TesterBudget`]),
+//! Both testers take `r` independent sample sets of size `m` (the budgets
+//! of [`khist_oracle::L2TesterBudget`] / [`khist_oracle::L1TesterBudget`]),
 //! wrap them in the corresponding flatness test, and run the Algorithm 2
-//! partition search. Guarantees (at the theoretical budgets):
+//! partition search. To draw the sets from a [`khist_oracle::SampleOracle`],
+//! run a [`TestL2`](crate::api::TestL2) / [`TestL1`](crate::api::TestL1)
+//! request through [`run_analyses`](crate::api::run_analyses) or a
+//! [`Session`](crate::api::Session). Guarantees (at the theoretical
+//! budgets):
 //!
 //! * **Theorem 3 (`ℓ₂`)** — if `p` is a tiling `k`-histogram, accept with
 //!   probability ≥ 2/3; if `p` is `ε`-far in `ℓ₂` from every tiling
@@ -13,9 +17,8 @@
 //!   `Õ(ε⁻⁵ √(kn))`.
 
 use khist_dist::DistError;
-use khist_oracle::{L1TesterBudget, L2TesterBudget, SampleOracle, SampleSet};
+use khist_oracle::SampleSet;
 
-use crate::api::SamplePlan;
 use crate::flatness::{L1Flatness, L2Flatness};
 use crate::partition_search::partition_search;
 
@@ -49,24 +52,10 @@ pub struct TestReport {
     pub samples_used: usize,
 }
 
-/// Runs the `ℓ₂` tester (Algorithm 2 + `testFlatness-ℓ₂`) on fresh sample
-/// sets drawn through a [`SampleOracle`] (a thin shim over the
-/// [`SamplePlan`] set-batch path — batch it with other analyses via
-/// [`crate::api::Session`] to share the draw).
-pub fn test_l2<O: SampleOracle + ?Sized>(
-    oracle: &mut O,
-    k: usize,
-    eps: f64,
-    budget: L2TesterBudget,
-) -> Result<TestReport, DistError> {
-    let (_, sets) = SamplePlan::sets(budget.r, budget.m).draw(oracle)?;
-    test_l2_from_sets(oracle.domain_size(), k, eps, &sets)
-}
-
-/// Runs the `ℓ₂` tester on pre-drawn sample sets (entry point for real
-/// data; the flatness thresholds are normalized per set, so sets of
-/// slightly different sizes — e.g. reservoir lanes of a shared streaming
-/// draw — are handled correctly).
+/// Runs the `ℓ₂` tester (Algorithm 2 + `testFlatness-ℓ₂`) on pre-drawn
+/// sample sets (the flatness thresholds are normalized per set, so sets
+/// of slightly different sizes — e.g. reservoir lanes of a shared
+/// streaming draw — are handled correctly).
 pub fn test_l2_from_sets(
     n: usize,
     k: usize,
@@ -88,21 +77,9 @@ pub fn test_l2_from_sets(
     })
 }
 
-/// Runs the `ℓ₁` tester (Algorithm 2 + `testFlatness-ℓ₁`) on fresh sample
-/// sets drawn through a [`SampleOracle`] (a thin shim over the
-/// [`SamplePlan`] set-batch path).
-pub fn test_l1<O: SampleOracle + ?Sized>(
-    oracle: &mut O,
-    k: usize,
-    eps: f64,
-    budget: L1TesterBudget,
-) -> Result<TestReport, DistError> {
-    let (_, sets) = SamplePlan::sets(budget.r, budget.m).draw(oracle)?;
-    test_l1_from_sets(oracle.domain_size(), k, eps, &sets)
-}
-
-/// Runs the `ℓ₁` tester on pre-drawn sample sets (per-set-normalized
-/// thresholds, like [`test_l2_from_sets`]).
+/// Runs the `ℓ₁` tester (Algorithm 2 + `testFlatness-ℓ₁`) on pre-drawn
+/// sample sets (per-set-normalized thresholds, like
+/// [`test_l2_from_sets`]).
 pub fn test_l1_from_sets(
     n: usize,
     k: usize,
@@ -170,8 +147,9 @@ fn validate(n: usize, k: usize, eps: f64, sets: &[SampleSet]) -> Result<(), Dist
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::{Session, TestL1, TestL2};
     use khist_dist::{generators, DenseDistribution};
-    use khist_oracle::DenseOracle;
+    use khist_oracle::{L1TesterBudget, L2TesterBudget};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -189,11 +167,11 @@ mod tests {
         let mut accepts = 0;
         let runs = 7;
         for _ in 0..runs {
-            let mut oracle = DenseOracle::new(p, rng.random());
-            if test_l2(&mut oracle, k, eps, budget)
+            let mut session = Session::from_dense(p, rng.random());
+            if session
+                .run_one(TestL2::k(k).eps(eps).budget(budget))
                 .unwrap()
-                .outcome
-                .is_accept()
+                .accepted()
             {
                 accepts += 1;
             }
@@ -217,11 +195,11 @@ mod tests {
         let mut accepts = 0;
         let runs = 7;
         for _ in 0..runs {
-            let mut oracle = DenseOracle::new(p, rng.random());
-            if test_l1(&mut oracle, k, eps, budget)
+            let mut session = Session::from_dense(p, rng.random());
+            if session
+                .run_one(TestL1::k(k).eps(eps).budget(budget))
                 .unwrap()
-                .outcome
-                .is_accept()
+                .accepted()
             {
                 accepts += 1;
             }
@@ -302,11 +280,13 @@ mod tests {
     fn report_fields_are_consistent() {
         let p = DenseDistribution::uniform(64).unwrap();
         let budget = L2TesterBudget::calibrated(64, 0.3, 0.02).unwrap();
-        let mut oracle = DenseOracle::new(&p, 10);
-        let rep = test_l2(&mut oracle, 2, 0.3, budget).unwrap();
-        assert_eq!(rep.samples_used, budget.r * budget.m);
-        assert!(rep.probes > 0);
-        if rep.outcome.is_accept() {
+        let mut session = Session::from_dense(&p, 10);
+        let rep = session
+            .run_one(TestL2::k(2).eps(0.3).budget(budget))
+            .unwrap();
+        assert_eq!(rep.samples_spent, budget.r * budget.m);
+        assert!(rep.probes.unwrap() > 0);
+        if rep.accepted() {
             assert!(rep.cuts.len() < 2);
         }
     }
@@ -316,8 +296,10 @@ mod tests {
         let p = DenseDistribution::uniform(8).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
         let budget = L2TesterBudget::calibrated(8, 0.3, 0.1).unwrap();
-        let mut oracle = DenseOracle::new(&p, 1);
-        assert!(test_l2(&mut oracle, 0, 0.3, budget).is_err());
+        let mut session = Session::from_dense(&p, 1);
+        assert!(session
+            .run_one(TestL2::k(0).eps(0.3).budget(budget))
+            .is_err());
         let sets = SampleSet::draw_many(&p, 16, 3, &mut rng);
         assert!(test_l2_from_sets(0, 2, 0.3, &sets).is_err());
         assert!(test_l2_from_sets(8, 2, 1.5, &sets).is_err());
@@ -356,9 +338,11 @@ mod tests {
         let mut best_witness_err = f64::INFINITY;
         let mut accepts = 0;
         for _ in 0..7 {
-            let mut oracle = DenseOracle::new(&p, rng.random());
-            let rep = test_l2(&mut oracle, 4, 0.2, budget).unwrap();
-            if rep.outcome.is_accept() {
+            let mut session = Session::from_dense(&p, rng.random());
+            let rep = session
+                .run_one(TestL2::k(4).eps(0.2).budget(budget))
+                .unwrap();
+            if rep.accepted() {
                 accepts += 1;
                 let h = khist_dist::TilingHistogram::project(&p, &rep.cuts).unwrap();
                 best_witness_err = best_witness_err.min(h.l2_sq_to(&p));

@@ -17,13 +17,12 @@
 //! `E[ẑ] = ‖p‖₂² = 1/n + ‖p − u‖₂²` past the threshold.
 
 use khist_dist::{DistError, Interval};
-use khist_oracle::{absolute_collision_estimate, SampleOracle, SampleSet};
-use serde::{Deserialize, Error as SerdeError, Serialize, Value};
+use khist_oracle::{absolute_collision_estimate, SampleSet};
 
-use crate::api::SamplePlan;
 use crate::tester::TestOutcome;
 
-/// Budget for the standalone uniformity tester.
+/// Budget for the standalone uniformity tester. Reports carry it as
+/// [`BudgetSpec::Fixed`](crate::api::BudgetSpec::Fixed).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UniformityBudget {
     /// Number of samples drawn.
@@ -31,9 +30,6 @@ pub struct UniformityBudget {
 }
 
 impl UniformityBudget {
-    /// Tag naming this budget shape in serialized reports.
-    pub const KIND: &'static str = "uniformity";
-
     /// The `Õ(√n/ε⁴)` budget from the Goldreich–Ron analysis (constant
     /// from [BFR+10]'s presentation), scaled by `scale` like the other
     /// calibrated budgets. Fails on out-of-range parameters or a sample
@@ -64,33 +60,6 @@ impl UniformityBudget {
     pub fn theoretical(n: usize, eps: f64) -> Result<Self, DistError> {
         Self::calibrated(n, eps, 1.0)
     }
-
-    /// Total samples drawn under this budget.
-    pub fn total_samples(&self) -> Result<usize, DistError> {
-        Ok(self.m)
-    }
-}
-
-impl Serialize for UniformityBudget {
-    fn serialize(&self) -> Value {
-        Value::map([
-            ("kind", Value::Str(Self::KIND.into())),
-            ("m", self.m.serialize()),
-        ])
-    }
-}
-
-impl Deserialize for UniformityBudget {
-    fn deserialize(value: &Value) -> Result<Self, SerdeError> {
-        khist_oracle::budget::check_kind(value, Self::KIND)?;
-        Ok(UniformityBudget {
-            m: usize::deserialize(
-                value
-                    .get("m")
-                    .ok_or_else(|| SerdeError::new("uniformity budget missing 'm'"))?,
-            )?,
-        })
-    }
 }
 
 /// Report of a uniformity test.
@@ -106,22 +75,9 @@ pub struct UniformityReport {
     pub samples_used: usize,
 }
 
-/// Tests uniformity from fresh samples drawn through a [`SampleOracle`]
-/// (a thin shim over the [`SamplePlan`] single-set path — batch it with
-/// other analyses via [`crate::api::Session`] to share the draw).
-pub fn test_uniformity<O: SampleOracle + ?Sized>(
-    oracle: &mut O,
-    eps: f64,
-    budget: UniformityBudget,
-) -> Result<UniformityReport, DistError> {
-    let (set, _) = SamplePlan::single(budget.m).draw(oracle)?;
-    let set = set.ok_or_else(|| DistError::BadParameter {
-        reason: "need at least two samples".into(),
-    })?;
-    test_uniformity_from_set(oracle.domain_size(), eps, &set)
-}
-
-/// Tests uniformity from a pre-drawn sample multiset.
+/// Tests uniformity from a pre-drawn sample multiset (to draw it from a
+/// [`khist_oracle::SampleOracle`], run a
+/// [`Uniformity`](crate::api::Uniformity) request).
 pub fn test_uniformity_from_set(
     n: usize,
     eps: f64,
@@ -158,8 +114,8 @@ pub fn test_uniformity_from_set(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::{Session, Uniformity};
     use khist_dist::{generators, DenseDistribution};
-    use khist_oracle::DenseOracle;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -168,11 +124,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         let accepts = (0..9)
             .filter(|_| {
-                let mut oracle = DenseOracle::new(p, rng.random());
-                test_uniformity(&mut oracle, eps, budget)
+                let mut session = Session::from_dense(p, rng.random());
+                session
+                    .run_one(Uniformity::eps(eps).budget(budget))
                     .unwrap()
-                    .outcome
-                    .is_accept()
+                    .accepted()
             })
             .count();
         if accepts > 4 {
@@ -206,11 +162,13 @@ mod tests {
     #[test]
     fn statistic_estimates_l2_norm() {
         let p = generators::two_level(256, 0.5, 0.9).unwrap();
-        let mut oracle = DenseOracle::new(&p, 5);
+        let mut session = Session::from_dense(&p, 5);
         let budget = UniformityBudget { m: 50_000 };
-        let rep = test_uniformity(&mut oracle, 0.3, budget).unwrap();
-        assert!((rep.statistic - p.l2_norm_sq()).abs() < 0.002);
-        assert_eq!(rep.samples_used, 50_000);
+        let rep = session
+            .run_one(Uniformity::eps(0.3).budget(budget))
+            .unwrap();
+        assert!((rep.statistic.unwrap() - p.l2_norm_sq()).abs() < 0.002);
+        assert_eq!(rep.samples_spent, 50_000);
     }
 
     #[test]
@@ -223,15 +181,6 @@ mod tests {
     }
 
     #[test]
-    fn budget_serde_round_trips() {
-        let b = UniformityBudget::calibrated(1024, 0.3, 0.1).unwrap();
-        let text = serde::json::to_string(&b.serialize()).unwrap();
-        let back =
-            UniformityBudget::deserialize(&serde::json::from_str(&text).unwrap()).unwrap();
-        assert_eq!(back, b);
-    }
-
-    #[test]
     fn agrees_with_general_tester_at_k1() {
         // The k = 1 instance of the paper's ℓ₂ tester and the standalone
         // uniformity tester should agree on clear-cut instances. The far
@@ -239,18 +188,18 @@ mod tests {
         // elements sharing 90% of the mass give ‖p − u‖₂ ≈ 0.36 > 0.3.
         // (A milder skew like two_level(256, 0.1, 0.8) is only ≈ 0.15-far
         // in ℓ₂ and the general tester rightly accepts it at ε = 0.3.)
-        use crate::tester::test_l2;
+        use crate::api::TestL2;
         use khist_oracle::L2TesterBudget;
         let mut rng = StdRng::seed_from_u64(6);
         let uniform = DenseDistribution::uniform(256).unwrap();
         let skewed = generators::two_level(256, 0.02, 0.9).unwrap();
         let l2_budget = L2TesterBudget::calibrated(256, 0.3, 0.05).unwrap();
         for (p, expect_accept) in [(&uniform, true), (&skewed, false)] {
-            let mut oracle = DenseOracle::new(p, rng.random());
-            let general = test_l2(&mut oracle, 1, 0.3, l2_budget)
+            let mut session = Session::from_dense(p, rng.random());
+            let general = session
+                .run_one(TestL2::k(1).eps(0.3).budget(l2_budget))
                 .unwrap()
-                .outcome
-                .is_accept();
+                .accepted();
             let standalone = majority(p, 0.3, 0.1, 7).is_accept();
             assert_eq!(general, expect_accept, "general tester wrong");
             assert_eq!(standalone, expect_accept, "standalone tester wrong");

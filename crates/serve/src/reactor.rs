@@ -297,10 +297,7 @@ fn read_conn(
     }
 }
 
-/// Emits window reports: one JSONL line each to the main sink and to
-/// every subscribed control connection. A broken-pipe sink flips
-/// `out_ok` (the caller decides to shut down); a subscriber whose
-/// buffer exceeds `sub_cap` is dropped as a slow consumer.
+/// Emits window reports: one JSONL line each through [`emit_line`].
 fn emit_reports<W: Write>(
     reports: &[WindowReport],
     out: &mut W,
@@ -311,19 +308,31 @@ fn emit_reports<W: Write>(
 ) -> Result<(), String> {
     for report in reports {
         let line = format!("{}\n", report.to_json());
-        if *out_ok {
-            let write = out
-                .write_all(line.as_bytes())
-                .and_then(|()| out.flush());
-            match write {
-                Ok(()) => {}
-                Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => *out_ok = false,
-                Err(e) => return Err(format!("write to sink failed: {e}")),
-            }
-        }
-        broadcast(&line, conns, sub_cap);
+        emit_line(&line, out, out_ok, conns, sub_cap)?;
         *windows += 1;
     }
+    Ok(())
+}
+
+/// Writes one feed line to the main sink, flushes it, and queues it on
+/// every subscribed control connection, so a `SUB` feed carries exactly
+/// the sink's lines. A broken-pipe sink flips `out_ok` (the caller
+/// decides to shut down).
+fn emit_line<W: Write>(
+    line: &str,
+    out: &mut W,
+    out_ok: &mut bool,
+    conns: &mut [Conn],
+    sub_cap: usize,
+) -> Result<(), String> {
+    if *out_ok {
+        match out.write_all(line.as_bytes()).and_then(|()| out.flush()) {
+            Ok(()) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => *out_ok = false,
+            Err(e) => return Err(format!("write to sink failed: {e}")),
+        }
+    }
+    broadcast(line, conns, sub_cap);
     Ok(())
 }
 
@@ -556,12 +565,7 @@ pub fn run<W: Write>(
                         emit_fleet_line(&engine, &mut conns, sub_cap);
                     }
                 }
-                Err(msg) => {
-                    let line = error_line(&msg);
-                    if out_ok && out.write_all(line.as_bytes()).is_err() {
-                        out_ok = false;
-                    }
-                }
+                Err(msg) => emit_line(&error_line(&msg), out, &mut out_ok, &mut conns, sub_cap)?,
             }
             last_drain = clock();
         }
@@ -637,11 +641,10 @@ mod tests {
     /// Drives `run` on the current thread while a scoped producer thread
     /// plays the client side (threads are fine in tests; the server
     /// itself stays single-threaded).
-    fn drive<F>(cfg: ServerConfig, shards: usize, client: F) -> (ServerSummary, String)
+    fn drive<F>(engine: Engine, cfg: ServerConfig, client: F) -> (ServerSummary, String)
     where
         F: FnOnce() + Send,
     {
-        let engine = test_engine(shards);
         let mut sink: Vec<u8> = Vec::new();
         let mut summary = None;
         crossbeam::scope(|scope| {
@@ -732,7 +735,7 @@ mod tests {
         // default 50 ms flush: ten periods of ~50 records each.
         let lines: Vec<String> = (0..500u32).map(|i| format!("api {}\n", (i * 7) % 64)).collect();
         let (socket, control, cfg) = sockets("trickle", 50);
-        let (trickled, jsonl) = drive(cfg, 1, || {
+        let (trickled, jsonl) = drive(test_engine(1), cfg, || {
             let mut data = connect(&socket);
             for line in &lines {
                 data.write_all(line.as_bytes()).unwrap();
@@ -742,7 +745,7 @@ mod tests {
             shut_down(&control);
         });
         let (socket, control, cfg) = sockets("trickle-bulk", 50);
-        let (_, at_once) = drive(cfg, 1, || {
+        let (_, at_once) = drive(test_engine(1), cfg, || {
             connect(&socket).write_all(lines.concat().as_bytes()).unwrap();
             shut_down(&control);
         });
@@ -774,7 +777,7 @@ mod tests {
         };
         let lines: Vec<String> = (0..records).map(|i| format!("api {}\n", i % 64)).collect();
         let mut took = Duration::ZERO;
-        let (summary, _) = drive(cfg, 1, || {
+        let (summary, _) = drive(test_engine(1), cfg, || {
             let mut data = connect(&socket);
             let ctl = connect(&control);
             let mut replies = BufReader::new(&ctl);
@@ -827,7 +830,7 @@ mod tests {
         // and SHUTDOWN land inside it, with the data connection still
         // open.
         let (socket, control, cfg) = sockets("held", 10_000);
-        let (summary, _) = drive(cfg, 1, || {
+        let (summary, _) = drive(test_engine(1), cfg, || {
             let mut data = connect(&socket);
             std::thread::sleep(Duration::from_millis(100));
             data.write_all(b"api 0\n").unwrap();
@@ -861,7 +864,7 @@ mod tests {
         let records: String = (0..40_000u32).map(|i| format!("api {}\n", (i * 7) % 64)).collect();
         let mut feed = Vec::new();
         let mut took = Duration::ZERO;
-        let (summary, jsonl) = drive(cfg, 1, || {
+        let (summary, jsonl) = drive(test_engine(1), cfg, || {
             let sub = connect(&control);
             writeln!(&sub, "SUB").unwrap();
             connect(&socket).write_all(records.as_bytes()).unwrap();
@@ -913,6 +916,52 @@ mod tests {
     }
 
     #[test]
+    fn an_ingest_error_line_reaches_subscribers_too() {
+        use khist_core::api::{FleetReport, TestL2};
+        // More collision lanes than a window has records: the window
+        // fails with "need non-empty sample sets".
+        let engine = Engine::builder(64)
+            .seed(7)
+            .tumbling(4)
+            .analysis(TestL2::k(2).eps(0.3).scale(0.001))
+            .build()
+            .unwrap();
+        let (socket, control, cfg) = sockets("ingest-error", 5);
+        let mut feed = Vec::new();
+        let (_, jsonl) = drive(engine, cfg, || {
+            let sub = connect(&control);
+            let mut sub_lines = BufReader::new(&sub);
+            writeln!(&sub, "SUB").unwrap();
+            let mut ack = String::new();
+            sub_lines.read_line(&mut ack).unwrap();
+            assert!(ack.contains("subscribed"), "{ack}");
+            connect(&socket)
+                .write_all(b"api 0\napi 1\napi 2\napi 3\n")
+                .unwrap();
+            // STATS counts the records once the drain that failed ran.
+            let ctl = connect(&control);
+            let mut replies = BufReader::new(&ctl);
+            let mut reply = String::new();
+            while !reply.contains("\"records\":4") {
+                writeln!(&ctl, "STATS").unwrap();
+                reply.clear();
+                replies.read_line(&mut reply).unwrap();
+            }
+            shut_down(&control);
+            feed = sub_lines
+                .lines()
+                .map(Result::unwrap)
+                .filter(|l| !FleetReport::is_fleet_line(l))
+                .collect();
+        });
+        assert_eq!(
+            jsonl,
+            "{\"error\":\"bad parameter: need non-empty sample sets\"}\n"
+        );
+        assert_eq!(feed, jsonl.lines().collect::<Vec<_>>());
+    }
+
+    #[test]
     fn socket_records_flow_to_jsonl_and_tails_flush_on_shutdown() {
         let socket = tmp_path("data-a");
         let control = tmp_path("ctl-a");
@@ -923,7 +972,7 @@ mod tests {
             flush_ms: 5,
             ..ServerConfig::default()
         };
-        let (summary, jsonl) = drive(cfg, 2, || {
+        let (summary, jsonl) = drive(test_engine(2), cfg, || {
             let mut data = loop {
                 match UnixStream::connect(&socket) {
                     Ok(s) => break s,
@@ -972,7 +1021,7 @@ mod tests {
             flush_ms: 5,
             ..ServerConfig::default()
         };
-        let (summary, _jsonl) = drive(cfg, 1, || {
+        let (summary, _jsonl) = drive(test_engine(1), cfg, || {
             let mut good = loop {
                 match UnixStream::connect(&socket) {
                     Ok(s) => break s,
@@ -1008,7 +1057,7 @@ mod tests {
     fn non_utf8_and_nul_lines_poison_only_their_own_connections() {
         let (socket, control, cfg) = sockets("bytes", 5);
         let mut replies = Vec::new();
-        let (summary, _) = drive(cfg, 1, || {
+        let (summary, _) = drive(test_engine(1), cfg, || {
             let mut good = connect(&socket);
             let bad_utf8 = connect(&socket);
             let nul = connect(&socket);
@@ -1046,7 +1095,7 @@ mod tests {
             ..ServerConfig::default()
         };
         let mut feed: Vec<String> = Vec::new();
-        let (summary, jsonl) = drive(cfg, 2, || {
+        let (summary, jsonl) = drive(test_engine(2), cfg, || {
             let mut ctl = loop {
                 match UnixStream::connect(&control) {
                     Ok(s) => break s,

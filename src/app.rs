@@ -10,8 +10,9 @@
 //! overridden with `--n`.
 //!
 //! Every command is a thin shell over the typed analysis API
-//! ([`khist_core::api`]): `learn`/`test` run a single [`Analysis`] and
-//! `analyze` runs a whole batch through one shared
+//! ([`khist_core::api`]). `learn`, `test` and `analyze` share one runner:
+//! it builds one [`Analysis`] batch — `learn` alone, the `--norm` tester
+//! alone, or `analyze`'s `--run` list — and runs it through one shared
 //! [`SamplePlan`](khist_core::api::SamplePlan) — a single streaming pass
 //! over the record file no matter how many analyses ride on it. `learn`,
 //! `test`, `analyze` and `summarize` stream their record file through a
@@ -274,31 +275,6 @@ fn next_parsed<'a, T: std::str::FromStr>(
         .map_err(|_| format!("invalid value for {flag}"))
 }
 
-/// Builds the CLI's learn request: the paper's budget clamped to the data
-/// actually available, Theorem 2 candidates.
-fn learn_analysis(n: usize, k: usize, eps: f64, available: usize) -> Result<Analysis, String> {
-    let budget = budget_for_data(n, k, eps, available)?;
-    Ok(Learn::k(k).eps(eps).budget(budget).into())
-}
-
-/// Runs `learn` against any [`SampleOracle`] through the analysis engine:
-/// one batched draw (a single pass for streaming backends), a typed
-/// [`Report`] back.
-///
-/// `available` is the number of records the backend can actually serve
-/// (used to clamp the paper's budget).
-pub fn run_learn_with<O: SampleOracle + ?Sized>(
-    oracle: &mut O,
-    k: usize,
-    eps: f64,
-    available: usize,
-    seed: u64,
-) -> Result<Report, String> {
-    let analysis = learn_analysis(oracle.domain_size(), k, eps, available)?;
-    let (mut reports, _) = run_analyses(oracle, seed, &[analysis]).map_err(fmt_err)?;
-    Ok(reports.pop().expect("one analysis, one report"))
-}
-
 /// Renders a learn [`Report`] as the human piece table.
 pub fn render_learn(report: &Report) -> String {
     let Some(histogram) = &report.histogram else {
@@ -332,30 +308,6 @@ fn tester_split(available: usize) -> Result<(usize, usize), String> {
     Ok((r, m))
 }
 
-/// Builds the CLI's test request for the chosen norm, sized to the data.
-fn test_analysis(k: usize, eps: f64, norm: &str, available: usize) -> Result<Analysis, String> {
-    let (r, m) = tester_split(available)?;
-    Ok(match norm {
-        "l1" => TestL1::k(k).eps(eps).budget(L1TesterBudget { r, m }).into(),
-        _ => TestL2::k(k).eps(eps).budget(L2TesterBudget { r, m }).into(),
-    })
-}
-
-/// Runs `test` against any [`SampleOracle`] through the analysis engine:
-/// `r` equal sets in one batched draw, a typed [`Report`] back.
-pub fn run_test_with<O: SampleOracle + ?Sized>(
-    oracle: &mut O,
-    k: usize,
-    eps: f64,
-    norm: &str,
-    available: usize,
-    seed: u64,
-) -> Result<Report, String> {
-    let analysis = test_analysis(k, eps, norm, available)?;
-    let (mut reports, _) = run_analyses(oracle, seed, &[analysis]).map_err(fmt_err)?;
-    Ok(reports.pop().expect("one analysis, one report"))
-}
-
 /// Renders a tester [`Report`] as the human verdict line.
 pub fn render_test(report: &Report, k: usize) -> String {
     let norm = match report.analysis {
@@ -380,7 +332,8 @@ pub fn render_test(report: &Report, k: usize) -> String {
 }
 
 /// Builds the `analyze` batch from the `--run` list, every budget clamped
-/// to the records actually available.
+/// to the records actually available: the paper's learner budget with
+/// Theorem 2 candidates, the testers' `r` equal sets.
 fn analyze_batch(
     n: usize,
     k: usize,
@@ -390,8 +343,18 @@ fn analyze_batch(
 ) -> Result<Vec<Analysis>, String> {
     runs.iter()
         .map(|run| match run.as_str() {
-            "learn" => learn_analysis(n, k, eps, available),
-            "l1" | "l2" => test_analysis(k, eps, run, available),
+            "learn" => {
+                let budget = budget_for_data(n, k, eps, available)?;
+                Ok(Learn::k(k).eps(eps).budget(budget).into())
+            }
+            "l1" => {
+                let (r, m) = tester_split(available)?;
+                Ok(TestL1::k(k).eps(eps).budget(L1TesterBudget { r, m }).into())
+            }
+            "l2" => {
+                let (r, m) = tester_split(available)?;
+                Ok(TestL2::k(k).eps(eps).budget(L2TesterBudget { r, m }).into())
+            }
             "uniformity" => {
                 let derived = UniformityBudget::calibrated(n, eps, 1.0).map_err(fmt_err)?;
                 let m = derived.m.min(available).max(2);
@@ -430,6 +393,16 @@ pub fn run_analyze_with<O: SampleOracle + ?Sized>(
 ) -> Result<(Vec<Report>, Vec<LedgerEntry>), String> {
     let batch = analyze_batch(oracle.domain_size(), k, eps, available, runs)?;
     run_analyses(oracle, seed, &batch).map_err(fmt_err)
+}
+
+/// The runner of `learn`, `test` and `analyze`: opens the record file and
+/// runs `runs` through [`run_analyze_with`] — one pass over the file.
+fn run_file(o: &Options, runs: &[String]) -> Result<(Vec<Report>, Vec<LedgerEntry>), String> {
+    let mut oracle = RecordFileOracle::open(&o.path, o.n, o.seed).map_err(fmt_err)?;
+    let available = oracle.records() as usize;
+    let out = run_analyze_with(&mut oracle, o.k, o.eps, runs, available, o.seed)?;
+    debug_assert_eq!(oracle.passes(), 1, "one pass per file command");
+    Ok(out)
 }
 
 /// Renders an `analyze` run: one line per report, then the sample ledger.
@@ -518,6 +491,19 @@ fn window_and_batch(o: &Options) -> Result<(Window, Vec<Analysis>), String> {
     let (Window::Tumbling { span } | Window::Sliding { span, .. }) = window;
     let batch = analyze_batch(o.n, o.k, o.eps, span as usize, &o.runs)?;
     Ok((window, batch))
+}
+
+/// The sharded [`Engine`] keyed `watch` and `serve` run: one [`Monitor`]
+/// per stream key over [`window_and_batch`]'s window and batch.
+fn keyed_engine(o: &Options) -> Result<Engine, String> {
+    let (window, batch) = window_and_batch(o)?;
+    Engine::builder(o.n)
+        .seed(o.seed)
+        .shards(o.shards)
+        .analyses(batch)
+        .window(window)
+        .build()
+        .map_err(fmt_err)
 }
 
 /// Writes one rendered line and flushes it, so live output never waits in
@@ -648,14 +634,7 @@ fn run_watch_keyed<R: std::io::BufRead, W: std::io::Write>(
     opts: &Options,
     field: usize,
 ) -> Result<String, String> {
-    let (window, batch) = window_and_batch(opts)?;
-    let mut engine = Engine::builder(opts.n)
-        .seed(opts.seed)
-        .shards(opts.shards)
-        .analyses(batch)
-        .window(window)
-        .build()
-        .map_err(fmt_err)?;
+    let mut engine = keyed_engine(opts)?;
     // With --fleet, a rollup line follows every chunk that reported a
     // window (and the final tails): the fleet state as of everything
     // ingested so far. `Ok(false)` = consumer hung up.
@@ -851,8 +830,9 @@ fn fmt_err(e: impl std::fmt::Display) -> String {
 /// `learn`, `test`, `analyze` and `summarize` stream the record file
 /// through a [`RecordFileOracle`] — the file is scanned once for
 /// validation (domain violations against `--n` fail here with the
-/// offending line) and then streamed per draw. `analyze` serves its whole
-/// batch from one draw, i.e. one pass; `summarize` draws every record.
+/// offending line) and then streamed per draw. `learn`, `test` and
+/// `analyze` serve their batch from one draw, i.e. one pass; `summarize`
+/// draws every record.
 pub fn dispatch(cmd: Command) -> Result<String, String> {
     let open = |path: &str, n: usize, seed: u64| -> Result<RecordFileOracle, String> {
         RecordFileOracle::open(path, n, seed).map_err(fmt_err)
@@ -860,31 +840,25 @@ pub fn dispatch(cmd: Command) -> Result<String, String> {
     match cmd {
         Command::Help => Ok(usage().to_string()),
         Command::Learn(o) => {
-            let mut oracle = open(&o.path, o.n, o.seed)?;
-            let available = oracle.records() as usize;
-            let report = run_learn_with(&mut oracle, o.k, o.eps, available, o.seed)?;
+            let (reports, _) = run_file(&o, &["learn".into()])?;
+            let report = &reports[0];
             Ok(if o.json {
                 format!("{}\n", report.to_json())
             } else {
-                render_learn(&report)
+                render_learn(report)
             })
         }
         Command::Test(o) => {
-            let mut oracle = open(&o.path, o.n, o.seed)?;
-            let available = oracle.records() as usize;
-            let report = run_test_with(&mut oracle, o.k, o.eps, &o.norm, available, o.seed)?;
+            let (reports, _) = run_file(&o, std::slice::from_ref(&o.norm))?;
+            let report = &reports[0];
             Ok(if o.json {
                 format!("{}\n", report.to_json())
             } else {
-                render_test(&report, o.k)
+                render_test(report, o.k)
             })
         }
         Command::Analyze(o) => {
-            let mut oracle = open(&o.path, o.n, o.seed)?;
-            let available = oracle.records() as usize;
-            let (reports, ledger) =
-                run_analyze_with(&mut oracle, o.k, o.eps, &o.runs, available, o.seed)?;
-            debug_assert_eq!(oracle.passes(), 1, "analyze must make exactly one pass");
+            let (reports, ledger) = run_file(&o, &o.runs)?;
             Ok(if o.json {
                 format!("{}\n", reports_to_json(&reports))
             } else {
@@ -928,14 +902,7 @@ pub fn dispatch(cmd: Command) -> Result<String, String> {
                         .into(),
                 );
             }
-            let (policy, analyses) = window_and_batch(&o)?;
-            let engine = Engine::builder(o.n)
-                .seed(o.seed)
-                .shards(o.shards)
-                .analyses(analyses)
-                .window(policy)
-                .build()
-                .map_err(fmt_err)?;
+            let engine = keyed_engine(&o)?;
             let cfg = khist_serve::ServerConfig {
                 socket: o.socket.map(std::path::PathBuf::from),
                 control: o.control.map(std::path::PathBuf::from),

@@ -73,10 +73,10 @@
 //!
 //! Batching matters on streaming backends: a `Session::run` over
 //! {learn, test-`ℓ₂`, uniformity} draws **once** — a single pass over a
-//! [`oracle::RecordFileOracle`]'s file — where the pre-API free functions
-//! cost one pass each. The per-algorithm free functions (`greedy::learn`,
-//! `tester::test_l2`, …) remain as thin shims over the same
-//! [`api::SamplePlan`] layer.
+//! [`oracle::RecordFileOracle`]'s file — where three separate runs cost
+//! one pass each. [`api::run_analyses`] (which `Session::run` calls) is
+//! the one way to run a sampled analysis; the per-algorithm kernels
+//! (`tester::test_l2_from_sets`, …) take pre-drawn sample sets.
 //!
 //! Push and pull are two transports for one sampling process: a tumbling
 //! window pushed into a [`oracle::WindowedSink`] freezes lanes
@@ -96,8 +96,10 @@
 //!
 //! ## Budgets
 //!
-//! Every sample budget has checked `total_samples`,
-//! `calibrated`/`theoretical` constructors and a serde round-trip:
+//! Every sample budget has checked `calibrated`/`theoretical`
+//! constructors. The three oracle budgets also have a checked
+//! `total_samples` and a serde round-trip; a report carries the uniformity
+//! budget as [`api::BudgetSpec::Fixed`]:
 //!
 //! | budget | params | shape | feeds |
 //! |---|---|---|---|
@@ -176,9 +178,8 @@ pub mod prelude {
     };
     pub use khist_core::compress::compress_to_k;
     pub use khist_core::greedy::{learn, learn_from_samples, CandidatePolicy, GreedyParams};
-    pub use khist_core::identity::{test_closeness_l2, test_identity_l2};
-    pub use khist_core::tester::{test_l1, test_l2, TestOutcome};
-    pub use khist_core::uniformity::{test_uniformity, UniformityBudget};
+    pub use khist_core::tester::TestOutcome;
+    pub use khist_core::uniformity::UniformityBudget;
     pub use khist_dist::{DenseDistribution, Interval, PriorityHistogram, TilingHistogram};
     pub use khist_oracle::{
         DenseOracle, L1TesterBudget, L2TesterBudget, LearnerBudget, RecordFileOracle, ReplayOracle,

@@ -2,13 +2,22 @@
 //!
 //! 1. `Session::run` over {learn, test-ℓ₂, uniformity} against a
 //!    `ReplayOracle` capture is **bit-identical** to running the three
-//!    legacy entry points on the same replayed sets (property test);
-//! 2. a whole batch on a `RecordFileOracle` costs exactly **one**
+//!    kernels on the same replayed sets (property test);
+//! 2. every analysis kind run through `run_analyses` reports what its
+//!    kernel returns on the request's own plan, drawn from an identically
+//!    seeded oracle;
+//! 3. a whole batch on a `RecordFileOracle` costs exactly **one**
 //!    streaming pass over the file;
-//! 3. reports serde-round-trip through JSON text.
+//! 4. reports serde-round-trip through JSON text.
 
-use khist::api::{run_analyses, Analysis, AnalysisKind, Learn, Report, TestL2, Uniformity};
+use khist::api::{
+    plan_for, run_analyses, Analysis, AnalysisKind, Learn, Report, TestL2, Uniformity,
+};
+use khist::identity::{test_closeness_l2_from_sets, test_identity_l2_from_set};
+use khist::monotone::{monotone_fit, test_monotone_from_set};
+use khist::oracle::stream_seed;
 use khist::prelude::*;
+use khist::tester::{test_l1_from_sets, test_l2_from_sets};
 use khist::uniformity::{test_uniformity_from_set, UniformityBudget};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -38,8 +47,8 @@ fn batch(k: usize, eps: f64, lb: LearnerBudget, l2: L2TesterBudget, ub: Uniformi
     ]
 }
 
-/// Runs the session batch and the legacy functions on the *same* captured
-/// sets and asserts bit-identical results.
+/// Runs the session batch and the kernels on the *same* captured sets and
+/// asserts bit-identical results.
 fn assert_session_matches_legacy(p: &DenseDistribution, k: usize, eps: f64, seed: u64) {
     let n = p.n();
     let lb = LearnerBudget::calibrated(n, k, eps, 0.02).unwrap();
@@ -59,7 +68,7 @@ fn assert_session_matches_legacy(p: &DenseDistribution, k: usize, eps: f64, seed
     );
     let reports = session.run(&batch(k, eps, lb, l2, ub)).unwrap();
 
-    // Legacy path: the three pre-API entry points on the same sets.
+    // Kernel path: the three kernels on the same sets.
     let params = GreedyParams {
         k,
         eps,
@@ -72,7 +81,7 @@ fn assert_session_matches_legacy(p: &DenseDistribution, k: usize, eps: f64, seed
         .unwrap()
         .normalized()
         .unwrap();
-    let legacy_l2 = khist::tester::test_l2_from_sets(n, k, eps, &sets[..l2.r]).unwrap();
+    let legacy_l2 = test_l2_from_sets(n, k, eps, &sets[..l2.r]).unwrap();
     let legacy_uni = test_uniformity_from_set(n, eps, &main).unwrap();
 
     // Bit-identical learner output.
@@ -127,6 +136,138 @@ mod props {
     }
 }
 
+/// A kernel's result in a report's terms.
+#[derive(Debug, Default)]
+struct KernelResult {
+    verdict: Option<TestOutcome>,
+    histogram: Option<TilingHistogram>,
+    statistic: Option<f64>,
+    threshold: Option<f64>,
+    cuts: Vec<usize>,
+    probes: Option<usize>,
+    samples_spent: usize,
+}
+
+#[test]
+fn every_kind_reports_what_its_kernel_returns() {
+    let n = 64;
+    let p = khist::dist::generators::zipf(n, 1.0).unwrap();
+    let q = DenseDistribution::uniform(n).unwrap();
+    let (k, eps, seed) = (3, 0.3, 41);
+    let lb = LearnerBudget::calibrated(n, k, eps, 0.02).unwrap();
+    let l1 = L1TesterBudget { r: 7, m: 2_000 };
+    let l2 = L2TesterBudget { r: 9, m: 1_500 };
+    let requests: Vec<Analysis> = vec![
+        Learn::k(k).eps(eps).budget(lb).into(),
+        TestL1::k(k).eps(eps).budget(l1).into(),
+        TestL2::k(k).eps(eps).budget(l2).into(),
+        Uniformity::eps(eps)
+            .budget(UniformityBudget { m: 3_000 })
+            .into(),
+        IdentityL2::against(q.clone())
+            .eps(eps)
+            .samples(3_000)
+            .into(),
+        ClosenessL2::against(q.clone())
+            .eps(eps)
+            .samples(3_000)
+            .into(),
+        Monotone::eps(eps).samples(5_000).into(),
+    ];
+    let kinds: Vec<AnalysisKind> = requests.iter().map(Analysis::kind).collect();
+    assert_eq!(kinds, AnalysisKind::ALL);
+    for request in requests {
+        let kind = request.kind();
+        let batch = [request];
+        let (reports, _) = run_analyses(&mut DenseOracle::new(&p, seed), seed, &batch).unwrap();
+        let report = &reports[0];
+        let plan = plan_for(&batch, n).unwrap();
+        let (main, sets) = plan.draw(&mut DenseOracle::new(&p, seed)).unwrap();
+        let main = main.as_ref();
+        let mut want = KernelResult::default();
+        match kind {
+            AnalysisKind::Learn => {
+                let params = GreedyParams {
+                    k,
+                    eps,
+                    budget: lb,
+                    policy: CandidatePolicy::SampleEndpoints,
+                    max_endpoints: 128,
+                };
+                let out = learn_from_samples(n, main.unwrap(), &sets, &params).unwrap();
+                let summary = compress_to_k(&out.tiling, k).unwrap();
+                want.histogram = Some(summary.normalized().unwrap());
+                want.samples_spent = out.stats.samples_used;
+            }
+            AnalysisKind::TestL1 | AnalysisKind::TestL2 => {
+                let tr = if kind == AnalysisKind::TestL1 {
+                    test_l1_from_sets(n, k, eps, &sets)
+                } else {
+                    test_l2_from_sets(n, k, eps, &sets)
+                }
+                .unwrap();
+                want.verdict = Some(tr.outcome);
+                want.cuts = tr.cuts;
+                want.probes = Some(tr.probes);
+                want.samples_spent = tr.samples_used;
+            }
+            AnalysisKind::Uniformity => {
+                let ur = test_uniformity_from_set(n, eps, main.unwrap()).unwrap();
+                want.verdict = Some(ur.outcome);
+                want.statistic = Some(ur.statistic);
+                want.threshold = Some(ur.threshold);
+                want.samples_spent = ur.samples_used;
+            }
+            AnalysisKind::IdentityL2 | AnalysisKind::ClosenessL2 => {
+                let set_p = main.unwrap();
+                let cr = if kind == AnalysisKind::IdentityL2 {
+                    test_identity_l2_from_set(set_p, &q, n, eps)
+                } else {
+                    // The q side is drawn outside the plan, as large as
+                    // the p side and seeded from the run's seed and the
+                    // request's index in its batch.
+                    let mut q_oracle = DenseOracle::new(&q, stream_seed(seed, 0));
+                    let set_q = q_oracle.draw_set(set_p.total() as usize);
+                    test_closeness_l2_from_sets(set_p, &set_q, n, eps)
+                }
+                .unwrap();
+                want.verdict = Some(cr.outcome);
+                want.statistic = Some(cr.statistic);
+                want.threshold = Some(cr.threshold);
+                want.samples_spent = cr.samples_used;
+            }
+            AnalysisKind::Monotone => {
+                let set = main.unwrap();
+                let mr = test_monotone_from_set(n, eps, set).unwrap();
+                want.verdict = Some(mr.outcome);
+                want.statistic = Some(mr.isotonic_distance);
+                want.threshold = Some(mr.threshold);
+                want.samples_spent = mr.samples_used;
+                if mr.outcome.is_accept() {
+                    want.histogram = Some(monotone_fit(n, eps, set).unwrap());
+                }
+            }
+        }
+        let bits = |x: Option<f64>| x.map(f64::to_bits);
+        assert_eq!(report.analysis, kind);
+        assert_eq!(report.verdict, want.verdict, "{kind} verdict");
+        assert_eq!(
+            bits(report.statistic),
+            bits(want.statistic),
+            "{kind} statistic"
+        );
+        assert_eq!(
+            bits(report.threshold),
+            bits(want.threshold),
+            "{kind} threshold"
+        );
+        assert_eq!(report.cuts, want.cuts, "{kind} cuts");
+        assert_eq!(report.probes, want.probes, "{kind} probes");
+        assert_eq!(report.samples_spent, want.samples_spent, "{kind} samples");
+        assert_eq!(report.histogram, want.histogram, "{kind} histogram");
+    }
+}
+
 #[test]
 fn record_file_batch_costs_exactly_one_pass() {
     // The hot-path win the shared plan exists for: learner + tester +
@@ -156,13 +297,13 @@ fn record_file_batch_costs_exactly_one_pass() {
     );
     assert_eq!(ledger.iter().filter(|e| e.label == "draw").count(), 1);
 
-    // Contrast: the three legacy entry points cost one pass each.
+    // Contrast: the same three analyses as separate runs cost one pass
+    // each.
     let mut oracle = RecordFileOracle::open(&path, 64, 11).unwrap();
-    let params = GreedyParams::fast(4, 0.25, lb);
-    learn(&mut oracle, &params).unwrap();
-    test_l2(&mut oracle, 4, 0.25, l2).unwrap();
-    test_uniformity(&mut oracle, 0.25, ub).unwrap();
-    assert_eq!(oracle.passes(), 3, "legacy calls pay one pass each");
+    for analysis in batch(4, 0.25, lb, l2, ub) {
+        run_analyses(&mut oracle, 11, &[analysis]).unwrap();
+    }
+    assert_eq!(oracle.passes(), 3, "three separate runs cost three passes");
 
     std::fs::remove_file(&path).ok();
 }

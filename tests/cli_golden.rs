@@ -54,6 +54,8 @@ const CASES: &[Case] = &[
     case("analyze", "analyze records.txt --k 2 --eps 0.2 --n 64 --seed 7"),
     case("analyze_json", "analyze records.txt --k 2 --eps 0.2 --n 64 --seed 7 --json"),
     case("analyze_runs", "analyze records.txt --k 2 --eps 0.3 --run L1,monotone,uniformity"),
+    case("analyze_learn", "analyze records.txt --k 2 --eps 0.15 --n 64 --seed 7 --run learn"),
+    case("analyze_l1_json", "analyze records.txt --k 2 --eps 0.3 --n 64 --seed 7 --run l1 --json"),
     case("summarize", "summarize records.txt"),
     case("summarize_json", "summarize records.txt --n 80 --json"),
     case("watch_tumbling", "watch records.txt --every 5000 --k 2 --eps 0.25 --seed 7"),

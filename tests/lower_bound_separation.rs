@@ -17,11 +17,11 @@ fn l1_tester_separates_the_ensemble() {
     let yes = khist::dist::generators::yes_instance(n, k).unwrap();
     let mut yes_accepts = 0;
     for _ in 0..7 {
-        let mut oracle = DenseOracle::new(&yes.dist, rand::Rng::random(&mut rng));
-        if test_l1(&mut oracle, k, eps, budget)
+        let mut session = Session::from_dense(&yes.dist, rand::Rng::random(&mut rng));
+        if session
+            .run_one(TestL1::k(k).eps(eps).budget(budget))
             .unwrap()
-            .outcome
-            .is_accept()
+            .accepted()
         {
             yes_accepts += 1;
         }
@@ -31,11 +31,11 @@ fn l1_tester_separates_the_ensemble() {
     let mut no_rejects = 0;
     for _ in 0..7 {
         let no = khist::dist::generators::no_instance(n, k, &mut rng).unwrap();
-        let mut oracle = DenseOracle::new(&no.dist, rand::Rng::random(&mut rng));
-        if !test_l1(&mut oracle, k, eps, budget)
+        let mut session = Session::from_dense(&no.dist, rand::Rng::random(&mut rng));
+        if !session
+            .run_one(TestL1::k(k).eps(eps).budget(budget))
             .unwrap()
-            .outcome
-            .is_accept()
+            .accepted()
         {
             no_rejects += 1;
         }

@@ -2,6 +2,8 @@
 //! algorithm code must behave identically across backends, and the
 //! streaming record-file path must carry the full CLI workflow end to end.
 
+use khist::api::run_analyses;
+use khist::app::{render_learn, render_test, run_analyze_with};
 use khist::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -53,8 +55,9 @@ fn generic_entry_points_accept_dyn_oracles() {
     let mut dense = DenseOracle::new(&p, 5);
     let oracle: &mut dyn SampleOracle = &mut dense;
     let budget = L2TesterBudget::calibrated(64, 0.25, 0.05).unwrap();
-    let report = test_l2(oracle, 4, 0.25, budget).unwrap();
-    assert_eq!(report.samples_used, budget.r * budget.m);
+    let request = TestL2::k(4).eps(0.25).budget(budget);
+    let (reports, _) = run_analyses(oracle, 5, &[request.into()]).unwrap();
+    assert_eq!(reports[0].samples_spent, budget.r * budget.m);
 }
 
 #[test]
@@ -67,8 +70,9 @@ fn record_file_learner_recovers_two_level_histogram() {
 
     let mut oracle = RecordFileOracle::open(&path, 64, 17).unwrap();
     let available = oracle.records() as usize;
-    let report = khist::app::run_learn_with(&mut oracle, 2, 0.15, available, 17).unwrap();
-    let report = khist::app::render_learn(&report);
+    let learn = ["learn".to_string()];
+    let (reports, _) = run_analyze_with(&mut oracle, 2, 0.15, &learn, available, 17).unwrap();
+    let report = render_learn(&reports[0]);
     assert!(report.contains("2-piece"), "report: {report}");
     let found = (14..=18).any(|b| report.contains(&format!("{b}]")));
     assert!(found, "no boundary near 16 in: {report}");
@@ -86,11 +90,11 @@ fn record_file_and_replay_testers_agree_on_clear_instances() {
         let samples = dist.sample_many(80_000, &mut rng);
         let path = temp_records(&samples, "agree");
 
+        let l2 = ["l2".to_string()];
         let mut streaming = RecordFileOracle::open(&path, 64, 3).unwrap();
-        let verdict_file =
-            khist::app::run_test_with(&mut streaming, 4, 0.25, "l2", samples.len(), 3)
-                .map(|r| khist::app::render_test(&r, 4))
-                .unwrap();
+        let (reports, _) =
+            run_analyze_with(&mut streaming, 4, 0.25, &l2, samples.len(), 3).unwrap();
+        let verdict_file = render_test(&reports[0], 4);
         // The same records replayed as the tester's 7 equal chunks.
         let m = samples.len() / 7;
         let chunks = samples
@@ -99,9 +103,8 @@ fn record_file_and_replay_testers_agree_on_clear_instances() {
             .map(<[usize]>::to_vec)
             .collect();
         let mut replay = ReplayOracle::from_raw(64, chunks);
-        let verdict_mem = khist::app::run_test_with(&mut replay, 4, 0.25, "l2", samples.len(), 0)
-            .map(|r| khist::app::render_test(&r, 4))
-            .unwrap();
+        let (reports, _) = run_analyze_with(&mut replay, 4, 0.25, &l2, samples.len(), 0).unwrap();
+        let verdict_mem = render_test(&reports[0], 4);
 
         let want = if expect_accept { "Accept" } else { "Reject" };
         assert!(verdict_file.contains(want), "file path: {verdict_file}");

@@ -1,7 +1,7 @@
 //! Cross-crate integration of the extension testers (uniformity, identity,
 //! monotonicity) and the stream-to-sample bridge.
 
-use khist::monotone::{monotonicity_budget, test_monotone_non_increasing};
+use khist::monotone::monotonicity_budget;
 use khist::prelude::*;
 use khist::uniformity::test_uniformity_from_set;
 use rand::rngs::StdRng;
@@ -50,23 +50,16 @@ fn identity_tester_distinguishes_learned_models() {
         .to_distribution()
         .unwrap();
 
+    let identity = || IdentityL2::against(model.clone()).eps(0.2).samples(8000);
     let mut same_ok = 0;
     let mut drift_ok = 0;
     for _ in 0..9 {
-        let mut oracle_a = DenseOracle::new(&a, rand::Rng::random(&mut rng));
-        if test_identity_l2(&mut oracle_a, &model, 0.2, 8000)
-            .unwrap()
-            .outcome
-            .is_accept()
-        {
+        let mut session_a = Session::from_dense(&a, rand::Rng::random(&mut rng));
+        if session_a.run_one(identity()).unwrap().accepted() {
             same_ok += 1;
         }
-        let mut oracle_b = DenseOracle::new(&b, rand::Rng::random(&mut rng));
-        if !test_identity_l2(&mut oracle_b, &model, 0.2, 8000)
-            .unwrap()
-            .outcome
-            .is_accept()
-        {
+        let mut session_b = Session::from_dense(&b, rand::Rng::random(&mut rng));
+        if !session_b.run_one(identity()).unwrap().accepted() {
             drift_ok += 1;
         }
     }
@@ -94,11 +87,11 @@ fn monotonicity_and_khistogram_testers_are_orthogonal() {
     let tb = L2TesterBudget::calibrated(n, 0.25, 0.05).unwrap();
     let accepts = (0..7)
         .filter(|_| {
-            let mut oracle = DenseOracle::new(&p, rand::Rng::random(&mut rng));
-            test_l2(&mut oracle, 3, 0.25, tb)
+            let mut session = Session::from_dense(&p, rand::Rng::random(&mut rng));
+            session
+                .run_one(TestL2::k(3).eps(0.25).budget(tb))
                 .unwrap()
-                .outcome
-                .is_accept()
+                .accepted()
         })
         .count();
     assert!(
@@ -110,11 +103,11 @@ fn monotonicity_and_khistogram_testers_are_orthogonal() {
     let m = monotonicity_budget(n, 0.3, 1.0).unwrap();
     let rejects = (0..7)
         .filter(|_| {
-            let mut oracle = DenseOracle::new(&p, rand::Rng::random(&mut rng));
-            !test_monotone_non_increasing(&mut oracle, 0.3, m)
+            let mut session = Session::from_dense(&p, rand::Rng::random(&mut rng));
+            !session
+                .run_one(Monotone::eps(0.3).samples(m))
                 .unwrap()
-                .outcome
-                .is_accept()
+                .accepted()
         })
         .count();
     assert!(rejects >= 4, "non-monotone histogram accepted {rejects}/7");

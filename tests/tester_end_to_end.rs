@@ -12,11 +12,11 @@ fn vote_l2(p: &DenseDistribution, k: usize, eps: f64, scale: f64, seed: u64, run
     let mut rng = StdRng::seed_from_u64(seed);
     let accepts = (0..runs)
         .filter(|_| {
-            let mut oracle = DenseOracle::new(p, rand::Rng::random(&mut rng));
-            test_l2(&mut oracle, k, eps, budget)
+            let mut session = Session::from_dense(p, rand::Rng::random(&mut rng));
+            session
+                .run_one(TestL2::k(k).eps(eps).budget(budget))
                 .unwrap()
-                .outcome
-                .is_accept()
+                .accepted()
         })
         .count();
     accepts * 2 > runs
@@ -27,11 +27,11 @@ fn vote_l1(p: &DenseDistribution, k: usize, eps: f64, scale: f64, seed: u64, run
     let mut rng = StdRng::seed_from_u64(seed);
     let accepts = (0..runs)
         .filter(|_| {
-            let mut oracle = DenseOracle::new(p, rand::Rng::random(&mut rng));
-            test_l1(&mut oracle, k, eps, budget)
+            let mut session = Session::from_dense(p, rand::Rng::random(&mut rng));
+            session
+                .run_one(TestL1::k(k).eps(eps).budget(budget))
                 .unwrap()
-                .outcome
-                .is_accept()
+                .accepted()
         })
         .count();
     accepts * 2 > runs
