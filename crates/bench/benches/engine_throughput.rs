@@ -14,15 +14,14 @@
 //! 1-shard row wall-clock.
 //!
 //! An `engine_scaling` group re-runs the cold windowed workload fed in
-//! watch-shaped sub-batches (4096·shards records per call) so the
-//! two-phase parallel route engages on every call — the scaling curve the
-//! shards=4 vs shards=1 acceptance bar reads from, with the host's core
-//! count printed alongside.
+//! watch-shaped sub-batches (4096·shards records per call) — the scaling
+//! curve the shards=4 vs shards=1 acceptance bar reads from, with the
+//! host's core count printed alongside.
 //!
 //! A second group measures the *warm steady state* at fleet scale: an
 //! engine already holding 100 000 debuted streams ingests batches that
 //! complete no window, so each iteration pays only the allocation-free
-//! pipeline (intern lookup → partition → counting-sort → reservoir
+//! pipeline (intern lookup → route → counting-sort → reservoir
 //! skip-sampling). This is the path `tests/engine_zero_alloc.rs` proves
 //! heap-silent; the bench pins its speed.
 
@@ -91,12 +90,11 @@ const SCALE_STREAMS: usize = 256;
 /// Records per stream in the scaling group (= the tumbling span).
 const SCALE_SPAN: usize = 500;
 
-/// The parallel-route scaling curve: a *cold* engine (workers spawned,
-/// nothing debuted) ingests a full windowed workload fed in the CLI watch
-/// feed shape — sub-batches of `4096 · shards` records, every one of which
-/// crosses [`Engine::PARALLEL_ROUTE_MIN`] on multi-shard engines — so each
-/// iteration pays debut interning, the chunked route fan-out, and one
-/// completed window per stream. This is the group the shards=4 ≥ 1.8×
+/// The scaling curve: a *cold* engine (workers spawned, nothing debuted)
+/// ingests a full windowed workload fed in the CLI watch feed shape —
+/// sub-batches of `4096 · shards` records — so each iteration pays debut
+/// interning, the route, the shard fan-out, and one completed window per
+/// stream. This is the group the shards=4 ≥ 1.8×
 /// shards=1 acceptance bar reads from (on a ≥ 4-core host; the recorded
 /// `cores` line tells the baseline curator what this run could express).
 fn bench_engine_scaling(c: &mut Criterion) {

@@ -9,63 +9,46 @@
 //!
 //! ```text
 //!   ingest_batch(&[(key, value), …])
-//!        │  route: the batch splits into chunks; each chunk's job hashes
-//!        ▼  its keys (batched FNV-1a, one hash per record, reused for the
-//!           interner probe *and* the home-shard placement at debut) and
-//!           buckets records into per-(chunk, shard) sub-partitions over
-//!           reusable scratch
-//!   ┌ chunk 0 ┐ ┌ chunk 1 ┐ ┌ chunk 2 ┐ ┌ chunk 3 ┐   debuting keys miss
-//!   │ w0 route│ │ w1 route│ │ w0 route│ │ w1 route│   every chunk and are
-//!   └─┬─────┬─┘ └─┬─────┬─┘ └─┬─────┬─┘ └─┬─────┬─┘   interned in arrival
-//!     ▼     ▼     ▼     ▼     ▼     ▼     ▼     ▼     order into their own
-//!   s0-sub s1-…  s0-…  s1-…  s0-…  s1-…  s0-…  s1-…   chunk's buckets
-//!        │  shard ingest: each busy shard concatenates the
-//!        ▼  sub-partitions addressed to it *in chunk order* (restoring
-//!           every stream's global arrival order — bit-identity) and
-//!           ingests in one job
-//!   ┌─────────┐  ┌─────────┐       ┌─────────┐   one *persistent* worker
-//!   │ shard 0 │  │ shard 1 │  ...  │ shard S │   thread per shard, spawned
-//!   │ ┌─────┐ │  │ ┌─────┐ │       │ ┌─────┐ │   at build and parked when
-//!   │ │state│ │  │ │state│ │       │ │state│ │   idle; shard slabs and
-//!   │ │state│ │  │ └─────┘ │       │ │state│ │   route chunks travel by
-//!   │ └─────┘ │  └─────────┘       │ └─────┘ │   value through a bounded
-//!   └─────────┘                    └─────────┘   two-deep mailbox ring
-//!        │              │               │        state = Monitor of
-//!        └──────────────┴───────────────┘        one stream key (a slab
-//!                       ▼                        slot in debut order)
-//!     Vec<WindowReport> tagged by stream, sorted by (stream, window)
+//!        │  route, on the caller thread: one FNV-1a hash per record,
+//!        ▼  reused for the interner probe and, at debut, the home-shard
+//!           placement; debuts are interned in arrival order; each record
+//!           appends (slot, value) to its home shard's bucket
+//!   ┌─────────┐  ┌─────────┐       ┌─────────┐   shard ingest: one job per
+//!   │ shard 0 │  │ shard 1 │  ...  │ shard S │   busy shard groups its
+//!   │ ┌─────┐ │  │ ┌─────┐ │       │ ┌─────┐ │   bucket per stream, in
+//!   │ │state│ │  │ │state│ │       │ │state│ │   arrival order, and ingests;
+//!   │ │state│ │  │ └─────┘ │       │ │state│ │   one *persistent* worker
+//!   │ └─────┘ │  └─────────┘       │ └─────┘ │   thread per shard, parked
+//!   └─────────┘                    └─────────┘   when idle; shard slabs
+//!        │              │               │        travel by value through
+//!        └──────────────┴───────────────┘        a one-job mailbox
+//!                       ▼                        state = Monitor of one
+//!     Vec<WindowReport> tagged by stream,        stream key (a slab slot
+//!     sorted by (stream, window)                 in debut order)
 //! ```
 //!
-//! There is one route, and the batch size picks its chunk count: a batch
-//! smaller than [`Engine::PARALLEL_ROUTE_MIN`] (or any batch on a
-//! single-shard engine, which has no workers) is one chunk routed on the
-//! caller thread; a larger one is `Courier::DEPTH × workers` chunks fanned
-//! across the workers. The output is bit-identical either way; the chunk
-//! count only decides who does the hashing. Route chunks and shard slabs
-//! alike go through one dispatch, which runs a call's jobs inline on the
-//! caller thread when there is at most one and over the workers
-//! otherwise.
+//! There is one route and one dispatch. The route walks the caller's
+//! records once, in arrival order, so every shard's bucket — and every
+//! stream's slice of it — is in arrival order too. The dispatch runs a
+//! call's shard jobs inline on the caller thread when there is at most
+//! one and over the workers otherwise.
 //!
 //! # The allocation-free batch pipeline
 //!
 //! Steady-state `ingest_batch` (every key already interned, no window
-//! closing) performs **zero heap allocations** for every chunk count —
-//! asserted by a counting-allocator integration test
-//! (`tests/engine_zero_alloc.rs`):
+//! closing) performs **zero heap allocations** — asserted by a
+//! counting-allocator integration test (`tests/engine_zero_alloc.rs`):
 //!
 //! * keys resolve through the interner's open-addressing table (hash +
-//!   probe, no `String`, no `BTreeMap`); route jobs share the table as a
-//!   frozen `Arc` snapshot, cloned by refcount only;
-//! * records partition into per-chunk arenas + sub-partition buckets,
-//!   all reused across batches and round-tripped by value through the
-//!   jobs;
-//! * each shard groups its sub-partitions with a counting sort over
-//!   reused scratch (counts / touched-slot list / scatter buffer) that
-//!   concatenates logically — no copy of the routed records;
-//! * jobs move through the workers' bounded mailbox rings by value
-//!   (`mem::take` of the shard slab or route chunk — no copy, no channel
-//!   allocation) and move back when collected. When a call has at most
-//!   one job it runs inline on the caller thread — no handoff at all.
+//!   probe, no `String`, no `BTreeMap`);
+//! * records append to per-shard buckets that keep their capacity across
+//!   batches;
+//! * each shard groups its bucket with a counting sort over reused
+//!   scratch (counts / touched-slot list / scatter buffer);
+//! * shard jobs move through the workers' one-job mailboxes by value
+//!   (`mem::take` of the shard slab — no copy, no channel allocation) and
+//!   move back when collected. When a call has at most one job it runs
+//!   inline on the caller thread — no handoff at all.
 //!
 //! # Sharding is semantics-free
 //!
@@ -158,18 +141,10 @@ type ShardOutcome = (Vec<WindowReport>, Vec<(String, DistError)>);
 /// tiny, and good enough for short keys. Each key is hashed once per
 /// batch appearance; the [`Interner`] caches the hash at debut so rehash
 /// and shard routing never recompute it.
-fn key_hash(key: &str) -> u64 {
-    key_hash_bytes(key.as_bytes())
-}
-
-/// FNV-1a over raw key bytes — the byte-slice twin of [`key_hash`] (UTF-8
-/// string equality is byte equality, so hashing the bytes of a `&str`
-/// yields the identical value). The parallel route phase hashes keys out
-/// of a per-chunk byte arena, where no `&str` exists to hash.
 // lint:hot-path
-fn key_hash_bytes(key: &[u8]) -> u64 {
+fn key_hash(key: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &byte in key {
+    for &byte in key.as_bytes() {
         h ^= u64::from(byte);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
@@ -244,10 +219,6 @@ impl EngineConfig {
 }
 
 /// One interned stream key: its cached hash and its home `(shard, slot)`.
-/// `Clone` is derived for `Arc::make_mut` on the [`Interner`]; the engine
-/// only mutates the interner when its `Arc` is unique (no route job in
-/// flight), so the clone never actually runs.
-#[derive(Clone)]
 struct KeyEntry {
     key: String,
     hash: u64,
@@ -268,11 +239,6 @@ struct KeyEntry {
 /// chain — the *stored* hash stays raw, because seeds derive from it. Stream counts
 /// are capped at `u32` range (4 billion keys) by the id width — far
 /// beyond the slab sizes the monitor layer supports in memory anyway.
-///
-/// Lives behind an `Arc` on the engine so the parallel route phase can
-/// probe it from every worker at once; `Clone` is derived purely for
-/// `Arc::make_mut` (see [`KeyEntry`]).
-#[derive(Clone)]
 struct Interner {
     entries: Vec<KeyEntry>,
     table: Vec<u32>,
@@ -286,12 +252,9 @@ impl Interner {
         }
     }
 
-    /// Steady-state key resolution: no allocation, no `String`. Takes the
-    /// key as raw bytes so the parallel route phase can resolve keys
-    /// straight out of a chunk arena; `&str` callers pass `.as_bytes()`
-    /// (UTF-8 equality is byte equality).
+    /// Steady-state key resolution: no allocation, no `String`.
     // lint:hot-path
-    fn lookup(&self, key: &[u8], hash: u64) -> Option<u32> {
+    fn lookup(&self, key: &str, hash: u64) -> Option<u32> {
         let mask = self.table.len() - 1;
         let mut i = (mix64(hash) as usize) & mask;
         loop {
@@ -303,7 +266,7 @@ impl Interner {
             let id = probe - 1;
             // lint:allow(checked-indexing): the table only stores ids of live entries
             let entry = &self.entries[id as usize];
-            if entry.hash == hash && entry.key.as_bytes() == key {
+            if entry.hash == hash && entry.key == key {
                 return Some(id);
             }
             i = (i + 1) & mask;
@@ -349,106 +312,6 @@ impl Interner {
     }
 }
 
-/// Reusable scratch for one chunk of the route. The caller thread fills
-/// `arena`/`spans` (a pure memcpy of key bytes — no hashing, no probing)
-/// and hands the chunk to a [`Job::Route`], which fills `hashes`,
-/// `buckets`, and `misses` — inline, or on a worker that sends it back by
-/// value. Every buffer keeps its capacity across batches, so a warm
-/// batch's route allocates nothing.
-///
-/// `Default` is derived so chunks `mem::take` in and out of the scratch
-/// pool without a heap touch.
-#[derive(Default)]
-struct RouteChunk {
-    /// Concatenated key bytes of the chunk's records, in arrival order.
-    arena: Vec<u8>,
-    /// Per-record `(key start, key end, value)` spans into `arena`, in
-    /// arrival order.
-    spans: Vec<(usize, usize, usize)>,
-    /// Per-record FNV-1a key hashes, filled by the batched hash pass
-    /// (index-aligned with `spans`).
-    hashes: Vec<u64>,
-    /// Per-shard `(slot, value)` sub-partitions of the chunk's records
-    /// whose keys resolved through the interner, each in arrival order.
-    buckets: Vec<Vec<(u32, usize)>>,
-    /// Span indices of records whose keys missed the interner snapshot —
-    /// debuts, interned on the caller thread (and cold) by the engine's
-    /// debut pass, which appends them to `buckets`.
-    misses: Vec<usize>,
-}
-
-impl RouteChunk {
-    /// Fresh chunk scratch for a pool of `shards` shards (cold path:
-    /// engine build only).
-    fn new(shards: usize) -> Self {
-        let mut chunk = RouteChunk::default();
-        chunk.buckets.resize_with(shards, Vec::new);
-        chunk
-    }
-}
-
-/// A route job's work: a batched FNV-1a pass over the chunk's key arena,
-/// then one interner probe per record — the hash is computed once and
-/// reused for the probe here and for the home-shard placement if the key
-/// turns out to be a debut. Known keys bucket into the per-shard
-/// sub-partitions in arrival order; unknown keys are recorded as misses
-/// for the engine's debut pass.
-fn route_chunk(chunk: &mut RouteChunk, interner: &Interner) {
-    hash_spans(&chunk.arena, &chunk.spans, &mut chunk.hashes);
-    bucket_records(chunk, interner);
-}
-
-/// The batched hash pass: one tight FNV-1a loop over every key span,
-/// touching nothing but the arena and the output vector.
-// lint:hot-path
-fn hash_spans(arena: &[u8], spans: &[(usize, usize, usize)], hashes: &mut Vec<u64>) {
-    hashes.clear();
-    for &(start, end, _) in spans {
-        let hash = match arena.get(start..end) {
-            Some(key) => key_hash_bytes(key),
-            // Unreachable: the caller builds spans by appending to the
-            // arena, so every span indexes it. Hash of the empty key keeps
-            // the vectors index-aligned without panicking.
-            None => key_hash_bytes(&[]),
-        };
-        hashes.push(hash);
-    }
-}
-
-/// The bucketing pass: resolve each record's key against the frozen
-/// interner snapshot and append `(slot, value)` to its shard's
-/// sub-partition; keys the snapshot does not know become misses. Arrival
-/// order is preserved within every bucket — chunk-ordered concatenation
-/// on the shard side then restores each stream's global arrival order.
-// lint:hot-path
-fn bucket_records(chunk: &mut RouteChunk, interner: &Interner) {
-    let RouteChunk {
-        arena,
-        spans,
-        hashes,
-        buckets,
-        misses,
-    } = chunk;
-    misses.clear();
-    for (i, (&(start, end, value), &hash)) in spans.iter().zip(hashes.iter()).enumerate() {
-        let resolved = arena
-            .get(start..end)
-            .and_then(|key| interner.lookup(key, hash))
-            .and_then(|id| interner.entries.get(id as usize));
-        match resolved {
-            Some(entry) => match buckets.get_mut(entry.shard as usize) {
-                Some(bucket) => bucket.push((entry.slot, value)),
-                // Unreachable: interned shard indices are < the pool
-                // width the buckets were sized for. Treat as a miss so
-                // the record reaches the (bounds-checked) debut pass
-                // instead of being dropped.
-                None => misses.push(i),
-            },
-            None => misses.push(i),
-        }
-    }
-}
-
 /// One stream owned by a shard.
 struct StreamSlot {
     key: String,
@@ -486,10 +349,9 @@ struct Shard {
     spans: Vec<(u32, usize, usize)>,
     /// The batch's record values scattered into per-slot contiguous runs.
     grouped: Vec<usize>,
-    /// The current batch's chunk-ordered sub-partitions addressed to this
-    /// shard — one route bucket per chunk, moved in for the ingest job and
-    /// back to the route chunks when it lands.
-    subs: Vec<Vec<(u32, usize)>>,
+    /// The current batch's `(slot, value)` records routed to this shard,
+    /// in arrival order; emptied (capacity kept) by the ingest job.
+    routed: Vec<(u32, usize)>,
     /// The shard's fleet rollup partial, accumulated at window production
     /// inside the worker (zero extra oracle draws) and folded shard-wise
     /// by [`Engine::fleet_report`].
@@ -544,31 +406,25 @@ fn drift_severity(r: &Report) -> Option<f64> {
     }
 }
 
-/// The concat + group pass of a shard's batch: logically concatenates the
-/// chunk-ordered sub-partitions addressed to one shard (no copy happens
-/// until the scatter) and groups their records per stream slot with a
-/// counting sort over the shard's reused scratch. Iterating the
-/// sub-partitions in chunk order is what restores each stream's global
-/// arrival order — the bit-identity invariant the shuffle hangs on.
+/// The group pass of a shard's batch: groups the routed records per
+/// stream slot with a counting sort over the shard's reused scratch. The
+/// scatter walks the records in arrival order, so each stream's run keeps
+/// its arrival order — the bit-identity invariant the route hangs on.
 // lint:hot-path
-fn concat_group(
-    parts: &[Vec<(u32, usize)>],
+fn group_by_slot(
+    routed: &[(u32, usize)],
     counts: &mut [usize],
     touched: &mut Vec<u32>,
     spans: &mut Vec<(u32, usize, usize)>,
     grouped: &mut Vec<usize>,
 ) {
-    let mut total = 0usize;
-    for part in parts {
-        total += part.len();
-        for &(slot, _) in part.iter() {
-            // lint:allow(checked-indexing): the engine only routes interned slots here
-            let c = &mut counts[slot as usize];
-            if *c == 0 {
-                touched.push(slot);
-            }
-            *c += 1;
+    for &(slot, _) in routed {
+        // lint:allow(checked-indexing): the engine only routes interned slots here
+        let c = &mut counts[slot as usize];
+        if *c == 0 {
+            touched.push(slot);
         }
+        *c += 1;
     }
     // Ascending slot index == per-shard debut order: deterministic.
     touched.sort_unstable();
@@ -583,24 +439,21 @@ fn concat_group(
         offset += count;
     }
     grouped.clear();
-    grouped.resize(total, 0);
-    for part in parts {
-        for &(slot, value) in part.iter() {
-            // lint:allow(checked-indexing): cursor stays within this slot's span
-            let cursor = &mut counts[slot as usize];
-            // lint:allow(checked-indexing): spans tile 0..total exactly
-            grouped[*cursor] = value;
-            *cursor += 1;
-        }
+    grouped.resize(routed.len(), 0);
+    for &(slot, value) in routed {
+        // lint:allow(checked-indexing): cursor stays within this slot's span
+        let cursor = &mut counts[slot as usize];
+        // lint:allow(checked-indexing): spans tile 0..routed.len() exactly
+        grouped[*cursor] = value;
+        *cursor += 1;
     }
 }
 
 impl Shard {
-    /// Ingests one shard's share of a keyed batch, handed over in `subs`
-    /// as chunk-ordered sub-partitions of `(slot, value)` records (one per
-    /// route chunk). Records are grouped
+    /// Ingests one shard's share of a keyed batch, handed over in `routed`
+    /// as `(slot, value)` records in arrival order. Records are grouped
     /// per stream with a counting sort over reused scratch (see
-    /// [`concat_group`] — preserving each stream's arrival order, the
+    /// [`group_by_slot`] — preserving each stream's arrival order, the
     /// only order a stream's state can observe) and each touched stream
     /// ingests its group independently; a failing stream does not stop
     /// its shard-mates. Ledgers drain into the slot's retained per-label
@@ -611,12 +464,12 @@ impl Shard {
     /// Slot index order is debut order, so the processing order is
     /// deterministic for every batch partitioning — and the whole pass
     /// allocates nothing once the scratch has grown to the working size.
-    fn ingest_parts(&mut self) -> ShardOutcome {
+    fn ingest_routed(&mut self) -> ShardOutcome {
         if self.counts.len() < self.slots.len() {
             self.counts.resize(self.slots.len(), 0);
         }
-        concat_group(
-            &self.subs,
+        group_by_slot(
+            &self.routed,
             &mut self.counts,
             &mut self.touched,
             &mut self.spans,
@@ -648,6 +501,7 @@ impl Shard {
         }
         self.touched.clear();
         self.spans.clear();
+        self.routed.clear();
         (out, errors)
     }
 
@@ -689,43 +543,30 @@ impl Shard {
     }
 }
 
-/// What a [`Job::Shard`] does to its slab.
+/// What a [`Job`] does to its slab.
 enum Task {
-    /// Ingest the sub-partitions moved into the shard's `subs`.
+    /// Ingest the records routed into the shard's `routed` bucket.
     Ingest,
     /// Flush every stream the shard owns.
     Flush,
 }
 
-/// One unit of engine work, run in place (inline, or on a persistent
-/// worker that hands the same value back) and then landed by
-/// [`Engine::land`]. Owned state moves in by value and every variant
-/// carries the index of its home slot, so each buffer's capacity survives
-/// the round trip and no answer can come back in the wrong shape.
-#[allow(clippy::large_enum_variant)] // boxing would allocate per job and break the zero-alloc warm path
-enum Job {
-    /// Hash and bucket one chunk of the incoming batch against a frozen
-    /// interner snapshot. Any worker can run any chunk — routing is
-    /// stateless.
-    Route {
-        index: usize,
-        chunk: RouteChunk,
-        interner: Arc<Interner>,
-    },
-    /// Run `task` on shard `index`'s slab, leaving the result in `outcome`.
-    Shard {
-        index: usize,
-        shard: Shard,
-        task: Task,
-        outcome: ShardOutcome,
-    },
+/// One unit of engine work: `task` on shard `index`'s slab, run in place
+/// (inline, or on a persistent worker that hands the same value back) and
+/// then landed by [`Engine::land`]. The slab moves in by value, so each
+/// buffer's capacity survives the round trip.
+struct Job {
+    index: usize,
+    shard: Shard,
+    task: Task,
+    outcome: ShardOutcome,
 }
 
 impl Job {
     /// Moves shard `index`'s slab out of `home` (an allocation-free
     /// `mem::take`) into a job running `task` on it.
-    fn shard(index: usize, home: &mut Shard, task: Task) -> Job {
-        Job::Shard {
+    fn new(index: usize, home: &mut Shard, task: Task) -> Job {
+        Job {
             index,
             shard: std::mem::take(home),
             task,
@@ -734,21 +575,9 @@ impl Job {
     }
 
     fn run(&mut self) {
-        match self {
-            Job::Route {
-                chunk, interner, ..
-            } => route_chunk(chunk, interner),
-            Job::Shard {
-                shard,
-                task,
-                outcome,
-                ..
-            } => {
-                *outcome = match task {
-                    Task::Ingest => shard.ingest_parts(),
-                    Task::Flush => shard.flush(),
-                }
-            }
+        self.outcome = match self.task {
+            Task::Ingest => self.shard.ingest_routed(),
+            Task::Flush => self.shard.flush(),
         }
     }
 }
@@ -756,8 +585,8 @@ impl Job {
 /// The deterministic error for a record the engine could not route — the
 /// loud replacement for what used to be a silent `continue`. Only
 /// reachable through states the routing invariants make unreachable
-/// (an interned id without a backing entry, a span that does not index
-/// its arena); if one ever trips, the batch fails with this instead of
+/// (an interned id without a backing entry, or one homed outside the
+/// pool); if one ever trips, the batch fails with this instead of
 /// dropping the record.
 #[cold]
 fn lost_record(key: &str) -> DistError {
@@ -865,13 +694,11 @@ impl EngineBuilder {
         // Persistent workers: spawned once here, parked on their mailbox
         // between batches. A 1-shard engine has no workers at all.
         let workers = Engine::spawn_workers(self.shards);
-        let route = Engine::route_scratch(workers.len(), self.shards);
         Ok(Engine {
             cfg,
             shards,
             workers,
-            interner: Arc::new(Interner::new()),
-            route,
+            interner: Interner::new(),
             jobs: Vec::new(),
             outcomes: Vec::new(),
             stashed: Vec::new(),
@@ -886,19 +713,12 @@ impl EngineBuilder {
 pub struct Engine {
     cfg: Arc<EngineConfig>,
     shards: Vec<Shard>,
-    /// Persistent shard workers (empty for a 1-shard engine). Index i is
-    /// shard i's dedicated worker; dropping the engine parks-then-joins
-    /// them.
+    /// Persistent shard workers, one per shard (none for a 1-shard
+    /// engine); a call's jobs go to them in turn (see
+    /// [`Engine::run_jobs`]). Dropping the engine parks-then-joins them.
     workers: Vec<Courier<Job, Job>>,
-    /// The key interner, shared read-only with in-flight route jobs. The
-    /// engine mutates it through `Arc::make_mut` only after every route
-    /// job has landed and dropped its clone — so the copy-on-write never
-    /// actually copies.
-    interner: Arc<Interner>,
-    /// Route-chunk scratch: `Courier::DEPTH × workers` chunks so every
-    /// worker's ring pipelines two route jobs, or the one chunk a
-    /// single-shard engine routes every batch through.
-    route: Vec<RouteChunk>,
+    /// The key interner, touched only on the caller thread.
+    interner: Interner,
     /// Jobs queued for [`Engine::run_jobs`]; empty between calls.
     jobs: Vec<Job>,
     /// Per-call shard outcomes, drained by [`Engine::settle`].
@@ -926,14 +746,6 @@ impl Engine {
             drift_eps: 0.25,
         }
     }
-
-    /// Minimum batch size (in records) at which a multi-shard engine
-    /// routes in parallel. Below this, [`Engine::ingest_batch`] routes the
-    /// batch as one chunk on the caller thread: waking the worker ring
-    /// costs more than the hashing it would spread. Public so callers
-    /// sizing their feed chunks (the CLI uses `4096 × shards`) can reason
-    /// about how a batch is split; the output is bit-identical either way.
-    pub const PARALLEL_ROUTE_MIN: usize = 2048;
 
     /// The seed stream `key` samples with under base seed `base`: the
     /// SplitMix64 stream of the key's deterministic FNV-1a hash. A
@@ -1020,7 +832,7 @@ impl Engine {
     /// Read access to one stream's state machine (e.g. to check `seen`
     /// for a single tenant).
     pub fn stream_state(&self, key: &str) -> Option<&Monitor> {
-        let id = self.interner.lookup(key.as_bytes(), key_hash(key))?;
+        let id = self.interner.lookup(key, key_hash(key))?;
         let entry = self.interner.entries.get(id as usize)?;
         let shard = self.shards.get(entry.shard as usize)?;
         shard.slots.get(entry.slot as usize).map(|s| &s.state)
@@ -1032,14 +844,12 @@ impl Engine {
         home_shard(key_hash(key), self.shards.len()) as usize
     }
 
-    /// Resolves `key` to its interned id, creating the stream's slot (and
-    /// state machine) on debut. `hash` is the key's FNV-1a hash from the
-    /// route pass, reused for the lookup, the home shard, *and* the cached
-    /// entry (the "hash computed once" contract).
-    fn intern(&mut self, key: &str, hash: u64) -> u32 {
-        if let Some(id) = self.interner.lookup(key.as_bytes(), hash) {
-            return id;
-        }
+    /// Interns a debuting key (cold path): creates the stream's slot (and
+    /// state machine) on its home shard and returns its id. `hash` is the
+    /// key's FNV-1a hash from the route, reused for the home shard *and*
+    /// the cached entry (the "hash computed once" contract). The caller
+    /// has just missed `key` in the interner.
+    fn debut(&mut self, key: &str, hash: u64) -> u32 {
         let shard_idx = home_shard(hash, self.shards.len()) as usize;
         let Some(shard) = self.shards.get_mut(shard_idx) else {
             // Unreachable: home shards are < shards.len() by construction;
@@ -1058,14 +868,12 @@ impl Engine {
             alarmed: false,
         });
         shard.fleet.observe_debut();
-        // Debut is a cold path and runs after every route job landed, so
-        // the Arc is unique and make_mut mutates in place (no clone).
-        Arc::make_mut(&mut self.interner).insert(key, hash, shard_idx as u32, slot)
+        self.interner.insert(key, hash, shard_idx as u32, slot)
     }
 
     /// Spawns the persistent worker pool for `shards` shards: one parked
-    /// thread per shard, each owning one end of a bounded two-deep
-    /// mailbox ring and running every [`Job`] it is handed in place. A
+    /// thread per shard, each owning one end of a one-job mailbox and
+    /// running every [`Job`] it is handed in place. A
     /// pool of one (or zero) shards has no workers — every job runs
     /// inline on the caller thread.
     fn spawn_workers(shards: usize) -> Vec<Courier<Job, Job>> {
@@ -1080,14 +888,6 @@ impl Engine {
                 })
             })
             .collect()
-    }
-
-    /// Fresh route-chunk scratch: [`Courier::DEPTH`] chunks per worker so
-    /// each worker's mailbox ring stays two deep during the route, and
-    /// one chunk when the pool has no workers.
-    fn route_scratch(workers: usize, shards: usize) -> Vec<RouteChunk> {
-        let chunks = (workers * Courier::<Job, Job>::DEPTH).max(1);
-        (0..chunks).map(|_| RouteChunk::new(shards)).collect()
     }
 
     /// Answers an on-demand sub-batch from one stream's *current*
@@ -1111,7 +911,7 @@ impl Engine {
         };
         let id = self
             .interner
-            .lookup(key.as_bytes(), key_hash(key))
+            .lookup(key, key_hash(key))
             .ok_or_else(unknown)?;
         let (shard_idx, slot) = match self.interner.entries.get(id as usize) {
             Some(entry) => (entry.shard as usize, entry.slot),
@@ -1129,7 +929,7 @@ impl Engine {
     /// Bounded memory: one entry per label, however long the stream runs.
     /// `None` for keys the engine has never seen.
     pub fn ledger(&self, key: &str) -> Option<&[LedgerEntry]> {
-        let id = self.interner.lookup(key.as_bytes(), key_hash(key))?;
+        let id = self.interner.lookup(key, key_hash(key))?;
         let entry = self.interner.entries.get(id as usize)?;
         let shard = self.shards.get(entry.shard as usize)?;
         shard
@@ -1154,21 +954,17 @@ impl Engine {
     }
 
     /// Ingests a batch of keyed records in arrival order — the engine's
-    /// main entry point. The batch goes through the route: one chunk on
-    /// the caller thread below [`Engine::PARALLEL_ROUTE_MIN`] records (or
-    /// on a single-shard engine), `Courier::DEPTH × workers` chunks hashed
-    /// and bucketed in
-    /// parallel at or above it — the hash is computed once per record and
-    /// feeds the interner probe, the home-shard placement, and the cached
-    /// entry.
-    /// Each busy shard then concatenates the sub-partitions addressed to
-    /// it in chunk order — restoring every stream's global arrival order,
-    /// hence bit-identity — and ingests. Busy shards move by value to the
-    /// persistent workers (shared-nothing: a shard's states are touched
-    /// only by the job holding its slab), or run inline on the caller
-    /// thread when only one is busy, and completed windows come back
-    /// sorted by `(stream, window id)` — a deterministic interleaving with
-    /// every stream's reports in window order.
+    /// main entry point. The route runs on the caller thread: each
+    /// record's key is hashed once — the hash feeds the interner probe,
+    /// the home-shard placement, and the cached entry — and the record
+    /// joins its home shard's bucket in arrival order, debuts interned in
+    /// the order they first appear. Busy shards then group their buckets
+    /// per stream and ingest: they move by value to the persistent workers
+    /// (shared-nothing: a shard's states are touched only by the job
+    /// holding its slab), or run inline on the caller thread when only one
+    /// is busy, and completed windows come back sorted by
+    /// `(stream, window id)` — a deterministic interleaving with every
+    /// stream's reports in window order.
     ///
     /// A warm call — every key interned, no window completing — performs
     /// zero heap allocations (see the [module docs](self)).
@@ -1187,134 +983,43 @@ impl Engine {
         &mut self,
         records: &[(K, usize)],
     ) -> Result<Vec<WindowReport>, DistError> {
-        let chunks = self.route(records)?;
-        for s in 0..self.shards.len() {
-            let busy = self
-                .route
-                .iter()
-                .take(chunks)
-                .any(|chunk| chunk.buckets.get(s).is_some_and(|b| !b.is_empty()));
-            if !busy {
-                continue;
+        self.route(records)?;
+        for (index, shard) in self.shards.iter_mut().enumerate() {
+            if !shard.routed.is_empty() {
+                self.jobs.push(Job::new(index, shard, Task::Ingest));
             }
-            // lint:allow(checked-indexing): s < shards.len() by the loop bound
-            let shard = &mut self.shards[s];
-            for chunk in self.route.iter_mut().take(chunks) {
-                if let Some(bucket) = chunk.buckets.get_mut(s) {
-                    shard.subs.push(std::mem::take(bucket));
-                }
-            }
-            self.jobs.push(Job::shard(s, shard, Task::Ingest));
         }
         self.run_jobs();
         self.settle()
     }
 
-    /// The route: slices the batch into chunks — one when the batch is
-    /// below [`Engine::PARALLEL_ROUTE_MIN`] or the pool has no workers,
-    /// `Courier::DEPTH × workers` otherwise — memcpys each chunk's key
-    /// bytes into its reusable arena (the only per-record work left on
-    /// the caller thread when the chunks fan out), and runs one route job
-    /// per chunk. Chunks land in chunk order, after which the interner
-    /// `Arc` is unique again and the (cold) debut pass interns misses in
-    /// global arrival order. Returns the number of chunks routed.
-    fn route<K: AsRef<str>>(&mut self, records: &[(K, usize)]) -> Result<usize, DistError> {
-        let lanes = if self.workers.is_empty() || records.len() < Self::PARALLEL_ROUTE_MIN {
-            1
-        } else {
-            self.route.len()
-        };
-        let per = records.len().div_ceil(lanes).max(1);
-        for (index, (chunk, slice)) in self.route.iter_mut().zip(records.chunks(per)).enumerate() {
-            chunk.arena.clear();
-            chunk.spans.clear();
-            for (key, value) in slice {
-                let key = key.as_ref().as_bytes();
-                let start = chunk.arena.len();
-                chunk.arena.extend_from_slice(key);
-                chunk.spans.push((start, chunk.arena.len(), *value));
-            }
-            self.jobs.push(Job::Route {
-                index,
-                chunk: std::mem::take(chunk),
-                interner: Arc::clone(&self.interner),
+    /// The route: appends each record, as `(slot, value)`, to its home
+    /// shard's bucket in arrival order, interning a debuting key where it
+    /// first appears — so debut numbering is the order of first
+    /// appearance. A warm record costs one hash, one probe and one push.
+    // lint:hot-path
+    fn route<K: AsRef<str>>(&mut self, records: &[(K, usize)]) -> Result<(), DistError> {
+        for (key, value) in records {
+            let key = key.as_ref();
+            let hash = key_hash(key);
+            let id = match self.interner.lookup(key, hash) {
+                Some(id) => id,
+                None => self.debut(key, hash),
+            };
+            let home = self.interner.entries.get(id as usize).and_then(|entry| {
+                let shard = self.shards.get_mut(entry.shard as usize)?;
+                Some((&mut shard.routed, entry.slot))
             });
-        }
-        let chunks = self.jobs.len();
-        self.run_jobs();
-        for c in 0..chunks {
-            self.absorb_misses(c)?;
-        }
-        Ok(chunks)
-    }
-
-    /// The debut pass of the route: records of chunk `c` whose keys missed
-    /// the frozen interner snapshot are interned — in global arrival
-    /// order (chunk order, then in-chunk order), so debut numbering is
-    /// the order of first appearance — and appended to the chunk's own
-    /// bucket for their shard. A key missing from the snapshot misses in
-    /// *every* chunk, so all its records in a chunk are misses and stay in
-    /// arrival order behind that chunk's hits. Cold: a warm batch has no
-    /// misses and skips straight through.
-    fn absorb_misses(&mut self, c: usize) -> Result<(), DistError> {
-        let Some(home) = self.route.get_mut(c) else {
-            return Ok(()); // unreachable: c < chunks <= route.len()
-        };
-        if home.misses.is_empty() {
-            return Ok(());
-        }
-        let mut chunk = std::mem::take(home);
-        let mut failed: Option<DistError> = None;
-        for &i in &chunk.misses {
-            let record = chunk
-                .spans
-                .get(i)
-                .and_then(|&(start, end, value)| chunk.arena.get(start..end).map(|b| (b, value)));
-            let Some((bytes, value)) = record else {
-                // Unreachable: misses hold span indices and spans index
-                // the arena by construction.
-                debug_assert!(false, "route miss {i} does not index its chunk");
-                failed = Some(lost_record("<unindexable route miss>"));
-                break;
-            };
-            let Ok(key) = std::str::from_utf8(bytes) else {
-                // Unreachable: keys arrive as &str, so arena bytes are
-                // valid UTF-8 by construction.
-                debug_assert!(false, "route arena held non-UTF-8 key bytes");
-                failed = Some(lost_record("<non-utf8 key bytes>"));
-                break;
-            };
-            let hash = chunk
-                .hashes
-                .get(i)
-                .copied()
-                .unwrap_or_else(|| key_hash(key));
-            let id = self.intern(key, hash);
-            let Some(entry) = self.interner.entries.get(id as usize) else {
-                debug_assert!(false, "intern returned id {id} without a backing entry");
-                failed = Some(lost_record(key));
-                break;
-            };
-            let (shard_idx, slot) = (entry.shard as usize, entry.slot);
-            match chunk.buckets.get_mut(shard_idx) {
-                Some(bucket) => bucket.push((slot, value)),
-                None => {
-                    debug_assert!(false, "interned shard {shard_idx} outside the pool");
-                    failed = Some(lost_record(key));
-                    break;
+            let Some((routed, slot)) = home else {
+                debug_assert!(false, "interned id {id} has no home in the pool");
+                for shard in &mut self.shards {
+                    shard.routed.clear();
                 }
-            }
+                return Err(lost_record(key));
+            };
+            routed.push((slot, *value));
         }
-        if let Some(home) = self.route.get_mut(c) {
-            *home = chunk;
-        }
-        match failed {
-            Some(e) => {
-                self.reset_partitions();
-                Err(e)
-            }
-            None => Ok(()),
-        }
+        Ok(())
     }
 
     /// The one dispatch: runs every queued job and lands it back home.
@@ -1323,9 +1028,9 @@ impl Engine {
     /// and cost two context switches); otherwise job `j` goes to worker
     /// `j mod workers`, every job is submitted before any is collected,
     /// and collection is in submission order — deterministic regardless
-    /// of which worker finishes first. A call queues at most
-    /// `Courier::DEPTH` route chunks per worker, or one job per shard (and
-    /// there are as many workers as shards), so no mailbox ring overfills.
+    /// of which worker finishes first. A call queues at most one job per
+    /// shard (and there are as many workers as shards), so no worker is
+    /// handed a second job before its first is collected.
     fn run_jobs(&mut self) {
         let mut jobs = std::mem::take(&mut self.jobs);
         let workers = self.workers.len();
@@ -1350,53 +1055,12 @@ impl Engine {
         self.jobs = jobs;
     }
 
-    /// Returns a finished job's state to its home: a route chunk to its
-    /// scratch slot (dropping the job's interner clone), a shard slab to
-    /// its pool slot with its outcome queued for [`Engine::settle`], and
-    /// the slab's sub-partition buffers — cleared, capacity intact — to
-    /// the route chunks' buckets in chunk order.
+    /// Returns a finished job's slab to its pool slot and queues its
+    /// outcome for [`Engine::settle`].
     fn land(&mut self, job: Job) {
-        match job {
-            Job::Route { index, chunk, .. } => {
-                if let Some(home) = self.route.get_mut(index) {
-                    *home = chunk;
-                }
-            }
-            Job::Shard {
-                index,
-                mut shard,
-                outcome,
-                ..
-            } => {
-                for (c, mut bucket) in shard.subs.drain(..).enumerate() {
-                    bucket.clear();
-                    let home = self
-                        .route
-                        .get_mut(c)
-                        .and_then(|ch| ch.buckets.get_mut(index));
-                    if let Some(home) = home {
-                        *home = bucket;
-                    }
-                }
-                // lint:allow(checked-indexing): shard jobs carry the index they were taken from
-                self.shards[index] = shard;
-                self.outcomes.push(outcome);
-            }
-        }
-    }
-
-    /// Clears every route-bucket scratch buffer — the consistent-state
-    /// bailout when the debut pass fails mid-batch (only reachable
-    /// through states that are themselves unreachable; see
-    /// [`lost_record`]). Capacities are retained.
-    #[cold]
-    fn reset_partitions(&mut self) {
-        for chunk in &mut self.route {
-            for bucket in &mut chunk.buckets {
-                bucket.clear();
-            }
-            chunk.misses.clear();
-        }
+        // lint:allow(checked-indexing): jobs carry the index they were taken from
+        self.shards[job.index] = job.shard;
+        self.outcomes.push(job.outcome);
     }
 
     /// Flushes every stream: completed-but-uncollected windows, then each
@@ -1412,7 +1076,7 @@ impl Engine {
     pub fn flush_debut_ordered(&mut self) -> Result<Vec<WindowReport>, DistError> {
         for (index, shard) in self.shards.iter_mut().enumerate() {
             if !shard.slots.is_empty() {
-                self.jobs.push(Job::shard(index, shard, Task::Flush));
+                self.jobs.push(Job::new(index, shard, Task::Flush));
             }
         }
         self.run_jobs();
@@ -1421,9 +1085,7 @@ impl Engine {
         let mut tails = self.settle()?;
         tails.sort_by_key(|report| {
             report.stream.as_deref().map_or(u32::MAX, |key| {
-                self.interner
-                    .lookup(key.as_bytes(), key_hash(key))
-                    .unwrap_or(u32::MAX)
+                self.interner.lookup(key, key_hash(key)).unwrap_or(u32::MAX)
             })
         });
         Ok(tails)
@@ -1583,15 +1245,15 @@ mod tests {
     #[test]
     fn stream_keys_come_back_in_debut_order() {
         // Debut order — not lexicographic, not shard order.
-        let mut engine = engine(3, 1_000);
-        engine.ingest_batch(&[("zeta", 1usize)]).unwrap();
+        let mut eng = engine(3, 1_000);
+        eng.ingest_batch(&[("zeta", 1usize)]).unwrap();
         let batch = vec![
             ("mid".to_string(), 2usize),
             ("alpha".to_string(), 3),
             ("mid".to_string(), 4),
         ];
-        engine.ingest_batch(&batch).unwrap();
-        assert_eq!(engine.stream_keys(), ["zeta", "mid", "alpha"]);
+        eng.ingest_batch(&batch).unwrap();
+        assert_eq!(eng.stream_keys(), ["zeta", "mid", "alpha"]);
         // Stable across calls and shard counts.
         let mut other = engine_with_shards_and_same_records();
         assert_eq!(other.stream_keys(), ["zeta", "mid", "alpha"]);
@@ -1617,6 +1279,37 @@ mod tests {
             e
         }
         let _ = other.flush_debut_ordered();
+
+        // One 4 400-record batch whose keys first arrive at staggered
+        // positions, the last at record 3 500: at every shard count the
+        // debut order is first-arrival order, and the flushed tails come
+        // back in it. Even records go to the newest key and odd ones cycle
+        // over the keys seen so far, so every key gets 400–789 records:
+        // enough to fill its lanes, short of a 1 000-record window.
+        let names = [
+            "zeta", "mid", "alpha", "omega", "beta", "kappa", "delta", "eta",
+        ];
+        let firsts = [0usize, 1, 37, 512, 1_400, 2_047, 2_900, 3_500];
+        let staggered: Vec<(&str, usize)> = (0..4_400usize)
+            .map(|j| {
+                let seen = firsts.iter().filter(|&&first| first <= j).count();
+                let key = match firsts.iter().position(|&first| first == j) {
+                    Some(i) => names[i],
+                    None if j % 2 == 0 => names[seen - 1],
+                    None => names[(j / 2) % seen],
+                };
+                (key, (j * 13 + j / 7) % 64)
+            })
+            .collect();
+        for shards in [1usize, 2, 4, 8] {
+            let mut sharded = engine(shards, 1_000);
+            let reports = sharded.ingest_batch(&staggered).unwrap();
+            assert!(reports.is_empty(), "no window completes");
+            assert_eq!(sharded.stream_keys(), names, "@ {shards} shards");
+            let tails = sharded.flush_debut_ordered().unwrap();
+            let order: Vec<&str> = tails.iter().map(|t| t.stream.as_deref().unwrap()).collect();
+            assert_eq!(order, names, "tails @ {shards} shards");
+        }
     }
 
     #[test]

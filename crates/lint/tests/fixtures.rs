@@ -232,7 +232,7 @@ fn hot_path_alloc_covers_the_fleet_crate() {
 
 #[test]
 fn hot_path_alloc_covers_the_parallel_route_path() {
-    // The engine's route/bucket/concat functions carry `lint:hot-path`
+    // The engine's route/probe/group functions carry `lint:hot-path`
     // marks; the rule must bite under the engine's own virtual path —
     // where checked-indexing and no-panic also apply, so both fixtures
     // are written in the same discipline as the real routing code.

@@ -1,5 +1,5 @@
-//! Fixture: the engine's parallel route phase is `lint:hot-path`;
-//! constructing fresh buckets per chunk is exactly what the mark forbids.
+//! Fixture: the engine's route is `lint:hot-path`; constructing fresh
+//! buckets per batch is exactly what the mark forbids.
 // lint:hot-path
 fn bucket_records(spans: &[(usize, usize)], shards: usize) -> Vec<Vec<usize>> {
     let mut buckets = Vec::new();

@@ -121,19 +121,14 @@ proptest! {
         }
     }
 
-    /// Chunk-boundary acceptance criterion for the parallel route path:
-    /// a single batch at or above `Engine::PARALLEL_ROUTE_MIN` fans out to
-    /// the route workers in chunks, and with interleaved keys every
-    /// stream's records straddle every chunk edge. The chunk-ordered
-    /// concatenation must restore each stream's arrival order exactly —
+    /// One large batch (2 048 to 4 200 interleaved records, every key
+    /// debuting inside it) must reach each stream in arrival order:
     /// per-stream reports bit-identical to a dedicated monitor, for
-    /// shards ∈ {1, 2, 4, 8} (1 = serial reference, the rest split the
-    /// batch into 2·shards chunks at different edge positions).
+    /// shards ∈ {1, 2, 4, 8}.
     #[test]
-    fn prop_parallel_route_chunk_edges_are_bit_identical(
+    fn prop_large_batches_are_bit_identical(
         records in proptest::collection::vec(
             (0usize..KEYS.len(), 0usize..32),
-            // At least PARALLEL_ROUTE_MIN (2048), not chunk-aligned.
             2048..4200,
         ),
         base_seed in 0u64..u64::MAX,
@@ -144,7 +139,7 @@ proptest! {
             .iter()
             .map(|&(k, v)| (KEYS[k].to_string(), v))
             .collect();
-        prop_assert!(keyed.len() >= Engine::PARALLEL_ROUTE_MIN);
+        prop_assert!(keyed.len() >= 2048);
 
         for shards in [1usize, 2, 4, 8] {
             let mut engine = Engine::builder(n)
@@ -154,9 +149,8 @@ proptest! {
                 .analyses(batch())
                 .build()
                 .unwrap();
-            // One big batch: debuts for every key funnel through the
-            // parallel route's miss path, and the rest of the records
-            // cross the per-chunk sub-partitions.
+            // One big batch: every key debuts inside it, and the rest of
+            // its records follow in the same call.
             let mut got = engine.ingest_batch(&keyed).unwrap();
             got.extend(engine.flush_debut_ordered().unwrap());
 
@@ -176,7 +170,7 @@ proptest! {
                 prop_assert_eq!(
                     &stream_reports,
                     &want,
-                    "stream {} @ {} shards (parallel route)",
+                    "stream {} @ {} shards (one large batch)",
                     key,
                     shards
                 );
@@ -187,19 +181,17 @@ proptest! {
     }
 }
 
-/// A deterministic adversarial layout for the chunk edges: one hot stream
-/// contributes *consecutive runs* of records positioned across every chunk
-/// boundary for every shard count in {2, 4, 8} (chunk size is
-/// `len.div_ceil(2 · shards)`), so any route-phase reordering of a run
-/// split across two chunks would corrupt that stream's window contents.
+/// A deterministic adversarial layout: one hot stream contributes short
+/// *consecutive runs* of records, alternating with filler from the other
+/// keys across one 2 825-record batch, so any reordering of a stream's
+/// records between the route and its shard would corrupt that stream's
+/// window contents.
 #[test]
-fn parallel_route_hot_stream_runs_across_every_chunk_edge() {
+fn hot_stream_runs_in_one_large_batch_keep_arrival_order() {
     let n = 32;
     let span = 400u64;
-    let len = Engine::PARALLEL_ROUTE_MIN + 777; // not chunk-aligned
-    // Alternate short runs of the hot key with filler from the other keys:
-    // runs of 5 guarantee the hot stream crosses every boundary whose
-    // chunk size exceeds the run length — true for all shard counts here.
+    let len = 2048 + 777;
+    // Alternate runs of 5 records of the hot key with runs of filler.
     let keyed: Vec<(String, usize)> = (0..len)
         .map(|i| {
             let key = if (i / 5) % 2 == 0 { "hot" } else { KEYS[i % 3] };

@@ -11,10 +11,8 @@
 //! harness would interleave tests on multiple threads and contaminate the
 //! count). Shard counts 1 (no workers: every job inline), 2 and 4
 //! (persistent workers) are exercised sequentially inside that single
-//! test, each with a batch large enough to split into one route chunk per
-//! worker mailbox slot (`Engine::PARALLEL_ROUTE_MIN`) *and* a small batch
-//! routed as one chunk on the caller thread — both chunk counts must be
-//! allocation-free warm.
+//! test, each with a large (8 192-record) and a small (512-record) batch
+//! — both must be allocation-free warm.
 
 use alloc_counter::CountingAllocator;
 use khist::prelude::*;
@@ -61,20 +59,14 @@ fn engine(shards: usize) -> Engine {
 
 #[test]
 fn warm_ingest_batch_allocates_nothing() {
-    // The large batch crosses `Engine::PARALLEL_ROUTE_MIN`, so multi-shard
-    // engines fan its route chunks across the workers; the small batch
-    // stays below the threshold and is one chunk routed on the caller
-    // thread. Both must be allocation-free once warm.
-    let large = batch(64, Engine::PARALLEL_ROUTE_MIN * 4);
-    let small = batch(64, Engine::PARALLEL_ROUTE_MIN / 4);
-    assert!(large.len() >= Engine::PARALLEL_ROUTE_MIN);
-    assert!(small.len() < Engine::PARALLEL_ROUTE_MIN);
+    let large = batch(64, 8192);
+    let small = batch(64, 512);
     for shards in [1usize, 2, 4] {
-        for (path, records) in [("parallel", &large), ("serial", &small)] {
+        for (size, records) in [("large", &large), ("small", &small)] {
             let mut engine = engine(shards);
             // Warm-up: debut every key, push every reservoir past its fill
-            // phase, and let every scratch buffer (route-chunk arenas and
-            // buckets, counting-sort slots, mailbox round-trip buffers)
+            // phase, and let every scratch buffer (shard buckets,
+            // counting-sort slots, mailbox round-trip buffers)
             // reach steady-state capacity.
             for _ in 0..3 {
                 let reports = engine.ingest_batch(records).unwrap();
@@ -87,7 +79,7 @@ fn warm_ingest_batch_allocates_nothing() {
             assert!(reports.is_empty(), "span must outlast the test feed");
             assert_eq!(
                 delta, 0,
-                "warm {path}-route ingest_batch on {shards} shard(s) performed \
+                "warm {size}-batch ingest_batch on {shards} shard(s) performed \
                  {delta} heap allocation(s); the warm path must not allocate"
             );
         }
