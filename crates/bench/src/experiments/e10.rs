@@ -125,7 +125,10 @@ fn n_dependence_table(quick: bool) -> Table {
         // proven ln n budget vs the n0-anchored constant budget; the fast
         // (Theorem 2) candidate policy keeps the probe about *sample*
         // budgets rather than exploding the O(n²) candidate enumeration.
-        for budget in [LearnerBudget::calibrated(n, k, eps, scale).expect("budget"), anchored] {
+        for budget in [
+            LearnerBudget::calibrated(n, k, eps, scale).expect("budget"),
+            anchored,
+        ] {
             let mut worst_gap = 0.0f64;
             for t in 0..trials {
                 let mut rng = StdRng::seed_from_u64(seed_for(102, &[n, t]));

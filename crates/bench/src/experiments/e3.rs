@@ -95,9 +95,15 @@ pub fn run(quick: bool) -> Vec<Table> {
         "the l2 budget's ln^2 n growth: each row shows samples(n)/samples(min n) vs n/min n",
         &["n", "samples", "budget ratio", "domain ratio"],
     );
-    let base = L2TesterBudget::calibrated(ns[0], eps, scale).expect("budget").total_samples().expect("fits usize") as f64;
+    let base = L2TesterBudget::calibrated(ns[0], eps, scale)
+        .expect("budget")
+        .total_samples()
+        .expect("fits usize") as f64;
     for &n in ns {
-        let b = L2TesterBudget::calibrated(n, eps, scale).expect("budget").total_samples().expect("fits usize");
+        let b = L2TesterBudget::calibrated(n, eps, scale)
+            .expect("budget")
+            .total_samples()
+            .expect("fits usize");
         shape.push_row(vec![
             n.to_string(),
             fmt::int(b),

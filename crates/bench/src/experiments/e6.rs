@@ -15,7 +15,7 @@ use std::time::Instant;
 
 use khist_baseline::{equi_depth, equi_width, greedy_merge, max_diff, sample_then_dp, v_optimal};
 use khist_core::compress::compress_to_k;
-use khist_core::greedy::{GreedyParams};
+use khist_core::greedy::GreedyParams;
 use khist_oracle::LearnerBudget;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -62,7 +62,8 @@ pub fn run(quick: bool) -> Vec<Table> {
         );
 
         let t0 = Instant::now();
-        let g = super::learn_sampled(p, &GreedyParams::fast(k, eps, budget), &mut rng).expect("learner runs");
+        let g = super::learn_sampled(p, &GreedyParams::fast(k, eps, budget), &mut rng)
+            .expect("learner runs");
         let g_ms = t0.elapsed().as_secs_f64() * 1e3;
         push(
             "greedy (paper, raw)",
@@ -83,7 +84,8 @@ pub fn run(quick: bool) -> Vec<Table> {
         );
 
         let t0 = Instant::now();
-        let sdp = sample_then_dp(p, k, budget.total_samples().expect("fits usize"), &mut rng).expect("baseline runs");
+        let sdp = sample_then_dp(p, k, budget.total_samples().expect("fits usize"), &mut rng)
+            .expect("baseline runs");
         push(
             "sample+DP (CMN98-style)",
             sdp.sse_vs_truth,
@@ -115,7 +117,10 @@ pub fn run(quick: bool) -> Vec<Table> {
         "E6 histogram construction shoot-out",
         format!(
             "n = {n}, k = {k}; sampled methods see {} samples, others read the full pmf",
-            LearnerBudget::calibrated(n, k, eps, scale).expect("budget").total_samples().expect("fits usize")
+            LearnerBudget::calibrated(n, k, eps, scale)
+                .expect("budget")
+                .total_samples()
+                .expect("fits usize")
         ),
         &["workload", "method", "l2sq error", "ms", "pieces", "input"],
     );

@@ -10,7 +10,7 @@
 //! for sample-then-DP at the identical total budget.
 
 use khist_baseline::{sample_then_dp, v_optimal};
-use khist_core::greedy::{GreedyParams};
+use khist_core::greedy::GreedyParams;
 use khist_dist::generators;
 use khist_oracle::LearnerBudget;
 use rand::rngs::StdRng;
@@ -41,8 +41,8 @@ pub fn run(quick: bool) -> Vec<Table> {
         let mut sdp_gaps = Vec::with_capacity(trials);
         for t in 0..trials {
             let mut rng = StdRng::seed_from_u64(seed_for(7, &[(scale * 1e6) as usize, t]));
-            let out =
-                super::learn_sampled(&p, &GreedyParams::fast(k, eps, budget), &mut rng).expect("learner runs");
+            let out = super::learn_sampled(&p, &GreedyParams::fast(k, eps, budget), &mut rng)
+                .expect("learner runs");
             greedy_gaps.push((out.tiling.l2_sq_to(&p) - opt).max(0.0));
             let sdp = sample_then_dp(&p, k, total, &mut rng).expect("baseline runs");
             sdp_gaps.push((sdp.sse_vs_truth - opt).max(0.0));

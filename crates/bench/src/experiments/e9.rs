@@ -191,7 +191,8 @@ fn ablation_pieces(trials: usize) -> Table {
         let mut rng = StdRng::seed_from_u64(seed_for(94, &[t]));
         let (_, p) =
             generators::random_tiling_histogram_distinct(n, k, &mut rng).expect("valid instance");
-        let out = super::learn_sampled(&p, &GreedyParams::fast(k, eps, budget), &mut rng).expect("learner runs");
+        let out = super::learn_sampled(&p, &GreedyParams::fast(k, eps, budget), &mut rng)
+            .expect("learner runs");
         let raw_pieces = out.tiling.piece_count();
         let bound = 2 * out.stats.iterations + 1;
         let raw_err = out.tiling.l2_sq_to(&p);

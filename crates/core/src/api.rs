@@ -501,7 +501,15 @@ macro_rules! impl_into_analysis {
     )*};
 }
 
-impl_into_analysis!(Learn, TestL1, TestL2, Uniformity, IdentityL2, ClosenessL2, Monotone);
+impl_into_analysis!(
+    Learn,
+    TestL1,
+    TestL2,
+    Uniformity,
+    IdentityL2,
+    ClosenessL2,
+    Monotone
+);
 
 /// The budget an analysis actually ran with — carried in every [`Report`]
 /// and serialized with it.
@@ -550,10 +558,9 @@ impl Serialize for BudgetSpec {
             BudgetSpec::Learner(b) => b.serialize(),
             BudgetSpec::L2(b) => b.serialize(),
             BudgetSpec::L1(b) => b.serialize(),
-            BudgetSpec::Fixed { m } => Value::map([
-                ("kind", Value::Str("fixed".into())),
-                ("m", m.serialize()),
-            ]),
+            BudgetSpec::Fixed { m } => {
+                Value::map([("kind", Value::Str("fixed".into())), ("m", m.serialize())])
+            }
         }
     }
 }
@@ -565,7 +572,9 @@ impl Deserialize for BudgetSpec {
             .and_then(Value::as_str)
             .ok_or_else(|| SerdeError::new("budget spec missing 'kind'"))?;
         Ok(match kind {
-            k if k == LearnerBudget::KIND => BudgetSpec::Learner(LearnerBudget::deserialize(value)?),
+            k if k == LearnerBudget::KIND => {
+                BudgetSpec::Learner(LearnerBudget::deserialize(value)?)
+            }
             k if k == L2TesterBudget::KIND => BudgetSpec::L2(L2TesterBudget::deserialize(value)?),
             k if k == L1TesterBudget::KIND => BudgetSpec::L1(L1TesterBudget::deserialize(value)?),
             "fixed" => BudgetSpec::Fixed {
@@ -896,14 +905,22 @@ impl SamplePlan {
     /// The plan of a single-set analysis (uniformity, identity,
     /// monotonicity): one set of `m`.
     pub fn single(m: usize) -> SamplePlan {
-        SamplePlan { main: m, r: 0, m: 0 }
+        SamplePlan {
+            main: m,
+            r: 0,
+            m: 0,
+        }
     }
 
     /// The smallest plan every one of `plans` fits: the maximum of each
     /// dimension.
     fn for_plans(plans: impl IntoIterator<Item = SamplePlan>) -> SamplePlan {
         plans.into_iter().fold(
-            SamplePlan { main: 0, r: 0, m: 0 },
+            SamplePlan {
+                main: 0,
+                r: 0,
+                m: 0,
+            },
             |acc, plan| SamplePlan {
                 main: acc.main.max(plan.main),
                 r: acc.r.max(plan.r),
@@ -1367,7 +1384,10 @@ mod tests {
         }
         assert_eq!(AnalysisKind::parse("Learn"), Some(AnalysisKind::Learn));
         assert_eq!(AnalysisKind::parse("TEST_L2"), Some(AnalysisKind::TestL2));
-        assert!(AnalysisKind::parse("l2").is_none(), "CLI aliases stay CLI-side");
+        assert!(
+            AnalysisKind::parse("l2").is_none(),
+            "CLI aliases stay CLI-side"
+        );
     }
 
     #[test]
@@ -1381,7 +1401,14 @@ mod tests {
             SamplePlan::sets(9, 20),
             SamplePlan::single(250),
         ]);
-        assert_eq!(plan, SamplePlan { main: 250, r: 9, m: 30 });
+        assert_eq!(
+            plan,
+            SamplePlan {
+                main: 250,
+                r: 9,
+                m: 30
+            }
+        );
         assert_eq!(plan.total_samples().unwrap(), 250 + 9 * 30);
     }
 
@@ -1437,9 +1464,7 @@ mod tests {
         let mut a = Session::from_dense(&p, 5);
         let mut b = Session::from_dense(&p, 5);
         let one = a.run_one(TestL2::k(2).eps(0.3).scale(0.02)).unwrap();
-        let batch = b
-            .run(&[TestL2::k(2).eps(0.3).scale(0.02).into()])
-            .unwrap();
+        let batch = b.run(&[TestL2::k(2).eps(0.3).scale(0.02).into()]).unwrap();
         assert_eq!(one, batch[0]);
     }
 
@@ -1450,7 +1475,10 @@ mod tests {
         let reports = session
             .run(&[
                 IdentityL2::against(p.clone()).eps(0.3).samples(4000).into(),
-                ClosenessL2::against(p.clone()).eps(0.3).samples(4000).into(),
+                ClosenessL2::against(p.clone())
+                    .eps(0.3)
+                    .samples(4000)
+                    .into(),
             ])
             .unwrap();
         // testing p against itself: both must accept (clear-cut instance)
@@ -1475,9 +1503,7 @@ mod tests {
     fn monotone_accept_carries_fit() {
         let p = generators::geometric(128, 0.97).unwrap();
         let mut session = Session::from_dense(&p, 2);
-        let report = session
-            .run_one(Monotone::eps(0.3).samples(20_000))
-            .unwrap();
+        let report = session.run_one(Monotone::eps(0.3).samples(20_000)).unwrap();
         assert!(report.accepted());
         let fit = report.histogram.as_ref().expect("accepted fit present");
         let v = fit.to_vec();
@@ -1502,7 +1528,10 @@ mod tests {
         let mut session = Session::from_dense(&p, 4);
         let rep = session.run_one(Uniformity::eps(0.3).scale(0.1)).unwrap();
         let text = rep.to_string();
-        assert!(text.contains("uniformity") && text.contains("samples"), "{text}");
+        assert!(
+            text.contains("uniformity") && text.contains("samples"),
+            "{text}"
+        );
     }
 
     #[test]

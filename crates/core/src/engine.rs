@@ -801,7 +801,11 @@ impl Engine {
     /// straight from the interner's slab; nothing is re-sorted or
     /// re-hashed per call.
     pub fn stream_keys(&self) -> Vec<&str> {
-        self.interner.entries.iter().map(|e| e.key.as_str()).collect()
+        self.interner
+            .entries
+            .iter()
+            .map(|e| e.key.as_str())
+            .collect()
     }
 
     /// Total records ingested across all streams.
@@ -901,11 +905,7 @@ impl Engine {
     /// The batch may be any sub-batch whose requirements fit the standing
     /// plan — the frozen lanes cannot serve a larger draw (that errors,
     /// never triggers a fresh draw). Unknown keys error.
-    pub fn snapshot(
-        &mut self,
-        key: &str,
-        analyses: &[Analysis],
-    ) -> Result<Vec<Report>, DistError> {
+    pub fn snapshot(&mut self, key: &str, analyses: &[Analysis]) -> Result<Vec<Report>, DistError> {
         let unknown = || DistError::BadParameter {
             reason: format!("unknown stream key '{key}'"),
         };
@@ -1127,9 +1127,8 @@ impl Engine {
     /// interleaving is reproducible regardless of shard count or
     /// scheduling).
     fn sort_reports(reports: &mut [WindowReport]) {
-        reports.sort_by(|a, b| {
-            (a.stream.as_deref(), a.window).cmp(&(b.stream.as_deref(), b.window))
-        });
+        reports
+            .sort_by(|a, b| (a.stream.as_deref(), a.window).cmp(&(b.stream.as_deref(), b.window)));
     }
 
     fn states(&self) -> impl Iterator<Item = &Monitor> {
@@ -1207,7 +1206,11 @@ mod tests {
     #[test]
     fn builder_rejects_bad_configs() {
         assert!(
-            Engine::builder(64).shards(0).analyses(standing()).build().is_err(),
+            Engine::builder(64)
+                .shards(0)
+                .analyses(standing())
+                .build()
+                .is_err(),
             "zero shards"
         );
         assert!(Engine::builder(64).build().is_err(), "empty batch");
@@ -1559,7 +1562,10 @@ mod tests {
         // 2 shards → the query really crosses a Courier mailbox.
         let mut engine = engine(2, 10_000);
         let records = keyed_events(64, 5_000, &["api", "web"], 9);
-        assert!(engine.ingest_batch(&records).unwrap().is_empty(), "mid-window");
+        assert!(
+            engine.ingest_batch(&records).unwrap().is_empty(),
+            "mid-window"
+        );
         let sub = vec![Uniformity::eps(0.3).scale(0.2).into()];
         let reports = engine.snapshot("api", &sub).unwrap();
         assert_eq!(reports.len(), 1);
@@ -1593,7 +1599,11 @@ mod tests {
         // 4 windows per stream, but the ledger stays one entry per label.
         let ledger = engine.ledger("api").unwrap();
         let labels: Vec<&str> = ledger.iter().map(|e| e.label.as_str()).collect();
-        assert_eq!(labels.len(), 1 + standing().len(), "draw + one per analysis");
+        assert_eq!(
+            labels.len(),
+            1 + standing().len(),
+            "draw + one per analysis"
+        );
         assert!(labels.contains(&"draw"));
         let draw = ledger.iter().find(|e| e.label == "draw").unwrap();
         assert!(draw.samples > 0);
@@ -1613,7 +1623,10 @@ mod tests {
             .find(|e| e.label == "draw")
             .unwrap()
             .samples;
-        assert!(after > before, "snapshot spend ledgered: {after} vs {before}");
+        assert!(
+            after > before,
+            "snapshot spend ledgered: {after} vs {before}"
+        );
         assert!(engine.ledger("nope").is_none());
     }
 

@@ -715,7 +715,11 @@ mod tests {
         assert_eq!(tail.len(), 1);
         assert!(!tail[0].complete);
         assert_eq!(tail[0].seen, 1_500);
-        assert_eq!(monitor.windows(), 2, "partial windows do not advance the baseline");
+        assert_eq!(
+            monitor.windows(),
+            2,
+            "partial windows do not advance the baseline"
+        );
     }
 
     #[test]
@@ -887,7 +891,11 @@ mod tests {
             .analyses(vec![Uniformity::eps(0.3).scale(0.5).into()])
             .build()
             .unwrap();
-        let window = untagged.ingest(&events(64, 2_000, 5)).unwrap().pop().unwrap();
+        let window = untagged
+            .ingest(&events(64, 2_000, 5))
+            .unwrap()
+            .pop()
+            .unwrap();
         let json = window.to_json();
         assert!(json.contains("\"stream\":null"), "{json}");
         let legacy = json.replacen("\"stream\":null,", "", 1);

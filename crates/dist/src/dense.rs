@@ -129,7 +129,11 @@ impl DenseDistribution {
     /// Panics when the interval escapes the domain.
     #[inline]
     pub fn interval_mass(&self, iv: Interval) -> f64 {
-        assert!(iv.hi() < self.n(), "interval {iv} outside domain {}", self.n());
+        assert!(
+            iv.hi() < self.n(),
+            "interval {iv} outside domain {}",
+            self.n()
+        );
         self.prefix_mass[iv.hi() + 1] - self.prefix_mass[iv.lo()]
     }
 
@@ -139,7 +143,11 @@ impl DenseDistribution {
     /// Panics when the interval escapes the domain.
     #[inline]
     pub fn interval_power_sum(&self, iv: Interval) -> f64 {
-        assert!(iv.hi() < self.n(), "interval {iv} outside domain {}", self.n());
+        assert!(
+            iv.hi() < self.n(),
+            "interval {iv} outside domain {}",
+            self.n()
+        );
         self.prefix_power[iv.hi() + 1] - self.prefix_power[iv.lo()]
     }
 

@@ -428,7 +428,9 @@ mod tests {
     #[test]
     fn gaussian_peaks_at_mean() {
         let p = discrete_gaussian(64, 20.0, 5.0).unwrap();
-        let argmax = (0..64).max_by(|&a, &b| p.mass(a).total_cmp(&p.mass(b))).unwrap();
+        let argmax = (0..64)
+            .max_by(|&a, &b| p.mass(a).total_cmp(&p.mass(b)))
+            .unwrap();
         assert_eq!(argmax, 20);
         assert!(discrete_gaussian(64, 20.0, 0.0).is_err());
     }

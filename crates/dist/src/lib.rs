@@ -20,8 +20,8 @@
 // missing_docs is enforced centrally via [workspace.lints] in the root Cargo.toml.
 
 mod dense;
-mod error;
 pub mod distance;
+mod error;
 pub mod generators;
 pub mod interval;
 mod priority;

@@ -201,8 +201,8 @@ impl TilingHistogram {
         assert_eq!(self.n(), p.n(), "domain mismatch");
         let mut acc = 0.0;
         for (iv, v) in self.pieces() {
-            acc += p.interval_power_sum(iv) - 2.0 * v * p.interval_mass(iv)
-                + v * v * iv.len() as f64;
+            acc +=
+                p.interval_power_sum(iv) - 2.0 * v * p.interval_mass(iv) + v * v * iv.len() as f64;
         }
         acc.max(0.0)
     }
@@ -258,9 +258,7 @@ mod tests {
         // defects
         assert!(TilingHistogram::from_pieces(&[(iv(1, 7), 0.1)], 8).is_err());
         assert!(TilingHistogram::from_pieces(&[(iv(0, 6), 0.1)], 8).is_err());
-        assert!(
-            TilingHistogram::from_pieces(&[(iv(0, 2), 0.1), (iv(4, 7), 0.1)], 8).is_err()
-        );
+        assert!(TilingHistogram::from_pieces(&[(iv(0, 2), 0.1), (iv(4, 7), 0.1)], 8).is_err());
         assert!(TilingHistogram::from_pieces(&[], 8).is_err());
     }
 

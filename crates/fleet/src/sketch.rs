@@ -259,7 +259,9 @@ mod tests {
     fn collapse_is_a_function_of_count_and_stays_accurate() {
         // 10_000 log-uniform-ish values: binned mode must answer within
         // the ~half-octave bin resolution.
-        let values: Vec<f64> = (0..10_000).map(|i| ((i % 640) as f64 / 64.0).exp2()).collect();
+        let values: Vec<f64> = (0..10_000)
+            .map(|i| ((i % 640) as f64 / 64.0).exp2())
+            .collect();
         let s = sketch_of(values.iter().copied());
         assert_eq!(s.count(), 10_000);
         let exact = khist_stats::quantile(&values, 0.5).unwrap();

@@ -82,9 +82,9 @@ impl Allows {
 
     /// `true` when `rule` is suppressed at `line` by some directive.
     pub fn suppresses(&self, rule: &str, line: u32) -> bool {
-        self.directives.iter().any(|d| {
-            d.rule == rule && (d.file_wide || d.line == line || d.line + 1 == line)
-        })
+        self.directives
+            .iter()
+            .any(|d| d.rule == rule && (d.file_wide || d.line == line || d.line + 1 == line))
     }
 }
 

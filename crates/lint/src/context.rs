@@ -93,7 +93,11 @@ mod tests {
         let example = FileContext::classify("examples/fleet_monitor.rs");
         assert!(example.is_test_like);
 
-        for root in ["src/lib.rs", "crates/core/src/lib.rs", "crates/lint/src/lib.rs"] {
+        for root in [
+            "src/lib.rs",
+            "crates/core/src/lib.rs",
+            "crates/lint/src/lib.rs",
+        ] {
             assert!(FileContext::classify(root).is_crate_root, "{root}");
         }
         assert!(!FileContext::classify("crates/core/src/api.rs").is_crate_root);

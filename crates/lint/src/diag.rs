@@ -140,6 +140,9 @@ mod tests {
     fn empty_report_is_clean_valid_json() {
         let report = LintReport::default();
         assert!(report.is_clean());
-        assert_eq!(report.to_json(), "{\n  \"files_scanned\": 0,\n  \"diagnostics\": []\n}");
+        assert_eq!(
+            report.to_json(),
+            "{\n  \"files_scanned\": 0,\n  \"diagnostics\": []\n}"
+        );
     }
 }

@@ -323,7 +323,10 @@ impl<'a> Lexer<'a> {
     /// A numeric literal starting at a digit; returns `Int` or `Float`.
     fn number(&mut self) -> TokenKind {
         let hex_or_bin = self.peek(0) == Some(b'0')
-            && matches!(self.peek(1), Some(b'x') | Some(b'X') | Some(b'o') | Some(b'b'));
+            && matches!(
+                self.peek(1),
+                Some(b'x') | Some(b'X') | Some(b'o') | Some(b'b')
+            );
         if hex_or_bin {
             self.bump();
             self.bump();
@@ -336,7 +339,10 @@ impl<'a> Lexer<'a> {
             return TokenKind::Int;
         }
         let mut float = false;
-        while self.peek(0).is_some_and(|b| b.is_ascii_digit() || b == b'_') {
+        while self
+            .peek(0)
+            .is_some_and(|b| b.is_ascii_digit() || b == b'_')
+        {
             self.bump();
         }
         // A `.` continues the literal only when it is not a range (`1..n`)
@@ -349,7 +355,10 @@ impl<'a> Lexer<'a> {
         {
             float = true;
             self.bump();
-            while self.peek(0).is_some_and(|b| b.is_ascii_digit() || b == b'_') {
+            while self
+                .peek(0)
+                .is_some_and(|b| b.is_ascii_digit() || b == b'_')
+            {
                 self.bump();
             }
         }
@@ -363,7 +372,10 @@ impl<'a> Lexer<'a> {
             if matches!(self.peek(0), Some(b'+') | Some(b'-')) {
                 self.bump();
             }
-            while self.peek(0).is_some_and(|b| b.is_ascii_digit() || b == b'_') {
+            while self
+                .peek(0)
+                .is_some_and(|b| b.is_ascii_digit() || b == b'_')
+            {
                 self.bump();
             }
         }
@@ -487,7 +499,10 @@ mod tests {
     #[test]
     fn lifetimes_are_not_char_literals() {
         let toks = kinds("fn f<'a>(x: &'a str) { let c = 'x'; let n = '\\n'; }");
-        let lifetimes = toks.iter().filter(|(k, _)| *k == TokenKind::Lifetime).count();
+        let lifetimes = toks
+            .iter()
+            .filter(|(k, _)| *k == TokenKind::Lifetime)
+            .count();
         let chars = toks.iter().filter(|(k, _)| *k == TokenKind::Char).count();
         assert_eq!((lifetimes, chars), (2, 2));
     }
@@ -501,7 +516,9 @@ mod tests {
             .map(|(_, t)| t.as_str())
             .collect();
         assert_eq!(floats, ["1.5", "3e4", "1f64"]);
-        assert!(toks.iter().any(|(k, t)| *k == TokenKind::Int && t == "0x9e37_79b9"));
+        assert!(toks
+            .iter()
+            .any(|(k, t)| *k == TokenKind::Int && t == "0x9e37_79b9"));
     }
 
     #[test]

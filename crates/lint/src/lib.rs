@@ -119,7 +119,8 @@ mod tests {
 
     #[test]
     fn allows_suppress_and_malformed_allows_report() {
-        let src = "pub fn f() { Some(1).unwrap(); } // lint:allow(no-panic): just-constructed Some\n";
+        let src =
+            "pub fn f() { Some(1).unwrap(); } // lint:allow(no-panic): just-constructed Some\n";
         assert!(lint_source("crates/core/src/example.rs", src).is_empty());
         let bad = "pub fn f() { Some(1).unwrap(); } // lint:allow(no-panic)\n";
         let diags = lint_source("crates/core/src/example.rs", bad);

@@ -196,7 +196,8 @@ fn attribute_extent(tokens: &[Token], start: usize) -> Option<usize> {
 /// mentions `test` (as in `cfg(test)`, `cfg(all(test, …))`, `#[test]`)
 /// without a negating `not`.
 fn attr_marks_test(attr: &[Token]) -> bool {
-    attr.iter().any(|t| t.is_ident("test") || t.is_ident("bench"))
+    attr.iter()
+        .any(|t| t.is_ident("test") || t.is_ident("bench"))
         && !attr.iter().any(|t| t.is_ident("not"))
 }
 
@@ -240,7 +241,10 @@ fn default_hasher(ctx: &FileContext, tok: &Token, out: &mut Vec<Diagnostic>) {
     if tok.kind != TokenKind::Ident {
         return;
     }
-    if matches!(tok.text.as_str(), "HashMap" | "HashSet" | "RandomState" | "DefaultHasher") {
+    if matches!(
+        tok.text.as_str(),
+        "HashMap" | "HashSet" | "RandomState" | "DefaultHasher"
+    ) {
         out.push(Diagnostic::new(
             "default-hasher",
             &ctx.path,
@@ -315,7 +319,9 @@ fn wall_clock_serve(
             continue;
         }
         let reads_clock = tok.is_ident("Instant")
-            && tokens.get(i + 1).is_some_and(|t| t.kind == TokenKind::PathSep)
+            && tokens
+                .get(i + 1)
+                .is_some_and(|t| t.kind == TokenKind::PathSep)
             && tokens.get(i + 2).is_some_and(|t| t.is_ident("now"));
         if !reads_clock {
             continue;
@@ -447,7 +453,9 @@ fn thread_discipline(ctx: &FileContext, tokens: &[Token], i: usize, out: &mut Ve
     if !tok.is_ident("thread") {
         return;
     }
-    let pathy = tokens.get(i + 1).is_some_and(|t| t.kind == TokenKind::PathSep)
+    let pathy = tokens
+        .get(i + 1)
+        .is_some_and(|t| t.kind == TokenKind::PathSep)
         && tokens
             .get(i + 2)
             .is_some_and(|t| t.is_ident("spawn") || t.is_ident("Builder"));
@@ -472,7 +480,9 @@ fn float_cmp(ctx: &FileContext, tokens: &[Token], i: usize, out: &mut Vec<Diagno
     let tok = &tokens[i];
     if tok.kind == TokenKind::CmpOp {
         let float_operand = (i > 0 && tokens[i - 1].kind == TokenKind::Float)
-            || tokens.get(i + 1).is_some_and(|t| t.kind == TokenKind::Float);
+            || tokens
+                .get(i + 1)
+                .is_some_and(|t| t.kind == TokenKind::Float);
         if float_operand {
             out.push(Diagnostic::new(
                 "float-cmp",
@@ -490,7 +500,9 @@ fn float_cmp(ctx: &FileContext, tokens: &[Token], i: usize, out: &mut Vec<Diagno
     // reach the JSON writer (which rejects it) instead of becoming null.
     if !ctx.is_clock_boundary
         && tok.is_ident("Value")
-        && tokens.get(i + 1).is_some_and(|t| t.kind == TokenKind::PathSep)
+        && tokens
+            .get(i + 1)
+            .is_some_and(|t| t.kind == TokenKind::PathSep)
         && tokens.get(i + 2).is_some_and(|t| t.is_ident("F64"))
     {
         out.push(Diagnostic::new(

@@ -18,17 +18,9 @@ fn run(virtual_path: &str, source: &str) -> Vec<(String, u32)> {
 }
 
 /// Asserts a bad fixture yields exactly `expected` and its good twin is clean.
-fn check_pair(
-    virtual_path: &str,
-    bad: &str,
-    good: &str,
-    expected: &[(&str, u32)],
-) {
+fn check_pair(virtual_path: &str, bad: &str, good: &str, expected: &[(&str, u32)]) {
     let got = run(virtual_path, bad);
-    let want: Vec<(String, u32)> = expected
-        .iter()
-        .map(|&(r, l)| (r.to_string(), l))
-        .collect();
+    let want: Vec<(String, u32)> = expected.iter().map(|&(r, l)| (r.to_string(), l)).collect();
     assert_eq!(got, want, "bad fixture under {virtual_path}");
     assert_eq!(
         run(virtual_path, good),

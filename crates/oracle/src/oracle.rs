@@ -318,7 +318,10 @@ impl ReplayOracle {
 
     /// Replays raw sample buffers (in order) over a domain of size `n`.
     pub fn from_raw(n: usize, buffers: Vec<Vec<usize>>) -> Self {
-        Self::from_sets(n, buffers.into_iter().map(SampleSet::from_samples).collect())
+        Self::from_sets(
+            n,
+            buffers.into_iter().map(SampleSet::from_samples).collect(),
+        )
     }
 
     /// Number of recorded sets not yet replayed.
@@ -560,7 +563,9 @@ impl SampleOracle for RecordFileOracle {
             return Vec::new();
         }
         if m == 0 {
-            return (0..r).map(|_| SampleSet::from_samples(Vec::new())).collect();
+            return (0..r)
+                .map(|_| SampleSet::from_samples(Vec::new()))
+                .collect();
         }
         let mut reservoirs: Vec<Reservoir> = (0..r).map(|_| Reservoir::new(m)).collect();
         let mut rngs = self.lane_rngs(first, r);
@@ -774,7 +779,8 @@ mod tests {
         assert!(RecordFileOracle::open(&path, 0, 1).is_err());
         std::fs::remove_file(&path).ok();
 
-        let path = std::env::temp_dir().join(format!("khist-oracle-bad-{}.txt", std::process::id()));
+        let path =
+            std::env::temp_dir().join(format!("khist-oracle-bad-{}.txt", std::process::id()));
         std::fs::write(&path, "1\nfoo\n").unwrap();
         let err = RecordFileOracle::open(&path, 0, 1).unwrap_err().to_string();
         assert!(err.contains("line 2") && err.contains("foo"), "{err}");
@@ -838,7 +844,10 @@ mod tests {
         let path = temp_records(&records, "append");
         let mut oracle = RecordFileOracle::open(&path, 0, 5).unwrap();
         let before = oracle.draw_set(records.len());
-        let mut f = std::fs::OpenOptions::new().append(true).open(&path).unwrap();
+        let mut f = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .unwrap();
         writeln!(f, "9999").unwrap();
         writeln!(f, "not-a-record").unwrap();
         drop(f);

@@ -265,7 +265,9 @@ impl SinkShape {
         }
         let (kind, sizes) = if r == 0 {
             if main == 0 {
-                return Err(bad("window plan retains no samples (main = 0, r = 0)".into()));
+                return Err(bad(
+                    "window plan retains no samples (main = 0, r = 0)".into()
+                ));
             }
             (LaneKind::Single, vec![main])
         } else if m == 0 {
@@ -633,8 +635,7 @@ mod tests {
     fn single_lane_window_matches_record_file_draw_set() {
         // Push≡pull, draw_set shape: one lane of `main`.
         let records = stream(500, 32);
-        let mut sink =
-            WindowedSink::new(32, 11, Window::Tumbling { span: 500 }, 60, 0, 0).unwrap();
+        let mut sink = WindowedSink::new(32, 11, Window::Tumbling { span: 500 }, 60, 0, 0).unwrap();
         sink.push_all(&records).unwrap();
         let window = sink.drain_completed().pop().unwrap();
         let path = temp_records(&records, "single");

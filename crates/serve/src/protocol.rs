@@ -147,10 +147,7 @@ pub enum ControlRequest<'a> {
 }
 
 /// Parses one control line; `Ok(None)` for blanks and `#` comments.
-pub fn parse_control_line(
-    line: &str,
-    lineno: usize,
-) -> Result<Option<ControlRequest<'_>>, String> {
+pub fn parse_control_line(line: &str, lineno: usize) -> Result<Option<ControlRequest<'_>>, String> {
     let trimmed = line.trim();
     if trimmed.is_empty() || trimmed.starts_with('#') {
         return Ok(None);
@@ -272,9 +269,27 @@ mod tests {
     /// past `u64`, and a 70,000-byte token).
     fn pieces() -> Vec<String> {
         let mut pieces: Vec<String> = [
-            "api", "STATS", "SUB", "FLEET", "SHUTDOWN", " ", "\t", "#", "\0", "7", "42", "-1",
-            "+3", "\u{663}", "\u{ff11}", "\u{3000}", "\u{85}", "\u{e9}", "\u{feff}",
-            "18446744073709551615", "18446744073709551616",
+            "api",
+            "STATS",
+            "SUB",
+            "FLEET",
+            "SHUTDOWN",
+            " ",
+            "\t",
+            "#",
+            "\0",
+            "7",
+            "42",
+            "-1",
+            "+3",
+            "\u{663}",
+            "\u{ff11}",
+            "\u{3000}",
+            "\u{85}",
+            "\u{e9}",
+            "\u{feff}",
+            "18446744073709551615",
+            "18446744073709551616",
             "340282366920938463463374607431768211456",
         ]
         .map(String::from)
@@ -285,7 +300,10 @@ mod tests {
 
     fn line_of(picks: &[usize]) -> String {
         let pieces = pieces();
-        picks.iter().map(|&i| pieces[i % pieces.len()].as_str()).collect()
+        picks
+            .iter()
+            .map(|&i| pieces[i % pieces.len()].as_str())
+            .collect()
     }
 
     proptest! {
@@ -323,14 +341,23 @@ mod tests {
     fn data_lines_mirror_watch_framing() {
         assert_eq!(
             parse_data_line("api 7", 1, 0, 100).unwrap(),
-            DataLine::Record { key: "api", value: 7 }
+            DataLine::Record {
+                key: "api",
+                value: 7
+            }
         );
         assert_eq!(
             parse_data_line("7 api", 3, 1, 100).unwrap(),
-            DataLine::Record { key: "api", value: 7 }
+            DataLine::Record {
+                key: "api",
+                value: 7
+            }
         );
         assert_eq!(parse_data_line("  ", 4, 0, 100).unwrap(), DataLine::Skip);
-        assert_eq!(parse_data_line("# note", 5, 0, 100).unwrap(), DataLine::Skip);
+        assert_eq!(
+            parse_data_line("# note", 5, 0, 100).unwrap(),
+            DataLine::Skip
+        );
 
         let err = parse_data_line("lonely", 6, 0, 100).unwrap_err();
         assert!(err.starts_with("line 6:"), "{err}");
@@ -344,7 +371,10 @@ mod tests {
     fn data_lines_check_the_domain_at_parse_time() {
         assert!(parse_data_line("api 99", 1, 0, 100).is_ok());
         let err = parse_data_line("api 100", 2, 0, 100).unwrap_err();
-        assert!(err.contains("outside the declared domain [0, 100)"), "{err}");
+        assert!(
+            err.contains("outside the declared domain [0, 100)"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -157,8 +157,7 @@ fn bind_listener(path: &Path) -> Result<UnixListener, String> {
             let _ = std::fs::remove_file(path);
         }
     }
-    let listener =
-        UnixListener::bind(path).map_err(|e| format!("bind {}: {e}", path.display()))?;
+    let listener = UnixListener::bind(path).map_err(|e| format!("bind {}: {e}", path.display()))?;
     listener
         .set_nonblocking(true)
         .map_err(|e| format!("set_nonblocking {}: {e}", path.display()))?;
@@ -187,8 +186,7 @@ fn process_lines(
         let outcome: Result<(), String> = match std::str::from_utf8(piece) {
             Err(_) => Err(format!("line {lineno}: invalid UTF-8")),
             Ok(line) => match conn.role {
-                Role::Data => match protocol::parse_data_line(line, lineno, cfg.key_field, n)
-                {
+                Role::Data => match protocol::parse_data_line(line, lineno, cfg.key_field, n) {
                     Ok(DataLine::Record { key, value }) => {
                         pending.push(key, value);
                         Ok(())
@@ -370,9 +368,8 @@ fn emit_fleet_line(engine: &Engine, conns: &mut [Conn], sub_cap: usize) {
 /// validation these are unexpected, e.g. an analysis rejecting its
 /// window).
 fn error_line(msg: &str) -> String {
-    let rendered =
-        serde::json::to_string(&Value::map([("error", Value::Str(msg.to_string()))]))
-            .unwrap_or_else(|_| "{\"error\":\"unserializable error\"}".to_string());
+    let rendered = serde::json::to_string(&Value::map([("error", Value::Str(msg.to_string()))]))
+        .unwrap_or_else(|_| "{\"error\":\"unserializable error\"}".to_string());
     format!("{rendered}\n")
 }
 
@@ -436,8 +433,7 @@ pub fn run<W: Write>(
     }
     let mut conns: Vec<Conn> = Vec::new();
     if cfg.stdin {
-        polling::set_nonblocking(0, true)
-            .map_err(|e| format!("set stdin nonblocking: {e}"))?;
+        polling::set_nonblocking(0, true).map_err(|e| format!("set stdin nonblocking: {e}"))?;
         conns.push(Conn::stdin());
     }
     if listeners.is_empty() && conns.is_empty() {
@@ -518,7 +514,9 @@ pub fn run<W: Write>(
         let hold_over = held && clock() >= hold_until;
         let before = pending.len();
         for i in 0..conns.len() {
-            let Some(&ready) = fds.get(base + i) else { break };
+            let Some(&ready) = fds.get(base + i) else {
+                break;
+            };
             let Some(conn) = conns.get_mut(i) else { break };
             if ready.invalid {
                 conn.eof = true;
@@ -534,7 +532,12 @@ pub fn run<W: Write>(
             let read = ready.readable || ready.hangup || (hold_over && conn.role == Role::Data);
             if read && !conn.eof {
                 read_conn(
-                    conn, ready.hangup, &mut scratch, &cfg, &mut engine, &mut pending,
+                    conn,
+                    ready.hangup,
+                    &mut scratch,
+                    &cfg,
+                    &mut engine,
+                    &mut pending,
                     &mut shutdown,
                 );
             }
@@ -549,8 +552,7 @@ pub fn run<W: Write>(
         }
 
         // Size-or-deadline drain.
-        let due = !pending.is_empty()
-            && clock().duration_since(last_drain) >= flush_every;
+        let due = !pending.is_empty() && clock().duration_since(last_drain) >= flush_every;
         if pending.len() >= cfg.batch_records
             || pending.bytes() >= cfg.global_budget
             || due
@@ -559,7 +561,12 @@ pub fn run<W: Write>(
             match pending.drain_into(&mut engine) {
                 Ok(reports) => {
                     emit_reports(
-                        &reports, out, &mut out_ok, &mut conns, sub_cap, &mut windows,
+                        &reports,
+                        out,
+                        &mut out_ok,
+                        &mut conns,
+                        sub_cap,
+                        &mut windows,
                     )?;
                     if !reports.is_empty() {
                         emit_fleet_line(&engine, &mut conns, sub_cap);
@@ -581,12 +588,25 @@ pub fn run<W: Write>(
     // emits).
     for conn in conns.iter_mut().filter(|c| c.role == Role::Data && !c.eof) {
         read_conn(
-            conn, false, &mut scratch, &cfg, &mut engine, &mut pending, &mut shutdown,
+            conn,
+            false,
+            &mut scratch,
+            &cfg,
+            &mut engine,
+            &mut pending,
+            &mut shutdown,
         );
     }
     if !pending.is_empty() {
         let reports = pending.drain_into(&mut engine)?;
-        emit_reports(&reports, out, &mut out_ok, &mut conns, sub_cap, &mut windows)?;
+        emit_reports(
+            &reports,
+            out,
+            &mut out_ok,
+            &mut conns,
+            sub_cap,
+            &mut windows,
+        )?;
         if !reports.is_empty() {
             emit_fleet_line(&engine, &mut conns, sub_cap);
         }
@@ -701,7 +721,9 @@ mod tests {
             let (head, tail) = rest.split_at(at + FIELD.len());
             masked.push_str(head);
             masked.push('_');
-            rest = tail.get(tail.find([',', '}']).unwrap_or(tail.len())..).unwrap();
+            rest = tail
+                .get(tail.find([',', '}']).unwrap_or(tail.len())..)
+                .unwrap();
         }
         masked.push_str(rest);
         masked
@@ -733,7 +755,9 @@ mod tests {
     fn a_trickle_wakes_the_reactor_per_hold_not_per_record() {
         // About one record per millisecond for half a second, at the
         // default 50 ms flush: ten periods of ~50 records each.
-        let lines: Vec<String> = (0..500u32).map(|i| format!("api {}\n", (i * 7) % 64)).collect();
+        let lines: Vec<String> = (0..500u32)
+            .map(|i| format!("api {}\n", (i * 7) % 64))
+            .collect();
         let (socket, control, cfg) = sockets("trickle", 50);
         let (trickled, jsonl) = drive(test_engine(1), cfg, || {
             let mut data = connect(&socket);
@@ -746,7 +770,9 @@ mod tests {
         });
         let (socket, control, cfg) = sockets("trickle-bulk", 50);
         let (_, at_once) = drive(test_engine(1), cfg, || {
-            connect(&socket).write_all(lines.concat().as_bytes()).unwrap();
+            connect(&socket)
+                .write_all(lines.concat().as_bytes())
+                .unwrap();
             shut_down(&control);
         });
         assert_eq!(trickled.records, 500);
@@ -754,14 +780,21 @@ mod tests {
         // Waking per arrival would cost a poll per record, and a truncated
         // timeout spun through the last millisecond of every period on top
         // of that.
-        assert!(trickled.polls <= 500 / 4, "{} polls for 500 records", trickled.polls);
+        assert!(
+            trickled.polls <= 500 / 4,
+            "{} polls for 500 records",
+            trickled.polls
+        );
         assert_eq!(mask_wall(&jsonl), mask_wall(&at_once));
     }
 
     /// The `"records"` count in a `STATS` reply.
     fn records_in(reply: &str) -> u64 {
         let at = reply.find("\"records\":").unwrap() + "\"records\":".len();
-        let digits = reply[at..].split(|c: char| !c.is_ascii_digit()).next().unwrap();
+        let digits = reply[at..]
+            .split(|c: char| !c.is_ascii_digit())
+            .next()
+            .unwrap();
         digits.parse().unwrap()
     }
 
@@ -861,7 +894,9 @@ mod tests {
             conn_buffer: 1 << 20,
             ..cfg
         };
-        let records: String = (0..40_000u32).map(|i| format!("api {}\n", (i * 7) % 64)).collect();
+        let records: String = (0..40_000u32)
+            .map(|i| format!("api {}\n", (i * 7) % 64))
+            .collect();
         let mut feed = Vec::new();
         let mut took = Duration::ZERO;
         let (summary, jsonl) = drive(test_engine(1), cfg, || {
@@ -1076,7 +1111,11 @@ mod tests {
             shut_down(&control);
         });
         assert_eq!(replies[0], "ERR line 2: invalid UTF-8\n");
-        assert!(replies[1].starts_with("ERR line 2: not an integer record"), "{}", replies[1]);
+        assert!(
+            replies[1].starts_with("ERR line 2: not an integer record"),
+            "{}",
+            replies[1]
+        );
         // Line 1 of each poisoned connection, plus fifty healthy records.
         assert_eq!(summary.records, 52);
         assert_eq!(summary.streams, 2);
@@ -1163,10 +1202,7 @@ mod tests {
         assert_eq!(report.records_seen, 160);
         // The subscription feed carries the window lines too (only
         // `WindowReport` lines have a top-level `"complete":` field).
-        let windows = feed
-            .iter()
-            .filter(|l| l.contains("\"complete\":"))
-            .count();
+        let windows = feed.iter().filter(|l| l.contains("\"complete\":")).count();
         assert_eq!(windows, 4, "{feed:?}");
     }
 

@@ -36,13 +36,17 @@ fn main() {
     ];
     let reports = session.run(&batch).unwrap();
 
-    println!("batch of {} analyses over [0, {n}), seed {}:", reports.len(), session.seed());
+    println!(
+        "batch of {} analyses over [0, {n}), seed {}:",
+        reports.len(),
+        session.seed()
+    );
     for report in &reports {
         println!("  {report}");
     }
 
     let learned = reports[0].histogram.as_ref().unwrap();
-    println!("\nlearned {k}-piece summary:", );
+    println!("\nlearned {k}-piece summary:",);
     for (iv, v) in learned.pieces() {
         println!("  {iv}  density {v:.6}");
     }

@@ -46,8 +46,7 @@ fn main() {
     // Faulty traffic: same segment volumes, but inside every segment half
     // the buckets go silent and the other half doubles (a sharding bug).
     let mut gen_rng = StdRng::seed_from_u64(314);
-    let faulty =
-        khist::dist::generators::half_empty_perturbation(n, k, k, &mut gen_rng).unwrap();
+    let faulty = khist::dist::generators::half_empty_perturbation(n, k, k, &mut gen_rng).unwrap();
 
     let mut monitor = Monitor::builder(n)
         .seed(99)

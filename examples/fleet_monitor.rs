@@ -102,7 +102,10 @@ fn main() {
     let roster = engine.stream_seen();
     assert_eq!(roster.len(), engine.streams());
     assert!(
-        roster.iter().map(|&(key, _)| key).eq(keys.iter().map(String::as_str)),
+        roster
+            .iter()
+            .map(|&(key, _)| key)
+            .eq(keys.iter().map(String::as_str)),
         "stream_seen reports tenants in debut order"
     );
     let per_tenant = roster.first().map_or(0, |&(_, seen)| seen);
@@ -149,8 +152,14 @@ fn main() {
         (tenants as u64, 1),
         "the rollup counts exactly 1 alarming stream out of 100"
     );
-    let leader = fleet.top_drift.first().expect("phase 2 produced drift scores");
-    assert_eq!(leader.stream, hot_tenant, "the hot tenant ranks #1 by drift");
+    let leader = fleet
+        .top_drift
+        .first()
+        .expect("phase 2 produced drift scores");
+    assert_eq!(
+        leader.stream, hot_tenant,
+        "the hot tenant ranks #1 by drift"
+    );
     assert!(
         leader.score > 1.0,
         "the leader's severity (statistic/threshold) shows a rejection"

@@ -36,8 +36,7 @@ fn main() {
     // Regressed traffic: a quarter of the volume collapses onto two hot
     // buckets (a routing bug); the rest still follows the segments.
     let hot = khist::dist::generators::spike_comb(n, 2).unwrap();
-    let faulty =
-        khist::dist::generators::mixture(&[(0.75, healthy.clone()), (0.25, hot)]).unwrap();
+    let faulty = khist::dist::generators::mixture(&[(0.75, healthy.clone()), (0.25, hot)]).unwrap();
 
     let mut monitor = Monitor::builder(n)
         .seed(7)
@@ -53,7 +52,11 @@ fn main() {
         "monitoring [0, {n}) with tumbling windows of {span} records; \
          {} samples kept per window (plan {:?}-ish)\n",
         monitor.plan().total_samples().unwrap(),
-        (monitor.plan().main(), monitor.plan().r(), monitor.plan().m()),
+        (
+            monitor.plan().main(),
+            monitor.plan().r(),
+            monitor.plan().m()
+        ),
     );
     println!(
         "{:<8}{:<10}{:>10}{:>12}{:>12}",

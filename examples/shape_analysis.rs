@@ -28,7 +28,10 @@ fn profile(name: &str, p: &DenseDistribution, seed: u64) {
             TestL2::k(2).eps(0.2).scale(0.05).into(),
             TestL2::k(4).eps(0.2).scale(0.05).into(),
             TestL2::k(8).eps(0.2).scale(0.05).into(),
-            IdentityL2::against(reference).eps(0.15).samples(20_000).into(),
+            IdentityL2::against(reference)
+                .eps(0.15)
+                .samples(20_000)
+                .into(),
         ])
         .unwrap();
 

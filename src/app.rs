@@ -188,7 +188,9 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             "--window" => {
                 let window = it.next().ok_or("--window requires a value")?.to_lowercase();
                 if window != "tumbling" && window != "sliding" {
-                    return Err(format!("--window must be tumbling or sliding, got {window}"));
+                    return Err(format!(
+                        "--window must be tumbling or sliding, got {window}"
+                    ));
                 }
                 o.sliding = window == "sliding";
             }
@@ -196,7 +198,10 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 let list = it.next().ok_or("--run requires a value")?;
                 o.runs = list.split(',').map(|s| s.trim().to_lowercase()).collect();
                 for run in &o.runs {
-                    if !matches!(run.as_str(), "learn" | "l1" | "l2" | "uniformity" | "monotone") {
+                    if !matches!(
+                        run.as_str(),
+                        "learn" | "l1" | "l2" | "uniformity" | "monotone"
+                    ) {
                         return Err(format!(
                             "--run got unknown analysis '{run}'; valid analyses: {VALID_RUNS}"
                         ));
@@ -361,7 +366,10 @@ fn analyze_batch(
                 Ok(Uniformity::eps(eps).budget(UniformityBudget { m }).into())
             }
             "monotone" => {
-                let m = monotonicity_budget(n, eps, 1.0).map_err(fmt_err)?.min(available).max(1);
+                let m = monotonicity_budget(n, eps, 1.0)
+                    .map_err(fmt_err)?
+                    .min(available)
+                    .max(1);
                 Ok(Monotone::eps(eps).samples(m).into())
             }
             other => Err(format!(
@@ -947,10 +955,7 @@ mod tests {
 
     /// Writes samples to a unique temp record file.
     fn temp_file(samples: &[usize], tag: &str) -> String {
-        let path = std::env::temp_dir().join(format!(
-            "khist-app-{tag}-{}.txt",
-            std::process::id()
-        ));
+        let path = std::env::temp_dir().join(format!("khist-app-{tag}-{}.txt", std::process::id()));
         let mut f = std::fs::File::create(&path).expect("temp file writable");
         for &s in samples {
             writeln!(f, "{s}").unwrap();
@@ -960,10 +965,7 @@ mod tests {
 
     /// Writes raw text to a unique temp record file.
     fn temp_text(text: &str, tag: &str) -> String {
-        let path = std::env::temp_dir().join(format!(
-            "khist-app-{tag}-{}.txt",
-            std::process::id()
-        ));
+        let path = std::env::temp_dir().join(format!("khist-app-{tag}-{}.txt", std::process::id()));
         std::fs::write(&path, text).expect("temp file writable");
         path.to_string_lossy().into_owned()
     }
@@ -1018,7 +1020,11 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         let cmd = parse_args(&strings(&[
-            "analyze", "d.txt", "--run", "l1,monotone", "--json",
+            "analyze",
+            "d.txt",
+            "--run",
+            "l1,monotone",
+            "--json",
         ]))
         .unwrap();
         match cmd {
@@ -1044,9 +1050,25 @@ mod tests {
         }
         // A socket suppresses implied stdin unless --stdin is explicit.
         let cmd = parse_args(&strings(&[
-            "serve", "--n", "64", "--socket", "/tmp/k.sock", "--control", "/tmp/c.sock",
-            "--key-field", "1", "--shards", "4", "--batch", "512", "--flush-ms", "10",
-            "--conn-buffer", "1024", "--budget", "8192",
+            "serve",
+            "--n",
+            "64",
+            "--socket",
+            "/tmp/k.sock",
+            "--control",
+            "/tmp/c.sock",
+            "--key-field",
+            "1",
+            "--shards",
+            "4",
+            "--batch",
+            "512",
+            "--flush-ms",
+            "10",
+            "--conn-buffer",
+            "1024",
+            "--budget",
+            "8192",
         ]))
         .unwrap();
         match cmd {
@@ -1055,7 +1077,14 @@ mod tests {
                 assert_eq!(o.socket.as_deref(), Some("/tmp/k.sock"));
                 assert_eq!(o.control.as_deref(), Some("/tmp/c.sock"));
                 assert_eq!(
-                    (o.key_field, o.shards, o.batch, o.flush_ms, o.conn_buffer, o.budget),
+                    (
+                        o.key_field,
+                        o.shards,
+                        o.batch,
+                        o.flush_ms,
+                        o.conn_buffer,
+                        o.budget
+                    ),
                     (Some(1), 4, 512, 10, 1024, 8192)
                 );
             }
@@ -1242,7 +1271,14 @@ mod tests {
     #[test]
     fn parse_args_keyed_watch_flags() {
         let cmd = parse_args(&strings(&[
-            "watch", "-", "--key-field", "0", "--shards", "4", "--n", "64",
+            "watch",
+            "-",
+            "--key-field",
+            "0",
+            "--shards",
+            "4",
+            "--n",
+            "64",
         ]))
         .unwrap();
         match cmd {
@@ -1264,7 +1300,13 @@ mod tests {
         let err = parse_args(&strings(&["watch", "-", "--fleet", "--n", "64"])).unwrap_err();
         assert!(err.contains("--fleet needs --key-field"), "{err}");
         let cmd = parse_args(&strings(&[
-            "watch", "-", "--key-field", "0", "--fleet", "--n", "64",
+            "watch",
+            "-",
+            "--key-field",
+            "0",
+            "--fleet",
+            "--n",
+            "64",
         ]))
         .unwrap();
         match cmd {
@@ -1273,7 +1315,10 @@ mod tests {
         }
         // Documented in --help.
         let help = usage();
-        assert!(help.contains("--key-field") && help.contains("--shards"), "{help}");
+        assert!(
+            help.contains("--key-field") && help.contains("--shards"),
+            "{help}"
+        );
         assert!(help.contains("--fleet") && help.contains("FLEET"), "{help}");
     }
 
@@ -1312,8 +1357,7 @@ mod tests {
         let text = keyed_text(7_500); // 2 500 records per stream
         let run = |shards: usize| {
             let mut out = Vec::new();
-            let summary =
-                run_watch(text.as_bytes(), &mut out, &keyed_opts(shards, true)).unwrap();
+            let summary = run_watch(text.as_bytes(), &mut out, &keyed_opts(shards, true)).unwrap();
             assert!(summary.is_empty(), "JSON mode emits pure JSONL");
             String::from_utf8(out).unwrap()
         };
@@ -1378,7 +1422,13 @@ mod tests {
                 .iter()
                 .map(|l| {
                     let w = WindowReport::from_json(l).unwrap_or_else(|e| panic!("{e}: {l}"));
-                    (w.stream.clone(), w.window, w.seen, w.complete, w.all_quiet())
+                    (
+                        w.stream.clone(),
+                        w.window,
+                        w.seen,
+                        w.complete,
+                        w.all_quiet(),
+                    )
                 })
                 .collect()
         };
@@ -1430,7 +1480,10 @@ mod tests {
         );
         let mut out = Vec::new();
         let err = run_watch("api 3 9\n".as_bytes(), &mut out, &opts).unwrap_err();
-        assert!(err.contains("line 1") && err.contains("exactly two"), "{err}");
+        assert!(
+            err.contains("line 1") && err.contains("exactly two"),
+            "{err}"
+        );
         let mut out = Vec::new();
         let err = run_watch("api foo\n".as_bytes(), &mut out, &opts).unwrap_err();
         assert!(err.contains("line 1") && err.contains("foo"), "{err}");
@@ -1561,15 +1614,17 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(14);
         let p = khist_dist::generators::two_level(64, 0.25, 0.75).unwrap();
         let path = temp_file(&p.sample_many(30_000, &mut rng), "learn");
-        let learn = |json: bool| Command::Learn(Options {
-            path: path.clone(),
-            k: 2,
-            eps: 0.15,
-            n: 64,
-            seed: 7,
-            json,
-            ..Options::default()
-        });
+        let learn = |json: bool| {
+            Command::Learn(Options {
+                path: path.clone(),
+                k: 2,
+                eps: 0.15,
+                n: 64,
+                seed: 7,
+                json,
+                ..Options::default()
+            })
+        };
         let report = dispatch(learn(false)).unwrap();
         assert!(report.contains("2-piece"), "report: {report}");
         assert!(report.contains("[0, 64)"), "report: {report}");

@@ -26,11 +26,7 @@ use std::io::Write;
 /// The shared-plan shapes for a {learn, test_l2, uniformity} batch, mirrored
 /// from the engine: main = max(ℓ, m_u), r = max(r_learn, r_l2),
 /// m = max(m_learn, m_l2).
-fn shared_plan_sizes(
-    lb: &LearnerBudget,
-    l2: &L2TesterBudget,
-    ub: &UniformityBudget,
-) -> Vec<usize> {
+fn shared_plan_sizes(lb: &LearnerBudget, l2: &L2TesterBudget, ub: &UniformityBudget) -> Vec<usize> {
     let main = lb.ell.max(ub.m);
     let r = lb.r.max(l2.r);
     let m = lb.m.max(l2.m);
@@ -39,7 +35,13 @@ fn shared_plan_sizes(
     sizes
 }
 
-fn batch(k: usize, eps: f64, lb: LearnerBudget, l2: L2TesterBudget, ub: UniformityBudget) -> Vec<Analysis> {
+fn batch(
+    k: usize,
+    eps: f64,
+    lb: LearnerBudget,
+    l2: L2TesterBudget,
+    ub: UniformityBudget,
+) -> Vec<Analysis> {
     vec![
         Learn::k(k).eps(eps).budget(lb).into(),
         TestL2::k(k).eps(eps).budget(l2).into(),
@@ -62,10 +64,7 @@ fn assert_session_matches_legacy(p: &DenseDistribution, k: usize, eps: f64, seed
     let sets = recorded[1..].to_vec();
 
     // Engine path: replay the capture through a Session.
-    let mut session = Session::new(
-        Box::new(ReplayOracle::from_sets(n, recorded.clone())),
-        seed,
-    );
+    let mut session = Session::new(Box::new(ReplayOracle::from_sets(n, recorded.clone())), seed);
     let reports = session.run(&batch(k, eps, lb, l2, ub)).unwrap();
 
     // Kernel path: the three kernels on the same sets.
@@ -287,8 +286,7 @@ fn record_file_batch_costs_exactly_one_pass() {
     let lb = LearnerBudget::calibrated(64, 4, 0.25, 0.02).unwrap();
     let l2 = L2TesterBudget::calibrated(64, 0.25, 0.02).unwrap();
     let ub = UniformityBudget::calibrated(64, 0.25, 0.05).unwrap();
-    let (reports, ledger) =
-        run_analyses(&mut oracle, 11, &batch(4, 0.25, lb, l2, ub)).unwrap();
+    let (reports, ledger) = run_analyses(&mut oracle, 11, &batch(4, 0.25, lb, l2, ub)).unwrap();
     assert_eq!(reports.len(), 3);
     assert_eq!(
         oracle.passes(),

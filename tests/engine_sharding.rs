@@ -251,7 +251,11 @@ fn flush_covers_every_partial_tail() {
     for tail in &tails {
         assert!(!tail.complete);
         assert_eq!(tail.seen, 150);
-        assert_eq!(tail.reports.len(), batch().len(), "tail thick enough to analyze");
+        assert_eq!(
+            tail.reports.len(),
+            batch().len(),
+            "tail thick enough to analyze"
+        );
     }
     // Tails match the dedicated monitors' flushes.
     for key in KEYS {
@@ -365,15 +369,16 @@ fn key_arrival_order_does_not_change_reports() {
             keys.reverse();
         }
         // Debut every stream in the chosen order, then interleave evenly.
-        let mut keyed: Vec<(String, usize)> = keys
-            .iter()
-            .map(|k| (k.to_string(), 0))
-            .collect();
+        let mut keyed: Vec<(String, usize)> = keys.iter().map(|k| (k.to_string(), 0)).collect();
         keyed.extend((0..3_000).map(|i| (KEYS[(i * 7) % KEYS.len()].to_string(), (i * 11) % 32)));
         let mut out = engine.ingest_batch(&keyed).unwrap();
         out.extend(engine.flush_debut_ordered().unwrap());
         out.sort_by(|a, b| (&a.stream, a.window).cmp(&(&b.stream, b.window)));
         out
     };
-    assert_eq!(run(false), run(true), "report content independent of key debut order");
+    assert_eq!(
+        run(false),
+        run(true),
+        "report content independent of key debut order"
+    );
 }

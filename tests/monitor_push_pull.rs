@@ -160,10 +160,7 @@ fn million_event_stream_is_budget_bounded_and_draw_free() {
         assert_eq!(entry.samples as u64, window.kept);
     }
     // Per-window ledger: 1 draw + one entry per standing analysis.
-    assert_eq!(
-        monitor.ledger().len(),
-        windows.len() * (1 + standing.len())
-    );
+    assert_eq!(monitor.ledger().len(), windows.len() * (1 + standing.len()));
     // Drift is reported from the second window on.
     assert!(windows[0].drift.is_none());
     assert!(windows[1..].iter().all(|w| w.drift.is_some()));

@@ -11,10 +11,7 @@ use std::io::Write;
 
 /// Writes samples to a unique temp record file; returns its path.
 fn temp_records(samples: &[usize], tag: &str) -> std::path::PathBuf {
-    let path = std::env::temp_dir().join(format!(
-        "khist-it-{tag}-{}.txt",
-        std::process::id()
-    ));
+    let path = std::env::temp_dir().join(format!("khist-it-{tag}-{}.txt", std::process::id()));
     let mut f = std::fs::File::create(&path).expect("temp file writable");
     writeln!(f, "# integration test data").unwrap();
     for &s in samples {

@@ -72,7 +72,11 @@ impl Server {
             .stderr(Stdio::piped())
             .spawn()
             .expect("spawn khist serve");
-        let server = Server { child, data, control };
+        let server = Server {
+            child,
+            data,
+            control,
+        };
         // The first connect doubles as the readiness probe.
         drop(server.connect_data());
         server
@@ -113,7 +117,10 @@ impl Server {
             .read_to_string(&mut out)
             .unwrap();
         assert!(!self.data.exists(), "data socket file removed on exit");
-        assert!(!self.control.exists(), "control socket file removed on exit");
+        assert!(
+            !self.control.exists(),
+            "control socket file removed on exit"
+        );
         out
     }
 }
@@ -127,7 +134,10 @@ struct Control {
 impl Control {
     fn new(stream: UnixStream) -> Control {
         let reader = BufReader::new(stream.try_clone().unwrap());
-        Control { writer: stream, reader }
+        Control {
+            writer: stream,
+            reader,
+        }
     }
 
     fn send(&mut self, line: &str) {
@@ -172,8 +182,7 @@ fn json_u64(reply: &str, field: &str) -> Option<u64> {
 fn per_stream_jsonl(jsonl: &str) -> Vec<(String, Vec<String>)> {
     let mut grouped: Vec<(String, Vec<String>)> = Vec::new();
     for line in jsonl.lines() {
-        let mut report =
-            WindowReport::from_json(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+        let mut report = WindowReport::from_json(line).unwrap_or_else(|e| panic!("{e}: {line}"));
         for r in report.reports.iter_mut().chain(report.drift.iter_mut()) {
             r.wall_seconds = 0.0;
         }
@@ -237,8 +246,19 @@ fn fifty_thousand_records_from_two_writers_match_watch_bit_for_bit() {
     // what matters, and the key sets are disjoint).
     let mut watch = Command::new(env!("CARGO_BIN_EXE_khist"))
         .args([
-            "watch", "-", "--key-field", "0", "--n", &N.to_string(), "--every", "2000",
-            "--run", "uniformity", "--seed", "7", "--json",
+            "watch",
+            "-",
+            "--key-field",
+            "0",
+            "--n",
+            &N.to_string(),
+            "--every",
+            "2000",
+            "--run",
+            "uniformity",
+            "--seed",
+            "7",
+            "--json",
         ])
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
@@ -293,9 +313,15 @@ fn fleet_verb_matches_watch_fleet_byte_for_byte() {
     assert!(FleetReport::is_fleet_line(&mid), "{mid}");
     let mid_report = FleetReport::from_json(mid.trim()).unwrap();
     assert_eq!(mid_report.streams, 3, "{mid}");
-    assert_eq!(mid_report.windows_complete, 6, "2 windows per stream so far");
+    assert_eq!(
+        mid_report.windows_complete, 6,
+        "2 windows per stream so far"
+    );
     assert_eq!(mid_report.records_seen, 3_000);
-    assert_eq!(mid_report.windows_partial, 0, "mid-windows are not rolled up");
+    assert_eq!(
+        mid_report.windows_partial, 0,
+        "mid-windows are not rolled up"
+    );
 
     data.write_all(phase2.as_bytes()).unwrap();
     drop(data);
@@ -335,8 +361,20 @@ fn fleet_verb_matches_watch_fleet_byte_for_byte() {
     // closing rollup line must equal the server's final FLEET reply.
     let mut watch = Command::new(env!("CARGO_BIN_EXE_khist"))
         .args([
-            "watch", "-", "--key-field", "0", "--n", &N.to_string(), "--every", "500",
-            "--run", "uniformity", "--seed", "7", "--json", "--fleet",
+            "watch",
+            "-",
+            "--key-field",
+            "0",
+            "--n",
+            &N.to_string(),
+            "--every",
+            "500",
+            "--run",
+            "uniformity",
+            "--seed",
+            "7",
+            "--json",
+            "--fleet",
         ])
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
@@ -354,7 +392,11 @@ fn fleet_verb_matches_watch_fleet_byte_for_byte() {
         .lines()
         .rfind(|l| FleetReport::is_fleet_line(l))
         .expect("watch --fleet emits a closing rollup");
-    assert_eq!(closing, fin.trim(), "serve FLEET ≡ watch --fleet, bit for bit");
+    assert_eq!(
+        closing,
+        fin.trim(),
+        "serve FLEET ≡ watch --fleet, bit for bit"
+    );
 }
 
 #[test]
@@ -365,7 +407,8 @@ fn bad_lines_and_disconnects_poison_only_their_own_connection() {
     // A healthy long-lived producer.
     let mut good = server.connect_data();
     for i in 0..230usize {
-        good.write_all(format!("good {}\n", (i * 3) % N).as_bytes()).unwrap();
+        good.write_all(format!("good {}\n", (i * 3) % N).as_bytes())
+            .unwrap();
     }
 
     // A connection that sends one valid record, then garbage: the reply
@@ -396,7 +439,8 @@ fn bad_lines_and_disconnects_poison_only_their_own_connection() {
     // everything that reached the engine is accounted for.
     control.stats_until(|r| json_u64(r, "records") == Some(381));
     for i in 0..50usize {
-        good.write_all(format!("good {}\n", (i * 7) % N).as_bytes()).unwrap();
+        good.write_all(format!("good {}\n", (i * 7) % N).as_bytes())
+            .unwrap();
     }
     let reply = control.stats_until(|r| json_u64(r, "records") == Some(431));
     assert_eq!(json_u64(&reply, "streams"), Some(3), "{reply}");
@@ -421,7 +465,14 @@ fn bad_lines_and_disconnects_poison_only_their_own_connection() {
     assert_eq!(good_windows[2].seen, 80, "flushed tail");
     let drop_windows = of("drop");
     assert_eq!(drop_windows.len(), 2, "disconnected stream still reported");
-    assert_eq!(drop_windows[1].seen, 50, "records up to the disconnect kept");
-    assert_eq!(of("evil").len(), 1, "the record before the garbage survives");
+    assert_eq!(
+        drop_windows[1].seen, 50,
+        "records up to the disconnect kept"
+    );
+    assert_eq!(
+        of("evil").len(),
+        1,
+        "the record before the garbage survives"
+    );
     assert_eq!(of("evil")[0].seen, 1);
 }
