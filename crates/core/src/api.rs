@@ -15,7 +15,7 @@
 //!                     Session::run(&[…])           (one engine)
 //!                               │
 //!                        SamplePlan::for_batch     (max over requirements)
-//!                               │  one draw_batch / draw_sets / draw_set
+//!                               │  one draw_lanes(main, r, m)
 //!                               ▼
 //!                      trait SampleOracle          (khist-oracle)
 //! ```
@@ -957,44 +957,28 @@ impl SamplePlan {
             })
     }
 
-    /// Executes the plan: **one** oracle call — `draw_set` for a lone main
-    /// set, `draw_sets` for pure set batches, `draw_batch` for main + sets.
+    /// Executes the plan: **one** [`SampleOracle::draw_lanes`] call,
+    /// split into the main set (when `main > 0`) and the `r` sets. An
+    /// empty plan draws nothing.
     ///
-    /// Fails when the backend violates the batch contract (wrong number of
-    /// sets returned).
+    /// Fails when the backend returns the wrong number of lanes.
     #[allow(clippy::type_complexity)] // (Option<main>, Vec<extra>) mirrors the plan's two-part draw
     pub fn draw<O: SampleOracle + ?Sized>(
         &self,
         oracle: &mut O,
     ) -> Result<(Option<SampleSet>, Vec<SampleSet>), DistError> {
-        if self.r == 0 {
-            if self.main == 0 {
-                return Ok((None, Vec::new()));
-            }
-            return Ok((Some(oracle.draw_set(self.main)), Vec::new()));
+        if self.main == 0 && self.r == 0 {
+            return Ok((None, Vec::new()));
         }
-        if self.main == 0 {
-            let sets = oracle.draw_sets(self.r, self.m);
-            if sets.len() != self.r {
-                return Err(self.short_batch_error(sets.len(), self.r));
-            }
-            return Ok((None, sets));
+        let mut lanes = oracle.draw_lanes(self.main, self.r, self.m);
+        let want = self.r + usize::from(self.main > 0);
+        if lanes.len() != want {
+            return Err(DistError::BadParameter {
+                reason: format!("oracle returned {} sets for a batch of {want}", lanes.len()),
+            });
         }
-        let mut sizes = Vec::with_capacity(self.r + 1);
-        sizes.push(self.main);
-        sizes.resize(self.r + 1, self.m);
-        let mut drawn = oracle.draw_batch(&sizes);
-        if drawn.len() != sizes.len() {
-            return Err(self.short_batch_error(drawn.len(), sizes.len()));
-        }
-        let main = drawn.remove(0);
-        Ok((Some(main), drawn))
-    }
-
-    fn short_batch_error(&self, got: usize, want: usize) -> DistError {
-        DistError::BadParameter {
-            reason: format!("oracle returned {got} sets for a batch of {want}"),
-        }
+        let main = (self.main > 0).then(|| lanes.remove(0));
+        Ok((main, lanes))
     }
 }
 

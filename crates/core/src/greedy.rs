@@ -146,7 +146,7 @@ impl GreedyOutcome {
 /// report (the `k`-piece compression) does not carry.
 ///
 /// The main sample and the `r` collision sets come from
-/// [`SamplePlan::learner`] (one [`SampleOracle::draw_batch`] call, the
+/// [`SamplePlan::learner`] (one [`SampleOracle::draw_lanes`] call, the
 /// draw a `Learn` request with the same budget makes), so streaming
 /// backends serve them from a single pass with disjoint lanes.
 pub fn learn<O: SampleOracle + ?Sized>(

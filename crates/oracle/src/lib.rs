@@ -4,10 +4,12 @@
 //! through i.i.d. samples. This crate provides
 //!
 //! * [`SampleOracle`] — the *pull*-side sample-access seam every algorithm
-//!   is generic over, with three backends: [`DenseOracle`] (explicit pmf +
-//!   alias table, parallel batched draws), [`RecordFileOracle`] (one-pass
-//!   streaming over line-oriented record files via reservoir splitting)
-//!   and [`ReplayOracle`] (pre-drawn buffers for deterministic replay);
+//!   is generic over. Its one draw, [`SampleOracle::draw_lanes`], returns
+//!   the lanes of a main set plus `r` sets, and three backends implement
+//!   it: [`DenseOracle`] (explicit pmf + alias table, lanes drawn in
+//!   parallel), [`RecordFileOracle`] (one pass over a line-oriented record
+//!   file, split into reservoir lanes) and [`ReplayOracle`] (pre-drawn
+//!   buffers for deterministic replay);
 //! * [`SampleSink`] — the *push*-side mirror for live streams:
 //!   [`WindowedSink`] routes pushed records into plan-shaped reservoir
 //!   lanes behind tumbling/sliding [`Window`]s, bit-identical (tumbling
@@ -41,8 +43,7 @@ pub use budget::{L1TesterBudget, L2TesterBudget, LearnerBudget};
 pub use collision::{absolute_collision_estimate, conditional_collision_estimate, MedianBooster};
 pub use empirical::empirical_distribution;
 pub use oracle::{
-    parse_record, stream_seed, DenseOracle, LaneRouter, RecordFileOracle, ReplayOracle,
-    SampleOracle,
+    parse_record, stream_seed, DenseOracle, RecordFileOracle, ReplayOracle, SampleOracle,
 };
 pub use reservoir::Reservoir;
 pub use sample_set::{choose2, SampleSet};

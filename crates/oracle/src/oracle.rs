@@ -20,15 +20,18 @@
 //!          │ DenseOracle  │  │RecordFileOracle│  │ ReplayOracle │
 //!          │ alias table, │  │ one-pass       │  │ pre-drawn    │
 //!          │ parallel     │  │ reservoir      │  │ buffers,     │
-//!          │ draw_sets    │  │ splitting      │  │ deterministic│
+//!          │ lanes        │  │ lanes          │  │ deterministic│
 //!          └──────────────┘  └────────────────┘  └──────────────┘
 //! ```
 //!
-//! Reproducibility is seed-based: each drawn set consumes one *stream*
-//! derived deterministically from `(seed, stream_index)` via a SplitMix64
-//! mix, so [`DenseOracle::draw_sets`] may fan the `r` independent sets out
-//! across threads and still produce output bit-identical to a sequential
-//! run (verified by property test below).
+//! Every backend implements one draw, [`SampleOracle::draw_lanes`], and
+//! every draw splits into lanes by one rule (`lane_shape`). Reproducibility
+//! is seed-based: each lane consumes one *stream* derived deterministically
+//! from `(seed, stream_index)` via a SplitMix64 mix, so [`DenseOracle`] may
+//! fan the lanes out across threads and still produce output bit-identical
+//! to a sequential run (verified by property test below), and a record
+//! stream poured into `Lanes` fills the same lanes whether it is pulled
+//! from a file or pushed into a [`crate::sink::WindowedSink`].
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -56,23 +59,29 @@ pub trait SampleOracle {
     /// The domain size `n` of the underlying distribution.
     fn domain_size(&self) -> usize;
 
-    /// Draws one fresh set of `m` i.i.d. samples.
-    fn draw_set(&mut self, m: usize) -> SampleSet;
+    /// Draws the lanes of one sample plan: a main set of `main` plus `r`
+    /// sets of `m` — Algorithm 1's `ℓ` samples and `S¹, …, Sʳ`, or the
+    /// sets alone of Algorithms 2–4. The lanes come back in draw order:
+    /// one lane of `main` when `r == 0`, the `r` sets when `main == 0`,
+    /// and otherwise the main lane followed by the `r` sets. Lane `i`
+    /// consumes seed stream `i` of the draw, so the lanes are independent.
+    fn draw_lanes(&mut self, main: usize, r: usize, m: usize) -> Vec<SampleSet>;
 
-    /// Draws `r` independent sets of `m` samples each — the `S¹, …, Sʳ` of
-    /// Algorithms 1–4. Backends may override this to batch the work (the
-    /// dense backend parallelizes it; the record-file backend serves all
-    /// `r` sets from a single pass over the file).
-    fn draw_sets(&mut self, r: usize, m: usize) -> Vec<SampleSet> {
-        (0..r).map(|_| self.draw_set(m)).collect()
+    /// Draws one fresh set of `m` i.i.d. samples (a one-lane draw).
+    fn draw_set(&mut self, m: usize) -> SampleSet {
+        let mut lanes = self.draw_lanes(m, 0, 0);
+        lanes
+            .pop()
+            .unwrap_or_else(|| SampleSet::from_samples(Vec::new()))
     }
 
-    /// Draws one set per entry of `sizes` (e.g. the learner's main sample
-    /// of `ℓ` plus `r` collision sets of `m`). The default draws them one
-    /// by one; the record-file backend overrides it to split a single pass
-    /// into disjoint lanes, keeping the sets independent.
-    fn draw_batch(&mut self, sizes: &[usize]) -> Vec<SampleSet> {
-        sizes.iter().map(|&m| self.draw_set(m)).collect()
+    /// Draws `r` independent sets of `m` samples each — the `S¹, …, Sʳ` of
+    /// Algorithms 1–4. No draw at all when `r == 0`.
+    fn draw_sets(&mut self, r: usize, m: usize) -> Vec<SampleSet> {
+        if r == 0 {
+            return Vec::new();
+        }
+        self.draw_lanes(0, r, m)
     }
 }
 
@@ -92,67 +101,131 @@ pub fn stream_seed(base: u64, stream: u64) -> u64 {
 }
 
 /// Below this many total samples a parallel fan-out costs more in thread
-/// setup than it saves; `draw_sets` falls back to the sequential path
-/// (which is bit-identical anyway).
+/// setup than it saves; [`DenseOracle`] draws the lanes one by one (which
+/// is bit-identical anyway).
 const PARALLEL_DRAW_THRESHOLD: usize = 1 << 13;
 
-/// Deterministic record→lane assignment, shared by [`RecordFileOracle`]'s
-/// streaming draws and the push-based [`crate::sink::WindowedSink`].
-///
-/// A draw that splits one record stream into reservoir lanes must route
-/// record `t` to the same lane no matter whether the records are *pulled*
-/// (re-streamed from a file) or *pushed* (ingested as they arrive) — this
-/// enum is the single implementation both paths use, so push≡pull
-/// bit-identity holds by construction rather than by parallel maintenance
-/// of two copies of the logic. It is public so higher layers that own
-/// many streams at once (one router per stream, reused across windows)
-/// can route with exactly the same rules as the built-in backends.
-#[derive(Debug, Clone)]
-pub enum LaneRouter {
-    /// Every record to lane 0 (the shape of a lone `draw_set`).
+/// How a draw of `main` plus `r` sets of `m` deals records to its lanes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum LaneKind {
+    /// One lane of `main` (`r == 0`): every record to lane 0.
     Single,
-    /// Record `t` to lane `t mod lanes` (the shape of `draw_sets`:
-    /// disjoint equal lanes).
+    /// `r` lanes of `m` (`main == 0`): record `t` to lane `t mod r`.
+    RoundRobin,
+    /// A main lane plus `r` lanes of `m`: each record to lane `i` with
+    /// probability `sizes[i] / Σ sizes`, drawn from the assignment stream.
+    Weighted,
+}
+
+/// The lane rule every draw follows, pulled or pushed: the kind and the
+/// lane sizes in draw order (`[main?, m, …, m]`) of a draw of `main` plus
+/// `r` sets of `m`.
+pub(crate) fn lane_shape(main: usize, r: usize, m: usize) -> (LaneKind, Vec<usize>) {
+    if r == 0 {
+        (LaneKind::Single, vec![main])
+    } else if main == 0 {
+        (LaneKind::RoundRobin, vec![m; r])
+    } else {
+        let sizes = std::iter::once(main).chain(std::iter::repeat_n(m, r));
+        (LaneKind::Weighted, sizes.collect())
+    }
+}
+
+/// Record→lane assignment of one [`Lanes`].
+#[derive(Debug, Clone)]
+enum LaneRouter {
+    Single,
     RoundRobin {
-        /// Number of lanes dealt to.
         lanes: u64,
     },
-    /// Record to lane `i` with probability `sizes[i] / Σ sizes` (the shape
-    /// of `draw_batch`: disjoint heterogeneous lanes).
+    /// Lane `i` owns `[cum[i-1], cum[i])` of `0..total`.
     Weighted {
-        /// Cumulative size thresholds: lane `i` owns `[cum[i-1], cum[i])`.
         cum: Vec<u64>,
-        /// Sum of all lane sizes.
         total: u64,
-        /// The dedicated assignment stream.
         assign: StdRng,
     },
 }
 
-impl LaneRouter {
-    /// Builds the weighted router over `sizes` with its assignment stream.
-    pub fn weighted(sizes: &[usize], assign: StdRng) -> Self {
-        let cum: Vec<u64> = sizes
-            .iter()
-            .scan(0u64, |acc, &m| {
-                *acc += m as u64;
-                Some(*acc)
-            })
-            .collect();
-        let total = cum.last().copied().unwrap_or(0);
-        LaneRouter::Weighted { cum, total, assign }
+/// The reservoir lanes of one draw: lane `i` is a [`Reservoir`] fed from
+/// seed stream `first + i`, and a weighted draw assigns records from
+/// stream `first + lanes`. [`RecordFileOracle`] pours a file into one and
+/// each pane of a [`crate::sink::WindowedSink`] fills one as records
+/// arrive, so push ≡ pull holds by construction.
+#[derive(Debug, Clone)]
+pub(crate) struct Lanes {
+    reservoirs: Vec<Reservoir>,
+    rngs: Vec<StdRng>,
+    router: LaneRouter,
+    /// Records offered so far.
+    seen: u64,
+}
+
+impl Lanes {
+    /// Empty lanes of `sizes` (dealt as `kind`) on the streams of `seed`
+    /// starting at `first`.
+    pub(crate) fn new(seed: u64, first: u64, kind: LaneKind, sizes: &[usize]) -> Self {
+        let stream = |i: usize| StdRng::seed_from_u64(stream_seed(seed, first + i as u64));
+        let router = match kind {
+            LaneKind::Single => LaneRouter::Single,
+            LaneKind::RoundRobin => LaneRouter::RoundRobin {
+                lanes: sizes.len() as u64,
+            },
+            LaneKind::Weighted => {
+                let cum: Vec<u64> = sizes
+                    .iter()
+                    .scan(0u64, |acc, &m| {
+                        *acc += m as u64;
+                        Some(*acc)
+                    })
+                    .collect();
+                let total = cum.last().copied().unwrap_or(0);
+                let assign = stream(sizes.len());
+                LaneRouter::Weighted { cum, total, assign }
+            }
+        };
+        Lanes {
+            // A zero-size lane of a weighted draw owns an empty share of
+            // the assignment range, so it never receives a record.
+            reservoirs: sizes.iter().map(|&m| Reservoir::new(m.max(1))).collect(),
+            rngs: (0..sizes.len()).map(stream).collect(),
+            router,
+            seen: 0,
+        }
     }
 
-    /// The lane record `t` (0-based within the stream) is routed to.
-    pub fn lane_of(&mut self, t: u64) -> usize {
-        match self {
+    /// Routes the next record to its lane and offers it to that lane's
+    /// reservoir.
+    // lint:hot-path
+    pub(crate) fn offer(&mut self, value: usize) {
+        let lane = match &mut self.router {
             LaneRouter::Single => 0,
-            LaneRouter::RoundRobin { lanes } => (t % *lanes) as usize,
+            LaneRouter::RoundRobin { lanes } => (self.seen % *lanes) as usize,
             LaneRouter::Weighted { cum, total, assign } => {
                 let x = assign.random_range(0..*total);
                 cum.partition_point(|&c| c <= x)
             }
-        }
+        };
+        // lint:allow(checked-indexing): the router returns an index below the lane count
+        self.reservoirs[lane].offer(value, &mut self.rngs[lane]);
+        self.seen += 1;
+    }
+
+    /// Records offered so far.
+    pub(crate) fn seen(&self) -> u64 {
+        self.seen
+    }
+
+    /// The lanes' reservoirs, in draw order.
+    pub(crate) fn reservoirs(&self) -> &[Reservoir] {
+        &self.reservoirs
+    }
+
+    /// The lanes' samples, in draw order.
+    pub(crate) fn into_sets(self) -> Vec<SampleSet> {
+        self.reservoirs
+            .into_iter()
+            .map(Reservoir::into_sample_set)
+            .collect()
     }
 }
 
@@ -161,9 +234,9 @@ impl LaneRouter {
 ///
 /// Sampling goes through a Walker–Vose [`AliasSampler`] (`O(1)` per draw;
 /// the table is built once at construction instead of per call), and
-/// [`draw_sets`](SampleOracle::draw_sets) fans the `r` independent sets out
-/// across threads. Per-set RNG streams are split from the construction
-/// seed, so results are reproducible regardless of thread count.
+/// [`draw_lanes`](SampleOracle::draw_lanes) fans the lanes out across
+/// threads. Per-lane RNG streams are split from the construction seed, so
+/// results are reproducible regardless of thread count.
 #[derive(Debug, Clone)]
 pub struct DenseOracle {
     n: usize,
@@ -214,11 +287,12 @@ impl DenseOracle {
     fn draw_streams(&self, first: u64, sizes: &[usize]) -> Vec<SampleSet> {
         let count = sizes.len();
         let total: usize = sizes.iter().sum();
-        let workers = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-            .min(count);
-        if workers <= 1 || total < PARALLEL_DRAW_THRESHOLD {
+        let workers = if total < PARALLEL_DRAW_THRESHOLD {
+            1
+        } else {
+            std::thread::available_parallelism().map_or(1, |p| p.get().min(count))
+        };
+        if workers <= 1 {
             return sizes
                 .iter()
                 .enumerate()
@@ -267,25 +341,12 @@ impl SampleOracle for DenseOracle {
         self.n
     }
 
-    fn draw_set(&mut self, m: usize) -> SampleSet {
-        let stream = self.next_stream;
-        self.next_stream += 1;
-        self.set_for_stream(stream, m)
-    }
-
-    fn draw_sets(&mut self, r: usize, m: usize) -> Vec<SampleSet> {
-        let first = self.next_stream;
-        self.next_stream += r as u64;
-        self.draw_streams(first, &vec![m; r])
-    }
-
-    fn draw_batch(&mut self, sizes: &[usize]) -> Vec<SampleSet> {
-        // Same stream reservation as the trait default (one per lane), so
-        // the heterogeneous learner batch (`ℓ` main + `r × m` collision
-        // sets) gets the threaded fan-out bit-identically.
+    fn draw_lanes(&mut self, main: usize, r: usize, m: usize) -> Vec<SampleSet> {
+        // i.i.d. draws need no router: each lane is its own stream.
+        let (_, sizes) = lane_shape(main, r, m);
         let first = self.next_stream;
         self.next_stream += sizes.len() as u64;
-        self.draw_streams(first, sizes)
+        self.draw_streams(first, &sizes)
     }
 }
 
@@ -343,16 +404,21 @@ impl SampleOracle for ReplayOracle {
         self.n
     }
 
-    fn draw_set(&mut self, _m: usize) -> SampleSet {
-        let set = self.sets.pop_front().unwrap_or_else(|| {
-            // lint:allow(no-panic): replaying past the recording is a harness bug, not a data error
-            panic!(
-                "ReplayOracle exhausted: all {} recorded sets already replayed",
-                self.replayed
-            )
-        });
-        self.replayed += 1;
-        set
+    fn draw_lanes(&mut self, main: usize, r: usize, m: usize) -> Vec<SampleSet> {
+        let lanes = lane_shape(main, r, m).1.len();
+        (0..lanes)
+            .map(|_| {
+                let set = self.sets.pop_front().unwrap_or_else(|| {
+                    // lint:allow(no-panic): replaying past the recording is a harness bug, not a data error
+                    panic!(
+                        "ReplayOracle exhausted: all {} recorded sets already replayed",
+                        self.replayed
+                    )
+                });
+                self.replayed += 1;
+                set
+            })
+            .collect()
     }
 }
 
@@ -367,18 +433,17 @@ impl SampleOracle for ReplayOracle {
 /// many records the file holds — a multi-million-line file is learned
 /// without ever materializing a `Vec` of all records.
 ///
-/// Splitting semantics:
+/// Splitting semantics: every [`draw_lanes`](SampleOracle::draw_lanes)
+/// call makes **one pass** and deals the records to disjoint lanes, one
+/// reservoir per lane:
 ///
-/// * [`draw_sets`](SampleOracle::draw_sets) makes **one pass** and deals
-///   records to `r` lanes round-robin, one reservoir per lane — the lanes
-///   are disjoint, and with `m ≤ ⌊records/r⌋` every set holds exactly `m`
-///   records;
-/// * [`draw_batch`](SampleOracle::draw_batch) makes one pass and assigns
-///   each record to a lane with probability proportional to the lane's
-///   requested size (disjoint lanes of heterogeneous sizes — the learner's
-///   `ℓ` main + `r × m` collision split);
+/// * `r` sets alone are dealt round-robin, so with `m ≤ ⌊records/r⌋`
+///   every set holds exactly `m` records;
+/// * a main lane plus `r` sets (the learner's `ℓ` main + `r × m`
+///   collision split) gets each record with probability proportional to
+///   the lane's requested size;
 /// * separate draw *calls* each re-stream the file, so sets from different
-///   calls resample the same records — prefer the batched entry points
+///   calls resample the same records — draw all the lanes in one call
 ///   when independence across sets matters.
 ///
 /// A reservoir holds a uniform without-replacement subsample of its lane;
@@ -484,22 +549,20 @@ impl RecordFileOracle {
         self.passes.get()
     }
 
-    /// One streaming pass over the *scanned prefix*: every record is routed
-    /// to `router.lane_of(t)` (with `t` the running record index) and
-    /// offered to that lane's reservoir. Records appended after `open`'s
+    /// One streaming pass over the *scanned prefix*, offering every
+    /// record to `lanes` in file order. Records appended after `open`'s
     /// scan are ignored — the oracle's population is frozen at open time,
     /// so a live log being appended to mid-draw stays well-defined
     /// (appended records were never part of the counted/validated
     /// population).
-    fn pour(&self, reservoirs: &mut [Reservoir], rngs: &mut [StdRng], router: &mut LaneRouter) {
+    fn pour(&self, lanes: &mut Lanes) {
         let file = std::fs::File::open(&self.path).unwrap_or_else(|e| {
             // lint:allow(no-panic): open() already validated the file; a vanished file is unrecoverable
             panic!("{}: vanished after scan: {e}", self.path.display());
         });
         self.passes.set(self.passes.get() + 1);
-        let mut t = 0u64;
         for (idx, line) in std::io::BufReader::new(file).lines().enumerate() {
-            if t >= self.records {
+            if lanes.seen() >= self.records {
                 break;
             }
             let line = line.unwrap_or_else(|e| {
@@ -519,22 +582,13 @@ impl RecordFileOracle {
                         idx + 1,
                         self.n
                     );
-                    let lane = router.lane_of(t);
-                    // lint:allow(checked-indexing): lane_of returns an index below the lane count
-                    reservoirs[lane].offer(value, &mut rngs[lane]);
-                    t += 1;
+                    lanes.offer(value);
                 }
                 Ok(None) => {}
                 // lint:allow(no-panic): a record that parsed at open() but not now means the file was rewritten
                 Err(e) => panic!("{}: rewritten after scan: {e}", self.path.display()),
             }
         }
-    }
-
-    fn lane_rngs(&self, first: u64, lanes: usize) -> Vec<StdRng> {
-        (0..lanes)
-            .map(|i| StdRng::seed_from_u64(stream_seed(self.seed, first + i as u64)))
-            .collect()
     }
 }
 
@@ -543,66 +597,20 @@ impl SampleOracle for RecordFileOracle {
         self.n
     }
 
-    fn draw_set(&mut self, m: usize) -> SampleSet {
+    fn draw_lanes(&mut self, main: usize, r: usize, m: usize) -> Vec<SampleSet> {
+        let (kind, sizes) = lane_shape(main, r, m);
+        // One stream per lane, plus a weighted draw's assignment stream.
         let first = self.next_stream;
-        self.next_stream += 1;
-        if m == 0 {
-            return SampleSet::from_samples(Vec::new());
-        }
-        let mut reservoirs = vec![Reservoir::new(m)];
-        let mut rngs = self.lane_rngs(first, 1);
-        self.pour(&mut reservoirs, &mut rngs, &mut LaneRouter::Single);
-        // lint:allow(checked-indexing): reservoirs was just built with exactly one lane
-        reservoirs[0].to_sample_set()
-    }
-
-    fn draw_sets(&mut self, r: usize, m: usize) -> Vec<SampleSet> {
-        let first = self.next_stream;
-        self.next_stream += r as u64;
-        if r == 0 {
-            return Vec::new();
-        }
-        if m == 0 {
-            return (0..r)
-                .map(|_| SampleSet::from_samples(Vec::new()))
-                .collect();
-        }
-        let mut reservoirs: Vec<Reservoir> = (0..r).map(|_| Reservoir::new(m)).collect();
-        let mut rngs = self.lane_rngs(first, r);
-        let mut router = LaneRouter::RoundRobin { lanes: r as u64 };
-        self.pour(&mut reservoirs, &mut rngs, &mut router);
-        reservoirs.iter().map(Reservoir::to_sample_set).collect()
-    }
-
-    fn draw_batch(&mut self, sizes: &[usize]) -> Vec<SampleSet> {
-        let lanes = sizes.len();
-        // One stream per lane plus one for the record→lane assignment.
-        let first = self.next_stream;
-        self.next_stream += lanes as u64 + 1;
-        let total: u64 = sizes.iter().map(|&m| m as u64).sum();
-        if lanes == 0 || total == 0 {
+        self.next_stream += sizes.len() as u64 + u64::from(kind == LaneKind::Weighted);
+        if sizes.iter().all(|&size| size == 0) {
             return sizes
                 .iter()
                 .map(|_| SampleSet::from_samples(Vec::new()))
                 .collect();
         }
-        let mut reservoirs: Vec<Reservoir> =
-            sizes.iter().map(|&m| Reservoir::new(m.max(1))).collect();
-        let mut rngs = self.lane_rngs(first, lanes);
-        let assign = StdRng::seed_from_u64(stream_seed(self.seed, first + lanes as u64));
-        let mut router = LaneRouter::weighted(sizes, assign);
-        self.pour(&mut reservoirs, &mut rngs, &mut router);
-        sizes
-            .iter()
-            .zip(&reservoirs)
-            .map(|(&m, res)| {
-                if m == 0 {
-                    SampleSet::from_samples(Vec::new())
-                } else {
-                    res.to_sample_set()
-                }
-            })
-            .collect()
+        let mut lanes = Lanes::new(self.seed, first, kind, &sizes);
+        self.pour(&mut lanes);
+        lanes.into_sets()
     }
 }
 
@@ -663,14 +671,14 @@ mod tests {
     }
 
     #[test]
-    fn dense_draw_batch_matches_per_set_draws() {
-        // The threaded draw_batch override must be bit-identical to the
-        // trait default (one draw_set per lane). Total is above the
-        // parallel threshold so the fan-out path is exercised.
+    fn dense_draw_lanes_matches_per_set_draws() {
+        // A threaded main + sets draw must be bit-identical to drawing
+        // its lanes one draw_set at a time. Total is above the parallel
+        // threshold so the fan-out path is exercised.
         let p = zipf64();
-        let sizes = [6000usize, 1500, 1500, 9000];
+        let sizes = [6000usize, 1500, 1500, 1500];
         let mut batched = DenseOracle::new(&p, 23);
-        let batch = batched.draw_batch(&sizes);
+        let batch = batched.draw_lanes(6000, 3, 1500);
         let mut one_by_one = DenseOracle::new(&p, 23);
         let manual: Vec<SampleSet> = sizes.iter().map(|&m| one_by_one.draw_set(m)).collect();
         assert_eq!(batch, manual);
@@ -819,11 +827,11 @@ mod tests {
     }
 
     #[test]
-    fn record_file_draw_batch_heterogeneous_lanes() {
+    fn record_file_weighted_draw_fills_heterogeneous_lanes() {
         let records: Vec<usize> = (0..10_000).map(|i| i % 40).collect();
         let path = temp_records(&records, "batch");
         let mut oracle = RecordFileOracle::open(&path, 0, 99).unwrap();
-        let sets = oracle.draw_batch(&[400, 100, 100]);
+        let sets = oracle.draw_lanes(400, 2, 100);
         assert_eq!(sets.len(), 3);
         // With records ≫ Σ sizes every lane fills to capacity.
         assert_eq!(sets[0].total(), 400);
@@ -865,7 +873,7 @@ mod tests {
         let mut b = RecordFileOracle::open(&path, 0, 21).unwrap();
         assert_eq!(a.draw_set(50), b.draw_set(50));
         assert_eq!(a.draw_sets(4, 100), b.draw_sets(4, 100));
-        assert_eq!(a.draw_batch(&[60, 30]), b.draw_batch(&[60, 30]));
+        assert_eq!(a.draw_lanes(60, 1, 30), b.draw_lanes(60, 1, 30));
         let mut c = RecordFileOracle::open(&path, 0, 22).unwrap();
         assert_ne!(a.draw_set(50), c.draw_set(50));
         std::fs::remove_file(&path).ok();

@@ -31,9 +31,9 @@
 //! [`crate::oracle::stream_seed`]). Skip sampling changes how
 //! *many* values are drawn from that stream, not which stream is used, so
 //! the push path ([`crate::sink::WindowedSink`]) and the pull path
-//! ([`crate::oracle::RecordFileOracle`]'s internal pour) — which route record `t`
-//! through the same `LaneRouter` and the same per-lane RNGs — remain
-//! bit-identical to each other by construction.
+//! ([`crate::oracle::RecordFileOracle`]'s internal pour) — which both
+//! offer record `t` to the same `Lanes` (one router, the same per-lane
+//! RNGs) — remain bit-identical to each other by construction.
 //!
 //! Note the statistical caveat (documented rather than hidden): a reservoir
 //! produces a uniform sample *without replacement* of the observed records.

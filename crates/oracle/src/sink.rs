@@ -15,10 +15,11 @@
 //! ```
 //!
 //! A [`WindowedSink`] is configured with the *lane shape* of a
-//! [`SamplePlan`](https://docs.rs)-style draw (`main`, `r`, `m` — see
-//! [`WindowedSink::new`]) and routes every pushed record to a fixed-size
-//! [`Reservoir`] lane using the **same** `LaneRouter` and SplitMix64 seed
-//! streams as [`RecordFileOracle`](crate::RecordFileOracle). Consequence:
+//! [`SampleOracle::draw_lanes`](crate::SampleOracle::draw_lanes) draw
+//! (`main`, `r`, `m` — see [`WindowedSink::new`]) and each pane fills one
+//! `Lanes`, the fixed-size [`Reservoir`] lanes, router and SplitMix64 seed
+//! streams that [`RecordFileOracle`](crate::RecordFileOracle) pours a file
+//! into. Consequence:
 //! pushing a record stream into window 0 of a sink seeded with `s` leaves
 //! the lanes **bit-identical** to writing the same records to a file and
 //! drawing the same plan through `RecordFileOracle::open(path, n, s)` —
@@ -48,7 +49,7 @@ use rand::SeedableRng;
 
 use khist_dist::DistError;
 
-use crate::oracle::{stream_seed, LaneRouter, ReplayOracle};
+use crate::oracle::{lane_shape, stream_seed, LaneKind, Lanes, ReplayOracle};
 use crate::reservoir::Reservoir;
 use crate::sample_set::SampleSet;
 
@@ -190,22 +191,8 @@ struct Pane {
     seed: u64,
     /// Global record index of the pane's first record.
     start: u64,
-    /// Records routed into this pane so far.
-    t: u64,
-    lanes: Vec<Reservoir>,
-    rngs: Vec<StdRng>,
-    router: LaneRouter,
-}
-
-/// Which router shape the sink's plan calls for — mirrors the dispatch in
-/// `SamplePlan::draw` (khist-core): a lone main set is one `draw_set`
-/// lane, pure sets are round-robin `draw_sets` lanes, and main + sets are
-/// weighted `draw_batch` lanes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LaneKind {
-    Single,
-    RoundRobin,
-    Weighted,
+    /// The pane's lanes, on streams `0, 1, …` of `seed`.
+    lanes: Lanes,
 }
 
 /// The validated lane shape of a [`WindowedSink`] — everything about a
@@ -230,13 +217,10 @@ pub struct SinkShape {
 
 impl SinkShape {
     /// Validates a sink configuration over domain `[0, n)` whose lanes
-    /// match the draw a `SamplePlan { main, r, m }` would issue: one lane
-    /// of `main` (when `r == 0`), `r` round-robin lanes of `m` (when
-    /// `main == 0`), or a weighted `main` lane plus `r` lanes of `m`
-    /// (both positive) — exactly the three entry points of the pull seam
-    /// ([`draw_set`](crate::SampleOracle::draw_set) /
-    /// [`draw_sets`](crate::SampleOracle::draw_sets) /
-    /// [`draw_batch`](crate::SampleOracle::draw_batch)).
+    /// are those of [`draw_lanes`](crate::SampleOracle::draw_lanes)`(main,
+    /// r, m)`: one lane of `main` (when `r == 0`), `r` round-robin lanes
+    /// of `m` (when `main == 0`), or a weighted `main` lane plus `r` lanes
+    /// of `m` (both positive).
     ///
     /// Fails on a zero domain, degenerate windows (zero span; a sliding
     /// step that is zero or does not divide the span), or a plan that
@@ -263,23 +247,15 @@ impl SinkShape {
             }
             _ => {}
         }
-        let (kind, sizes) = if r == 0 {
-            if main == 0 {
-                return Err(bad(
-                    "window plan retains no samples (main = 0, r = 0)".into()
-                ));
-            }
-            (LaneKind::Single, vec![main])
-        } else if m == 0 {
+        if main == 0 && r == 0 {
+            return Err(bad(
+                "window plan retains no samples (main = 0, r = 0)".into()
+            ));
+        }
+        if r > 0 && m == 0 {
             return Err(bad(format!("window plan has {r} sets of zero samples")));
-        } else if main == 0 {
-            (LaneKind::RoundRobin, vec![m; r])
-        } else {
-            let mut sizes = Vec::with_capacity(r + 1);
-            sizes.push(main);
-            sizes.resize(r + 1, m);
-            (LaneKind::Weighted, sizes)
-        };
+        }
+        let (kind, sizes) = lane_shape(main, r, m);
         Ok(SinkShape {
             n,
             window,
@@ -374,7 +350,7 @@ impl WindowedSink {
     pub fn kept(&self) -> u64 {
         self.panes
             .iter()
-            .flat_map(|p| p.lanes.iter())
+            .flat_map(|p| p.lanes.reservoirs())
             .map(|r| r.len() as u64)
             .sum()
     }
@@ -394,29 +370,11 @@ impl WindowedSink {
         let id = self.next_pane_id;
         self.next_pane_id += 1;
         let seed = window_seed(self.seed, id);
-        let lane_count = self.sizes.len();
-        let lanes: Vec<Reservoir> = self.sizes.iter().map(|&m| Reservoir::new(m)).collect();
-        let rngs: Vec<StdRng> = (0..lane_count)
-            .map(|i| StdRng::seed_from_u64(stream_seed(seed, i as u64)))
-            .collect();
-        let router = match self.kind {
-            LaneKind::Single => LaneRouter::Single,
-            LaneKind::RoundRobin => LaneRouter::RoundRobin {
-                lanes: lane_count as u64,
-            },
-            LaneKind::Weighted => LaneRouter::weighted(
-                &self.sizes,
-                StdRng::seed_from_u64(stream_seed(seed, lane_count as u64)),
-            ),
-        };
         Pane {
             id,
             seed,
             start: self.seen,
-            t: 0,
-            lanes,
-            rngs,
-            router,
+            lanes: Lanes::new(seed, 0, self.kind, &self.sizes),
         }
     }
 
@@ -435,7 +393,7 @@ impl WindowedSink {
             .first()
             .map_or_else(|| window_seed(self.seed, id), |p| p.seed);
         let start = panes.first().map_or(self.seen, |p| p.start);
-        let seen: u64 = panes.iter().map(|p| p.t).sum();
+        let seen: u64 = panes.iter().map(|p| p.lanes.seen()).sum();
         let mut merge_rng = StdRng::seed_from_u64(stream_seed(self.seed ^ MERGE_SALT, id));
         let mut lanes = Vec::with_capacity(self.sizes.len());
         let mut kept = 0;
@@ -443,7 +401,7 @@ impl WindowedSink {
             let merged = panes
                 .iter()
                 // lint:allow(checked-indexing): every pane is built with sizes.len() lanes
-                .map(|p| &p.lanes[lane])
+                .map(|p| &p.lanes.reservoirs()[lane])
                 .fold(None::<Reservoir>, |acc, r| match acc {
                     None => Some(r.clone()),
                     Some(a) => Some(a.merge(r, &mut merge_rng)),
@@ -478,24 +436,17 @@ impl WindowedSink {
             id,
             seed,
             start,
-            t,
             lanes,
-            ..
         } = pane;
-        let mut sets = Vec::with_capacity(lanes.len());
-        let mut kept = 0;
-        for lane in lanes {
-            let set = lane.into_sample_set();
-            kept += set.total();
-            sets.push(set);
-        }
+        let seen = lanes.seen();
+        let sets = lanes.into_sets();
         WindowSnapshot {
             window: id,
             n,
             start,
-            end: start + t,
-            seen: t,
-            kept,
+            end: start + seen,
+            seen,
+            kept: sets.iter().map(SampleSet::total).sum(),
             seed,
             complete,
             lanes: sets,
@@ -551,20 +502,19 @@ impl SampleSink for WindowedSink {
             return Err(out_of_domain(value, self.n));
         }
         let pane_span = self.window.pane_span();
-        let needs_new_pane = self.panes.back().is_none_or(|p| p.t >= pane_span);
+        let needs_new_pane = self
+            .panes
+            .back()
+            .is_none_or(|p| p.lanes.seen() >= pane_span);
         if needs_new_pane {
             let pane = self.new_pane();
             self.panes.push_back(pane);
         }
         // lint:allow(no-panic): the needs_new_pane branch above guarantees a back pane
         let pane = self.panes.back_mut().expect("pane just ensured");
-        let lane = pane.router.lane_of(pane.t);
-        // lint:allow(checked-indexing): lane_of returns an index below the lane count
-        pane.lanes[lane].offer(value, &mut pane.rngs[lane]);
-        pane.t += 1;
+        pane.lanes.offer(value);
         self.seen += 1;
-        // lint:allow(no-panic): the pane pushed above is still live
-        if self.panes.back().expect("pane live").t == self.window.pane_span() {
+        if pane.lanes.seen() == pane_span {
             self.complete_pane();
         }
         Ok(())
@@ -658,8 +608,8 @@ mod tests {
     }
 
     #[test]
-    fn weighted_window_matches_record_file_draw_batch() {
-        // Push≡pull, draw_batch shape: main + r weighted lanes.
+    fn weighted_window_matches_record_file_draw_lanes() {
+        // Push≡pull, weighted shape: main + r lanes.
         let records = stream(2000, 32);
         let mut sink =
             WindowedSink::new(32, 17, Window::Tumbling { span: 2000 }, 120, 3, 50).unwrap();
@@ -667,7 +617,7 @@ mod tests {
         let window = sink.drain_completed().pop().unwrap();
         let path = temp_records(&records, "batch");
         let mut oracle = RecordFileOracle::open(&path, 32, 17).unwrap();
-        assert_eq!(window.lanes, oracle.draw_batch(&[120, 50, 50, 50]));
+        assert_eq!(window.lanes, oracle.draw_lanes(120, 3, 50));
         std::fs::remove_file(&path).ok();
     }
 
@@ -776,5 +726,41 @@ mod tests {
         dyn_sink.push_all(&[1, 2, 3]).unwrap();
         assert_eq!(dyn_sink.seen(), 3);
         assert_eq!(dyn_sink.snapshot().seen, 3);
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// Push ≡ pull over random plans of every lane shape: a
+            /// tumbling window spanning the records freezes exactly the
+            /// lanes `RecordFileOracle::draw_lanes` draws from a file of
+            /// the same records with the same seed.
+            #[test]
+            fn prop_window_lanes_equal_record_file_draw_lanes(
+                main in 1usize..200,
+                r in 0usize..6,
+                m in 1usize..200,
+                sets_only in 0u32..2,
+                n in 1usize..65,
+                values in proptest::collection::vec(0usize..64, 1..1501),
+                seed in 0u64..u64::MAX,
+            ) {
+                // One lane (r = 0), sets alone or a main lane plus sets.
+                let main = if r > 0 && sets_only == 1 { 0 } else { main };
+                let records: Vec<usize> = values.iter().map(|v| v % n).collect();
+                let span = records.len() as u64;
+                let mut sink =
+                    WindowedSink::new(n, seed, Window::Tumbling { span }, main, r, m).unwrap();
+                sink.push_all(&records).unwrap();
+                let window = sink.drain_completed().pop().unwrap();
+                let path = temp_records(&records, "prop");
+                let mut oracle = RecordFileOracle::open(&path, n, seed).unwrap();
+                let pulled = oracle.draw_lanes(main, r, m);
+                std::fs::remove_file(&path).ok();
+                prop_assert_eq!(window.lanes, pulled);
+            }
+        }
     }
 }

@@ -800,9 +800,15 @@ mod tests {
 
     /// After a quiet 100 ms, sends `records` lines at one `write` each, as
     /// fast as the server takes them, then asks `STATS` every 10 ms until
-    /// it counts them all. Returns the time from the first write until
-    /// then.
-    fn ingest(tag: &str, batch_records: usize, flush_ms: u64, records: u32) -> Duration {
+    /// it counts at least `settled` of them. Returns the time from the
+    /// first write until then; `SHUTDOWN` then drains the rest.
+    fn ingest(
+        tag: &str,
+        batch_records: usize,
+        flush_ms: u64,
+        records: u32,
+        settled: u32,
+    ) -> Duration {
         let (socket, control, cfg) = sockets(tag, flush_ms);
         let cfg = ServerConfig {
             batch_records,
@@ -821,7 +827,7 @@ mod tests {
             }
             // Bounded, so lost records fail the summary check, not hang.
             let mut counted = 0;
-            while counted < u64::from(records) && start.elapsed() < Duration::from_secs(60) {
+            while counted < u64::from(settled) && start.elapsed() < Duration::from_secs(60) {
                 std::thread::sleep(Duration::from_millis(10));
                 writeln!(&ctl, "STATS").unwrap();
                 let mut reply = String::new();
@@ -843,16 +849,20 @@ mod tests {
         // take the first 16,384 and the first deadline drain the rest.
         // Holding the connection until the deadline after a read would
         // let about one socket buffer through per period.
-        let took = ingest("sends", 4096, 1_000, 20_000);
+        let took = ingest("sends", 4096, 1_000, 20_000, 20_000);
         assert!(took < Duration::from_secs(3), "ingesting took {took:?}");
     }
 
     #[test]
     fn per_record_sends_past_a_batch_drain_at_the_size_trigger() {
-        // 24 batches' worth at a 10 s flush: size drains ingest every
-        // record long before the deadline, even though the first read
-        // follows a quiet spell (no rate to go by).
-        let took = ingest("sends-past", 128, 10_000, 24 * 128);
+        // 24 batches' worth at a 10 s flush: size drains ingest all but
+        // the last partial batch long before the deadline, even though the
+        // first read follows a quiet spell (no rate to go by). A read can
+        // take several one-record sends, so a size drain can take more
+        // than one batch; fewer than `batch` records may then remain, and
+        // those rightly wait for the deadline (or SHUTDOWN). So the test
+        // waits for all but `batch - 1` records, not for all of them.
+        let took = ingest("sends-past", 128, 10_000, 24 * 128, 24 * 128 - 127);
         assert!(took < Duration::from_secs(5), "ingesting took {took:?}");
     }
 

@@ -23,16 +23,15 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io::Write;
 
-/// The shared-plan shapes for a {learn, test_l2, uniformity} batch, mirrored
-/// from the engine: main = max(ℓ, m_u), r = max(r_learn, r_l2),
+/// The shared plan `(main, r, m)` of a {learn, test_l2, uniformity} batch,
+/// mirrored from the engine: main = max(ℓ, m_u), r = max(r_learn, r_l2),
 /// m = max(m_learn, m_l2).
-fn shared_plan_sizes(lb: &LearnerBudget, l2: &L2TesterBudget, ub: &UniformityBudget) -> Vec<usize> {
-    let main = lb.ell.max(ub.m);
-    let r = lb.r.max(l2.r);
-    let m = lb.m.max(l2.m);
-    let mut sizes = vec![main];
-    sizes.resize(r + 1, m);
-    sizes
+fn shared_plan(
+    lb: &LearnerBudget,
+    l2: &L2TesterBudget,
+    ub: &UniformityBudget,
+) -> (usize, usize, usize) {
+    (lb.ell.max(ub.m), lb.r.max(l2.r), lb.m.max(l2.m))
 }
 
 fn batch(
@@ -59,7 +58,8 @@ fn assert_session_matches_legacy(p: &DenseDistribution, k: usize, eps: f64, seed
 
     // Capture one shared draw.
     let mut dense = DenseOracle::new(p, seed);
-    let recorded = dense.draw_batch(&shared_plan_sizes(&lb, &l2, &ub));
+    let (main, r, m) = shared_plan(&lb, &l2, &ub);
+    let recorded = dense.draw_lanes(main, r, m);
     let main = recorded[0].clone();
     let sets = recorded[1..].to_vec();
 

@@ -12,12 +12,13 @@
 use khist::prelude::*;
 use proptest::prelude::*;
 
-/// The standing batch every stream runs: learner (weighted draw_batch
-/// lanes) + ℓ₂ tester (set lanes) + uniformity (main lane) — all three
-/// draw shapes exercised per window. Budgets are explicit and small so
-/// the short windows this test drives always fill every lane (a window
-/// much thinner than its plan can leave a weighted lane empty, which the
-/// learner rejects — for a monitor and a dedicated engine stream alike).
+/// The standing batch every stream runs: learner (main lane + sets) +
+/// ℓ₂ tester (sets) + uniformity (main lane), read from one shared plan
+/// of a main lane plus `r` sets (the weighted lane shape) per window.
+/// Budgets are explicit and small so the short windows this test drives
+/// always fill every lane (a window much thinner than its plan can leave
+/// a weighted lane empty, which the learner rejects — for a monitor and a
+/// dedicated engine stream alike).
 fn batch() -> Vec<Analysis> {
     let mut learner = LearnerBudget::calibrated(32, 3, 0.25, 1.0).unwrap();
     learner.ell = 80;

@@ -31,9 +31,10 @@ fn temp_records(records: &[usize], tag: &str) -> std::path::PathBuf {
     path
 }
 
-/// The standing batch both transports run: learner (weighted draw_batch
-/// lanes) + ℓ₂ tester (set lanes) + uniformity (main lane) — all three
-/// draw shapes exercised at once.
+/// The standing batch both transports run: learner (main lane + sets) +
+/// ℓ₂ tester (sets) + uniformity (main lane). The batch shares one plan,
+/// a main lane plus `r` sets, so this property runs the weighted lane
+/// shape only; `khist_oracle`'s sink tests cover every shape.
 fn batch(n: usize) -> Vec<Analysis> {
     let _ = n;
     vec![

@@ -29,9 +29,7 @@ fn replay_of_dense_draws_reproduces_learner_outcome() {
     let params = GreedyParams::fast(2, 0.15, budget);
 
     let mut dense = DenseOracle::new(&p, 99);
-    let mut sizes = vec![budget.ell];
-    sizes.resize(budget.r + 1, budget.m);
-    let recorded = dense.draw_batch(&sizes);
+    let recorded = dense.draw_lanes(budget.ell, budget.r, budget.m);
 
     let mut live = DenseOracle::new(&p, 99);
     let from_live = learn(&mut live, &params).unwrap();
@@ -124,7 +122,7 @@ fn record_file_oracle_memory_is_budget_bounded() {
     assert_eq!(oracle.records(), 120_000);
     // Request far less than the file holds: the draw is exactly the
     // requested size (uniform subsample), not the file size.
-    let sets = oracle.draw_batch(&[2_000, 500, 500, 500]);
+    let sets = oracle.draw_lanes(2_000, 3, 500);
     assert_eq!(
         sets.iter().map(|s| s.total()).collect::<Vec<_>>(),
         vec![2_000, 500, 500, 500]
