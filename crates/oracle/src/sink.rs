@@ -19,12 +19,13 @@
 //! (`main`, `r`, `m` — see [`WindowedSink::new`]) and each pane fills one
 //! `Lanes`, the fixed-size [`Reservoir`] lanes, router and SplitMix64 seed
 //! streams that [`RecordFileOracle`](crate::RecordFileOracle) pours a file
-//! into. Consequence:
-//! pushing a record stream into window 0 of a sink seeded with `s` leaves
-//! the lanes **bit-identical** to writing the same records to a file and
-//! drawing the same plan through `RecordFileOracle::open(path, n, s)` —
-//! push and pull are two transports for one sampling process (property-
-//! tested in `tests/monitor_push_pull.rs` at the workspace root).
+//! into. Consequence: pushing a record stream into window 0 of a sink
+//! seeded with `s` leaves the lanes **bit-identical** to writing the same
+//! records to a file and drawing the same plan through
+//! `RecordFileOracle::open(path, n, s)` — push and pull are two transports
+//! for one sampling process (property-tested below over random plans, and
+//! through whole reports in `tests/monitor_push_pull.rs` at the workspace
+//! root).
 //!
 //! Two window policies:
 //!
