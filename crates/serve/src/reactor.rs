@@ -858,10 +858,9 @@ mod tests {
         // 24 batches' worth at a 10 s flush: size drains ingest all but
         // the last partial batch long before the deadline, even though the
         // first read follows a quiet spell (no rate to go by). A read can
-        // take several one-record sends, so a size drain can take more
-        // than one batch; fewer than `batch` records may then remain, and
-        // those rightly wait for the deadline (or SHUTDOWN). So the test
-        // waits for all but `batch - 1` records, not for all of them.
+        // take several one-record sends, so a size drain can take more than
+        // one batch and leave up to `batch - 1` records, which wait for the
+        // deadline as they should; SHUTDOWN drains them.
         let took = ingest("sends-past", 128, 10_000, 24 * 128, 24 * 128 - 127);
         assert!(took < Duration::from_secs(5), "ingesting took {took:?}");
     }

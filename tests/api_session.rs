@@ -58,8 +58,8 @@ fn assert_session_matches_legacy(p: &DenseDistribution, k: usize, eps: f64, seed
 
     // Capture one shared draw.
     let mut dense = DenseOracle::new(p, seed);
-    let (main, r, m) = shared_plan(&lb, &l2, &ub);
-    let recorded = dense.draw_lanes(main, r, m);
+    let (main_size, r, m) = shared_plan(&lb, &l2, &ub);
+    let recorded = dense.draw_lanes(main_size, r, m);
     let main = recorded[0].clone();
     let sets = recorded[1..].to_vec();
 
