@@ -90,7 +90,7 @@ pub use crate::monitor::{Monitor, MonitorBuilder, WindowReport};
 pub use khist_fleet::{FleetReport, FleetSummary, TopStream};
 
 use crate::compress::compress_to_k;
-use crate::greedy::{learn_from_samples, CandidatePolicy, GreedyParams};
+use crate::greedy::{learn_from_samples, GreedyParams};
 use crate::identity::{test_closeness_l2_from_sets, test_identity_l2_from_set};
 use crate::monotone::{monotone_fit, monotonicity_budget, test_monotone_from_set};
 use crate::tester::{test_l1_from_sets, test_l2_from_sets, TestOutcome};
@@ -166,23 +166,20 @@ pub struct Learn {
     eps: f64,
     scale: f64,
     budget: Option<LearnerBudget>,
-    policy: CandidatePolicy,
-    max_endpoints: usize,
 }
 
 impl Learn {
     /// Starts a learning request targeting `k` pieces. Defaults: `ε = 0.1`,
     /// `scale = 1` (the paper's full budget — pass
-    /// [`scale`](Learn::scale) to run at experiment scale), Theorem 2
-    /// sample-endpoint candidates capped at 128 endpoints.
+    /// [`scale`](Learn::scale) to run at experiment scale). The learner
+    /// runs [`GreedyParams::fast`]: Theorem 2 sample-endpoint candidates
+    /// capped at 128 endpoints.
     pub fn k(k: usize) -> Self {
         Learn {
             k,
             eps: 0.1,
             scale: 1.0,
             budget: None,
-            policy: CandidatePolicy::SampleEndpoints,
-            max_endpoints: 128,
         }
     }
 
@@ -202,19 +199,6 @@ impl Learn {
     /// Uses an explicit budget instead of deriving one from `(n, k, ε)`.
     pub fn budget(mut self, budget: LearnerBudget) -> Self {
         self.budget = Some(budget);
-        self
-    }
-
-    /// Selects the candidate-interval enumeration policy.
-    pub fn policy(mut self, policy: CandidatePolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Caps the endpoint set used by sample-endpoint candidates
-    /// (`0` disables the cap).
-    pub fn max_endpoints(mut self, cap: usize) -> Self {
-        self.max_endpoints = cap;
         self
     }
 }
@@ -665,10 +649,12 @@ impl Report {
 }
 
 /// The workspace's single wall-clock door (enforced by khist-lint's
-/// `wall-clock` rule): runs `f` and returns its result plus elapsed wall
-/// seconds. Replayable state (`Monitor` and everything under it)
-/// calls this instead of touching `Instant` directly, so "what observed
-/// time" stays answerable by reading one file.
+/// `wall-clock` rule, which budgets `crates/core` exactly one clock read:
+/// this one): runs `f` and returns its result plus elapsed wall seconds.
+/// Everything in the crate that reports a time — the batch executor's
+/// draw and per-analysis timers, `Monitor`'s drift check — calls this
+/// instead of touching `Instant`, so "what observed time" stays
+/// answerable by reading one function.
 pub(crate) fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let started = Instant::now();
     let out = f();
@@ -1179,18 +1165,20 @@ fn run_resolved<O: SampleOracle + ?Sized>(
 ) -> Result<(Vec<Report>, Vec<LedgerEntry>), DistError> {
     let n = oracle.domain_size();
     plan.total_samples()?; // fail fast on absurd combined plans
-    let draw_started = Instant::now();
-    let (main, sets) = plan.draw(oracle)?;
+    let (draw, draw_seconds) = timed(|| plan.draw(oracle));
+    let (main, sets) = draw?;
     let drawn = main.as_ref().map_or(0, |s| s.total() as usize)
         + sets.iter().map(|s| s.total() as usize).sum::<usize>();
     let mut ledger = vec![LedgerEntry {
         label: "draw".into(),
         samples: drawn,
-        seconds: draw_started.elapsed().as_secs_f64(),
+        seconds: draw_seconds,
     }];
     let mut reports = Vec::with_capacity(resolved.len());
     for (index, item) in resolved.into_iter().enumerate() {
-        let report = execute(&item, n, seed, index, main.as_ref(), &sets)?;
+        let (report, wall_seconds) = timed(|| execute(&item, n, seed, index, main.as_ref(), &sets));
+        let mut report = report?;
+        report.wall_seconds = wall_seconds;
         ledger.push(LedgerEntry {
             label: report.analysis.as_str().into(),
             samples: report.samples_spent,
@@ -1201,7 +1189,8 @@ fn run_resolved<O: SampleOracle + ?Sized>(
     Ok((reports, ledger))
 }
 
-/// Executes one resolved analysis against its view of the shared draw.
+/// Executes one resolved analysis against its view of the shared draw
+/// (its caller times it).
 fn execute(
     item: &Resolved,
     n: usize,
@@ -1215,7 +1204,6 @@ fn execute(
             reason: "shared plan has no main set (engine bug)".into(),
         })
     };
-    let started = Instant::now();
     let mut report = Report {
         analysis: item.analysis.kind(),
         n,
@@ -1238,13 +1226,7 @@ fn execute(
             };
             // lint:allow(checked-indexing): the plan drew budget.plan().r sets for this analysis
             let view = &sets[..item.budget.plan().r];
-            let params = GreedyParams {
-                k: req.k,
-                eps: req.eps,
-                budget,
-                policy: req.policy,
-                max_endpoints: req.max_endpoints,
-            };
+            let params = GreedyParams::fast(req.k, req.eps, budget);
             let outcome = learn_from_samples(n, main_view()?, view, &params)?;
             let summary = compress_to_k(&outcome.tiling, req.k)?;
             report.histogram = Some(summary.normalized()?);
@@ -1318,7 +1300,6 @@ fn execute(
             }
         }
     }
-    report.wall_seconds = started.elapsed().as_secs_f64();
     Ok(report)
 }
 
@@ -1331,7 +1312,7 @@ mod tests {
     fn builders_convert_into_analysis() {
         let q = DenseDistribution::uniform(8).unwrap();
         let all: Vec<Analysis> = vec![
-            Learn::k(3).eps(0.2).scale(0.1).max_endpoints(64).into(),
+            Learn::k(3).eps(0.2).scale(0.1).into(),
             TestL1::k(3).eps(0.4).scale(0.01).into(),
             TestL2::k(3).eps(0.3).scale(0.05).into(),
             Uniformity::eps(0.3).scale(0.1).into(),

@@ -55,7 +55,11 @@
 //! Each stream key `k` gets its own [`Monitor`] seeded with
 //! [`Engine::stream_seed`]`(base_seed, k)` — a SplitMix64 stream derived
 //! from the engine's base seed and a deterministic (FNV-1a) hash of the
-//! key. A state depends on nothing but its own records and seed, and
+//! key. The monitor is the stream's one record: its key, window state,
+//! drift baselines and ledger (every monitor shares the configuration
+//! validated once at build); the shard adds only the stream's debut index
+//! and alarm flag for the fleet rollup. A state depends on nothing but its
+//! own records and seed, and
 //! shards share nothing, so for every stream the engine's reports are
 //! **bit-identical** to a dedicated single-threaded [`Monitor`] built with
 //! `Monitor::builder(n).seed(Engine::stream_seed(base, key)).stream(key)`
@@ -77,8 +81,8 @@
 //! [`Engine::snapshot`] answers an on-demand sub-batch from the stream's
 //! current partial window (on the caller thread, against the owning
 //! shard's slab — it touches one stream, so there is nothing to fan out),
-//! [`Engine::ledger`] reports the stream's
-//! lifetime sample/time spend as bounded per-label totals, and
+//! [`Engine::ledger`] reports the stream's lifetime sample/time spend —
+//! its monitor's per-label totals, bounded, with nothing to drain — and
 //! [`Engine::stream_seen`] lists debut-ordered per-stream record counts.
 //! `khist serve` exposes exactly these as its `STATS` requests.
 //!
@@ -121,10 +125,10 @@ use std::sync::Arc;
 use crossbeam::Courier;
 use khist_dist::DistError;
 use khist_fleet::{FleetReport, FleetSummary, WindowObservation};
-use khist_oracle::{stream_seed, SinkShape, Window};
+use khist_oracle::{stream_seed, Window};
 
 use crate::api::{Analysis, LedgerEntry, Report, SamplePlan};
-use crate::monitor::{resolve_config, Monitor, WindowReport};
+use crate::monitor::{Monitor, StreamSpec, WindowReport};
 
 /// One shard's answer to a batch: everything that succeeded, plus every
 /// per-stream failure. Streams are independent state machines, so one
@@ -172,50 +176,6 @@ fn mix64(mut h: u64) -> u64 {
 /// [`Engine::shard_of`] only; interned keys carry their coordinates.
 fn home_shard(hash: u64, shards: usize) -> u32 {
     (mix64(hash) % shards as u64) as u32
-}
-
-/// Folds freshly drained [`LedgerEntry`]s into a stream's retained
-/// per-label totals. The retained ledger answers "what has this stream
-/// cost so far" (`Engine::ledger`) in bounded memory: one entry per label
-/// (`"draw"` plus each standing-analysis name), with samples and seconds
-/// accumulated across the stream's whole life — it never grows with the
-/// number of windows, so a long-running server holds it indefinitely.
-fn absorb_ledger(totals: &mut Vec<LedgerEntry>, drained: Vec<LedgerEntry>) {
-    for entry in drained {
-        match totals.iter_mut().find(|t| t.label == entry.label) {
-            Some(t) => {
-                t.samples += entry.samples;
-                t.seconds += entry.seconds;
-            }
-            None => totals.push(entry),
-        }
-    }
-}
-
-/// Everything the shards share, read-only: one validated configuration
-/// stamped out per stream key. Wrapped in an `Arc` so the persistent
-/// workers hold it without borrowing the engine.
-struct EngineConfig {
-    seed: u64,
-    shape: SinkShape,
-    analyses: Arc<Vec<Analysis>>,
-    plan: SamplePlan,
-    drift_eps: f64,
-}
-
-impl EngineConfig {
-    /// Stamps out the state machine for a new stream key — cheap: the
-    /// shape and batch were validated once at [`EngineBuilder::build`].
-    fn new_state(&self, key: &str) -> Monitor {
-        Monitor::from_parts(
-            &self.shape,
-            Engine::stream_seed(self.seed, key),
-            Arc::clone(&self.analyses),
-            self.plan,
-            self.drift_eps,
-            Some(key.to_string()),
-        )
-    }
 }
 
 /// One interned stream key: its cached hash and its home `(shard, slot)`.
@@ -273,6 +233,13 @@ impl Interner {
         }
     }
 
+    /// The entry of `key`, hashing it first: the control plane's lookup
+    /// (the route reuses the hash it already holds).
+    fn find(&self, key: &str) -> Option<&KeyEntry> {
+        let id = self.lookup(key, key_hash(key))?;
+        self.entries.get(id as usize)
+    }
+
     /// Registers a debuting key (cold path: allocates the entry, may
     /// regrow the table). Caller guarantees `key` is not present.
     fn insert(&mut self, key: &str, hash: u64, shard: u32, slot: u32) -> u32 {
@@ -312,19 +279,35 @@ impl Interner {
     }
 }
 
-/// One stream owned by a shard.
+/// One stream owned by a shard: its [`Monitor`] (which holds the key,
+/// the window state and the ledger) plus what the fleet rollup needs.
 struct StreamSlot {
-    key: String,
     state: Monitor,
-    /// Retained per-label ledger totals (see [`absorb_ledger`]) — the
-    /// stream's lifetime cost, served by [`Engine::ledger`].
-    ledger: Vec<LedgerEntry>,
     /// The stream's global debut index (engine interner id) — the fleet
     /// rollup's stream key.
     debut: u32,
     /// Whether the stream has ever produced a non-quiet window; gates the
     /// fleet rollup's "alarming streams" counter to first alarms only.
     alarmed: bool,
+}
+
+impl StreamSlot {
+    /// Files one call's result into the shard's outcome: reports (seen by
+    /// the fleet partial first) or the error, under the stream's key.
+    fn file(
+        &mut self,
+        result: Result<Vec<WindowReport>, DistError>,
+        fleet: &mut FleetSummary,
+        (out, errors): &mut ShardOutcome,
+    ) {
+        match result {
+            Ok(reports) => {
+                observe_windows(fleet, self, &reports);
+                out.extend(reports);
+            }
+            Err(e) => errors.push((self.state.stream().unwrap_or_default().to_string(), e)),
+        }
+    }
 }
 
 /// One worker's worth of streams, plus its reusable batch scratch. Shards
@@ -456,10 +439,7 @@ impl Shard {
     /// [`group_by_slot`] — preserving each stream's arrival order, the
     /// only order a stream's state can observe) and each touched stream
     /// ingests its group independently; a failing stream does not stop
-    /// its shard-mates. Ledgers drain into the slot's retained per-label
-    /// totals (served by [`Engine::ledger`]); windows are the only
-    /// producers of ledger entries, so a warm batch drains an empty
-    /// vector — no allocation.
+    /// its shard-mates.
     ///
     /// Slot index order is debut order, so the processing order is
     /// deterministic for every batch partitioning — and the whole pass
@@ -475,8 +455,7 @@ impl Shard {
             &mut self.spans,
             &mut self.grouped,
         );
-        let mut out = Vec::new();
-        let mut errors = Vec::new();
+        let mut outcome = ShardOutcome::default();
         for j in 0..self.spans.len() {
             // lint:allow(checked-indexing): j < spans.len() by the loop bound
             let (slot_idx, start, end) = self.spans[j];
@@ -489,57 +468,23 @@ impl Shard {
             // lint:allow(checked-indexing): span extents tile the grouped buffer
             let group = &self.grouped[start..end];
             let result = slot.state.ingest(group);
-            let drained = slot.state.drain_ledger();
-            absorb_ledger(&mut slot.ledger, drained);
-            match result {
-                Ok(reports) => {
-                    observe_windows(&mut self.fleet, slot, &reports);
-                    out.extend(reports);
-                }
-                Err(e) => errors.push((slot.key.clone(), e)),
-            }
+            slot.file(result, &mut self.fleet, &mut outcome);
         }
         self.touched.clear();
         self.spans.clear();
         self.routed.clear();
-        (out, errors)
+        outcome
     }
 
     /// Flushes every stream the shard owns, in debut order; a failing
     /// stream does not stop its shard-mates.
     fn flush(&mut self) -> ShardOutcome {
-        let mut out = Vec::new();
-        let mut errors = Vec::new();
+        let mut outcome = ShardOutcome::default();
         for slot in &mut self.slots {
             let result = slot.state.flush();
-            let drained = slot.state.drain_ledger();
-            absorb_ledger(&mut slot.ledger, drained);
-            match result {
-                Ok(reports) => {
-                    observe_windows(&mut self.fleet, slot, &reports);
-                    out.extend(reports);
-                }
-                Err(e) => errors.push((slot.key.clone(), e)),
-            }
+            slot.file(result, &mut self.fleet, &mut outcome);
         }
-        (out, errors)
-    }
-
-    /// Answers an on-demand sub-batch from one stream's *current*
-    /// (possibly partial) window — the control-plane half of the shard
-    /// protocol, behind [`Engine::snapshot`]. The ledger spend the
-    /// snapshot incurs is folded into the slot's retained totals like any
-    /// window's.
-    fn snapshot(&mut self, slot: u32, analyses: &[Analysis]) -> Result<Vec<Report>, DistError> {
-        let Some(slot) = self.slots.get_mut(slot as usize) else {
-            return Err(DistError::BadParameter {
-                reason: "snapshot routed to a slot this shard does not own".into(),
-            });
-        };
-        let result = slot.state.snapshot(analyses);
-        let drained = slot.state.drain_ledger();
-        absorb_ledger(&mut slot.ledger, drained);
-        result
+        outcome
     }
 }
 
@@ -607,7 +552,6 @@ pub struct EngineBuilder {
     shards: usize,
     window: Window,
     analyses: Vec<Analysis>,
-    drift_eps: f64,
 }
 
 impl EngineBuilder {
@@ -661,13 +605,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Accuracy parameter of the per-stream window-to-window `ℓ₂` drift
-    /// check (default 0.25).
-    pub fn drift_eps(mut self, eps: f64) -> Self {
-        self.drift_eps = eps;
-        self
-    }
-
     /// Builds the engine: validates the configuration once (shard count,
     /// standing batch, window policy, lane shape) so that per-stream state
     /// creation on first contact with a new key is cheap and infallible,
@@ -681,21 +618,15 @@ impl EngineBuilder {
         }
         // The monitor's validator, shared verbatim: an engine stream is a
         // monitor, so what is invalid there must be invalid here.
-        let (plan, shape) = resolve_config(self.n, self.window, &self.analyses, self.drift_eps)?;
+        let spec = StreamSpec::new(self.n, self.window, self.analyses)?;
         let mut shards = Vec::with_capacity(self.shards);
         shards.resize_with(self.shards, Shard::default);
-        let cfg = Arc::new(EngineConfig {
-            seed: self.seed,
-            shape,
-            analyses: Arc::new(self.analyses),
-            plan,
-            drift_eps: self.drift_eps,
-        });
         // Persistent workers: spawned once here, parked on their mailbox
         // between batches. A 1-shard engine has no workers at all.
         let workers = Engine::spawn_workers(self.shards);
         Ok(Engine {
-            cfg,
+            seed: self.seed,
+            spec,
             shards,
             workers,
             interner: Interner::new(),
@@ -711,7 +642,9 @@ impl EngineBuilder {
 /// [module docs](self) for the architecture, the allocation-free batch
 /// pipeline, and the sharding-is-semantics-free contract.
 pub struct Engine {
-    cfg: Arc<EngineConfig>,
+    seed: u64,
+    /// The validated configuration every stream's [`Monitor`] shares.
+    spec: Arc<StreamSpec>,
     shards: Vec<Shard>,
     /// Persistent shard workers, one per shard (none for a 1-shard
     /// engine); a call's jobs go to them in turn (see
@@ -743,7 +676,6 @@ impl Engine {
             shards: 1,
             window: Window::Tumbling { span: 100_000 },
             analyses: Vec::new(),
-            drift_eps: 0.25,
         }
     }
 
@@ -758,12 +690,12 @@ impl Engine {
 
     /// Domain size records must lie in.
     pub fn domain_size(&self) -> usize {
-        self.cfg.shape.domain_size()
+        self.spec.shape.domain_size()
     }
 
     /// The engine's base seed.
     pub fn seed(&self) -> u64 {
-        self.cfg.seed
+        self.seed
     }
 
     /// Number of worker shards.
@@ -784,14 +716,7 @@ impl Engine {
         self.interner
             .entries
             .iter()
-            .map(|e| {
-                let seen = self
-                    .shards
-                    .get(e.shard as usize)
-                    .and_then(|s| s.slots.get(e.slot as usize))
-                    .map_or(0, |s| s.state.seen());
-                (e.key.as_str(), seen)
-            })
+            .map(|e| (e.key.as_str(), self.monitor(e).map_or(0, Monitor::seen)))
             .collect()
     }
 
@@ -820,24 +745,28 @@ impl Engine {
 
     /// The shared plan shaping every stream's lanes.
     pub fn plan(&self) -> SamplePlan {
-        self.cfg.plan
+        self.spec.plan
     }
 
     /// The per-stream window policy.
     pub fn window(&self) -> Window {
-        self.cfg.shape.window()
+        self.spec.shape.window()
     }
 
     /// The standing batch every stream runs.
     pub fn analyses(&self) -> &[Analysis] {
-        &self.cfg.analyses
+        &self.spec.analyses
     }
 
     /// Read access to one stream's state machine (e.g. to check `seen`
     /// for a single tenant).
     pub fn stream_state(&self, key: &str) -> Option<&Monitor> {
-        let id = self.interner.lookup(key, key_hash(key))?;
-        let entry = self.interner.entries.get(id as usize)?;
+        self.monitor(self.interner.find(key)?)
+    }
+
+    /// The monitor an interned entry points at: the one way from a key to
+    /// its stream, behind every per-stream accessor.
+    fn monitor(&self, entry: &KeyEntry) -> Option<&Monitor> {
         let shard = self.shards.get(entry.shard as usize)?;
         shard.slots.get(entry.slot as usize).map(|s| &s.state)
     }
@@ -864,10 +793,9 @@ impl Engine {
         // The interner assigns ids densely in debut order, so the id this
         // insert will return is the current entry count.
         let debut = self.interner.entries.len() as u32;
+        let seed = Engine::stream_seed(self.seed, key);
         shard.slots.push(StreamSlot {
-            key: key.to_string(),
-            state: self.cfg.new_state(key),
-            ledger: Vec::new(),
+            state: Monitor::new(&self.spec, seed, Some(key.to_string())),
             debut,
             alarmed: false,
         });
@@ -900,42 +828,31 @@ impl Engine {
     /// without disturbing ingestion or the drift baseline. It touches one
     /// stream, so it runs on the caller thread against the owning shard's
     /// slab (every slab is home between calls); the sample spend is
-    /// folded into the stream's ledger.
+    /// charged to the stream's ledger.
     ///
     /// The batch may be any sub-batch whose requirements fit the standing
     /// plan — the frozen lanes cannot serve a larger draw (that errors,
     /// never triggers a fresh draw). Unknown keys error.
     pub fn snapshot(&mut self, key: &str, analyses: &[Analysis]) -> Result<Vec<Report>, DistError> {
-        let unknown = || DistError::BadParameter {
-            reason: format!("unknown stream key '{key}'"),
-        };
-        let id = self
-            .interner
-            .lookup(key, key_hash(key))
-            .ok_or_else(unknown)?;
-        let (shard_idx, slot) = match self.interner.entries.get(id as usize) {
-            Some(entry) => (entry.shard as usize, entry.slot),
-            None => return Err(unknown()), // unreachable: lookup returned id
-        };
-        match self.shards.get_mut(shard_idx) {
-            Some(shard) => shard.snapshot(slot, analyses),
-            None => Err(unknown()), // unreachable: interned shard index
+        let slot = self.interner.find(key).and_then(|entry| {
+            let shard = self.shards.get_mut(entry.shard as usize)?;
+            shard.slots.get_mut(entry.slot as usize)
+        });
+        match slot {
+            Some(slot) => slot.state.snapshot(analyses),
+            None => Err(DistError::BadParameter {
+                reason: format!("unknown stream key '{key}'"),
+            }),
         }
     }
 
-    /// One stream's retained ledger: per-label lifetime totals (`"draw"`
-    /// plus each analysis name — samples and wall seconds accumulated over
-    /// every completed window and [`Engine::snapshot`] of the stream).
-    /// Bounded memory: one entry per label, however long the stream runs.
-    /// `None` for keys the engine has never seen.
+    /// One stream's ledger ([`Monitor::ledger`]): per-label lifetime
+    /// totals (`"draw"` plus each analysis name — samples and wall seconds
+    /// summed over every completed window and [`Engine::snapshot`] of the
+    /// stream), one entry per label however long the stream runs. `None`
+    /// for keys the engine has never seen.
     pub fn ledger(&self, key: &str) -> Option<&[LedgerEntry]> {
-        let id = self.interner.lookup(key, key_hash(key))?;
-        let entry = self.interner.entries.get(id as usize)?;
-        let shard = self.shards.get(entry.shard as usize)?;
-        shard
-            .slots
-            .get(entry.slot as usize)
-            .map(|s| s.ledger.as_slice())
+        self.stream_state(key).map(Monitor::ledger)
     }
 
     /// The fleet-wide rollup: every shard's partial folded into one
@@ -1142,11 +1059,11 @@ impl std::fmt::Debug for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
             .field("domain_size", &self.domain_size())
-            .field("seed", &self.cfg.seed)
+            .field("seed", &self.seed)
             .field("shards", &self.shards.len())
             .field("streams", &self.streams())
             .field("window", &self.window())
-            .field("standing_analyses", &self.cfg.analyses.len())
+            .field("standing_analyses", &self.spec.analyses.len())
             .field("seen", &self.seen())
             .finish()
     }
@@ -1214,11 +1131,6 @@ mod tests {
             "zero shards"
         );
         assert!(Engine::builder(64).build().is_err(), "empty batch");
-        assert!(Engine::builder(64)
-            .analyses(standing())
-            .drift_eps(1.5)
-            .build()
-            .is_err());
         assert!(Engine::builder(0).analyses(standing()).build().is_err());
     }
 

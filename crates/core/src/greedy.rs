@@ -569,8 +569,7 @@ mod tests {
 
     #[test]
     fn rejects_a_one_endpoint_cap() {
-        // Subsampling to one endpoint would divide by keep − 1 = 0; the
-        // public `Learn::max_endpoints(1)` reaches it through a Session.
+        // Subsampling to one endpoint would divide by keep − 1 = 0.
         let p = generators::zipf(64, 1.0).unwrap();
         let mut rng = StdRng::seed_from_u64(4);
         let main = SampleSet::draw(&p, 500, &mut rng);
@@ -582,12 +581,6 @@ mod tests {
             learn_from_samples(64, &main, &sets, &params),
             Err(DistError::BadParameter { .. })
         ));
-        let mut session = crate::api::Session::new(Box::new(DenseOracle::new(&p, 5)), 5);
-        let learn = crate::api::Learn::k(2)
-            .eps(0.2)
-            .budget(budget)
-            .max_endpoints(1);
-        assert!(session.run(&[learn.into()]).is_err());
         // 0 means no cap; 2 is the smallest cap.
         for (cap, used) in [(2, 2), (0, main.endpoint_candidates(64).len())] {
             params.max_endpoints = cap;

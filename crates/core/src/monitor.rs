@@ -33,8 +33,10 @@
 //! draw the batch needs. Freezing a window into a
 //! [`ReplayOracle`] and running the engine
 //! over it therefore performs **zero oracle draws beyond the frozen
-//! window** — the replay would panic if the engine asked for more, and the
-//! ledger's single `"draw"` entry equals the window's kept samples.
+//! window** — the replay would panic if the engine asked for more, and each
+//! window grows the ledger's `"draw"` total by exactly its kept samples.
+//! The ledger keeps one lifetime total per label, so a monitor's memory is
+//! bounded by its sample plan however many windows it reports.
 //!
 //! Determinism: a tumbling window `w` freezes lanes bit-identical to
 //! writing the same records to a file and running
@@ -46,7 +48,7 @@
 //! Drift checks follow Diakonikolas–Kane–Nikishkin-style closeness
 //! testing between two sample windows: both sides are *samples*, so the
 //! cross-collision `ℓ₂` statistic
-//! ([`test_closeness_l2_from_sets`])
+//! ([`test_closeness_l2_from_sets`], at ε = 0.25)
 //! applies directly, with no model of either window.
 //!
 //! # Example
@@ -237,7 +239,6 @@ pub struct MonitorBuilder {
     seed: u64,
     window: Window,
     analyses: Vec<Analysis>,
-    drift_eps: f64,
     stream: Option<String>,
 }
 
@@ -283,13 +284,6 @@ impl MonitorBuilder {
         self
     }
 
-    /// Accuracy parameter of the window-to-window `ℓ₂` drift check
-    /// (default 0.25).
-    pub fn drift_eps(mut self, eps: f64) -> Self {
-        self.drift_eps = eps;
-        self
-    }
-
     /// Tags every emitted [`WindowReport`] with a stream label. The keyed
     /// [`Engine`](crate::engine::Engine) tags its per-stream reports with
     /// the stream key; setting the same label here makes a dedicated
@@ -304,45 +298,51 @@ impl MonitorBuilder {
     /// Builds the monitor: resolves the standing batch into a plan and
     /// shapes the window sink's lanes from it.
     pub fn build(self) -> Result<Monitor, DistError> {
-        let (plan, shape) = resolve_config(self.n, self.window, &self.analyses, self.drift_eps)?;
-        Ok(Monitor::from_parts(
-            &shape,
-            self.seed,
-            Arc::new(self.analyses),
-            plan,
-            self.drift_eps,
-            self.stream,
-        ))
+        let spec = StreamSpec::new(self.n, self.window, self.analyses)?;
+        Ok(Monitor::new(&spec, self.seed, self.stream))
     }
 }
 
-/// Validates a monitor/engine configuration and resolves its shared
-/// parts: the standing batch's [`SamplePlan`] and the window sink's
-/// [`SinkShape`]. One implementation serves [`MonitorBuilder`] and the
-/// [`EngineBuilder`](crate::engine::EngineBuilder), so the two front
-/// doors can never drift apart on what counts as a valid configuration.
-pub(crate) fn resolve_config(
-    n: usize,
-    window: Window,
-    analyses: &[Analysis],
-    drift_eps: f64,
-) -> Result<(SamplePlan, SinkShape), DistError> {
-    if analyses.is_empty() {
-        return Err(DistError::BadParameter {
-            reason: "a standing batch needs at least one analysis — its sample plan sizes \
-                     the window's reservoir lanes"
-                .into(),
-        });
+/// Accuracy parameter of every window-to-window `ℓ₂` drift check.
+const DRIFT_EPS: f64 = 0.25;
+
+/// What every stream of one configuration shares, validated once: the
+/// window sink's shape, the standing batch and the batch's shared plan.
+/// [`MonitorBuilder`] builds one for its monitor; the
+/// [`EngineBuilder`](crate::engine::EngineBuilder) builds one and shares
+/// it, by `Arc`, with the monitor of every stream key — so the two front
+/// doors agree on what counts as a valid configuration, and a stream's
+/// debut re-validates nothing.
+pub(crate) struct StreamSpec {
+    pub(crate) shape: SinkShape,
+    pub(crate) analyses: Vec<Analysis>,
+    pub(crate) plan: SamplePlan,
+}
+
+impl StreamSpec {
+    /// Validates a standing batch over the domain `[0, n)` under `window`
+    /// and resolves its plan and lane shape.
+    pub(crate) fn new(
+        n: usize,
+        window: Window,
+        analyses: Vec<Analysis>,
+    ) -> Result<Arc<StreamSpec>, DistError> {
+        if analyses.is_empty() {
+            return Err(DistError::BadParameter {
+                reason: "a standing batch needs at least one analysis — its sample plan sizes \
+                         the window's reservoir lanes"
+                    .into(),
+            });
+        }
+        let plan = plan_for(&analyses, n)?;
+        plan.total_samples()?;
+        let shape = SinkShape::new(n, window, plan.main(), plan.r(), plan.m())?;
+        Ok(Arc::new(StreamSpec {
+            shape,
+            analyses,
+            plan,
+        }))
     }
-    if !(drift_eps > 0.0 && drift_eps < 1.0) {
-        return Err(DistError::BadParameter {
-            reason: format!("drift ε = {drift_eps} must lie in (0, 1)"),
-        });
-    }
-    let plan = plan_for(analyses, n)?;
-    plan.total_samples()?;
-    let shape = SinkShape::new(n, window, plan.main(), plan.r(), plan.m())?;
-    Ok((plan, shape))
 }
 
 /// A long-lived, push-based analysis pipeline over a record stream — the
@@ -352,15 +352,11 @@ pub(crate) fn resolve_config(
 /// A `Monitor` talks to nothing but its own memory — no files, sockets or
 /// channels — so a pool of them can be processed on worker threads with no
 /// coordination beyond ownership (the [`Engine`](crate::engine::Engine)
-/// does exactly that, one monitor per stream key). Ledger entries produced
-/// while reporting accumulate in [`ledger`](Monitor::ledger) until
-/// [`drain_ledger`](Monitor::drain_ledger) collects them.
+/// does exactly that, one monitor per stream key). What reporting spends
+/// is kept as per-label totals in [`ledger`](Monitor::ledger), so a
+/// monitor's memory stays bounded however long its stream runs.
 pub struct Monitor {
-    n: usize,
-    seed: u64,
-    analyses: Arc<Vec<Analysis>>,
-    plan: SamplePlan,
-    drift_eps: f64,
+    spec: Arc<StreamSpec>,
     stream: Option<String>,
     sink: WindowedSink,
     /// Recently completed windows (`(id, end, merged sample)`, oldest
@@ -373,7 +369,7 @@ pub struct Monitor {
     /// windows the previous window is already disjoint, so this reduces
     /// to comparing consecutive windows.
     baselines: std::collections::VecDeque<(u64, u64, SampleSet)>,
-    /// Ledger entries since the last drain.
+    /// Per-label spend totals (see [`ledger`](Monitor::ledger)).
     ledger: Vec<LedgerEntry>,
     emitted: u64,
 }
@@ -389,31 +385,18 @@ impl Monitor {
             seed: 0,
             window: Window::Tumbling { span: 100_000 },
             analyses: Vec::new(),
-            drift_eps: 0.25,
             stream: None,
         }
     }
 
-    /// Assembles a monitor from already-validated shared parts. The
-    /// [`Engine`](crate::engine::Engine) validates once and stamps out one
-    /// monitor per stream key from a shared [`SinkShape`] / analysis batch;
-    /// [`MonitorBuilder::build`] is the validating public entry.
-    pub(crate) fn from_parts(
-        shape: &SinkShape,
-        seed: u64,
-        analyses: Arc<Vec<Analysis>>,
-        plan: SamplePlan,
-        drift_eps: f64,
-        stream: Option<String>,
-    ) -> Self {
+    /// A fresh monitor of a validated spec — cheap, so the
+    /// [`Engine`](crate::engine::Engine) calls it at each stream key's
+    /// debut; [`MonitorBuilder::build`] is the validating public entry.
+    pub(crate) fn new(spec: &Arc<StreamSpec>, seed: u64, stream: Option<String>) -> Self {
         Monitor {
-            n: shape.domain_size(),
-            seed,
-            analyses,
-            plan,
-            drift_eps,
+            spec: Arc::clone(spec),
             stream,
-            sink: shape.sink(seed),
+            sink: spec.shape.sink(seed),
             baselines: std::collections::VecDeque::new(),
             ledger: Vec::new(),
             emitted: 0,
@@ -422,12 +405,12 @@ impl Monitor {
 
     /// Domain size records must lie in.
     pub fn domain_size(&self) -> usize {
-        self.n
+        self.spec.shape.domain_size()
     }
 
     /// The monitor's base seed.
     pub fn seed(&self) -> u64 {
-        self.seed
+        self.sink.seed()
     }
 
     /// The stream label stamped on every emitted report.
@@ -447,12 +430,12 @@ impl Monitor {
 
     /// The standing batch.
     pub fn analyses(&self) -> &[Analysis] {
-        &self.analyses
+        &self.spec.analyses
     }
 
     /// The shared plan shaping every window's lanes.
     pub fn plan(&self) -> SamplePlan {
-        self.plan
+        self.spec.plan
     }
 
     /// The configured window policy.
@@ -460,19 +443,28 @@ impl Monitor {
         self.sink.window()
     }
 
-    /// The ledger since the last [`drain_ledger`](Monitor::drain_ledger)
-    /// (cumulative if never drained), across windows and on-demand
-    /// snapshots: one `"draw"` entry per frozen window (samples = the
-    /// window's kept samples — the engine touched nothing beyond the
-    /// freeze) followed by the per-analysis spends.
+    /// What the stream has cost so far, as per-label lifetime totals:
+    /// `"draw"` (the samples of every frozen window — each window's kept
+    /// samples, since reporting touches nothing beyond the freeze) and
+    /// each analysis name, with samples and wall seconds summed over every
+    /// window and [`snapshot`](Monitor::snapshot), labels in the order
+    /// they were first charged. Bounded: one entry per label, however
+    /// long the stream runs; nothing drains it.
     pub fn ledger(&self) -> &[LedgerEntry] {
         &self.ledger
     }
 
-    /// Removes and returns the ledger entries accumulated since the last
-    /// drain.
-    pub fn drain_ledger(&mut self) -> Vec<LedgerEntry> {
-        std::mem::take(&mut self.ledger)
+    /// Folds one run's ledger into the per-label totals.
+    fn charge(&mut self, entries: Vec<LedgerEntry>) {
+        for entry in entries {
+            match self.ledger.iter_mut().find(|t| t.label == entry.label) {
+                Some(total) => {
+                    total.samples += entry.samples;
+                    total.seconds += entry.seconds;
+                }
+                None => self.ledger.push(entry),
+            }
+        }
     }
 
     /// Ingests a batch of records in arrival order, reporting every window
@@ -529,13 +521,13 @@ impl Monitor {
         let snap = self.sink.snapshot();
         let mut replay = snap.replay();
         let (reports, ledger) =
-            run_analyses_with_plan(&mut replay, snap.seed, analyses, self.plan)?;
+            run_analyses_with_plan(&mut replay, snap.seed, analyses, self.spec.plan)?;
         debug_assert_eq!(
             replay.remaining(),
             0,
             "a snapshot must consume exactly the frozen window"
         );
-        self.ledger.extend(ledger);
+        self.charge(ledger);
         Ok(reports)
     }
 
@@ -572,13 +564,13 @@ impl Monitor {
         let current = snap.merged();
         let mut replay = ReplayOracle::from_sets(snap.n, std::mem::take(&mut snap.lanes));
         let (reports, ledger) =
-            run_analyses_with_plan(&mut replay, snap.seed, &self.analyses, self.plan)?;
+            run_analyses_with_plan(&mut replay, snap.seed, &self.spec.analyses, self.spec.plan)?;
         debug_assert_eq!(
             replay.remaining(),
             0,
             "a window report must consume exactly the frozen window"
         );
-        self.ledger.extend(ledger);
+        self.charge(ledger);
         let drift = match self.disjoint_baseline(snap.start) {
             Some(baseline) if baseline.total() >= 2 && current.total() >= 2 => {
                 Some(self.drift_between(baseline, &current, snap.seed)?)
@@ -616,13 +608,13 @@ impl Monitor {
         // *verdict* is a pure function of the two sample sets; only the
         // report's wall_seconds metadata (excluded from PartialEq) ever
         // sees the clock.
-        let (closeness, wall_seconds) = crate::api::timed(|| {
-            test_closeness_l2_from_sets(baseline, current, self.n, self.drift_eps)
-        });
+        let n = self.domain_size();
+        let (closeness, wall_seconds) =
+            crate::api::timed(|| test_closeness_l2_from_sets(baseline, current, n, DRIFT_EPS));
         let closeness = closeness?;
         Ok(Report {
             analysis: AnalysisKind::ClosenessL2,
-            n: self.n,
+            n,
             verdict: Some(closeness.outcome),
             histogram: None,
             statistic: Some(closeness.statistic),
@@ -642,11 +634,11 @@ impl Monitor {
 impl std::fmt::Debug for Monitor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Monitor")
-            .field("domain_size", &self.n)
-            .field("seed", &self.seed)
+            .field("domain_size", &self.domain_size())
+            .field("seed", &self.seed())
             .field("stream", &self.stream)
             .field("window", &self.sink.window())
-            .field("standing_analyses", &self.analyses.len())
+            .field("standing_analyses", &self.spec.analyses.len())
             .field("seen", &self.sink.seen())
             .field("windows", &self.emitted)
             .finish()
@@ -679,11 +671,6 @@ mod tests {
     #[test]
     fn builder_rejects_bad_configs() {
         assert!(Monitor::builder(64).build().is_err(), "empty batch");
-        assert!(Monitor::builder(64)
-            .analyses(standing())
-            .drift_eps(0.0)
-            .build()
-            .is_err());
         assert!(Monitor::builder(64)
             .analyses(standing())
             .sliding(100, 33)
@@ -776,7 +763,6 @@ mod tests {
             .seed(11)
             .tumbling(5_000)
             .analyses(vec![Uniformity::eps(0.3).scale(1.0).into()])
-            .drift_eps(0.3)
             .build()
             .unwrap();
         let steady = generators::staircase(64, 3).unwrap();
@@ -927,31 +913,57 @@ mod tests {
 
     #[test]
     fn state_machine_is_usable_bare() {
-        // The engine's view: a monitor with a manually drained ledger
-        // behaves exactly like one that is never drained.
-        let mut state = Monitor::builder(64)
-            .seed(5)
-            .tumbling(2_000)
-            .analyses(standing())
-            .build()
-            .unwrap();
-        let windows = state.ingest(&events(64, 4_500, 1)).unwrap();
-        assert_eq!(windows.len(), 2);
-        let ledger = state.drain_ledger();
-        assert_eq!(ledger.len(), 2 * (1 + standing().len()));
-        assert!(state.drain_ledger().is_empty(), "drain empties the buffer");
-        let mut shell = Monitor::builder(64)
-            .seed(5)
-            .tumbling(2_000)
-            .analyses(standing())
-            .build()
-            .unwrap();
-        let shell_windows = shell.ingest(&events(64, 4_500, 1)).unwrap();
-        assert_eq!(windows, shell_windows);
-        // Ledger entries match up to wall time (which varies run to run).
-        let spend = |l: &[LedgerEntry]| -> Vec<(String, usize)> {
-            l.iter().map(|e| (e.label.clone(), e.samples)).collect()
+        // The engine's view: a monitor fed its stream in arbitrary pieces
+        // reports the same windows and keeps the same ledger as one fed
+        // the stream whole.
+        let build = || {
+            Monitor::builder(64)
+                .seed(5)
+                .tumbling(2_000)
+                .analyses(standing())
+                .build()
+                .unwrap()
         };
-        assert_eq!(spend(&ledger), spend(shell.ledger()));
+        let stream = events(64, 4_500, 1);
+        let mut whole = build();
+        let windows = whole.ingest(&stream).unwrap();
+        assert_eq!(windows.len(), 2);
+        let mut pieces = build();
+        let mut piece_windows = Vec::new();
+        for piece in stream.chunks(333) {
+            piece_windows.extend(pieces.ingest(piece).unwrap());
+        }
+        assert_eq!(windows, piece_windows);
+        // Ledger totals match up to wall time (which varies run to run).
+        let spend = |m: &Monitor| -> Vec<(String, usize)> {
+            m.ledger()
+                .iter()
+                .map(|e| (e.label.clone(), e.samples))
+                .collect()
+        };
+        assert_eq!(spend(&whole), spend(&pieces));
+        assert_eq!(whole.ledger().len(), 1 + standing().len());
+    }
+
+    #[test]
+    fn ledger_stays_one_total_per_label() {
+        // Many windows and a snapshot: the ledger keeps one lifetime total
+        // per label instead of one entry per window and analysis.
+        let mut monitor = Monitor::builder(64)
+            .seed(8)
+            .tumbling(500)
+            .analyses(standing())
+            .build()
+            .unwrap();
+        let windows = monitor.ingest(&events(64, 6_250, 4)).unwrap();
+        assert_eq!(windows.len(), 12);
+        monitor.snapshot(&standing()).unwrap();
+        assert_eq!(monitor.ledger().len(), 1 + standing().len());
+        let draw = monitor.ledger().iter().find(|e| e.label == "draw").unwrap();
+        let kept: u64 = windows.iter().map(|w| w.kept).sum();
+        assert!(
+            draw.samples as u64 > kept,
+            "the snapshot's draw is charged too"
+        );
     }
 }

@@ -135,21 +135,6 @@ impl FleetSummary {
         self.streams
     }
 
-    /// Streams that have alarmed at least once.
-    pub fn alarming_streams(&self) -> u64 {
-        self.alarming_streams
-    }
-
-    /// The drift-severity sketch.
-    pub fn drift(&self) -> &DriftSketch {
-        &self.drift
-    }
-
-    /// The top-K drifting streams.
-    pub fn top(&self) -> &TopDrift {
-        &self.top
-    }
-
     /// Renders the rollup. `keys` is the debut-ordered stream-key table
     /// (the engine's interner order): entry `i` names the stream with
     /// debut index `i`. A debut index outside the table renders as

@@ -8,7 +8,7 @@
 //! | rule | invariant it protects |
 //! |------|-----------------------|
 //! | `default-hasher` | `RandomState` iteration order would break bit-identity across processes |
-//! | `wall-clock` | `Monitor` and everything under it stays clock-free; timing lives in `api.rs` (plus one budgeted reactor read in `crates/serve`) |
+//! | `wall-clock` | `Monitor` and everything under it stays clock-free; timing lives in one budgeted read in `api.rs` (`timed`) plus one in serve's reactor |
 //! | `no-panic` | library hot paths in `crates/{core,oracle}` return `Result`, not aborts |
 //! | `checked-indexing` | same, for `x[i]` bounds panics |
 //! | `seed-discipline` | all randomness derives from `stream_seed`/`window_seed`, never ad-hoc SplitMix64 |
@@ -51,7 +51,7 @@ pub const RULE_SUMMARIES: &[(&str, &str)] = &[
     ),
     (
         "wall-clock",
-        "Instant/SystemTime only inside crates/core/src/api.rs; crates/serve may hold Instant values but gets exactly one Instant::now, in reactor.rs",
+        "Instant/SystemTime only inside crates/core/src/api.rs, which gets exactly one Instant::now (timed()); crates/serve may hold Instant values but gets exactly one Instant::now, in reactor.rs",
     ),
     (
         "no-panic",
@@ -123,7 +123,7 @@ pub fn check_file(ctx: &FileContext, lexed: &Lexed, allows: &Allows) -> Vec<Diag
         // an unexplained `#[allow]` in a test is the same review hazard.
         justified_allow(ctx, lexed, tokens, i, &mut raw);
     }
-    wall_clock_serve(ctx, tokens, &in_test, &mut raw);
+    wall_clock_reads(ctx, tokens, &in_test, &mut raw);
     forbid_unsafe(ctx, tokens, &mut raw);
     hot_path_alloc(ctx, lexed, &mut raw);
 
@@ -261,9 +261,9 @@ fn default_hasher(ctx: &FileContext, tok: &Token, out: &mut Vec<Diagnostic>) {
 /// `wall-clock`: `Instant`/`SystemTime` outside the designated boundary
 /// (`crates/core/src/api.rs`). The pure state machines (`Monitor` and
 /// below) must stay replayable: push ≡ pull holds only if nothing in
-/// them observes time. `crates/serve` gets its own arm of this rule
-/// ([`wall_clock_serve`]): a reactor cannot be clock-free, but it can be
-/// clock-*disciplined*.
+/// them observes time. The boundary and `crates/serve` get a budgeted arm
+/// of this rule ([`wall_clock_reads`]): a reactor cannot be clock-free,
+/// but it can be clock-*disciplined*.
 fn wall_clock(ctx: &FileContext, tok: &Token, out: &mut Vec<Diagnostic>) {
     if ctx.is_clock_boundary || ctx.is_serve || tok.kind != TokenKind::Ident {
         return;
@@ -282,32 +282,34 @@ fn wall_clock(ctx: &FileContext, tok: &Token, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// The `crates/serve` arm of `wall-clock`. The reactor must observe time
-/// (flush deadlines are real), so bare `Instant` — the *type*, plumbed
-/// around as parameters and fields — is legal throughout serve library
-/// code. What stays budgeted is *reading* the clock: exactly one
+/// The budgeted arm of `wall-clock`, for the two places that may read
+/// the clock. In `crates/core/src/api.rs` exactly one `Instant::now` is
+/// allowed: the one in `timed`, the door every core timer goes through.
+/// The serve reactor must observe time (flush deadlines are real), so
+/// bare `Instant` — the *type*, plumbed around as parameters and fields —
+/// is legal throughout serve library code, but exactly one
 /// `Instant::now` call site is allowed, in `reactor.rs` (its `clock()`
 /// fn), so every deadline decision traces to a single read per loop
 /// iteration and the rest of the crate stays replayable given those
-/// values. `SystemTime` is flagged unconditionally — wall-clock
+/// values. `SystemTime` is flagged unconditionally in serve — wall-clock
 /// timestamps have no business in serve output. This is a per-file pass
 /// (not per-token like the others) because "the first read is free"
 /// requires counting across the whole token stream.
-fn wall_clock_serve(
+fn wall_clock_reads(
     ctx: &FileContext,
     tokens: &[Token],
     in_test: &[bool],
     out: &mut Vec<Diagnostic>,
 ) {
-    if !ctx.is_serve {
+    if !ctx.is_serve && !ctx.is_clock_boundary {
         return;
     }
-    let mut budget = usize::from(ctx.is_serve_reactor);
+    let mut budget = usize::from(ctx.is_serve_reactor || ctx.is_clock_boundary);
     for (i, tok) in tokens.iter().enumerate() {
         if ctx.is_test_like || in_test.get(i).copied().unwrap_or(false) {
             continue;
         }
-        if tok.is_ident("SystemTime") {
+        if ctx.is_serve && tok.is_ident("SystemTime") {
             out.push(Diagnostic::new(
                 "wall-clock",
                 &ctx.path,
@@ -328,25 +330,24 @@ fn wall_clock_serve(
         }
         if budget > 0 {
             budget -= 1;
-        } else if ctx.is_serve_reactor {
-            out.push(Diagnostic::new(
-                "wall-clock",
-                &ctx.path,
-                tok.line,
-                "second Instant::now in the reactor; crates/serve budgets exactly one \
-                 clock site (reactor.rs's clock()) — thread the Instant through as a value"
-                    .to_string(),
-            ));
-        } else {
-            out.push(Diagnostic::new(
-                "wall-clock",
-                &ctx.path,
-                tok.line,
-                "Instant::now outside the reactor's single clock site (reactor.rs); \
-                 take an Instant parameter instead of reading the clock"
-                    .to_string(),
-            ));
+            continue;
         }
+        let message = if ctx.is_clock_boundary {
+            "second Instant::now in api.rs; crates/core budgets exactly one clock read \
+             (timed()) — time the work through timed() instead"
+        } else if ctx.is_serve_reactor {
+            "second Instant::now in the reactor; crates/serve budgets exactly one \
+             clock site (reactor.rs's clock()) — thread the Instant through as a value"
+        } else {
+            "Instant::now outside the reactor's single clock site (reactor.rs); \
+             take an Instant parameter instead of reading the clock"
+        };
+        out.push(Diagnostic::new(
+            "wall-clock",
+            &ctx.path,
+            tok.line,
+            message.to_string(),
+        ));
     }
 }
 

@@ -61,6 +61,18 @@ fn wall_clock_is_permitted_at_the_api_boundary() {
 }
 
 #[test]
+fn wall_clock_api_boundary_gets_one_budgeted_read() {
+    // In api.rs the first Instant::now is timed()'s read; a second timer
+    // reading the clock itself is flagged.
+    check_pair(
+        "crates/core/src/api.rs",
+        include_str!("fixtures/bad_wall_clock_api.rs"),
+        include_str!("fixtures/good_wall_clock_api.rs"),
+        &[("wall-clock", 11)],
+    );
+}
+
+#[test]
 fn wall_clock_serve_reactor_gets_one_budgeted_read() {
     // In reactor.rs the first Instant::now is the budgeted clock site;
     // the second read and any SystemTime mention are flagged.

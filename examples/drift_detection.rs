@@ -52,7 +52,6 @@ fn main() {
         .seed(99)
         .tumbling(span)
         .analyses([TestL1::k(k).eps(eps).scale(0.02).into()])
-        .drift_eps(0.3)
         .build()
         .unwrap();
 

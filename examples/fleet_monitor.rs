@@ -42,7 +42,6 @@ fn main() {
         .shards(4)
         .tumbling(span)
         .analyses([TestL2::k(4).eps(0.3).scale(0.05).into()])
-        .drift_eps(0.25)
         .build()
         .unwrap();
     println!(

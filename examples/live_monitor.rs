@@ -45,7 +45,6 @@ fn main() {
             TestL2::k(k).eps(0.3).scale(0.05).into(),
             Uniformity::eps(0.3).scale(0.1).into(),
         ])
-        .drift_eps(0.25)
         .build()
         .unwrap();
     println!(

@@ -9,10 +9,10 @@
 //! The counter is process-global, so this file holds exactly one `#[test]`
 //! (integration tests are separate binaries; within one binary the default
 //! harness would interleave tests on multiple threads and contaminate the
-//! count). Shard counts 1 (no workers: every job inline), 2 and 4
-//! (persistent workers) are exercised sequentially inside that single
-//! test, each with a large (8 192-record) and a small (512-record) batch
-//! — both must be allocation-free warm.
+//! count). It loops over one standing batch of each lane shape, and for
+//! each over shard counts 1 (no workers: every job inline), 2 and 4
+//! (persistent workers), each with a large (8 192-record) and a small
+//! (512-record) batch — every combination must be allocation-free warm.
 
 use alloc_counter::CountingAllocator;
 use khist::prelude::*;
@@ -20,16 +20,25 @@ use khist::prelude::*;
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator::new();
 
-/// Standing analyses: one of each draw shape, small explicit budgets.
-fn standing() -> Vec<Analysis> {
-    vec![
+/// Standing batches with small explicit budgets, one per lane shape: a
+/// main set plus sets (a weighted main lane and six lanes), the main set
+/// alone (one lane), and sets alone (six round-robin lanes).
+fn standing_batches() -> [(&'static str, Vec<Analysis>); 3] {
+    let l2 = || -> Analysis {
         TestL2::k(3)
             .eps(0.3)
             .budget(L2TesterBudget { r: 6, m: 40 })
-            .into(),
+            .into()
+    };
+    let uniformity = || -> Analysis {
         Uniformity::eps(0.3)
             .budget(UniformityBudget { m: 60 })
-            .into(),
+            .into()
+    };
+    [
+        ("weighted", vec![l2(), uniformity()]),
+        ("single-lane", vec![uniformity()]),
+        ("round-robin", vec![l2()]),
     ]
 }
 
@@ -45,14 +54,14 @@ fn batch(n: usize, records: usize) -> Vec<(&'static str, usize)> {
         .collect()
 }
 
-fn engine(shards: usize) -> Engine {
+fn engine(shards: usize, standing: &[Analysis]) -> Engine {
     Engine::builder(64)
         .seed(0xA110C)
         .shards(shards)
         // A span far beyond what the test feeds: no window ever completes,
         // so the measured calls stay on the pure ingest path.
         .tumbling(1_000_000_000)
-        .analyses(standing())
+        .analyses(standing.to_vec())
         .build()
         .unwrap()
 }
@@ -61,27 +70,37 @@ fn engine(shards: usize) -> Engine {
 fn warm_ingest_batch_allocates_nothing() {
     let large = batch(64, 8192);
     let small = batch(64, 512);
-    for shards in [1usize, 2, 4] {
-        for (size, records) in [("large", &large), ("small", &small)] {
-            let mut engine = engine(shards);
-            // Warm-up: debut every key, push every reservoir past its fill
-            // phase, and let every scratch buffer (shard buckets,
-            // counting-sort slots, mailbox round-trip buffers)
-            // reach steady-state capacity.
-            for _ in 0..3 {
-                let reports = engine.ingest_batch(records).unwrap();
-                assert!(reports.is_empty(), "span must outlast the test feed");
-            }
+    for (lanes, standing) in standing_batches() {
+        let plan = engine(1, &standing).plan();
+        let shape = match (plan.main(), plan.r()) {
+            (_, 0) => "single-lane",
+            (0, _) => "round-robin",
+            _ => "weighted",
+        };
+        assert_eq!(shape, lanes, "{plan:?}");
+        for shards in [1usize, 2, 4] {
+            for (size, records) in [("large", &large), ("small", &small)] {
+                let mut engine = engine(shards, &standing);
+                // Warm-up: debut every key, push every reservoir past its
+                // fill phase, and let every scratch buffer (shard buckets,
+                // counting-sort slots, mailbox round-trip buffers)
+                // reach steady-state capacity.
+                for _ in 0..3 {
+                    let reports = engine.ingest_batch(records).unwrap();
+                    assert!(reports.is_empty(), "span must outlast the test feed");
+                }
 
-            let before = ALLOC.allocations();
-            let reports = engine.ingest_batch(records).unwrap();
-            let delta = ALLOC.allocations() - before;
-            assert!(reports.is_empty(), "span must outlast the test feed");
-            assert_eq!(
-                delta, 0,
-                "warm {size}-batch ingest_batch on {shards} shard(s) performed \
-                 {delta} heap allocation(s); the warm path must not allocate"
-            );
+                let before = ALLOC.allocations();
+                let reports = engine.ingest_batch(records).unwrap();
+                let delta = ALLOC.allocations() - before;
+                assert!(reports.is_empty(), "span must outlast the test feed");
+                assert_eq!(
+                    delta, 0,
+                    "warm {size}-batch ingest_batch with {lanes} lanes on {shards} \
+                     shard(s) performed {delta} heap allocation(s); the warm path \
+                     must not allocate"
+                );
+            }
         }
     }
 }

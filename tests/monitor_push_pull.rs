@@ -126,16 +126,31 @@ fn million_event_stream_is_budget_bounded_and_draw_free() {
         .unwrap();
     let budget = monitor.plan().total_samples().unwrap();
 
-    // 1M synthetic events, pushed in arrival-sized chunks. The monitor
-    // may hold at most `budget` samples at any time; the stream itself is
-    // never stored.
+    // 1M synthetic events, pushed in arrival-sized chunks, one span at a
+    // time. The monitor may hold at most `budget` samples at any time; the
+    // stream itself is never stored.
     let p = khist::dist::generators::staircase(n, 4).unwrap();
     let mut rng = rand::rngs::StdRng::seed_from_u64(7);
     use rand::SeedableRng;
+    let drawn = |monitor: &Monitor| {
+        let draw = monitor.ledger().iter().find(|e| e.label == "draw");
+        draw.map_or(0, |e| e.samples as u64)
+    };
     let mut windows = Vec::new();
-    for _ in 0..200 {
-        let chunk = p.sample_many(5_000, &mut rng);
-        windows.extend(monitor.ingest(&chunk).unwrap());
+    for _ in 0..10 {
+        let before = drawn(&monitor);
+        let mut completed = Vec::new();
+        for _ in 0..20 {
+            let chunk = p.sample_many(5_000, &mut rng);
+            completed.extend(monitor.ingest(&chunk).unwrap());
+        }
+        // Zero new draws beyond the frozen window: the span's one window
+        // grows the ledger's "draw" total by exactly its kept samples —
+        // and the engine consumed the frozen lanes exactly (an extra draw
+        // would have panicked the replay oracle).
+        assert_eq!(completed.len(), 1, "one window per span");
+        assert_eq!(drawn(&monitor) - before, completed[0].kept);
+        windows.extend(completed);
     }
     assert_eq!(monitor.seen(), 1_000_000);
     assert_eq!(windows.len(), 10);
@@ -146,22 +161,9 @@ fn million_event_stream_is_budget_bounded_and_draw_free() {
             window.kept
         );
     }
-
-    // Zero new draws beyond the frozen windows: the ledger shows exactly
-    // one freeze-"draw" per window, sized to the window's kept samples —
-    // and the engine consumed the frozen lanes exactly (an extra draw
-    // would have panicked the replay oracle).
-    let draws: Vec<_> = monitor
-        .ledger()
-        .iter()
-        .filter(|e| e.label == "draw")
-        .collect();
-    assert_eq!(draws.len(), windows.len());
-    for (entry, window) in draws.iter().zip(&windows) {
-        assert_eq!(entry.samples as u64, window.kept);
-    }
-    // Per-window ledger: 1 draw + one entry per standing analysis.
-    assert_eq!(monitor.ledger().len(), windows.len() * (1 + standing.len()));
+    // The ledger keeps one lifetime total per label: 1 draw + one per
+    // standing analysis, however many windows ran.
+    assert_eq!(monitor.ledger().len(), 1 + standing.len());
     // Drift is reported from the second window on.
     assert!(windows[0].drift.is_none());
     assert!(windows[1..].iter().all(|w| w.drift.is_some()));
