@@ -20,9 +20,13 @@
 //!                      trait SampleOracle          (khist-oracle)
 //! ```
 //!
-//! * [`Analysis`] — one request type per algorithm, built with fluent
-//!   builders (`Learn::k(6).eps(0.1).scale(0.01)`); every request either
-//!   carries an explicit budget or derives a calibrated one at run time.
+//! * [`Analysis`] — one typed request per algorithm, built with fluent
+//!   builders (`Learn::k(6).eps(0.1).scale(0.01)`). The paper's three
+//!   analyses are one request shape: [`Learn`], [`TestL2`] and [`TestL1`]
+//!   are aliases of [`HistogramRequest`] (`k`, `ε`, a scale and an
+//!   optional budget), told apart by their budget type. Every request
+//!   either carries an explicit budget or derives a calibrated one at run
+//!   time from [`khist_oracle::budget`], where every budget formula lives.
 //! * [`SamplePlan`] — the engine computes one plan across the whole batch:
 //!   a main set sized to the *largest* single-set requirement and `r` sets
 //!   sized to the largest per-set requirement, drawn **once** and shared.
@@ -92,8 +96,8 @@ pub use khist_fleet::{FleetReport, FleetSummary, TopStream};
 use crate::compress::compress_to_k;
 use crate::greedy::{learn_from_samples, GreedyParams};
 use crate::identity::{test_closeness_l2_from_sets, test_identity_l2_from_set};
-use crate::monotone::{monotone_fit, monotonicity_budget, test_monotone_from_set};
-use crate::tester::{test_l1_from_sets, test_l2_from_sets, TestOutcome};
+use crate::monotone::{monotonicity_budget, test_monotone_from_set};
+use crate::tester::{test_l1_from_sets, test_l2_from_sets, TestOutcome, TestReport};
 use crate::uniformity::{test_uniformity_from_set, UniformityBudget};
 
 /// Which algorithm a request or report refers to.
@@ -159,23 +163,37 @@ impl std::fmt::Display for AnalysisKind {
     }
 }
 
-/// Request: learn a `k`-piece histogram (Algorithm 1 / Theorem 2).
+/// A `(k, ε)` request over tiling `k`-histograms, run on a budget of type
+/// `B`: [`Learn`] learns one, [`TestL2`] and [`TestL1`] test whether the
+/// distribution is one. The three are aliases of this one type and share
+/// its builder.
 #[derive(Debug, Clone)]
-pub struct Learn {
+pub struct HistogramRequest<B> {
     k: usize,
     eps: f64,
     scale: f64,
-    budget: Option<LearnerBudget>,
+    budget: Option<B>,
 }
 
-impl Learn {
-    /// Starts a learning request targeting `k` pieces. Defaults: `ε = 0.1`,
+/// Request: learn a `k`-piece histogram (Algorithm 1 / Theorem 2). The
+/// learner runs [`GreedyParams::fast`]: Theorem 2 sample-endpoint
+/// candidates capped at 128 endpoints.
+pub type Learn = HistogramRequest<LearnerBudget>;
+
+/// Request: test whether the distribution is a tiling `k`-histogram in
+/// `ℓ₂` (Theorem 3).
+pub type TestL2 = HistogramRequest<L2TesterBudget>;
+
+/// Request: test whether the distribution is a tiling `k`-histogram in
+/// `ℓ₁` (Theorem 4).
+pub type TestL1 = HistogramRequest<L1TesterBudget>;
+
+impl<B> HistogramRequest<B> {
+    /// Starts a request targeting `k` pieces. Defaults: `ε = 0.1`,
     /// `scale = 1` (the paper's full budget — pass
-    /// [`scale`](Learn::scale) to run at experiment scale). The learner
-    /// runs [`GreedyParams::fast`]: Theorem 2 sample-endpoint candidates
-    /// capped at 128 endpoints.
+    /// [`scale`](HistogramRequest::scale) to run at experiment scale).
     pub fn k(k: usize) -> Self {
-        Learn {
+        HistogramRequest {
             k,
             eps: 0.1,
             scale: 1.0,
@@ -190,96 +208,15 @@ impl Learn {
     }
 
     /// Scales the derived budget by `scale ∈ (0, 1]` (ignored when an
-    /// explicit [`budget`](Learn::budget) is set).
+    /// explicit [`budget`](HistogramRequest::budget) is set).
     pub fn scale(mut self, scale: f64) -> Self {
         self.scale = scale;
         self
     }
 
-    /// Uses an explicit budget instead of deriving one from `(n, k, ε)`.
-    pub fn budget(mut self, budget: LearnerBudget) -> Self {
-        self.budget = Some(budget);
-        self
-    }
-}
-
-/// Request: test whether the distribution is a tiling `k`-histogram in
-/// `ℓ₂` (Theorem 3).
-#[derive(Debug, Clone)]
-pub struct TestL2 {
-    k: usize,
-    eps: f64,
-    scale: f64,
-    budget: Option<L2TesterBudget>,
-}
-
-impl TestL2 {
-    /// Starts an `ℓ₂` testing request for `k` pieces (`ε = 0.1`,
-    /// `scale = 1` by default).
-    pub fn k(k: usize) -> Self {
-        TestL2 {
-            k,
-            eps: 0.1,
-            scale: 1.0,
-            budget: None,
-        }
-    }
-
-    /// Sets the accuracy parameter `ε ∈ (0, 1)`.
-    pub fn eps(mut self, eps: f64) -> Self {
-        self.eps = eps;
-        self
-    }
-
-    /// Scales the derived budget by `scale ∈ (0, 1]`.
-    pub fn scale(mut self, scale: f64) -> Self {
-        self.scale = scale;
-        self
-    }
-
-    /// Uses an explicit budget instead of deriving one from `(n, ε)`.
-    pub fn budget(mut self, budget: L2TesterBudget) -> Self {
-        self.budget = Some(budget);
-        self
-    }
-}
-
-/// Request: test whether the distribution is a tiling `k`-histogram in
-/// `ℓ₁` (Theorem 4).
-#[derive(Debug, Clone)]
-pub struct TestL1 {
-    k: usize,
-    eps: f64,
-    scale: f64,
-    budget: Option<L1TesterBudget>,
-}
-
-impl TestL1 {
-    /// Starts an `ℓ₁` testing request for `k` pieces (`ε = 0.1`,
-    /// `scale = 1` by default).
-    pub fn k(k: usize) -> Self {
-        TestL1 {
-            k,
-            eps: 0.1,
-            scale: 1.0,
-            budget: None,
-        }
-    }
-
-    /// Sets the accuracy parameter `ε ∈ (0, 1)`.
-    pub fn eps(mut self, eps: f64) -> Self {
-        self.eps = eps;
-        self
-    }
-
-    /// Scales the derived budget by `scale ∈ (0, 1]`.
-    pub fn scale(mut self, scale: f64) -> Self {
-        self.scale = scale;
-        self
-    }
-
-    /// Uses an explicit budget instead of deriving one from `(n, k, ε)`.
-    pub fn budget(mut self, budget: L1TesterBudget) -> Self {
+    /// Uses an explicit budget instead of deriving one from `(n, k, ε)`
+    /// (`(n, ε)` for [`TestL2`]).
+    pub fn budget(mut self, budget: B) -> Self {
         self.budget = Some(budget);
         self
     }
@@ -629,6 +566,51 @@ impl PartialEq for Report {
 }
 
 impl Report {
+    /// A report of `analysis` over `[0, n)` with its budget and seed and
+    /// no result yet: every report starts here, and the analysis that
+    /// produced it fills in its result fields.
+    pub(crate) fn new(analysis: AnalysisKind, n: usize, budget: BudgetSpec, seed: u64) -> Report {
+        Report {
+            analysis,
+            n,
+            verdict: None,
+            histogram: None,
+            statistic: None,
+            threshold: None,
+            cuts: Vec::new(),
+            probes: None,
+            samples_spent: 0,
+            budget,
+            seed,
+            wall_seconds: 0.0,
+        }
+    }
+
+    /// Records the verdict of a single-statistic test (uniformity,
+    /// identity, closeness, monotonicity, drift): its outcome, the
+    /// statistic and threshold it compared, and the samples it read.
+    pub(crate) fn decide(
+        &mut self,
+        outcome: TestOutcome,
+        statistic: f64,
+        threshold: f64,
+        samples: usize,
+    ) {
+        self.verdict = Some(outcome);
+        self.statistic = Some(statistic);
+        self.threshold = Some(threshold);
+        self.samples_spent = samples;
+    }
+
+    /// Records the verdict of a partition-search tester (the `ℓ₂`/`ℓ₁`
+    /// histogram tests): its outcome, cuts, probes and samples read.
+    fn decide_by_search(&mut self, search: TestReport) {
+        self.verdict = Some(search.outcome);
+        self.cuts = search.cuts;
+        self.probes = Some(search.probes);
+        self.samples_spent = search.samples_used;
+    }
+
     /// `true` when the verdict is accept (testers) — `false` for reports
     /// without a verdict.
     pub fn accepted(&self) -> bool {
@@ -1204,28 +1186,15 @@ fn execute(
             reason: "shared plan has no main set (engine bug)".into(),
         })
     };
-    let mut report = Report {
-        analysis: item.analysis.kind(),
-        n,
-        verdict: None,
-        histogram: None,
-        statistic: None,
-        threshold: None,
-        cuts: Vec::new(),
-        probes: None,
-        samples_spent: 0,
-        budget: item.budget.clone(),
-        seed,
-        wall_seconds: 0.0,
-    };
+    // lint:allow(checked-indexing): the plan drew budget.plan().r sets for this analysis
+    let view = &sets[..item.budget.plan().r];
+    let mut report = Report::new(item.analysis.kind(), n, item.budget.clone(), seed);
     match &item.analysis {
         Analysis::Learn(req) => {
             let BudgetSpec::Learner(budget) = item.budget else {
                 // lint:allow(no-panic): resolve() pairs Learn with a learner budget one match arm up
                 unreachable!("learn resolves to a learner budget");
             };
-            // lint:allow(checked-indexing): the plan drew budget.plan().r sets for this analysis
-            let view = &sets[..item.budget.plan().r];
             let params = GreedyParams::fast(req.k, req.eps, budget);
             let outcome = learn_from_samples(n, main_view()?, view, &params)?;
             let summary = compress_to_k(&outcome.tiling, req.k)?;
@@ -1233,38 +1202,18 @@ fn execute(
             report.samples_spent = outcome.stats.samples_used;
         }
         Analysis::TestL2(req) => {
-            // lint:allow(checked-indexing): the plan drew budget.plan().r sets for this analysis
-            let view = &sets[..item.budget.plan().r];
-            let tr = test_l2_from_sets(n, req.k, req.eps, view)?;
-            report.verdict = Some(tr.outcome);
-            report.cuts = tr.cuts;
-            report.probes = Some(tr.probes);
-            report.samples_spent = tr.samples_used;
+            report.decide_by_search(test_l2_from_sets(n, req.k, req.eps, view)?)
         }
         Analysis::TestL1(req) => {
-            // lint:allow(checked-indexing): the plan drew budget.plan().r sets for this analysis
-            let view = &sets[..item.budget.plan().r];
-            let tr = test_l1_from_sets(n, req.k, req.eps, view)?;
-            report.verdict = Some(tr.outcome);
-            report.cuts = tr.cuts;
-            report.probes = Some(tr.probes);
-            report.samples_spent = tr.samples_used;
+            report.decide_by_search(test_l1_from_sets(n, req.k, req.eps, view)?)
         }
         Analysis::Uniformity(req) => {
-            let set = main_view()?;
-            let ur = test_uniformity_from_set(n, req.eps, set)?;
-            report.verdict = Some(ur.outcome);
-            report.statistic = Some(ur.statistic);
-            report.threshold = Some(ur.threshold);
-            report.samples_spent = ur.samples_used;
+            let ur = test_uniformity_from_set(n, req.eps, main_view()?)?;
+            report.decide(ur.outcome, ur.statistic, ur.threshold, ur.samples_used);
         }
         Analysis::IdentityL2(req) => {
-            let set = main_view()?;
-            let cr = test_identity_l2_from_set(set, &req.q, n, req.eps)?;
-            report.verdict = Some(cr.outcome);
-            report.statistic = Some(cr.statistic);
-            report.threshold = Some(cr.threshold);
-            report.samples_spent = cr.samples_used;
+            let cr = test_identity_l2_from_set(main_view()?, &req.q, n, req.eps)?;
+            report.decide(cr.outcome, cr.statistic, cr.threshold, cr.samples_used);
         }
         Analysis::ClosenessL2(req) => {
             let set_p = main_view()?;
@@ -1283,21 +1232,17 @@ fn execute(
             let mut q_oracle = DenseOracle::new(&req.q, q_seed);
             let set_q = q_oracle.draw_set(set_p.total() as usize);
             let cr = test_closeness_l2_from_sets(set_p, &set_q, n, req.eps)?;
-            report.verdict = Some(cr.outcome);
-            report.statistic = Some(cr.statistic);
-            report.threshold = Some(cr.threshold);
-            report.samples_spent = cr.samples_used;
+            report.decide(cr.outcome, cr.statistic, cr.threshold, cr.samples_used);
         }
         Analysis::Monotone(req) => {
-            let set = main_view()?;
-            let mr = test_monotone_from_set(n, req.eps, set)?;
-            report.verdict = Some(mr.outcome);
-            report.statistic = Some(mr.isotonic_distance);
-            report.threshold = Some(mr.threshold);
-            report.samples_spent = mr.samples_used;
-            if mr.outcome == TestOutcome::Accept {
-                report.histogram = Some(monotone_fit(n, req.eps, set)?);
-            }
+            let mr = test_monotone_from_set(n, req.eps, main_view()?)?;
+            report.decide(
+                mr.outcome,
+                mr.isotonic_distance,
+                mr.threshold,
+                mr.samples_used,
+            );
+            report.histogram = mr.fit;
         }
     }
     Ok(report)

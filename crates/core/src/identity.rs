@@ -30,18 +30,9 @@
 //! a second angle.
 
 use khist_dist::{DenseDistribution, DistError, Interval};
-use khist_oracle::{absolute_collision_estimate, SampleSet};
+use khist_oracle::{absolute_collision_estimate, check_eps, SampleSet};
 
 use crate::tester::TestOutcome;
-
-fn check_eps(eps: f64) -> Result<(), DistError> {
-    if !(eps > 0.0 && eps < 1.0) {
-        return Err(DistError::BadParameter {
-            reason: format!("ε = {eps} must lie in (0, 1)"),
-        });
-    }
-    Ok(())
-}
 
 /// Unbiased estimate of `‖p − q‖₂²` from one sample set per distribution.
 ///

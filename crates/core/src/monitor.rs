@@ -611,23 +611,12 @@ impl Monitor {
         let n = self.domain_size();
         let (closeness, wall_seconds) =
             crate::api::timed(|| test_closeness_l2_from_sets(baseline, current, n, DRIFT_EPS));
-        let closeness = closeness?;
-        Ok(Report {
-            analysis: AnalysisKind::ClosenessL2,
-            n,
-            verdict: Some(closeness.outcome),
-            histogram: None,
-            statistic: Some(closeness.statistic),
-            threshold: Some(closeness.threshold),
-            cuts: Vec::new(),
-            probes: None,
-            samples_spent: closeness.samples_used,
-            budget: BudgetSpec::Fixed {
-                m: closeness.samples_used,
-            },
-            seed,
-            wall_seconds,
-        })
+        let cr = closeness?;
+        let budget = BudgetSpec::Fixed { m: cr.samples_used };
+        let mut report = Report::new(AnalysisKind::ClosenessL2, n, budget, seed);
+        report.decide(cr.outcome, cr.statistic, cr.threshold, cr.samples_used);
+        report.wall_seconds = wall_seconds;
+        Ok(report)
     }
 }
 

@@ -22,9 +22,13 @@
 //! classical substrate implemented from scratch and reusable on its own.
 
 use khist_dist::{DistError, Interval, TilingHistogram};
-use khist_oracle::SampleSet;
+use khist_oracle::{check_eps, SampleSet};
 
 use crate::tester::TestOutcome;
+
+/// The tester's budget, defined with every other budget in
+/// [`khist_oracle::budget`].
+pub use khist_oracle::monotonicity_budget;
 
 /// The Birgé partition of `[n]`: consecutive intervals with lengths
 /// `⌊(1+delta)ʲ⌋` (at least 1), `O(log(n)/delta)` buckets total.
@@ -108,32 +112,9 @@ pub struct MonotonicityReport {
     pub buckets: usize,
     /// Samples consumed.
     pub samples_used: usize,
-}
-
-/// Sample budget for the monotonicity tester: bucket-mass estimation needs
-/// `O(B/ε²)` samples for `B` buckets (union bound over buckets).
-///
-/// Checked like the other budgets: out-of-range `ε`/`scale` or a sample
-/// count exceeding `usize` is an error, not a saturated count.
-pub fn monotonicity_budget(n: usize, eps: f64, scale: f64) -> Result<usize, DistError> {
-    if !(eps > 0.0 && eps < 1.0) {
-        return Err(DistError::BadParameter {
-            reason: format!("ε = {eps} must lie in (0, 1)"),
-        });
-    }
-    if !(scale > 0.0 && scale <= 1.0) {
-        return Err(DistError::BadParameter {
-            reason: format!("scale = {scale} must lie in (0, 1]"),
-        });
-    }
-    let buckets = (((n as f64).ln() / (eps / 2.0)).ceil()).max(1.0);
-    let exact = 16.0 * buckets / (eps * eps) * scale;
-    if !exact.is_finite() || exact >= usize::MAX as f64 {
-        return Err(DistError::BadParameter {
-            reason: format!("budget overflow: m = {exact:.3e} exceeds usize"),
-        });
-    }
-    Ok((exact.ceil() as usize).max(64))
+    /// On accept, the monotone histogram the test fitted: the Birgé
+    /// flattening's isotonic projection, renormalized (a learned summary).
+    pub fit: Option<TilingHistogram>,
 }
 
 /// Tests whether the sampled distribution is non-increasing (vs `ε`-far in
@@ -145,11 +126,7 @@ pub fn test_monotone_from_set(
     eps: f64,
     set: &SampleSet,
 ) -> Result<MonotonicityReport, DistError> {
-    if !(eps > 0.0 && eps < 1.0) {
-        return Err(DistError::BadParameter {
-            reason: format!("ε = {eps} must lie in (0, 1)"),
-        });
-    }
+    check_eps(eps)?;
     if set.is_empty() {
         return Err(DistError::BadParameter {
             reason: "need at least one sample".into(),
@@ -177,8 +154,15 @@ pub fn test_monotone_from_set(
         .map(|((d, f), len)| (d - f).abs() * len)
         .sum();
     let threshold = eps / 2.0;
+    let accepted = isotonic_distance <= threshold;
+    let fit = if accepted {
+        let pieces: Vec<(Interval, f64)> = partition.into_iter().zip(fit).collect();
+        Some(TilingHistogram::from_pieces(&pieces, n)?.normalized()?)
+    } else {
+        None
+    };
     Ok(MonotonicityReport {
-        outcome: if isotonic_distance <= threshold {
+        outcome: if accepted {
             TestOutcome::Accept
         } else {
             TestOutcome::Reject
@@ -187,23 +171,8 @@ pub fn test_monotone_from_set(
         threshold,
         buckets,
         samples_used: set.total() as usize,
+        fit,
     })
-}
-
-/// The monotone histogram the tester implicitly fits: Birgé-flattened,
-/// isotonic-projected, renormalized. Useful as a learned summary when the
-/// test accepts.
-pub fn monotone_fit(n: usize, eps: f64, set: &SampleSet) -> Result<TilingHistogram, DistError> {
-    let partition = birge_partition(n, eps / 2.0)?;
-    let densities: Vec<f64> = partition
-        .iter()
-        .map(|iv| set.empirical_mass(*iv) / iv.len() as f64)
-        .collect();
-    let lengths: Vec<f64> = partition.iter().map(|iv| iv.len() as f64).collect();
-    let fit = pav_non_increasing(&densities, &lengths);
-    let pieces: Vec<(Interval, f64)> = partition.into_iter().zip(fit).collect();
-    let raw = TilingHistogram::from_pieces(&pieces, n)?;
-    raw.normalized()
 }
 
 #[cfg(test)]
@@ -348,7 +317,8 @@ mod tests {
         let p = generators::zipf(256, 1.3).unwrap();
         let mut rng = StdRng::seed_from_u64(4);
         let set = SampleSet::draw(&p, 50_000, &mut rng);
-        let fit = monotone_fit(256, 0.2, &set).unwrap();
+        let report = test_monotone_from_set(256, 0.2, &set).unwrap();
+        let fit = report.fit.expect("an accepted test carries its fit");
         assert!(fit.is_distribution(1e-9));
         let v = fit.to_vec();
         for pair in v.windows(2) {

@@ -17,7 +17,7 @@
 //!   `Õ(ε⁻⁵ √(kn))`.
 
 use khist_dist::DistError;
-use khist_oracle::SampleSet;
+use khist_oracle::{check_eps, SampleSet};
 
 use crate::flatness::{L1Flatness, L2Flatness};
 use crate::partition_search::partition_search;
@@ -127,12 +127,7 @@ fn validate(n: usize, k: usize, eps: f64, sets: &[SampleSet]) -> Result<(), Dist
             reason: "k must be ≥ 1".into(),
         });
     }
-    // lint:allow(float-cmp): exact-zero rejection of a degenerate parameter
-    if !(0.0..1.0).contains(&eps) || eps == 0.0 {
-        return Err(DistError::BadParameter {
-            reason: format!("ε = {eps} must lie in (0, 1)"),
-        });
-    }
+    check_eps(eps)?;
     // Every decision fraction is normalized by its own set's count, so the
     // sets need not be equal-sized — but an empty set carries no evidence
     // and almost surely signals a broken split upstream.

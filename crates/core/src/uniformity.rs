@@ -17,50 +17,13 @@
 //! `E[ẑ] = ‖p‖₂² = 1/n + ‖p − u‖₂²` past the threshold.
 
 use khist_dist::{DistError, Interval};
-use khist_oracle::{absolute_collision_estimate, SampleSet};
+use khist_oracle::{absolute_collision_estimate, check_eps, SampleSet};
 
 use crate::tester::TestOutcome;
 
-/// Budget for the standalone uniformity tester. Reports carry it as
-/// [`BudgetSpec::Fixed`](crate::api::BudgetSpec::Fixed).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UniformityBudget {
-    /// Number of samples drawn.
-    pub m: usize,
-}
-
-impl UniformityBudget {
-    /// The `Õ(√n/ε⁴)` budget from the Goldreich–Ron analysis (constant
-    /// from [BFR+10]'s presentation), scaled by `scale` like the other
-    /// calibrated budgets. Fails on out-of-range parameters or a sample
-    /// count exceeding `usize` (checked like the `khist-oracle` budgets).
-    pub fn calibrated(n: usize, eps: f64, scale: f64) -> Result<Self, DistError> {
-        let bad = |reason: String| DistError::BadParameter { reason };
-        if n < 2 {
-            return Err(bad(format!("domain size {n} too small to test")));
-        }
-        if !(eps > 0.0 && eps < 1.0) {
-            return Err(bad(format!("ε = {eps} must lie in (0, 1)")));
-        }
-        if !(scale > 0.0 && scale <= 1.0) {
-            return Err(bad(format!("scale = {scale} must lie in (0, 1]")));
-        }
-        let exact = 16.0 * (n as f64).sqrt() / eps.powi(4) * scale;
-        if !exact.is_finite() || exact >= usize::MAX as f64 {
-            return Err(bad(format!(
-                "budget overflow: m = {exact:.3e} exceeds usize"
-            )));
-        }
-        Ok(UniformityBudget {
-            m: (exact.ceil() as usize).max(16),
-        })
-    }
-
-    /// The unscaled theoretical budget.
-    pub fn theoretical(n: usize, eps: f64) -> Result<Self, DistError> {
-        Self::calibrated(n, eps, 1.0)
-    }
-}
+/// The tester's budget, defined with every other budget in
+/// [`khist_oracle::budget`].
+pub use khist_oracle::UniformityBudget;
 
 /// Report of a uniformity test.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -86,11 +49,7 @@ pub fn test_uniformity_from_set(
     if n == 0 {
         return Err(DistError::EmptyDomain);
     }
-    if !(eps > 0.0 && eps < 1.0) {
-        return Err(DistError::BadParameter {
-            reason: format!("ε = {eps} must lie in (0, 1)"),
-        });
-    }
+    check_eps(eps)?;
     if set.total() < 2 {
         return Err(DistError::BadParameter {
             reason: "need at least two samples".into(),

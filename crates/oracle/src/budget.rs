@@ -10,6 +10,14 @@
 //! | `m`    | `24/ξ²` per set                     | `64·ln n · ε⁻⁴` per set    | `2¹³·√(kn)·ε⁻⁵` per set          |
 //! | `q`    | `k·ln(1/ε)` greedy iterations       | —                         | —                                |
 //!
+//! The companion testers each draw one set of `m` samples (the identity
+//! and closeness tests default to the uniformity budget):
+//!
+//! | budget                  | test                  | `m`                                     | floor |
+//! |-------------------------|-----------------------|-----------------------------------------|-------|
+//! | [`UniformityBudget`]    | collision uniformity  | `16·√n·ε⁻⁴`                             | 16    |
+//! | [`monotonicity_budget`] | Birgé + PAV monotone  | `16·B·ε⁻²`, `B = ⌈ln n / (ε/2)⌉` buckets | 64    |
+//!
 //! These constants guarantee the stated 2/3 success probability but are far
 //! too conservative to execute at experiment scale (`m` reaches 10⁸ for
 //! modest `n`). Each budget therefore exposes
@@ -17,7 +25,8 @@
 //! * `theoretical(…)` — the formulas verbatim, and
 //! * `calibrated(…, scale)` — identical functional form with the sample
 //!   counts multiplied by `scale` (floored at small minima, `r` kept odd so
-//!   medians are unambiguous).
+//!   medians are unambiguous); [`monotonicity_budget`] takes `scale` as
+//!   its last argument.
 //!
 //! Scaling experiments hold `scale` fixed while sweeping `n`, `k`, `ε`, so
 //! measured growth exponents reflect the formulas' `ln n`, `√(kn)`, `ε⁻ᶜ`
@@ -26,7 +35,8 @@
 //! All constructors and `total_samples` use checked arithmetic: extreme
 //! `n`/`k`/`ε` (think `ε = 1e-300`, where `ε⁻⁵` dwarfs `usize::MAX`)
 //! yield a [`DistError::BadParameter`] instead of a silently saturated or
-//! wrapped count. Each budget serializes with a `kind` tag (its `KIND`
+//! wrapped count, and every `ε` goes through [`check_eps`]. Each of the
+//! three algorithm budgets serializes with a `kind` tag (its `KIND`
 //! constant), so a serialized budget cannot deserialize as another shape.
 
 use khist_dist::DistError;
@@ -72,17 +82,25 @@ fn odd_at_least(exact: f64, min: usize, what: &str) -> Result<usize, DistError> 
     Ok(if v.is_multiple_of(2) { v + 1 } else { v })
 }
 
+/// Rejects an accuracy parameter outside `(0, 1)`. Every budget and every
+/// analysis kernel of the workspace checks `ε` through this one function,
+/// so they share one rule and one message.
+pub fn check_eps(eps: f64) -> Result<(), DistError> {
+    if !(eps > 0.0 && eps < 1.0) {
+        return Err(DistError::BadParameter {
+            reason: format!("ε = {eps} must lie in (0, 1)"),
+        });
+    }
+    Ok(())
+}
+
 fn check_common(n: usize, min_n: usize, eps: f64, scale: f64) -> Result<(), DistError> {
     if n < min_n {
         return Err(DistError::BadParameter {
             reason: format!("domain size {n} below minimum {min_n}"),
         });
     }
-    if !(eps > 0.0 && eps < 1.0) {
-        return Err(DistError::BadParameter {
-            reason: format!("ε = {eps} must lie in (0, 1)"),
-        });
-    }
+    check_eps(eps)?;
     if !(scale > 0.0 && scale <= 1.0) {
         return Err(DistError::BadParameter {
             reason: format!("scale = {scale} must lie in (0, 1]"),
@@ -308,6 +326,54 @@ impl Deserialize for L1TesterBudget {
     }
 }
 
+/// Budget for the standalone collision uniformity tester (the `k = 1`
+/// base case of the paper's testers). Reports carry it as khist-core's
+/// `BudgetSpec::Fixed`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct UniformityBudget {
+    /// Number of samples drawn.
+    pub m: usize,
+}
+
+impl UniformityBudget {
+    /// The `Õ(√n/ε⁴)` budget from the Goldreich–Ron analysis (constant
+    /// from [BFR+10]'s presentation), scaled by `scale` like the other
+    /// calibrated budgets and floored at 16 samples. Fails when `n < 2`,
+    /// on out-of-range parameters, or when the count exceeds `usize`.
+    pub fn calibrated(n: usize, eps: f64, scale: f64) -> Result<Self, DistError> {
+        if n < 2 {
+            return Err(DistError::BadParameter {
+                reason: format!("domain size {n} too small to test"),
+            });
+        }
+        // The domain floor is checked above, with this budget's own message.
+        check_common(n, 0, eps, scale)?;
+        let exact = 16.0 * (n as f64).sqrt() / eps.powi(4) * scale;
+        Ok(UniformityBudget {
+            m: count_from(exact, "m")?.max(16),
+        })
+    }
+
+    /// The unscaled theoretical budget.
+    pub fn theoretical(n: usize, eps: f64) -> Result<Self, DistError> {
+        Self::calibrated(n, eps, 1.0)
+    }
+}
+
+/// Sample budget for the Birgé-bucketing monotonicity tester:
+/// bucket-mass estimation needs `O(B/ε²)` samples for its
+/// `B = ⌈ln n / (ε/2)⌉` buckets (union bound over buckets), scaled by
+/// `scale` and floored at 64 samples.
+///
+/// Checked like the other budgets: out-of-range `ε`/`scale` or a sample
+/// count exceeding `usize` is an error, not a saturated count. Any `n` is
+/// accepted (`n ≤ 1` counts as one bucket).
+pub fn monotonicity_budget(n: usize, eps: f64, scale: f64) -> Result<usize, DistError> {
+    check_common(n, 0, eps, scale)?;
+    let buckets = (((n as f64).ln() / (eps / 2.0)).ceil()).max(1.0);
+    Ok(count_from(16.0 * buckets / (eps * eps) * scale, "m")?.max(64))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -522,5 +588,87 @@ mod tests {
             L1TesterBudget::deserialize(&untagged).unwrap(),
             L1TesterBudget { r: 5, m: 100 }
         );
+    }
+
+    #[test]
+    fn uniformity_and_monotonicity_budgets_are_pinned() {
+        // (n, ε, scale) → (UniformityBudget m, monotonicity_budget): the
+        // values both budgets returned in khist-core before they moved
+        // here. The last row lands on both floors (16 and 64).
+        let pinned = [
+            (2, 0.1, 1.0, 226_275, 22_400),
+            (2, 0.1, 0.01, 2_263, 224),
+            (2, 0.3, 1.0, 2_794, 889),
+            (2, 0.3, 0.01, 28, 64),
+            (64, 0.1, 1.0, 1_280_000, 134_400),
+            (64, 0.1, 0.01, 12_800, 1_344),
+            (64, 0.3, 1.0, 15_803, 4_978),
+            (64, 0.3, 0.01, 159, 64),
+            (1024, 0.1, 1.0, 5_120_000, 222_400),
+            (1024, 0.1, 0.01, 51_200, 2_224),
+            (1024, 0.3, 1.0, 63_210, 8_356),
+            (1024, 0.3, 0.01, 633, 84),
+            (2, 0.9, 0.01, 16, 64),
+        ];
+        for (n, eps, scale, uniformity, monotone) in pinned {
+            let case = format!("n = {n}, ε = {eps}, scale = {scale}");
+            let b = UniformityBudget::calibrated(n, eps, scale).unwrap();
+            assert_eq!(b.m, uniformity, "{case}");
+            assert_eq!(
+                monotonicity_budget(n, eps, scale).unwrap(),
+                monotone,
+                "{case}"
+            );
+        }
+        // The monotonicity budget has no domain floor.
+        assert_eq!(monotonicity_budget(1, 0.3, 1.0).unwrap(), 178);
+        assert_eq!(monotonicity_budget(1, 0.9, 0.01).unwrap(), 64);
+    }
+
+    #[test]
+    fn uniformity_and_monotonicity_budget_errors_are_pinned() {
+        let uniformity = |n, eps, scale| {
+            UniformityBudget::calibrated(n, eps, scale)
+                .unwrap_err()
+                .to_string()
+        };
+        let monotone = |n, eps, scale| monotonicity_budget(n, eps, scale).unwrap_err().to_string();
+        assert_eq!(
+            uniformity(1, 0.3, 1.0),
+            "bad parameter: domain size 1 too small to test"
+        );
+        for (eps, scale, message) in [
+            (0.0, 1.0, "bad parameter: ε = 0 must lie in (0, 1)"),
+            (1.0, 1.0, "bad parameter: ε = 1 must lie in (0, 1)"),
+            (0.3, 0.0, "bad parameter: scale = 0 must lie in (0, 1]"),
+            (0.3, 1.5, "bad parameter: scale = 1.5 must lie in (0, 1]"),
+            (
+                1e-300,
+                1.0,
+                "bad parameter: budget overflow: m = inf exceeds usize",
+            ),
+        ] {
+            assert_eq!(uniformity(64, eps, scale), message);
+            assert_eq!(monotone(64, eps, scale), message);
+        }
+        assert_eq!(
+            uniformity(1024, 1e-5, 1.0),
+            "bad parameter: budget overflow: m = 5.120e22 exceeds usize"
+        );
+        assert_eq!(
+            monotone(1024, 1e-8, 1.0),
+            "bad parameter: budget overflow: m = 2.218e26 exceeds usize"
+        );
+    }
+
+    #[test]
+    fn check_eps_accepts_only_the_open_unit_interval() {
+        for eps in [1e-300, 0.5, 0.999] {
+            assert!(check_eps(eps).is_ok(), "{eps}");
+        }
+        for eps in [0.0, -0.1, 1.0, f64::NAN, f64::INFINITY] {
+            let err = check_eps(eps).unwrap_err().to_string();
+            assert_eq!(err, format!("bad parameter: ε = {eps} must lie in (0, 1)"));
+        }
     }
 }

@@ -23,9 +23,11 @@
 //!   (`coll(S_I)/C(|S|,2)` → `Σ_{i∈I} p_i²`, Lemma 1) and *conditional*
 //!   (`coll(S_I)/C(|S_I|,2)` → `‖p_I‖₂²`, Goldreich–Ron Eq. (1)–(2)), plus
 //!   median-of-`r` boosting;
-//! * [`budget`] — the paper's sample-size formulas (`theoretical`) and
-//!   scaled-down `calibrated` profiles that keep the functional form in
-//!   `n`, `k`, `ε` (checked arithmetic, serde round-trip);
+//! * [`budget`] — every analysis's sample-size formula: the paper's
+//!   (`theoretical`) and scaled-down `calibrated` profiles that keep the
+//!   functional form in `n`, `k`, `ε` (checked arithmetic, serde
+//!   round-trip), the uniformity and monotonicity budgets, and the one
+//!   `ε` check ([`check_eps`]);
 //! * [`empirical`] — empirical distributions built from sample sets.
 
 #![forbid(unsafe_code)]
@@ -39,7 +41,9 @@ pub mod reservoir;
 pub mod sample_set;
 pub mod sink;
 
-pub use budget::{L1TesterBudget, L2TesterBudget, LearnerBudget};
+pub use budget::{
+    check_eps, monotonicity_budget, L1TesterBudget, L2TesterBudget, LearnerBudget, UniformityBudget,
+};
 pub use collision::{absolute_collision_estimate, conditional_collision_estimate, MedianBooster};
 pub use empirical::empirical_distribution;
 pub use oracle::{

@@ -19,7 +19,11 @@
 //! outside the declared domain) poisons **only its own connection**: the
 //! producer gets one `ERR line <n>: …` reply and the connection closes;
 //! every other connection's streams are untouched. A mid-stream
-//! disconnect keeps everything the connection already delivered.
+//! disconnect keeps everything the connection already delivered. A
+//! window whose analysis fails at a drain (a reservoir lane left empty,
+//! say) becomes one `{"error":…}` line on the feed, at every drain
+//! including the one after end of input or `SHUTDOWN`; serving and the
+//! tail flush go on.
 //!
 //! # Backpressure
 //!

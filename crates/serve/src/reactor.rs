@@ -47,7 +47,7 @@ use crate::conn::{Conn, ReadStatus, Role};
 use crate::protocol::{self, ControlRequest, DataLine, Pending};
 
 /// Everything `run` needs beyond the engine itself.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServerConfig {
     /// Data-plane Unix socket path (`None` = no socket listener).
     pub socket: Option<PathBuf>,
@@ -292,6 +292,31 @@ fn read_conn(
             let buf = conn.take_tail();
             process_lines(conn, &buf, cfg, n, engine, pending, shutdown);
         }
+    }
+}
+
+/// Drains the pending records into the engine and emits what it returns:
+/// one line per window report, then (when there were any) a fleet line
+/// for subscribers. A failed drain becomes one `{"error":…}` feed line
+/// and serving goes on, at the end of input as in the loop.
+fn drain<W: Write>(
+    pending: &mut Pending,
+    engine: &mut Engine,
+    out: &mut W,
+    out_ok: &mut bool,
+    conns: &mut [Conn],
+    sub_cap: usize,
+    windows: &mut u64,
+) -> Result<(), String> {
+    match pending.drain_into(engine) {
+        Ok(reports) => {
+            emit_reports(&reports, out, out_ok, conns, sub_cap, windows)?;
+            if !reports.is_empty() {
+                emit_fleet_line(engine, conns, sub_cap);
+            }
+            Ok(())
+        }
+        Err(msg) => emit_line(&error_line(&msg), out, out_ok, conns, sub_cap),
     }
 }
 
@@ -558,22 +583,15 @@ pub fn run<W: Write>(
             || due
             || (shutdown && !pending.is_empty())
         {
-            match pending.drain_into(&mut engine) {
-                Ok(reports) => {
-                    emit_reports(
-                        &reports,
-                        out,
-                        &mut out_ok,
-                        &mut conns,
-                        sub_cap,
-                        &mut windows,
-                    )?;
-                    if !reports.is_empty() {
-                        emit_fleet_line(&engine, &mut conns, sub_cap);
-                    }
-                }
-                Err(msg) => emit_line(&error_line(&msg), out, &mut out_ok, &mut conns, sub_cap)?,
-            }
+            drain(
+                &mut pending,
+                &mut engine,
+                out,
+                &mut out_ok,
+                &mut conns,
+                sub_cap,
+                &mut windows,
+            )?;
             last_drain = clock();
         }
         if !out_ok {
@@ -598,18 +616,15 @@ pub fn run<W: Write>(
         );
     }
     if !pending.is_empty() {
-        let reports = pending.drain_into(&mut engine)?;
-        emit_reports(
-            &reports,
+        drain(
+            &mut pending,
+            &mut engine,
             out,
             &mut out_ok,
             &mut conns,
             sub_cap,
             &mut windows,
         )?;
-        if !reports.is_empty() {
-            emit_fleet_line(&engine, &mut conns, sub_cap);
-        }
     }
     let tails = engine
         .flush_debut_ordered()

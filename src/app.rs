@@ -32,6 +32,7 @@ use khist_oracle::{
     RecordFileOracle, SampleOracle, SampleSet, Window,
 };
 use khist_serve::protocol::{parse_data_line, DataLine, Pending};
+use khist_serve::ServerConfig;
 use serde::{Serialize, Value};
 
 /// The analysis names `--run` accepts, listed verbatim in error messages.
@@ -65,8 +66,8 @@ pub struct Options {
     /// Which analyses to run (`--run learn,l2,uniformity`).
     pub runs: Vec<String>,
     /// Which of the two whitespace-separated fields per line is the
-    /// stream key (`--key-field`; `None` = un-keyed single-stream input,
-    /// and `serve` defaults it to 0).
+    /// stream key (`--key-field`; `None` = un-keyed single-stream input;
+    /// `serve` copies it into `serve.key_field`, 0 when unset).
     pub key_field: Option<usize>,
     /// Worker shards stream keys are hashed onto (`--shards`; `1` =
     /// unsharded).
@@ -75,25 +76,10 @@ pub struct Options {
     /// one after every chunk that reported a window, plus a final rollup
     /// after the tails (`--fleet`; keyed `watch` only).
     pub fleet: bool,
-    /// `serve`'s data-plane Unix socket path (`--socket`).
-    pub socket: Option<String>,
-    /// `serve`'s control-plane Unix socket path, for
-    /// `STATS`/`SUB`/`SHUTDOWN` (`--control`).
-    pub control: Option<String>,
-    /// `serve` reads stdin as a data source (`--stdin`; implied when no
-    /// `--socket` is given).
-    pub stdin: bool,
-    /// `serve` drains into the engine at this many accumulated records
-    /// (`--batch`) …
-    pub batch: usize,
-    /// … or after this many milliseconds, whichever first (`--flush-ms`).
-    pub flush_ms: u64,
-    /// `serve`'s per-connection unframed-input budget in bytes
-    /// (`--conn-buffer`).
-    pub conn_buffer: usize,
-    /// `serve`'s global parsed-but-uningested budget in bytes
-    /// (`--budget`).
-    pub budget: usize,
+    /// `serve`'s reactor settings: `--socket`, `--control`, `--stdin`
+    /// (implied when no `--socket` is given), `--batch`, `--flush-ms`,
+    /// `--conn-buffer` and `--budget`, plus the key field.
+    pub serve: ServerConfig,
 }
 
 impl Default for Options {
@@ -112,13 +98,10 @@ impl Default for Options {
             key_field: None,
             shards: 1,
             fleet: false,
-            socket: None,
-            control: None,
-            stdin: false,
-            batch: 4096,
-            flush_ms: 50,
-            conn_buffer: 64 * 1024,
-            budget: 4 * 1024 * 1024,
+            serve: ServerConfig {
+                stdin: false,
+                ..ServerConfig::default()
+            },
         }
     }
 }
@@ -154,13 +137,17 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
     let mut path: Option<String> = None;
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--socket" => o.socket = Some(it.next().ok_or("--socket requires a path")?.clone()),
-            "--control" => o.control = Some(it.next().ok_or("--control requires a path")?.clone()),
-            "--stdin" => o.stdin = true,
-            "--batch" => o.batch = next_positive(&mut it, "--batch", "")?,
-            "--flush-ms" => o.flush_ms = next_parsed(&mut it, "--flush-ms")?,
-            "--conn-buffer" => o.conn_buffer = next_positive(&mut it, "--conn-buffer", "")?,
-            "--budget" => o.budget = next_positive(&mut it, "--budget", "")?,
+            "--socket" => {
+                o.serve.socket = Some(it.next().ok_or("--socket requires a path")?.into())
+            }
+            "--control" => {
+                o.serve.control = Some(it.next().ok_or("--control requires a path")?.into())
+            }
+            "--stdin" => o.serve.stdin = true,
+            "--batch" => o.serve.batch_records = next_positive(&mut it, "--batch", "")?,
+            "--flush-ms" => o.serve.flush_ms = next_parsed(&mut it, "--flush-ms")?,
+            "--conn-buffer" => o.serve.conn_buffer = next_positive(&mut it, "--conn-buffer", "")?,
+            "--budget" => o.serve.global_budget = next_positive(&mut it, "--budget", "")?,
             "--k" => o.k = next_parsed(&mut it, "--k")?,
             "--eps" => o.eps = next_parsed(&mut it, "--eps")?,
             "--n" => o.n = next_parsed(&mut it, "--n")?,
@@ -249,8 +236,8 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             );
         }
         // No socket means stdin is the only possible source.
-        o.stdin |= o.socket.is_none();
-        o.key_field.get_or_insert(0);
+        o.serve.stdin |= o.serve.socket.is_none();
+        o.serve.key_field = o.key_field.unwrap_or(0);
     } else {
         o.path = path.ok_or("missing input path")?;
     }
@@ -911,18 +898,8 @@ pub fn dispatch(cmd: Command) -> Result<String, String> {
                 );
             }
             let engine = keyed_engine(&o)?;
-            let cfg = khist_serve::ServerConfig {
-                socket: o.socket.map(std::path::PathBuf::from),
-                control: o.control.map(std::path::PathBuf::from),
-                stdin: o.stdin,
-                key_field: o.key_field.unwrap_or(0),
-                batch_records: o.batch,
-                flush_ms: o.flush_ms,
-                conn_buffer: o.conn_buffer,
-                global_budget: o.budget,
-            };
             let stdout = std::io::stdout();
-            let summary = khist_serve::run(engine, cfg, &mut stdout.lock())?;
+            let summary = khist_serve::run(engine, o.serve, &mut stdout.lock())?;
             // Stdout is the JSONL window feed; the human summary goes to
             // stderr so the feed stays machine-parseable.
             eprintln!(
@@ -948,6 +925,7 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
     use std::io::Write;
+    use std::path::Path;
 
     fn strings(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
@@ -1043,8 +1021,9 @@ mod tests {
         let cmd = parse_args(&strings(&["serve", "--n", "64"])).unwrap();
         match cmd {
             Command::Serve(o) => {
-                assert!(o.stdin && o.socket.is_none() && o.control.is_none());
-                assert_eq!((o.key_field, o.batch, o.flush_ms), (Some(0), 4096, 50));
+                let s = &o.serve;
+                assert!(s.stdin && s.socket.is_none() && s.control.is_none());
+                assert_eq!((s.key_field, s.batch_records, s.flush_ms), (0, 4096, 50));
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -1073,19 +1052,20 @@ mod tests {
         .unwrap();
         match cmd {
             Command::Serve(o) => {
-                assert!(!o.stdin);
-                assert_eq!(o.socket.as_deref(), Some("/tmp/k.sock"));
-                assert_eq!(o.control.as_deref(), Some("/tmp/c.sock"));
+                let s = &o.serve;
+                assert!(!s.stdin);
+                assert_eq!(s.socket.as_deref(), Some(Path::new("/tmp/k.sock")));
+                assert_eq!(s.control.as_deref(), Some(Path::new("/tmp/c.sock")));
                 assert_eq!(
                     (
-                        o.key_field,
+                        s.key_field,
                         o.shards,
-                        o.batch,
-                        o.flush_ms,
-                        o.conn_buffer,
-                        o.budget
+                        s.batch_records,
+                        s.flush_ms,
+                        s.conn_buffer,
+                        s.global_budget
                     ),
-                    (Some(1), 4, 512, 10, 1024, 8192)
+                    (1, 4, 512, 10, 1024, 8192)
                 );
             }
             other => panic!("unexpected {other:?}"),

@@ -96,17 +96,19 @@
 //!
 //! ## Budgets
 //!
-//! Every sample budget has checked `calibrated`/`theoretical`
-//! constructors. The three oracle budgets also have a checked
-//! `total_samples` and a serde round-trip; a report carries the uniformity
-//! budget as [`api::BudgetSpec::Fixed`]:
+//! Every sample budget lives in [`oracle::budget`] and is checked: out of
+//! range parameters and overflowing counts are errors. The three
+//! algorithm budgets have `calibrated`/`theoretical` constructors, a
+//! checked `total_samples` and a serde round-trip; a report carries the
+//! single-set budgets as [`api::BudgetSpec::Fixed`]:
 //!
 //! | budget | params | shape | feeds |
 //! |---|---|---|---|
 //! | [`oracle::LearnerBudget`] | `(n, k, ε)` | `ℓ = ln(12n²)/2ξ²`, `r = ln(6n²)`, `m = 24/ξ²` | [`api::Learn`] |
 //! | [`oracle::L2TesterBudget`] | `(n, ε)` | `r = 16·ln(6n²)`, `m = 64·ln n·ε⁻⁴` | [`api::TestL2`] |
 //! | [`oracle::L1TesterBudget`] | `(n, k, ε)` | `r = 16·ln(6n²)`, `m = 2¹³√(kn)·ε⁻⁵` | [`api::TestL1`] |
-//! | [`uniformity::UniformityBudget`] | `(n, ε)` | `m = 16√n·ε⁻⁴` | [`api::Uniformity`] (+ identity/closeness defaults) |
+//! | [`oracle::UniformityBudget`] | `(n, ε)` | `m = 16√n·ε⁻⁴` | [`api::Uniformity`] (+ identity/closeness defaults) |
+//! | [`oracle::monotonicity_budget`] | `(n, ε)` | `m = 16·B·ε⁻²`, `B = ⌈ln n/(ε/2)⌉` | [`api::Monotone`] |
 //!
 //! Extreme parameters (`ε = 1e-300`, `n = usize::MAX`) produce a
 //! [`dist::DistError`] instead of silently overflowing.

@@ -2,7 +2,7 @@
 //! sockets, concurrent producers, a live control plane, and the
 //! serve ≡ watch bit-identity contract.
 //!
-//! Two scenarios:
+//! Four scenarios:
 //!
 //! 1. **Throughput + identity** — two concurrent writers push 50 000
 //!    keyed records over one data socket (disjoint key sets, so each
@@ -21,6 +21,10 @@
 //!    the final poll is byte-identical to `khist watch --fleet`'s
 //!    closing rollup over the same records; stdout never carries a
 //!    fleet line.
+//! 4. **A failing window at end of input** — in stdin mode with input
+//!    under `--batch` and `--flush-ms`, the drain after EOF is the only
+//!    one; a window whose analysis fails there becomes an `{"error":…}`
+//!    line, as it does mid-stream, and the tails still flush.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::UnixStream;
@@ -475,4 +479,48 @@ fn bad_lines_and_disconnects_poison_only_their_own_connection() {
         "the record before the garbage survives"
     );
     assert_eq!(of("evil")[0].seen, 1);
+}
+
+#[test]
+fn a_window_failing_in_the_final_drain_is_an_error_line_not_an_exit() {
+    // Eight records of `a` complete one window whose eight records
+    // cannot fill every lane of the l2 tester, so its analysis fails;
+    // `b`'s one record is a partial tail. The flush deadline is out of
+    // reach, so the only drain is the one after EOF.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_khist"))
+        .args(["serve", "--stdin", "--n", "16", "--every", "8"])
+        .args([
+            "--run",
+            "l2,uniformity",
+            "--seed",
+            "0",
+            "--flush-ms",
+            "600000",
+        ])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn khist serve");
+    let input = "a 1\na 2\na 3\na 4\na 5\na 6\na 7\na 8\nb 3\n";
+    let mut stdin = child.stdin.take().unwrap();
+    stdin.write_all(input.as_bytes()).unwrap();
+    drop(stdin);
+    let output = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8(output.stderr).unwrap();
+    assert!(output.status.success(), "serve exited: {stderr}");
+    let stdout = String::from_utf8(output.stdout).unwrap();
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), 2, "{stdout}");
+    assert_eq!(
+        lines[0],
+        r#"{"error":"bad parameter: need non-empty sample sets"}"#
+    );
+    let tail = WindowReport::from_json(lines[1]).unwrap();
+    assert_eq!(tail.stream.as_deref(), Some("b"));
+    assert!(!tail.complete && tail.seen == 1, "{}", lines[1]);
+    assert_eq!(
+        stderr,
+        "served 9 records from 2 streams over 1 windows on 1 shard\n"
+    );
 }
