@@ -131,6 +131,63 @@ pub(crate) fn lane_shape(main: usize, r: usize, m: usize) -> (LaneKind, Vec<usiz
     }
 }
 
+/// Values a lane slot holds: a kept sample is a `u32`, so every record of
+/// a domain of at most `2³²` values fits one.
+const MAX_DOMAIN: u64 = 1 << 32;
+
+/// Bytes of one lane slot.
+const SLOT_BYTES: u128 = std::mem::size_of::<u32>() as u128;
+
+/// Rejects a domain of `n > 2³²` values, whose records do not fit a lane
+/// slot.
+pub(crate) fn check_domain(n: usize) -> Result<(), DistError> {
+    if n as u64 > MAX_DOMAIN {
+        return Err(DistError::BadParameter {
+            reason: format!(
+                "domain size {n} exceeds 2^32, the most values a four-byte sample slot holds"
+            ),
+        });
+    }
+    Ok(())
+}
+
+/// Bytes the lanes of `sizes` reserve (a zero-size lane keeps one slot).
+fn lane_bytes(sizes: &[usize]) -> u128 {
+    sizes.iter().map(|&m| m.max(1) as u128).sum::<u128>() * SLOT_BYTES
+}
+
+/// Rejects lanes of `sizes` whose bytes exceed `isize::MAX`, the most any
+/// allocation can hold.
+pub(crate) fn check_lane_bytes(sizes: &[usize]) -> Result<(), DistError> {
+    let bytes = lane_bytes(sizes);
+    if bytes > isize::MAX as u128 {
+        return Err(DistError::BadParameter {
+            reason: format!(
+                "sample lanes of {} slots need {bytes} bytes, more than the isize::MAX = {} \
+                 bytes an allocation can hold",
+                bytes / SLOT_BYTES,
+                isize::MAX
+            ),
+        });
+    }
+    Ok(())
+}
+
+/// Builds the error of lanes whose reservation the allocator refused.
+/// Kept out of line so the error formatting stays off the record-accepting
+/// hot path of [`crate::sink::WindowedSink`]'s `push`, which opens a pane's
+/// lanes on its first record.
+#[cold]
+fn lanes_refused(sizes: &[usize]) -> DistError {
+    DistError::BadParameter {
+        reason: format!(
+            "cannot reserve {} bytes for {} sample lanes; shrink the window or the sample budget",
+            lane_bytes(sizes),
+            sizes.len()
+        ),
+    }
+}
+
 /// Record→lane assignment of one [`Lanes`].
 #[derive(Debug, Clone)]
 enum LaneRouter {
@@ -162,8 +219,14 @@ pub(crate) struct Lanes {
 
 impl Lanes {
     /// Empty lanes of `sizes` (dealt as `kind`) on the streams of `seed`
-    /// starting at `first`.
-    pub(crate) fn new(seed: u64, first: u64, kind: LaneKind, sizes: &[usize]) -> Self {
+    /// starting at `first`, each reserving its full size up front. Fails,
+    /// instead of aborting, when the allocator refuses a reservation.
+    pub(crate) fn new(
+        seed: u64,
+        first: u64,
+        kind: LaneKind,
+        sizes: &[usize],
+    ) -> Result<Self, DistError> {
         let stream = |i: usize| StdRng::seed_from_u64(stream_seed(seed, first + i as u64));
         let router = match kind {
             LaneKind::Single => LaneRouter::Single,
@@ -183,18 +246,23 @@ impl Lanes {
                 LaneRouter::Weighted { cum, total, assign }
             }
         };
-        Lanes {
-            // A zero-size lane of a weighted draw owns an empty share of
-            // the assignment range, so it never receives a record.
-            reservoirs: sizes.iter().map(|&m| Reservoir::new(m.max(1))).collect(),
+        // A zero-size lane of a weighted draw owns an empty share of the
+        // assignment range, so it never receives a record.
+        let mut reservoirs = Vec::with_capacity(sizes.len());
+        for &m in sizes {
+            let reservoir = Reservoir::try_new(m.max(1)).map_err(|_| lanes_refused(sizes))?;
+            reservoirs.push(reservoir);
+        }
+        Ok(Lanes {
+            reservoirs,
             rngs: (0..sizes.len()).map(stream).collect(),
             router,
             seen: 0,
-        }
+        })
     }
 
-    /// Routes the next record to its lane and offers it to that lane's
-    /// reservoir.
+    /// Routes the next record, a value of a domain [`check_domain`]
+    /// accepted, to its lane and offers it to that lane's reservoir.
     // lint:hot-path
     pub(crate) fn offer(&mut self, value: usize) {
         let lane = match &mut self.router {
@@ -205,8 +273,9 @@ impl Lanes {
                 cum.partition_point(|&c| c <= x)
             }
         };
+        debug_assert!(u32::try_from(value).is_ok(), "a checked domain fits a slot");
         // lint:allow(checked-indexing): the router returns an index below the lane count
-        self.reservoirs[lane].offer(value, &mut self.rngs[lane]);
+        self.reservoirs[lane].offer(value as u32, &mut self.rngs[lane]);
         self.seen += 1;
     }
 
@@ -458,7 +527,8 @@ impl SampleOracle for ReplayOracle {
 /// # Panics
 /// Draws panic if the scanned prefix of the file is rewritten between
 /// `open` and the draw (vanishes, or its records no longer parse or escape
-/// the domain).
+/// the domain), and when the requested lanes cannot be reserved: their
+/// bytes exceed `isize::MAX` or the allocator refuses them.
 #[derive(Debug, Clone)]
 pub struct RecordFileOracle {
     path: PathBuf,
@@ -486,8 +556,10 @@ pub fn parse_record(line: &str, lineno: usize) -> Result<Option<usize>, String> 
 impl RecordFileOracle {
     /// Opens a record file, scanning it once to count records and fix the
     /// domain: `n_override` when positive (every record must fit, or the
-    /// scan fails with the offending line), else `max record + 1`.
+    /// scan fails with the offending line), else `max record + 1`. Fails
+    /// when the domain exceeds `2³²` values, the most a lane slot holds.
     pub fn open(path: impl Into<PathBuf>, n_override: usize, seed: u64) -> Result<Self, DistError> {
+        check_domain(n_override)?;
         let path = path.into();
         let file = std::fs::File::open(&path).map_err(|e| DistError::BadParameter {
             reason: format!("{}: {e}", path.display()),
@@ -519,8 +591,14 @@ impl RecordFileOracle {
                 reason: format!("{}: no records in input", path.display()),
             });
         }
+        let n = if n_override > 0 {
+            n_override
+        } else {
+            max.saturating_add(1)
+        };
+        check_domain(n)?;
         Ok(RecordFileOracle {
-            n: if n_override > 0 { n_override } else { max + 1 },
+            n,
             path,
             records,
             seed,
@@ -608,7 +686,12 @@ impl SampleOracle for RecordFileOracle {
                 .map(|_| SampleSet::from_samples(Vec::new()))
                 .collect();
         }
-        let mut lanes = Lanes::new(self.seed, first, kind, &sizes);
+        let mut lanes = check_lane_bytes(&sizes)
+            .and_then(|()| Lanes::new(self.seed, first, kind, &sizes))
+            .unwrap_or_else(|e| {
+                // lint:allow(no-panic): draw_lanes has no error channel, and a plan no allocation can hold cannot be drawn
+                panic!("{}: {e}", self.path.display())
+            });
         self.pour(&mut lanes);
         lanes.into_sets()
     }
@@ -818,10 +901,7 @@ mod tests {
         // m = records/r → round-robin lanes fill exactly, disjointly.
         let sets = oracle.draw_sets(3, 30);
         assert!(sets.iter().all(|s| s.total() == 30));
-        let merged = sets
-            .iter()
-            .skip(1)
-            .fold(sets[0].clone(), |acc, s| acc.merge(s));
+        let merged = SampleSet::merge(&sets);
         assert_eq!(merged, SampleSet::from_samples(records));
         std::fs::remove_file(&path).ok();
     }

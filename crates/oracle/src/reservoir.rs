@@ -41,6 +41,15 @@
 //! larger than `capacity`, the reservoir's contents are distributed like
 //! i.i.d. draws from `p` up to `O(capacity/stream_len)` corrections, which
 //! is the regime the monitoring examples run in.
+//!
+//! # Slot width
+//!
+//! A kept record is a `u32` slot: the records are values of a domain
+//! `[0, n)`, and windowed sinks and record-file oracles reject a domain of
+//! more than `2³²` values when they are built, so four bytes hold any
+//! record and every lane costs half the memory of a `usize` slot.
+
+use std::collections::TryReserveError;
 
 use rand::Rng;
 
@@ -58,7 +67,7 @@ struct SkipState {
     w: f64,
 }
 
-/// A fixed-capacity uniform reservoir over a stream of `usize` records.
+/// A fixed-capacity uniform reservoir over a stream of `u32` records.
 ///
 /// See the [module docs](self) for the skip-sampling algorithm and the
 /// seed-stream contract. The public surface is deliberately small: offer
@@ -66,7 +75,7 @@ struct SkipState {
 /// lane-wise for sliding windows.
 #[derive(Debug, Clone)]
 pub struct Reservoir {
-    items: Vec<usize>,
+    items: Vec<u32>,
     capacity: usize,
     seen: u64,
     /// `None` until the first post-full offer (and after a `merge`);
@@ -98,9 +107,21 @@ impl Reservoir {
     /// # Panics
     /// Panics when `capacity == 0`.
     pub fn new(capacity: usize) -> Self {
+        Self::empty(capacity, Vec::with_capacity(capacity))
+    }
+
+    /// Like [`Reservoir::new`], but a refused reservation of the
+    /// `capacity` slots is an error instead of an abort.
+    pub(crate) fn try_new(capacity: usize) -> Result<Self, TryReserveError> {
+        let mut items = Vec::new();
+        items.try_reserve_exact(capacity)?;
+        Ok(Self::empty(capacity, items))
+    }
+
+    fn empty(capacity: usize, items: Vec<u32>) -> Self {
         assert!(capacity > 0, "reservoir capacity must be positive");
         Reservoir {
-            items: Vec::with_capacity(capacity),
+            items,
             capacity,
             seen: 0,
             skip: None,
@@ -136,7 +157,7 @@ impl Reservoir {
     /// gap) — drawn in that fixed order, which is part of the determinism
     /// contract.
     // lint:hot-path
-    pub fn offer<R: Rng + ?Sized>(&mut self, value: usize, rng: &mut R) {
+    pub fn offer<R: Rng + ?Sized>(&mut self, value: u32, rng: &mut R) {
         if self.items.len() < self.capacity {
             self.items.push(value);
             self.seen += 1;
@@ -180,20 +201,24 @@ impl Reservoir {
     }
 
     /// Borrows the current sample.
-    pub fn items(&self) -> &[usize] {
+    pub fn items(&self) -> &[u32] {
         &self.items
     }
 
     /// Snapshots the current contents as a [`SampleSet`].
     pub fn to_sample_set(&self) -> SampleSet {
-        SampleSet::from_samples(self.items.clone())
+        let mut items = self.items.clone();
+        items.sort_unstable();
+        SampleSet::from_sorted_slots(&items)
     }
 
     /// Consumes the reservoir into a [`SampleSet`] without copying the
-    /// kept records — the allocation-free way to finalize a window whose
-    /// reservoir will not be offered any further records.
-    pub fn into_sample_set(self) -> SampleSet {
-        SampleSet::from_samples(self.items)
+    /// kept records: the slots are sorted in place and read once — the
+    /// way to finalize a window whose reservoir will not be offered any
+    /// further records.
+    pub fn into_sample_set(mut self) -> SampleSet {
+        self.items.sort_unstable();
+        SampleSet::from_sorted_slots(&self.items)
     }
 
     /// Merges two reservoirs into one whose contents approximate a uniform
@@ -291,7 +316,7 @@ mod tests {
                 r.offer(v, &mut rng);
             }
             for &v in r.items() {
-                survival[v] += 1;
+                survival[v as usize] += 1;
             }
         }
         for (v, &count) in survival.iter().enumerate() {
@@ -303,10 +328,10 @@ mod tests {
     /// Reference per-record Algorithm R, as shipped before skip sampling:
     /// one `random_range(0..seen)` draw per post-full record.
     fn algorithm_r_reference<R: Rng + ?Sized>(
-        records: &[usize],
+        records: &[u32],
         capacity: usize,
         rng: &mut R,
-    ) -> Vec<usize> {
+    ) -> Vec<u32> {
         let mut items = Vec::with_capacity(capacity);
         for (i, &v) in records.iter().enumerate() {
             let seen = i as u64 + 1;
@@ -330,7 +355,7 @@ mod tests {
         // under both, and the two algorithms should agree within noise
         // (~8σ margins at 30k trials, so this is not flaky).
         let trials = 30_000;
-        let records: Vec<usize> = (0..60).collect();
+        let records: Vec<u32> = (0..60).collect();
         let mut new_hits = [0u32; 60];
         let mut old_hits = [0u32; 60];
         let mut rng = StdRng::seed_from_u64(11);
@@ -340,10 +365,10 @@ mod tests {
                 r.offer(v, &mut rng);
             }
             for &v in r.items() {
-                new_hits[v] += 1;
+                new_hits[v as usize] += 1;
             }
             for &v in &algorithm_r_reference(&records, 6, &mut rng) {
-                old_hits[v] += 1;
+                old_hits[v as usize] += 1;
             }
         }
         let expected = 6.0 / 60.0;

@@ -48,28 +48,33 @@ impl SampleSet {
     /// Builds a sample set from raw draws (any order, duplicates expected).
     pub fn from_samples(mut samples: Vec<usize>) -> Self {
         samples.sort_unstable();
+        Self::from_runs(runs(&samples))
+    }
+
+    /// Builds a sample set from a reservoir's sorted four-byte slots, read
+    /// in place (no `usize` copy of the samples).
+    pub(crate) fn from_sorted_slots(sorted: &[u32]) -> Self {
+        debug_assert!(sorted.is_sorted(), "slots must be sorted");
+        Self::from_runs(runs(sorted).map(|(v, occ)| (v as usize, occ)))
+    }
+
+    /// Builds the set from `(value, occurrences)` runs in increasing value
+    /// order, one push per distinct value.
+    fn from_runs(runs: impl Iterator<Item = (usize, u64)>) -> Self {
         let mut values = Vec::new();
         let mut count_prefix = vec![0u64];
         let mut pair_prefix = vec![0u64];
         let mut count_total = 0u64;
         let mut pair_total = 0u64;
-        let mut i = 0;
-        while i < samples.len() {
-            let v = samples[i];
-            let mut j = i + 1;
-            while j < samples.len() && samples[j] == v {
-                j += 1;
-            }
-            let occ = (j - i) as u64;
+        for (v, occ) in runs {
             values.push(v);
             count_total += occ;
             pair_total += choose2(occ);
             count_prefix.push(count_total);
             pair_prefix.push(pair_total);
-            i = j;
         }
         SampleSet {
-            total: samples.len() as u64,
+            total: count_total,
             values,
             count_prefix,
             pair_prefix,
@@ -211,18 +216,36 @@ impl SampleSet {
         total
     }
 
-    /// Merges two sample sets (used by experiments that grow budgets
-    /// incrementally without re-drawing).
-    pub fn merge(&self, other: &SampleSet) -> SampleSet {
-        let mut raw = Vec::with_capacity((self.total + other.total) as usize);
-        for set in [self, other] {
-            for (idx, &v) in set.values.iter().enumerate() {
-                let occ = set.count_prefix[idx + 1] - set.count_prefix[idx];
-                raw.extend(std::iter::repeat_n(v, occ as usize));
+    /// The multiset union of `sets`: every sample of every set, with
+    /// multiplicity. One pass over the sets' sorted `(value, count)` runs,
+    /// summing each value's counts across the sets; equal to building the
+    /// set from all their samples at once.
+    pub fn merge(sets: &[SampleSet]) -> SampleSet {
+        let mut heads = vec![0usize; sets.len()];
+        Self::from_runs(std::iter::from_fn(|| {
+            let v = sets
+                .iter()
+                .zip(&heads)
+                .filter_map(|(set, &h)| set.values.get(h))
+                .min()
+                .copied()?;
+            let mut occ = 0;
+            for (set, h) in sets.iter().zip(heads.iter_mut()) {
+                if set.values.get(*h) == Some(&v) {
+                    occ += set.count_prefix[*h + 1] - set.count_prefix[*h];
+                    *h += 1;
+                }
             }
-        }
-        SampleSet::from_samples(raw)
+            Some((v, occ))
+        }))
     }
+}
+
+/// The `(value, occurrences)` runs of a sorted slice.
+fn runs<T: Copy + PartialEq>(sorted: &[T]) -> impl Iterator<Item = (T, u64)> + '_ {
+    sorted
+        .chunk_by(|a, b| a == b)
+        .map(|run| (run[0], run.len() as u64))
 }
 
 #[cfg(test)]
@@ -400,7 +423,7 @@ mod tests {
     fn merge_concatenates_multisets() {
         let a = SampleSet::from_samples(vec![1, 1, 2]);
         let b = SampleSet::from_samples(vec![2, 3]);
-        let m = a.merge(&b);
+        let m = SampleSet::merge(&[a, b]);
         assert_eq!(m.total(), 5);
         assert_eq!(m.occurrences(1), 2);
         assert_eq!(m.occurrences(2), 2);
@@ -469,7 +492,7 @@ mod tests {
                                  b in proptest::collection::vec(0usize..30, 0..80)) {
             let sa = SampleSet::from_samples(a.clone());
             let sb = SampleSet::from_samples(b.clone());
-            let merged = sa.merge(&sb);
+            let merged = SampleSet::merge(&[sa, sb]);
             let mut concat = a;
             concat.extend(b);
             let direct = SampleSet::from_samples(concat);

@@ -50,7 +50,9 @@ use rand::SeedableRng;
 
 use khist_dist::DistError;
 
-use crate::oracle::{lane_shape, stream_seed, LaneKind, Lanes, ReplayOracle};
+use crate::oracle::{
+    check_domain, check_lane_bytes, lane_shape, stream_seed, LaneKind, Lanes, ReplayOracle,
+};
 use crate::reservoir::Reservoir;
 use crate::sample_set::SampleSet;
 
@@ -146,12 +148,10 @@ impl WindowSnapshot {
     }
 
     /// The union of all lanes as one multiset — the window's full retained
-    /// sample, which drift checks compare across windows.
+    /// sample, which drift checks compare across windows. Built in one
+    /// pass over the lanes' sorted runs ([`SampleSet::merge`]).
     pub fn merged(&self) -> SampleSet {
-        match self.lanes.split_first() {
-            None => SampleSet::from_samples(Vec::new()),
-            Some((first, rest)) => rest.iter().fold(first.clone(), |acc, s| acc.merge(s)),
-        }
+        SampleSet::merge(&self.lanes)
     }
 }
 
@@ -164,7 +164,8 @@ pub trait SampleSink {
     fn domain_size(&self) -> usize;
 
     /// Ingests one record. Fails (without consuming the record) when the
-    /// record lies outside `[0, n)`.
+    /// record lies outside `[0, n)`, or when the sink cannot reserve the
+    /// lanes of the window the record opens.
     fn push(&mut self, value: usize) -> Result<(), DistError>;
 
     /// Ingests a batch of records in order; stops at the first bad record.
@@ -223,9 +224,10 @@ impl SinkShape {
     /// of `m` (when `main == 0`), or a weighted `main` lane plus `r` lanes
     /// of `m` (both positive).
     ///
-    /// Fails on a zero domain, degenerate windows (zero span; a sliding
-    /// step that is zero or does not divide the span), or a plan that
-    /// retains no samples.
+    /// Fails on a zero domain or one above `2³²` values (the most a
+    /// four-byte lane slot holds), degenerate windows (zero span; a
+    /// sliding step that is zero or does not divide the span), a plan that
+    /// retains no samples, or lanes whose bytes exceed `isize::MAX`.
     pub fn new(
         n: usize,
         window: Window,
@@ -237,6 +239,7 @@ impl SinkShape {
         if n == 0 {
             return Err(bad("sink domain must be non-empty".into()));
         }
+        check_domain(n)?;
         match window {
             Window::Tumbling { span: 0 } => {
                 return Err(bad("tumbling window span must be positive".into()));
@@ -257,6 +260,7 @@ impl SinkShape {
             return Err(bad(format!("window plan has {r} sets of zero samples")));
         }
         let (kind, sizes) = lane_shape(main, r, m);
+        check_lane_bytes(&sizes)?;
         Ok(SinkShape {
             n,
             window,
@@ -367,16 +371,19 @@ impl WindowedSink {
         self.completed.drain(..).collect()
     }
 
-    fn new_pane(&mut self) -> Pane {
+    /// Opens the next pane, reserving its lanes in full. A refused
+    /// reservation is an error and consumes no pane id.
+    fn new_pane(&mut self) -> Result<Pane, DistError> {
         let id = self.next_pane_id;
-        self.next_pane_id += 1;
         let seed = window_seed(self.seed, id);
-        Pane {
+        let lanes = Lanes::new(seed, 0, self.kind, &self.sizes)?;
+        self.next_pane_id += 1;
+        Ok(Pane {
             id,
             seed,
             start: self.seen,
-            lanes: Lanes::new(seed, 0, self.kind, &self.sizes),
-        }
+            lanes,
+        })
     }
 
     /// Freezes `panes` (oldest first) into one snapshot. A single pane is
@@ -508,7 +515,7 @@ impl SampleSink for WindowedSink {
             .back()
             .is_none_or(|p| p.lanes.seen() >= pane_span);
         if needs_new_pane {
-            let pane = self.new_pane();
+            let pane = self.new_pane()?;
             self.panes.push_back(pane);
         }
         // lint:allow(no-panic): the needs_new_pane branch above guarantees a back pane
@@ -721,6 +728,83 @@ mod tests {
     }
 
     #[test]
+    fn shape_rejects_lanes_beyond_isize_max_bytes() {
+        // Four bytes a slot: one lane of ⌊isize::MAX / 4⌋ slots is the
+        // largest plan an allocation can hold; a slot more is refused at
+        // construction, before any record arrives.
+        let window = Window::Tumbling { span: 10 };
+        let largest = isize::MAX as usize / 4;
+        assert!(SinkShape::new(256, window, largest, 0, 0).is_ok());
+        let err = SinkShape::new(256, window, largest + 1, 0, 0)
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("isize::MAX"), "{err}");
+        // Lanes that fit one by one can still overflow together.
+        let err = SinkShape::new(256, window, 1, 4, usize::MAX / 8)
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("isize::MAX"), "{err}");
+    }
+
+    #[test]
+    fn domains_up_to_two_to_the_32_fit_a_slot() {
+        let window = Window::Tumbling { span: 10 };
+        let max = 1usize << 32;
+        assert_eq!(
+            SinkShape::new(max, window, 5, 0, 0).unwrap().domain_size(),
+            max
+        );
+        let err = SinkShape::new(max + 1, window, 5, 0, 0)
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("domain size 4294967297 exceeds 2^32"), "{err}");
+        let path = temp_records(&[0, 3], "wide");
+        assert_eq!(
+            RecordFileOracle::open(&path, max, 1).unwrap().domain_size(),
+            max
+        );
+        let err = RecordFileOracle::open(&path, max + 1, 1)
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("domain size 4294967297 exceeds 2^32"), "{err}");
+        std::fs::remove_file(&path).ok();
+        // An inferred domain is held to the same limit.
+        let path = temp_records(&[0, u32::MAX as usize], "widest");
+        assert_eq!(
+            RecordFileOracle::open(&path, 0, 1).unwrap().domain_size(),
+            max
+        );
+        std::fs::remove_file(&path).ok();
+        let path = temp_records(&[0, max], "too-wide");
+        let err = RecordFileOracle::open(&path, 0, 1).unwrap_err().to_string();
+        assert!(err.contains("domain size 4294967297 exceeds 2^32"), "{err}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn largest_slot_value_pushes_as_it_pulls() {
+        // Push ≡ pull at the slot boundary: records at u32::MAX in a
+        // domain of 2³² freeze to the lanes a record-file draw returns,
+        // with the value intact.
+        let n = 1usize << 32;
+        let top = u32::MAX as usize;
+        let records: Vec<usize> = (0..300)
+            .map(|i| if i % 3 == 0 { top } else { top - i % 7 })
+            .collect();
+        let window = Window::Tumbling { span: 300 };
+        let mut sink = WindowedSink::new(n, 29, window, 40, 3, 20).unwrap();
+        sink.push_all(&records).unwrap();
+        let frozen = sink.drain_completed().pop().unwrap();
+        let path = temp_records(&records, "boundary");
+        let mut oracle = RecordFileOracle::open(&path, n, 29).unwrap();
+        let pulled = oracle.draw_lanes(40, 3, 20);
+        std::fs::remove_file(&path).ok();
+        assert_eq!(frozen.lanes, pulled);
+        assert!(frozen.lanes.iter().all(|s| s.occurrences(top) > 0));
+        assert!(frozen.merged().unique_values().iter().all(|&v| v <= top));
+    }
+
+    #[test]
     fn sink_is_object_safe() {
         let mut sink = WindowedSink::new(8, 1, Window::Tumbling { span: 4 }, 4, 0, 0).unwrap();
         let dyn_sink: &mut dyn SampleSink = &mut sink;
@@ -761,6 +845,41 @@ mod tests {
                 let pulled = oracle.draw_lanes(main, r, m);
                 std::fs::remove_file(&path).ok();
                 prop_assert_eq!(window.lanes, pulled);
+            }
+
+            /// The one-pass union equals folding the lanes pairwise, each
+            /// step rebuilding the set from both sides' raw samples —
+            /// over empty lanes, a single lane and repeated values.
+            #[test]
+            fn prop_merged_equals_pairwise_fold(
+                lanes in proptest::collection::vec(
+                    proptest::collection::vec(0usize..24, 0..40),
+                    0..7,
+                ),
+            ) {
+                let sets: Vec<SampleSet> =
+                    lanes.iter().cloned().map(SampleSet::from_samples).collect();
+                let raw = |set: &SampleSet| -> Vec<usize> {
+                    set.unique_values()
+                        .iter()
+                        .flat_map(|&v| std::iter::repeat_n(v, set.occurrences(v) as usize))
+                        .collect()
+                };
+                let folded = sets.iter().fold(SampleSet::from_samples(Vec::new()), |acc, set| {
+                    SampleSet::from_samples([raw(&acc), raw(set)].concat())
+                });
+                let snap = WindowSnapshot {
+                    window: 0,
+                    n: 24,
+                    start: 0,
+                    end: 0,
+                    seen: 0,
+                    kept: 0,
+                    seed: 0,
+                    complete: false,
+                    lanes: sets,
+                };
+                prop_assert_eq!(snap.merged(), folded);
             }
         }
     }

@@ -25,6 +25,10 @@
 //!    under `--batch` and `--flush-ms`, the drain after EOF is the only
 //!    one; a window whose analysis fails there becomes an `{"error":…}`
 //!    line, as it does mid-stream, and the tails still flush.
+//! 5. **A window too large to reserve** — lanes no address space can
+//!    hold are an error on the first record: `watch` exits 1 with an
+//!    `error:` line, `serve` writes an `{"error":…}` line and exits 0,
+//!    and neither aborts.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::UnixStream;
@@ -522,5 +526,48 @@ fn a_window_failing_in_the_final_drain_is_an_error_line_not_an_exit() {
     assert_eq!(
         stderr,
         "served 9 records from 2 streams over 1 windows on 1 shard\n"
+    );
+}
+
+#[test]
+fn a_window_too_large_to_reserve_is_an_error_not_an_abort() {
+    // At this span the testers' lanes need petabytes: more than any
+    // 64-bit address space maps, whatever the host's overcommit policy.
+    let every = ["--n", "256", "--every", "1000000000000000"];
+    let run = |args: &[&str], input: &str| {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_khist"))
+            .args(args)
+            .args(every)
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn khist");
+        let mut stdin = child.stdin.take().unwrap();
+        stdin.write_all(input.as_bytes()).unwrap();
+        drop(stdin);
+        let output = child.wait_with_output().unwrap();
+        let text = |bytes: Vec<u8>| String::from_utf8(bytes).unwrap();
+        (output.status, text(output.stdout), text(output.stderr))
+    };
+    let refused = "bad parameter: cannot reserve ";
+
+    let (status, stdout, stderr) = run(&["watch", "-", "--json"], "1\n2\n3\n");
+    assert_eq!(status.code(), Some(1), "watch: {status} {stderr}");
+    assert!(stdout.is_empty(), "{stdout}");
+    assert!(stderr.starts_with(&format!("error: {refused}")), "{stderr}");
+
+    let (status, stdout, stderr) =
+        run(&["serve", "--stdin", "--key-field", "0"], "a 1\nb 2\na 3\n");
+    assert!(status.success(), "serve: {status} {stderr}");
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), 1, "{stdout}");
+    assert!(
+        lines[0].starts_with(&format!("{{\"error\":\"{refused}")),
+        "{stdout}"
+    );
+    assert!(
+        stderr.starts_with("served 0 records from 2 streams"),
+        "{stderr}"
     );
 }

@@ -17,7 +17,7 @@ fn reservoir_feeds_every_tester() {
 
     let mut res = Reservoir::new(60_000);
     for _ in 0..500_000 {
-        res.offer(p.sample(&mut rng), &mut rng);
+        res.offer(p.sample(&mut rng) as u32, &mut rng);
     }
     let set = res.to_sample_set();
 
