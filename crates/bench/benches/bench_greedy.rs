@@ -3,11 +3,13 @@
 //! Benchmarks the full learn-from-samples path (sampling excluded — samples
 //! are drawn once per size outside the timed region) for the exhaustive and
 //! the sample-endpoint candidate policies across domain sizes. The paper's
-//! claim: exhaustive grows ~n², fast stays budget-bound.
+//! claim: exhaustive grows ~n², fast stays budget-bound. One more input is
+//! the window keyed `khist watch` learns by default, timed with no process
+//! or I/O around it.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use khist_core::greedy::{learn_from_samples, CandidatePolicy, GreedyParams};
-use khist_dist::generators;
+use khist_dist::{generators, DenseDistribution};
 use khist_oracle::{LearnerBudget, SampleSet};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -45,6 +47,27 @@ fn bench_greedy(c: &mut Criterion) {
             b.iter(|| learn_from_samples(n, &main, &sets, &params).expect("learner runs"));
         });
     }
+    // Keyed `watch --n 256 --every 1000` with the default batch and
+    // `--k 8 --eps 0.1`: the CLI clamps the learner to the 1,000-record
+    // window, ℓ = 772 plus r = 3 sets of m = 76, q = 19 (ξ is not read by
+    // the learner). Uniform values give Theorem 2's full 128 endpoints:
+    // 156,864 candidates per window.
+    let n = 256;
+    let p = DenseDistribution::uniform(n).expect("valid uniform");
+    let budget = LearnerBudget {
+        xi: 0.01,
+        ell: 772,
+        r: 3,
+        m: 76,
+        q: 19,
+    };
+    let mut rng = StdRng::seed_from_u64(1000);
+    let main = SampleSet::draw(&p, budget.ell, &mut rng);
+    let sets = SampleSet::draw_many(&p, budget.m, budget.r, &mut rng);
+    let params = GreedyParams::fast(8, 0.1, budget);
+    group.bench_with_input(BenchmarkId::new("watch_default_window", n), &n, |b, _| {
+        b.iter(|| learn_from_samples(n, &main, &sets, &params).expect("learner runs"));
+    });
     group.finish();
 }
 

@@ -891,10 +891,11 @@ impl Engine {
     /// what would happen to a dedicated [`Monitor`] on that stream —
     /// while every other stream ingests its full slice.
     /// When any stream failed, the call returns the error of the
-    /// lexicographically smallest failing key (a deterministic choice for
-    /// every shard count), and the reports the healthy streams computed
-    /// during the call are *not* lost: they are delivered, in sorted
-    /// position, by the next successful `ingest_batch` or
+    /// lexicographically smallest failing key, as a [`DistError::Stream`]
+    /// naming it (a deterministic choice for every shard count), and the
+    /// reports the healthy streams computed during the call are *not*
+    /// lost: they are delivered, in sorted position, by the next
+    /// successful `ingest_batch` or
     /// [`flush_debut_ordered`](Engine::flush_debut_ordered).
     pub fn ingest_batch<K: AsRef<str>>(
         &mut self,
@@ -1013,8 +1014,9 @@ impl Engine {
     /// reports stashed by an earlier failing call — come back sorted. When
     /// any stream failed, the healthy streams' reports are stashed for the
     /// next successful call and the error of the lexicographically
-    /// smallest failing key is returned (deterministic for every shard
-    /// count; worker completion order is not).
+    /// smallest failing key is returned as a [`DistError::Stream`] naming
+    /// that key (deterministic for every shard count; worker completion
+    /// order is not).
     fn settle(&mut self) -> Result<Vec<WindowReport>, DistError> {
         let mut reports = Vec::new();
         let mut first_error: Option<(String, DistError)> = None;
@@ -1030,9 +1032,12 @@ impl Engine {
                 }
             }
         }
-        if let Some((_, e)) = first_error {
+        if let Some((key, cause)) = first_error {
             self.stashed.append(&mut reports);
-            return Err(e);
+            return Err(DistError::Stream {
+                key,
+                cause: Box::new(cause),
+            });
         }
         reports.append(&mut self.stashed);
         Engine::sort_reports(&mut reports);
@@ -1410,6 +1415,31 @@ mod tests {
             .unwrap();
         let want = monitor.ingest(&good_records).unwrap();
         assert_eq!(good, want, "stashed report still bit-identical");
+    }
+
+    #[test]
+    fn a_failing_call_names_the_smallest_failing_stream() {
+        // "zeta" and "mid" both fail in one call, "zeta" first in arrival
+        // order; the error names "mid" at every shard count.
+        let batch = [("zeta", 900usize), ("alpha", 1), ("mid", 700), ("ok", 3)];
+        for shards in [1usize, 2, 4, 8] {
+            let mut engine = engine(shards, 1_000);
+            let err = engine.ingest_batch(&batch).unwrap_err();
+            let cause = DistError::BadParameter {
+                reason: "record 700 outside declared domain [0, 64); widen the domain or \
+                         drop the record"
+                    .into(),
+            };
+            assert_eq!(
+                err,
+                DistError::Stream {
+                    key: "mid".into(),
+                    cause: Box::new(cause.clone()),
+                },
+                "@ {shards} shards"
+            );
+            assert_eq!(err.to_string(), format!("stream 'mid': {cause}"));
+        }
     }
 
     #[test]

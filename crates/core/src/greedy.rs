@@ -35,8 +35,9 @@
 //!   above that it is re-read from the oracle in each iteration);
 //! * once per iteration, each endpoint's left and right trim — the two
 //!   sides of the piece holding it — is costed (`2|E|` oracle calls);
-//! * per candidate, the score `total − removed + added` takes one map walk
-//!   over the cached costs of the pieces it overlaps (`removed`) and three
+//! * per candidate, the score `total − removed + added` takes one binary
+//!   search over the tiling's sorted pieces (at most `2q + 1`) and a walk
+//!   over the cached costs of the pieces it overlaps (`removed`), and three
 //!   table reads (`added`): no oracle call and no allocation.
 //!
 //! Scores, and so every learned histogram, are bit-identical to costing

@@ -4,18 +4,20 @@
 //! and *re-trimming* the neighbouring intervals so they no longer intersect
 //! `J`. Operationally the priority histogram therefore always induces a
 //! **tiling** of `[n]`: inserting `J` deletes every piece it fully covers
-//! and trims the two straddling pieces. [`TilingState`] maintains that
-//! tiling in a `BTreeMap` keyed by piece start, together with each piece's
-//! cached cost and the running total `Σ_I (z_I − y_I²/|I|)`, so that
+//! and trims the two straddling pieces. [`TilingState`] keeps that tiling
+//! as a `Vec` of pieces sorted by start (at most `2q + 1` of them after `q`
+//! insertions), each with its cached cost, plus the running total
+//! `Σ_I (z_I − y_I²/|I|)`, so that
 //!
 //! * scoring a candidate `J` in the greedy's hot loop makes no cost-oracle
-//!   call: the cost it removes is [`TilingState::overlap_cost`], one
-//!   `O(log k + overlap)` map walk summing cached costs, and the greedy
-//!   costs what it adds (`J` and the trims of the pieces holding its ends,
-//!   found with [`TilingState::piece_containing`]) once per window or
-//!   iteration, not per candidate;
+//!   call: the cost it removes is [`TilingState::overlap_cost`], one binary
+//!   search for the piece holding `J`'s start and a walk summing cached
+//!   costs up to the piece holding its end, and the greedy costs what it
+//!   adds (`J` and the trims of the pieces holding its ends, found with
+//!   [`TilingState::piece_containing`]) once per window or iteration, not
+//!   per candidate;
 //! * committing an insertion makes one oracle call per new piece (`≤ 3`)
-//!   plus map surgery.
+//!   plus one splice of the piece list.
 
 use khist_dist::{DistError, Interval};
 
@@ -25,8 +27,9 @@ use crate::cost::CostOracle;
 #[derive(Debug, Clone)]
 pub struct TilingState {
     n: usize,
-    /// piece start → (piece end inclusive, cached piece cost)
-    pieces: std::collections::BTreeMap<usize, (usize, f64)>,
+    /// `(start, end inclusive, cached cost)` per piece, in tiling order: the
+    /// first piece starts at 0 and each next one where the last ended.
+    pieces: Vec<(usize, usize, f64)>,
     total_cost: f64,
 }
 
@@ -40,11 +43,9 @@ impl TilingState {
     pub fn full_domain(n: usize, oracle: &impl CostOracle) -> Result<Self, DistError> {
         let full = Interval::full(n)?;
         let cost = oracle.piece_cost(full);
-        let mut pieces = std::collections::BTreeMap::new();
-        pieces.insert(0, (n - 1, cost));
         Ok(TilingState {
             n,
-            pieces,
+            pieces: vec![(0, n - 1, cost)],
             total_cost: cost,
         })
     }
@@ -69,29 +70,29 @@ impl TilingState {
         self.pieces
             .iter()
             // lint:allow(no-panic): lo <= hi holds for every stored piece
-            .map(|(&lo, &(hi, _))| Interval::new(lo, hi).expect("valid piece"))
+            .map(|&(lo, hi, _)| Interval::new(lo, hi).expect("valid piece"))
     }
 
-    /// The piece holding index `i` (`i < n`): the last piece starting at or
-    /// before `i`.
-    pub fn piece_containing(&self, i: usize) -> Interval {
+    /// Position in tiling order of the piece holding index `i` (`i < n`):
+    /// the last piece starting at or before `i`.
+    fn piece_index(&self, i: usize) -> usize {
         debug_assert!(i < self.n);
+        // The first piece starts at 0, so at least one piece starts at or
+        // before `i` and the partition point is at least 1.
+        self.pieces.partition_point(|&(lo, _, _)| lo <= i) - 1
+    }
+
+    /// The piece holding index `i` (`i < n`).
+    pub fn piece_containing(&self, i: usize) -> Interval {
         self.pieces
-            .range(..=i)
-            .next_back()
-            .and_then(|(&lo, &(hi, _))| Interval::new(lo, hi).ok())
-            // lint:allow(no-panic): the tiling always has a piece starting at index 0, and lo <= hi holds for every stored piece
+            .get(self.piece_index(i))
+            .and_then(|&(lo, hi, _)| Interval::new(lo, hi).ok())
+            // lint:allow(no-panic): piece_index is in bounds because the tiling always has a piece starting at 0, and lo <= hi holds for every stored piece
             .expect("tiling always covers index 0")
     }
 
-    /// Start of the piece containing `i`. The pieces overlapping an
-    /// interval `j` are then the map range `piece_start(j.lo())..=j.hi()`,
-    /// in tiling order.
-    fn piece_start(&self, i: usize) -> usize {
-        self.piece_containing(i).lo()
-    }
-
-    /// The cached costs of the pieces `j` overlaps, summed in tiling order:
+    /// The cached costs of the pieces `j` overlaps, summed in tiling order
+    /// (from the piece holding `j.lo()` through the one holding `j.hi()`):
     /// what inserting `j` removes from [`TilingState::total_cost`]. The
     /// greedy's score for `j` is `total_cost − overlap_cost(j) + added`,
     /// `added` being the cost of `j` plus, when non-empty, the left trim
@@ -99,8 +100,10 @@ impl TilingState {
     pub fn overlap_cost(&self, j: Interval) -> f64 {
         debug_assert!(j.hi() < self.n);
         self.pieces
-            .range(self.piece_start(j.lo())..=j.hi())
-            .map(|(_, &(_, cost))| cost)
+            .iter()
+            .skip(self.piece_index(j.lo()))
+            .take_while(|&&(lo, _, _)| lo <= j.hi())
+            .map(|&(_, _, cost)| cost)
             .sum()
     }
 
@@ -110,49 +113,48 @@ impl TilingState {
     /// histogram with their values.
     pub fn insert(&mut self, j: Interval, oracle: &impl CostOracle) -> Vec<Interval> {
         debug_assert!(j.hi() < self.n);
-        let first_lo = self.piece_start(j.lo());
-        let mut last_hi = j.hi();
-        while let Some((&lo, &(hi, cost))) = self.pieces.range(first_lo..=j.hi()).next() {
-            self.pieces.remove(&lo);
-            self.total_cost -= cost;
-            last_hi = hi;
-        }
+        let overlapped = self.piece_index(j.lo())..=self.piece_index(j.hi());
+        let removed = self.pieces.get(overlapped.clone()).unwrap_or_default();
+        let first_lo = removed.first().map_or(j.lo(), |&(lo, _, _)| lo);
+        let last_hi = removed.last().map_or(j.hi(), |&(_, hi, _)| hi);
+        // Removed costs leave in tiling order, then created ones join in
+        // order: that order fixes `total_cost`'s bits.
+        self.total_cost = removed.iter().fold(self.total_cost, |t, &(_, _, c)| t - c);
         let mut created = Vec::with_capacity(3);
         if first_lo < j.lo() {
             // lint:allow(no-panic): first_lo < j.lo() guards the trim bounds
-            let trim = Interval::new(first_lo, j.lo() - 1).expect("left trim");
-            created.push(trim);
+            created.push(Interval::new(first_lo, j.lo() - 1).expect("left trim"));
         }
         created.push(j);
         if last_hi > j.hi() {
             // lint:allow(no-panic): last_hi > j.hi() guards the trim bounds
-            let trim = Interval::new(j.hi() + 1, last_hi).expect("right trim");
-            created.push(trim);
+            created.push(Interval::new(j.hi() + 1, last_hi).expect("right trim"));
         }
-        for &iv in &created {
-            let cost = oracle.piece_cost(iv);
-            self.pieces.insert(iv.lo(), (iv.hi(), cost));
-            self.total_cost += cost;
-        }
+        let total_cost = &mut self.total_cost;
+        self.pieces.splice(
+            overlapped,
+            created.iter().map(|&iv| {
+                let cost = oracle.piece_cost(iv);
+                *total_cost += cost;
+                (iv.lo(), iv.hi(), cost)
+            }),
+        );
         created
     }
 
     /// Interior cut positions of the current tiling (piece starts except 0).
     pub fn interior_cuts(&self) -> Vec<usize> {
-        self.pieces.keys().copied().filter(|&s| s != 0).collect()
+        self.pieces.iter().skip(1).map(|&(lo, _, _)| lo).collect()
     }
 
     /// Validates the tiling invariant (contiguous cover of `[0, n−1]`);
     /// test/debug helper.
     pub fn check_invariants(&self) -> bool {
-        let mut expected = 0usize;
-        for (&lo, &(hi, _)) in &self.pieces {
-            if lo != expected || hi < lo {
-                return false;
-            }
-            expected = hi + 1;
-        }
-        expected == self.n
+        // Each piece starts where the last one ended; the last ends at n − 1.
+        let end = self.pieces.iter().try_fold(0, |start, &(lo, hi, _)| {
+            (lo == start && lo <= hi).then_some(hi + 1)
+        });
+        end == Some(self.n)
     }
 }
 
@@ -292,6 +294,63 @@ mod tests {
         assert!((st.total_cost() - h.l2_sq_to(&p)).abs() < 1e-12);
     }
 
+    /// The tiling as a plain list of `(piece, cost)`, updated the direct
+    /// way: drop the pieces `j` overlaps, subtracting their costs in tiling
+    /// order, then add the left trim, `j` and the right trim, in order.
+    struct PlainTiling {
+        pieces: Vec<(Interval, f64)>,
+        total: f64,
+    }
+
+    impl PlainTiling {
+        fn new(n: usize, o: &impl CostOracle) -> Self {
+            let cost = o.piece_cost(iv(0, n - 1));
+            PlainTiling {
+                pieces: vec![(iv(0, n - 1), cost)],
+                total: cost,
+            }
+        }
+
+        fn overlapped(&self, j: Interval) -> std::ops::RangeInclusive<usize> {
+            let first = self.pieces.iter().position(|(p, _)| p.hi() >= j.lo());
+            let last = self.pieces.iter().rposition(|(p, _)| p.lo() <= j.hi());
+            first.unwrap()..=last.unwrap()
+        }
+
+        /// The overlapped pieces' costs as a left fold from the first one.
+        fn overlap_cost(&self, j: Interval) -> f64 {
+            self.pieces[self.overlapped(j)]
+                .iter()
+                .map(|&(_, cost)| cost)
+                .reduce(|sum, cost| sum + cost)
+                .unwrap()
+        }
+
+        fn insert(&mut self, j: Interval, o: &impl CostOracle) -> Vec<Interval> {
+            let overlapped = self.overlapped(j);
+            let at = *overlapped.start();
+            let first_lo = self.pieces[at].0.lo();
+            let last_hi = self.pieces[*overlapped.end()].0.hi();
+            for (_, cost) in self.pieces.drain(overlapped) {
+                self.total -= cost;
+            }
+            let mut created = Vec::new();
+            if first_lo < j.lo() {
+                created.push(iv(first_lo, j.lo() - 1));
+            }
+            created.push(j);
+            if last_hi > j.hi() {
+                created.push(iv(j.hi() + 1, last_hi));
+            }
+            for (offset, &piece) in created.iter().enumerate() {
+                let cost = o.piece_cost(piece);
+                self.total += cost;
+                self.pieces.insert(at + offset, (piece, cost));
+            }
+            created
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
         #[test]
@@ -331,6 +390,36 @@ mod tests {
             let h = khist_dist::TilingHistogram::project(&p, &st.interior_cuts()).unwrap();
             prop_assert!((st.total_cost() - h.l2_sq_to(&p)).abs() < 1e-9,
                          "state {} vs projection {}", st.total_cost(), h.l2_sq_to(&p));
+        }
+
+        /// Every step's arithmetic, bit for bit: the total after each
+        /// insert, the pieces, the created pieces and the overlap cost of
+        /// random intervals equal the plain list's.
+        #[test]
+        fn prop_state_matches_a_plain_list_bit_for_bit(
+            ops in proptest::collection::vec((0usize..48, 0usize..48), 1..40),
+            probes in proptest::collection::vec((0usize..48, 0usize..48), 8),
+            ws in proptest::collection::vec(0.01f64..1.0, 48),
+        ) {
+            let n = 48;
+            let p = DenseDistribution::from_weights(&ws).unwrap();
+            let o = ExactCostOracle::new(&p);
+            let mut st = TilingState::full_domain(n, &o).unwrap();
+            let mut plain = PlainTiling::new(n, &o);
+            for &(a, b) in &ops {
+                let j = iv(a.min(b), a.max(b));
+                prop_assert_eq!(st.insert(j, &o), plain.insert(j, &o));
+                prop_assert_eq!(st.total_cost().to_bits(), plain.total.to_bits());
+                let pieces: Vec<Interval> = plain.pieces.iter().map(|&(piece, _)| piece).collect();
+                prop_assert_eq!(st.pieces().collect::<Vec<_>>(), pieces);
+                for &(c, d) in &probes {
+                    let probe = iv(c.min(d), c.max(d));
+                    prop_assert_eq!(
+                        st.overlap_cost(probe).to_bits(),
+                        plain.overlap_cost(probe).to_bits()
+                    );
+                }
+            }
         }
     }
 }

@@ -28,6 +28,13 @@ pub enum DistError {
         /// Human-readable description of the violated constraint.
         reason: String,
     },
+    /// One keyed stream failed: its key and its own error.
+    Stream {
+        /// The failing stream's key.
+        key: String,
+        /// What went wrong in that stream.
+        cause: Box<DistError>,
+    },
 }
 
 impl std::fmt::Display for DistError {
@@ -40,6 +47,7 @@ impl std::fmt::Display for DistError {
             }
             DistError::BadTiling { reason } => write!(f, "bad tiling: {reason}"),
             DistError::BadParameter { reason } => write!(f, "bad parameter: {reason}"),
+            DistError::Stream { key, cause } => write!(f, "stream '{key}': {cause}"),
         }
     }
 }

@@ -1015,7 +1015,7 @@ mod tests {
         });
         assert_eq!(
             jsonl,
-            "{\"error\":\"bad parameter: need non-empty sample sets\"}\n"
+            "{\"error\":\"stream 'api': bad parameter: need non-empty sample sets\"}\n"
         );
         assert_eq!(feed, jsonl.lines().collect::<Vec<_>>());
     }

@@ -241,7 +241,34 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
     } else {
         o.path = path.ok_or("missing input path")?;
     }
-    Ok(command(o))
+    let command = command(o);
+    require_declared_domain(&command)?;
+    Ok(command)
+}
+
+/// Rejects a command that needs an explicit `--n` and has none: keyed
+/// `watch`, `watch -` and `serve` read input that no one can pre-scan to
+/// infer its domain. [`parse_args`] checks this, so the CLI reports it as
+/// a flag error; [`dispatch`] checks it again for commands built by hand.
+fn require_declared_domain(command: &Command) -> Result<(), String> {
+    match command {
+        Command::Watch(o) if o.n == 0 && o.key_field.is_some() => Err(
+            "watch --key-field needs an explicit --n: keyed records cannot be \
+             pre-scanned by the record-file oracle to infer their domain"
+                .into(),
+        ),
+        Command::Watch(o) if o.n == 0 && o.path == "-" => Err(
+            "watch - (stdin) needs an explicit --n: a live stream cannot be \
+             pre-scanned to infer its domain"
+                .into(),
+        ),
+        Command::Serve(o) if o.n == 0 => Err(
+            "serve needs an explicit --n: a live stream cannot be pre-scanned to \
+             infer its domain"
+                .into(),
+        ),
+        _ => Ok(()),
+    }
 }
 
 /// [`next_parsed`], rejecting zero with `"{flag} must be positive{note}"`.
@@ -832,6 +859,7 @@ pub fn dispatch(cmd: Command) -> Result<String, String> {
     let open = |path: &str, n: usize, seed: u64| -> Result<RecordFileOracle, String> {
         RecordFileOracle::open(path, n, seed).map_err(fmt_err)
     };
+    require_declared_domain(&cmd)?;
     match cmd {
         Command::Help => Ok(usage().to_string()),
         Command::Learn(o) => {
@@ -862,20 +890,6 @@ pub fn dispatch(cmd: Command) -> Result<String, String> {
         }
         Command::Watch(mut o) => {
             if o.n == 0 {
-                if o.key_field.is_some() {
-                    return Err(
-                        "watch --key-field needs an explicit --n: keyed records cannot be \
-                         pre-scanned by the record-file oracle to infer their domain"
-                            .into(),
-                    );
-                }
-                if o.path == "-" {
-                    return Err(
-                        "watch - (stdin) needs an explicit --n: a live stream cannot be \
-                         pre-scanned to infer its domain"
-                            .into(),
-                    );
-                }
                 // A file input can be pre-scanned the way `learn`/`test`
                 // do it; reuse the oracle's validating scan.
                 o.n = open(&o.path, 0, o.seed)?.domain_size();
@@ -890,13 +904,6 @@ pub fn dispatch(cmd: Command) -> Result<String, String> {
             }
         }
         Command::Serve(o) => {
-            if o.n == 0 {
-                return Err(
-                    "serve needs an explicit --n: a live stream cannot be pre-scanned to \
-                     infer its domain"
-                        .into(),
-                );
-            }
             let engine = keyed_engine(&o)?;
             let stdout = std::io::stdout();
             let summary = khist_serve::run(engine, o.serve, &mut stdout.lock())?;
@@ -1542,6 +1549,16 @@ mod tests {
         assert!(parse_args(&strings(&["learn", "a", "--bogus", "1"])).is_err());
         assert!(parse_args(&strings(&["test", "a", "--norm", "l3"])).is_err());
         assert!(parse_args(&strings(&["frobnicate", "a"])).is_err());
+        // A missing `--n` that the input cannot supply is a flag error.
+        for args in [
+            &["watch", "keyed.txt", "--key-field", "0"][..],
+            &["watch", "-"],
+            &["serve"],
+            &["serve", "--n", "0"],
+        ] {
+            let err = parse_args(&strings(args)).unwrap_err();
+            assert!(err.contains("needs an explicit --n"), "{args:?}: {err}");
+        }
     }
 
     #[test]

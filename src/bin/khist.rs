@@ -27,14 +27,22 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match khist::app::parse_args(&args).and_then(khist::app::dispatch) {
+    let command = match khist::app::parse_args(&args) {
+        Ok(command) => command,
+        Err(message) => {
+            // A flag error: show how the command line should look.
+            eprintln!("error: {message}");
+            eprintln!("{}", khist::app::usage());
+            return ExitCode::FAILURE;
+        }
+    };
+    match khist::app::dispatch(command) {
         Ok(report) => {
             print!("{report}");
             ExitCode::SUCCESS
         }
         Err(message) => {
             eprintln!("error: {message}");
-            eprintln!("{}", khist::app::usage());
             ExitCode::FAILURE
         }
     }

@@ -9,8 +9,8 @@
 //!
 //! The table covers every subcommand in human and `--json` form, both
 //! un-keyed watch modes, keyed `watch --fleet` at one and three shards,
-//! `serve --stdin`, and every flag rejection the parser and `dispatch`
-//! make.
+//! `serve --stdin`, every flag rejection the parser and `dispatch`
+//! make, and a keyed stream failing mid-input.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -91,6 +91,13 @@ const CASES: &[Case] = &[
         "watch keyed.txt --key-field 0 --shards 3 --fleet --every 2000 --n 64 --k 2 --eps 0.25 \
          --seed 7",
     ),
+    // Stream `a`'s first window fails in the engine: a data error, so
+    // the error line names the stream and no usage text follows.
+    piped(
+        "watch_keyed_stream_error",
+        "watch - --key-field 0 --n 16 --every 8 --run l2,uniformity --seed 0",
+        "failing.txt",
+    ),
     // One drain at EOF (the batch and the flush timer both exceed the
     // input), so the window interleaving does not depend on pipe timing.
     piped(
@@ -147,9 +154,11 @@ impl Lcg {
     }
 }
 
-/// Writes the two inputs: `records.txt` (20 000 un-keyed records over
+/// Writes the three inputs: `records.txt` (20 000 un-keyed records over
 /// `[0, 64)`, three quarters in `[0, 16)`, after a comment and a blank
-/// line) and `keyed.txt` (12 000 `key value` lines over three keys).
+/// line), `keyed.txt` (12 000 `key value` lines over three keys) and
+/// `failing.txt` (eight records of stream `a`, a window too small for the
+/// testers' lanes at `--every 8`, then one record of stream `b`).
 fn write_inputs(dir: &Path) {
     let mut lcg = Lcg(17);
     let mut records = String::from("# golden input\n\n");
@@ -169,6 +178,8 @@ fn write_inputs(dir: &Path) {
         keyed.push_str(&format!("{key} {}\n", lcg.next() % 64));
     }
     std::fs::write(dir.join("keyed.txt"), keyed).unwrap();
+    let failing = "a 1\na 2\na 3\na 4\na 5\na 6\na 7\na 8\nb 3\n";
+    std::fs::write(dir.join("failing.txt"), failing).unwrap();
 }
 
 /// Runs one case in `dir` and renders its exit code, stdout and stderr.

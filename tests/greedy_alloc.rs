@@ -7,8 +7,9 @@
 //! candidates' own costs are tabulated once per call and each endpoint's
 //! trims once per iteration, into buffers allocated once per call. What
 //! remains is a fixed set of per-call tables plus a few allocations per
-//! committed insertion (the new pieces, a priority level, map nodes), so
-//! one `learn_from_samples` call stays within `4·q + 64` allocations.
+//! committed insertion (the new pieces, a priority level, the tiling's
+//! piece list growing), so one `learn_from_samples` call stays within
+//! `4·q + 64` allocations.
 //!
 //! The counter is process-global, so this file holds exactly one `#[test]`
 //! (see `tests/engine_zero_alloc.rs`).

@@ -518,7 +518,7 @@ fn a_window_failing_in_the_final_drain_is_an_error_line_not_an_exit() {
     assert_eq!(lines.len(), 2, "{stdout}");
     assert_eq!(
         lines[0],
-        r#"{"error":"bad parameter: need non-empty sample sets"}"#
+        r#"{"error":"stream 'a': bad parameter: need non-empty sample sets"}"#
     );
     let tail = WindowReport::from_json(lines[1]).unwrap();
     assert_eq!(tail.stream.as_deref(), Some("b"));
@@ -562,8 +562,13 @@ fn a_window_too_large_to_reserve_is_an_error_not_an_abort() {
     assert!(status.success(), "serve: {status} {stderr}");
     let lines: Vec<&str> = stdout.lines().collect();
     assert_eq!(lines.len(), 1, "{stdout}");
-    assert!(
-        lines[0].starts_with(&format!("{{\"error\":\"{refused}")),
+    // Both streams are refused; the error names the smaller key.
+    assert_eq!(
+        lines[0],
+        format!(
+            "{{\"error\":\"stream 'a': {refused}7428571438811384 bytes for 14 sample \
+             lanes; shrink the window or the sample budget\"}}"
+        ),
         "{stdout}"
     );
     assert!(
