@@ -11,7 +11,9 @@
 //! [`Engine::ingest_batch`](khist_core::api::Engine::ingest_batch) on a
 //! size-or-deadline trigger. Completed windows stream out as JSONL — the
 //! same lines `khist watch --key-field --json` emits, bit for bit per
-//! stream.
+//! stream: both front ends run the one keyed
+//! [`Driver`](protocol::Driver), and differ only in their input loop and
+//! in where lines go.
 //!
 //! # Error isolation
 //!
@@ -19,11 +21,16 @@
 //! outside the declared domain) poisons **only its own connection**: the
 //! producer gets one `ERR line <n>: …` reply and the connection closes;
 //! every other connection's streams are untouched. A mid-stream
-//! disconnect keeps everything the connection already delivered. A
-//! window whose analysis fails at a drain (a reservoir lane left empty,
-//! say) becomes one `{"error":…}` line on the feed, at every drain
-//! including the one after end of input or `SHUTDOWN`; serving and the
-//! tail flush go on.
+//! disconnect keeps everything the connection already delivered.
+//!
+//! A failing window has one policy, the driver's, shared with keyed
+//! `khist watch`: a window whose analysis fails (a tester lane its
+//! sub-linear sample left empty, say) becomes one `{"error":"stream
+//! '…': …"}` line naming its stream, on the feed and to subscribers, at
+//! every drain including the one after end of input or `SHUTDOWN`; the
+//! other streams, serving and the tail flush go on. (Keyed `watch` prints
+//! the same line, or `error: stream '…': …` in human mode, and exits 0;
+//! only a malformed input line stops it.)
 //!
 //! # Backpressure
 //!

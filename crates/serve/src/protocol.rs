@@ -1,18 +1,20 @@
-//! Line protocols: data-plane record framing and buffering, the
-//! control-plane request language, plus the JSON rendering of control
-//! replies.
+//! Line protocols: data-plane record framing and buffering, the keyed
+//! driver, the control-plane request language, plus the JSON rendering
+//! of control replies.
 //!
 //! The data plane is shared with `khist watch --key-field`, which parses
-//! its input with [`parse_data_line`] and buffers it in [`Pending`]: two
-//! whitespace-separated fields per line, blank lines and `#` comments
-//! skipped — so a file replayed through `watch` and the same records
-//! pushed through a socket produce bit-identical per-stream JSONL. Each
-//! record is validated against the declared domain *at parse time*: the
-//! engine ingests batches from many connections at once, and a domain
-//! error surfacing there could not be pinned on the connection (and line)
-//! that sent it.
+//! its input with [`parse_data_line`] and runs it through the same
+//! [`Driver`]: two whitespace-separated fields per line, blank lines and
+//! `#` comments skipped — so a file replayed through `watch` and the same
+//! records pushed through a socket produce bit-identical per-stream
+//! JSONL, failing windows included. Each record is validated against the
+//! declared domain *at parse time*: the engine ingests batches from many
+//! connections at once, and a domain error surfacing there could not be
+//! pinned on the connection (and line) that sent it.
 
-use khist_core::api::{Engine, WindowReport};
+use std::fmt::Write;
+
+use khist_core::api::{Engine, FleetReport, WindowReport};
 use serde::{Serialize, Value};
 
 /// One parsed data-plane line.
@@ -76,9 +78,9 @@ pub fn parse_data_line(
 }
 
 /// Parsed-but-uningested records: keys in one arena addressed by spans,
-/// exactly the zero-copy shape [`Engine::ingest_batch`] wants. Both keyed
-/// front ends buffer through it: `khist serve` between drains, and
-/// `khist watch --key-field` per chunk.
+/// exactly the zero-copy shape [`Engine::ingest_batch`] wants. A
+/// [`Driver`] buffers through it between drains: `khist serve`'s
+/// size-or-deadline drains, and `khist watch --key-field`'s chunks.
 #[derive(Debug, Default)]
 pub struct Pending {
     arena: String,
@@ -117,7 +119,7 @@ impl Pending {
 
     /// Ingests every buffered record as one batch and empties the buffer
     /// (keeping its capacity), returning the windows the batch completed.
-    pub fn drain_into(&mut self, engine: &mut Engine) -> Result<Vec<WindowReport>, String> {
+    fn drain_into(&mut self, engine: &mut Engine) -> Result<Vec<WindowReport>, String> {
         let records: Vec<(&str, usize)> = self
             .spans
             .iter()
@@ -128,6 +130,184 @@ impl Pending {
         self.arena.clear();
         self.bytes = 0;
         result
+    }
+}
+
+/// One line a [`Driver`] emits.
+#[derive(Debug, Clone, Copy)]
+pub enum Line<'a> {
+    /// A window report.
+    Window(&'a WindowReport),
+    /// A failed engine call's error, which names the failing stream.
+    Error(&'a str),
+    /// The fleet rollup and its `{"fleet":true,…}` line.
+    Rollup(&'a FleetReport, &'a str),
+}
+
+impl Line<'_> {
+    /// The line as JSON, newline included: how `khist serve` and `khist
+    /// watch --key-field --json` print it.
+    pub fn to_json(self) -> String {
+        match self {
+            Line::Window(report) => format!("{}\n", report.to_json()),
+            Line::Error(message) => {
+                let mut line = String::from("{\"error\":");
+                serde::json::write_string(message, &mut line);
+                line + "}\n"
+            }
+            Line::Rollup(_, line) => line.to_string(),
+        }
+    }
+}
+
+/// Writes one line and flushes it, so live output never waits in a
+/// buffer. `Ok(false)` means the consumer hung up (broken pipe): for a
+/// streaming tool that is a normal way to stop (`khist watch … | head`),
+/// not an error.
+pub fn write_line(out: &mut impl std::io::Write, line: &str) -> std::io::Result<bool> {
+    match out.write_all(line.as_bytes()).and_then(|()| out.flush()) {
+        Ok(()) => Ok(true),
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(false),
+        Err(e) => Err(e),
+    }
+}
+
+/// Where a [`Driver`]'s lines go: a keyed front end says only how it
+/// renders and delivers them.
+pub trait Sink {
+    /// Emits one line.
+    fn emit(&mut self, line: Line<'_>) -> Result<(), String>;
+    /// Whether a fleet rollup would reach anyone now; the driver builds
+    /// none that no one takes.
+    fn wants_rollup(&self) -> bool;
+}
+
+/// The keyed sequence `khist watch --key-field` and `khist serve` share,
+/// over the [`Engine`] and a [`Pending`] buffer. Each front end keeps its
+/// input loop (when to [`drain`](Driver::drain)) and a [`Sink`] (where
+/// lines go); the driver does the rest, the same way for both:
+///
+/// 1. a drain is one [`Engine::ingest_batch`] call over the buffer;
+/// 2. it emits one line per window report;
+/// 3. then a rollup, when the drain reported a window;
+/// 4. at the end, [`finish`](Driver::finish) drains once more, flushes
+///    the tails in debut order, and emits the closing rollup.
+///
+/// **One failure policy.** A failed engine call becomes one
+/// [`Line::Error`] naming the failing stream, and the run goes on: one
+/// stream's starved window never stops the others.
+///
+/// The rollup is built once per fleet change. Only a call that debuted a
+/// stream, reported a window or failed (a failed call still folds the
+/// healthy streams' windows) can change it, so between such calls every
+/// rollup and [`fleet_line`](Driver::fleet_line) reuses the last one.
+pub struct Driver {
+    /// The records buffered for the next drain.
+    pub pending: Pending,
+    engine: Engine,
+    /// The rollup and its line as last built; `None` once a call may
+    /// have changed them.
+    rollup: Option<(FleetReport, String)>,
+    windows: u64,
+}
+
+impl Driver {
+    /// A driver over `engine`, with nothing buffered.
+    pub fn new(engine: Engine) -> Driver {
+        Driver {
+            pending: Pending::default(),
+            engine,
+            rollup: None,
+            windows: 0,
+        }
+    }
+
+    /// The engine, for control-plane queries.
+    pub fn engine(&self) -> &Engine {
+        &self.engine
+    }
+
+    /// The engine, for calls that leave the fleet as it is (a `STATS
+    /// <key>` snapshot).
+    pub fn engine_mut(&mut self) -> &mut Engine {
+        &mut self.engine
+    }
+
+    /// Window reports emitted so far (completed windows plus tails).
+    pub fn windows(&self) -> u64 {
+        self.windows
+    }
+
+    /// The fleet rollup as one `{"fleet":true,…}` line: `FLEET`'s reply,
+    /// and `khist watch --fleet --json`'s rollup line, byte for byte.
+    pub fn fleet_line(&mut self) -> &str {
+        &self.rollup().1
+    }
+
+    /// Ingests the buffered records as one batch and emits the outcome:
+    /// its window lines and, when there were any, a rollup; or its error
+    /// line.
+    pub fn drain(&mut self, sink: &mut impl Sink) -> Result<(), String> {
+        let streams = self.engine.streams();
+        let outcome = self.pending.drain_into(&mut self.engine);
+        if self.engine.streams() != streams {
+            self.rollup = None;
+        }
+        if self.emit(outcome, sink)? {
+            self.emit_rollup(sink)?;
+        }
+        Ok(())
+    }
+
+    /// Ends the run: a last drain (of a possibly empty buffer), every
+    /// stream's tail in debut order, then the closing rollup.
+    pub fn finish(&mut self, sink: &mut impl Sink) -> Result<(), String> {
+        self.drain(sink)?;
+        let tails = self.engine.flush_debut_ordered();
+        self.emit(tails.map_err(|e| e.to_string()), sink)?;
+        self.emit_rollup(sink)
+    }
+
+    /// Emits one engine call's outcome, a line per report or its error
+    /// line, and returns whether it reported a window.
+    fn emit(
+        &mut self,
+        outcome: Result<Vec<WindowReport>, String>,
+        sink: &mut impl Sink,
+    ) -> Result<bool, String> {
+        let reported = outcome.as_ref().is_ok_and(|reports| !reports.is_empty());
+        if reported || outcome.is_err() {
+            self.rollup = None;
+        }
+        match outcome {
+            Ok(reports) => {
+                for report in &reports {
+                    sink.emit(Line::Window(report))?;
+                    self.windows += 1;
+                }
+            }
+            Err(message) => sink.emit(Line::Error(&message))?,
+        }
+        Ok(reported)
+    }
+
+    /// Emits the rollup, when the sink takes one.
+    fn emit_rollup(&mut self, sink: &mut impl Sink) -> Result<(), String> {
+        if sink.wants_rollup() {
+            let (report, line) = self.rollup();
+            sink.emit(Line::Rollup(report, line))?;
+        }
+        Ok(())
+    }
+
+    /// The rollup and its line, built again only after a change.
+    fn rollup(&mut self) -> &(FleetReport, String) {
+        let engine = &self.engine;
+        self.rollup.get_or_insert_with(|| {
+            let report = engine.fleet_report();
+            let line = format!("{}\n", report.to_json());
+            (report, line)
+        })
     }
 }
 
@@ -185,34 +365,23 @@ fn reply_line(value: &Value) -> String {
 
 /// The `STATS` reply: one JSON line of fleet totals plus debut-ordered
 /// per-stream `seen` counts, straight off the engine's control-plane
-/// accessors (nothing is recomputed from window reports).
+/// accessors (nothing is recomputed from window reports), written
+/// straight into one `String`.
 pub fn stats_summary(engine: &Engine) -> String {
-    let per_stream: Vec<Value> = engine
-        .stream_seen()
-        .into_iter()
-        .map(|(key, seen)| {
-            Value::map([
-                ("key", Value::Str(key.to_string())),
-                ("seen", seen.serialize()),
-            ])
-        })
-        .collect();
-    reply_line(&Value::map([
-        ("streams", engine.streams().serialize()),
-        ("records", engine.seen().serialize()),
-        ("windows", engine.windows().serialize()),
-        ("shards", engine.shards().serialize()),
-        ("per_stream", Value::Seq(per_stream)),
-    ]))
-}
-
-/// The `FLEET` reply: the engine's fleet rollup as one
-/// `{"fleet":true,…}` JSON line — byte-identical to the fleet lines
-/// `khist watch --fleet` emits over the same records (the rollup carries
-/// no wall time), so a dashboard can poll serve and replay `watch`
-/// offline against the same capture and diff the two.
-pub fn fleet(engine: &Engine) -> String {
-    format!("{}\n", engine.fleet_report().to_json())
+    let mut line = format!(
+        "{{\"streams\":{},\"records\":{},\"windows\":{},\"shards\":{},\"per_stream\":[",
+        engine.streams(),
+        engine.seen(),
+        engine.windows(),
+        engine.shards(),
+    );
+    for (i, (key, seen)) in engine.stream_seen().into_iter().enumerate() {
+        line.push_str(if i == 0 { "{\"key\":" } else { ",{\"key\":" });
+        serde::json::write_string(key, &mut line);
+        let _ = write!(line, ",\"seen\":{seen}}}");
+    }
+    line.push_str("]}\n");
+    line
 }
 
 /// The `STATS <key>` reply: one JSON line holding the stream's
@@ -306,6 +475,66 @@ mod tests {
             .collect()
     }
 
+    /// A [`Sink`] that keeps every line it is given as JSON; it takes
+    /// rollups only when `rollups` is set.
+    #[derive(Default)]
+    struct Lines {
+        rollups: bool,
+        lines: Vec<String>,
+    }
+
+    impl Sink for Lines {
+        fn emit(&mut self, line: Line<'_>) -> Result<(), String> {
+            self.lines.push(line.to_json());
+            Ok(())
+        }
+
+        fn wants_rollup(&self) -> bool {
+            self.rollups
+        }
+    }
+
+    /// The `STATS` reply rendered through a [`Value`] tree: the reference
+    /// whose bytes [`stats_summary`]'s hand-written line must match.
+    fn stats_summary_by_value(engine: &Engine) -> String {
+        let per_stream: Vec<Value> = engine
+            .stream_seen()
+            .into_iter()
+            .map(|(key, seen)| {
+                Value::map([
+                    ("key", Value::Str(key.to_string())),
+                    ("seen", seen.serialize()),
+                ])
+            })
+            .collect();
+        reply_line(&Value::map([
+            ("streams", engine.streams().serialize()),
+            ("records", engine.seen().serialize()),
+            ("windows", engine.windows().serialize()),
+            ("shards", engine.shards().serialize()),
+            ("per_stream", Value::Seq(per_stream)),
+        ]))
+    }
+
+    /// What the `STATS` property builds keys from: the characters JSON
+    /// escapes (quote, backslash, control characters) and non-ASCII ones.
+    const KEY_PIECES: [&str; 14] = [
+        "a",
+        "\"",
+        "\\",
+        "\n",
+        "\r",
+        "\t",
+        "\u{0}",
+        "\u{1f}",
+        "\u{7f}",
+        "\u{e9}",
+        "\u{2603}",
+        "\u{feff}",
+        "\u{1d11e}",
+        "k7",
+    ];
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
         #[test]
@@ -334,6 +563,32 @@ mod tests {
             if let Err(msg) = parse_control_line(&line_of(&picks), lineno) {
                 prop_assert!(msg.starts_with(&format!("line {lineno}: ")), "{msg}");
             }
+        }
+
+        #[test]
+        fn prop_stats_lines_equal_the_value_rendering(
+            picks in proptest::collection::vec(0usize..64, 0..48),
+        ) {
+            let mut engine = Engine::builder(64)
+                .tumbling(4)
+                .analysis(khist_core::api::Uniformity::eps(0.3))
+                .build()
+                .unwrap();
+            // Up to 16 keys of one to three pieces, three records each.
+            let records: Vec<(String, usize)> = picks
+                .chunks(3)
+                .map(|c| {
+                    let key: String = c
+                        .iter()
+                        .take(1 + c[0] % 3)
+                        .map(|&p| KEY_PIECES[p % KEY_PIECES.len()])
+                        .collect();
+                    (key, c[c.len() - 1])
+                })
+                .collect();
+            // A failing window leaves the counts STATS reports in place.
+            let _ = engine.ingest_batch(&[&records[..], &records, &records].concat());
+            prop_assert_eq!(stats_summary(&engine), stats_summary_by_value(&engine));
         }
     }
 
@@ -409,27 +664,101 @@ mod tests {
     #[test]
     fn fleet_replies_are_single_fleet_marked_lines() {
         use khist_core::api::{FleetReport, Uniformity};
-        let mut engine = Engine::builder(64)
+        let engine = Engine::builder(64)
             .tumbling(4)
             .analysis(Uniformity::eps(0.3))
             .build()
             .unwrap();
-        engine
-            .ingest_batch(&[
-                ("api", 1usize),
-                ("api", 2),
-                ("api", 3),
-                ("api", 1),
-                ("web", 2),
-            ])
-            .unwrap();
-        let line = fleet(&engine);
+        let mut driver = Driver::new(engine);
+        for (key, value) in [("api", 1), ("api", 2), ("api", 3), ("api", 1), ("web", 2)] {
+            driver.pending.push(key, value);
+        }
+        driver.drain(&mut Lines::default()).unwrap();
+        let line = driver.fleet_line().to_string();
         assert!(line.ends_with('\n') && line.matches('\n').count() == 1);
         assert!(FleetReport::is_fleet_line(&line), "{line}");
         let report = FleetReport::from_json(line.trim()).unwrap();
         assert_eq!(report.streams, 2);
         assert_eq!(report.windows_complete, 1);
         assert_eq!(report.records_seen, 4, "only the completed window counts");
+    }
+
+    /// The engine `khist watch --key-field 0 --n 16 --every 64 --run
+    /// l2,uniformity --seed 0` runs: stream `m`'s first window leaves an
+    /// l2 lane empty and fails, stream `a`'s windows do not.
+    fn starving_engine() -> Engine {
+        use khist_core::api::{TestL2, Uniformity};
+        use khist_core::uniformity::UniformityBudget;
+        use khist_oracle::L2TesterBudget;
+        Engine::builder(16)
+            .tumbling(64)
+            .analysis(TestL2::k(8).eps(0.1).budget(L2TesterBudget { r: 7, m: 9 }))
+            .analysis(Uniformity::eps(0.1).budget(UniformityBudget { m: 64 }))
+            .build()
+            .unwrap()
+    }
+
+    /// `FLEET`'s reply, checked against a rollup built afresh.
+    fn fleet_reply(driver: &mut Driver) -> String {
+        let fresh = format!("{}\n", driver.engine().fleet_report().to_json());
+        assert_eq!(driver.fleet_line(), fresh);
+        fresh
+    }
+
+    #[test]
+    fn every_rollup_and_fleet_reply_is_the_engines_current_fleet() {
+        let mut driver = Driver::new(starving_engine());
+        let mut sink = Lines {
+            rollups: true,
+            lines: Vec::new(),
+        };
+        let push = |driver: &mut Driver, key: &str, records: usize| {
+            for i in 0..records {
+                driver.pending.push(key, i % 16);
+            }
+        };
+        let mut replies = vec![fleet_reply(&mut driver)];
+
+        // Debuts only: no window, so no line, but two more streams.
+        push(&mut driver, "a", 10);
+        push(&mut driver, "m", 10);
+        driver.drain(&mut sink).unwrap();
+        assert!(sink.lines.is_empty(), "{:?}", sink.lines);
+        replies.push(fleet_reply(&mut driver));
+
+        // A window: its line, then a rollup.
+        push(&mut driver, "a", 54);
+        driver.drain(&mut sink).unwrap();
+        assert_eq!(sink.lines.len(), 2, "{:?}", sink.lines);
+        replies.push(fleet_reply(&mut driver));
+        assert_eq!(sink.lines[1], replies[2]);
+
+        // A failing call: `m` starves while `a`'s second window folds into
+        // the fleet. One error line, no rollup.
+        push(&mut driver, "m", 54);
+        push(&mut driver, "a", 64);
+        driver.drain(&mut sink).unwrap();
+        let error = Line::Error("stream 'm': bad parameter: need non-empty sample sets").to_json();
+        assert_eq!(sink.lines.get(2..), Some(&[error][..]));
+        replies.push(fleet_reply(&mut driver));
+
+        // The next call delivers `a`'s stashed window, then a rollup.
+        push(&mut driver, "a", 5);
+        driver.drain(&mut sink).unwrap();
+        assert_eq!(sink.lines.len(), 5, "{:?}", sink.lines);
+        assert_eq!(sink.lines[4], fleet_reply(&mut driver));
+
+        // The end: `a`'s tail, then the closing rollup.
+        driver.finish(&mut sink).unwrap();
+        assert_eq!(sink.lines.len(), 7, "{:?}", sink.lines);
+        replies.push(fleet_reply(&mut driver));
+        assert_eq!(sink.lines[6], replies[4]);
+        assert_eq!(driver.windows(), 3);
+
+        // Each of these calls changed the fleet, so a stale reply differs.
+        for pair in replies.windows(2) {
+            assert_ne!(pair[0], pair[1]);
+        }
     }
 
     #[test]

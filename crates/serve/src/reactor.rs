@@ -39,12 +39,11 @@ use std::os::unix::net::UnixListener;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use khist_core::api::{Engine, WindowReport};
+use khist_core::api::Engine;
 use polling::{PollFd, Poller};
-use serde::Value;
 
 use crate::conn::{Conn, ReadStatus, Role};
-use crate::protocol::{self, ControlRequest, DataLine, Pending};
+use crate::protocol::{self, ControlRequest, DataLine, Driver, Line, Sink};
 
 /// Everything `run` needs beyond the engine itself.
 #[derive(Debug, Clone, PartialEq)]
@@ -171,9 +170,7 @@ fn process_lines(
     conn: &mut Conn,
     buf: &[u8],
     cfg: &ServerConfig,
-    n: usize,
-    engine: &mut Engine,
-    pending: &mut Pending,
+    driver: &mut Driver,
     shutdown: &mut bool,
 ) -> bool {
     let mut pieces: Vec<&[u8]> = buf.split(|&b| b == b'\n').collect();
@@ -183,47 +180,9 @@ fn process_lines(
     for piece in pieces {
         conn.lineno += 1;
         let lineno = conn.lineno;
-        let outcome: Result<(), String> = match std::str::from_utf8(piece) {
+        let outcome = match std::str::from_utf8(piece) {
             Err(_) => Err(format!("line {lineno}: invalid UTF-8")),
-            Ok(line) => match conn.role {
-                Role::Data => match protocol::parse_data_line(line, lineno, cfg.key_field, n) {
-                    Ok(DataLine::Record { key, value }) => {
-                        pending.push(key, value);
-                        Ok(())
-                    }
-                    Ok(DataLine::Skip) => Ok(()),
-                    Err(msg) => Err(msg),
-                },
-                Role::Control => match protocol::parse_control_line(line, lineno) {
-                    Ok(None) => Ok(()),
-                    Ok(Some(ControlRequest::Stats)) => {
-                        let reply = protocol::stats_summary(engine);
-                        conn.push_reply(&reply);
-                        Ok(())
-                    }
-                    Ok(Some(ControlRequest::StatsKey(key))) => {
-                        let reply = protocol::stats_key(engine, key);
-                        conn.push_reply(&reply);
-                        Ok(())
-                    }
-                    Ok(Some(ControlRequest::Subscribe)) => {
-                        conn.subscribed = true;
-                        conn.push_reply("{\"subscribed\":true}\n");
-                        Ok(())
-                    }
-                    Ok(Some(ControlRequest::Fleet)) => {
-                        let reply = protocol::fleet(engine);
-                        conn.push_reply(&reply);
-                        Ok(())
-                    }
-                    Ok(Some(ControlRequest::Shutdown)) => {
-                        *shutdown = true;
-                        conn.push_reply("{\"shutting_down\":true}\n");
-                        Ok(())
-                    }
-                    Err(msg) => Err(msg),
-                },
-            },
+            Ok(line) => handle_line(conn, line, lineno, cfg, driver, shutdown),
         };
         if let Err(msg) = outcome {
             conn.push_reply(&format!("ERR {msg}\n"));
@@ -235,6 +194,44 @@ fn process_lines(
     true
 }
 
+/// Handles one framed line: a data record joins the driver's pending
+/// buffer, a control request queues its reply. An error is the line's
+/// `ERR` reply.
+fn handle_line(
+    conn: &mut Conn,
+    line: &str,
+    lineno: usize,
+    cfg: &ServerConfig,
+    driver: &mut Driver,
+    shutdown: &mut bool,
+) -> Result<(), String> {
+    if conn.role == Role::Data {
+        let n = driver.engine().domain_size();
+        if let DataLine::Record { key, value } =
+            protocol::parse_data_line(line, lineno, cfg.key_field, n)?
+        {
+            driver.pending.push(key, value);
+        }
+        return Ok(());
+    }
+    let reply = match protocol::parse_control_line(line, lineno)? {
+        None => return Ok(()),
+        Some(ControlRequest::Stats) => protocol::stats_summary(driver.engine()),
+        Some(ControlRequest::StatsKey(key)) => protocol::stats_key(driver.engine_mut(), key),
+        Some(ControlRequest::Subscribe) => {
+            conn.subscribed = true;
+            "{\"subscribed\":true}\n".into()
+        }
+        Some(ControlRequest::Fleet) => driver.fleet_line().into(),
+        Some(ControlRequest::Shutdown) => {
+            *shutdown = true;
+            "{\"shutting_down\":true}\n".into()
+        }
+    };
+    conn.push_reply(&reply);
+    Ok(())
+}
+
 /// Reads one connection until it would block, ends, or — for a data
 /// connection — the global budget fills, framing and handling every
 /// complete line. With `hangup` (the peer closed) a would-block read
@@ -244,14 +241,12 @@ fn read_conn(
     hangup: bool,
     scratch: &mut [u8],
     cfg: &ServerConfig,
-    engine: &mut Engine,
-    pending: &mut Pending,
+    driver: &mut Driver,
     shutdown: &mut bool,
 ) {
-    let n = engine.domain_size();
     let mut saw_eof = false;
     loop {
-        if conn.role == Role::Data && pending.bytes() >= cfg.global_budget {
+        if conn.role == Role::Data && driver.pending.bytes() >= cfg.global_budget {
             // Budget full: park this reader (and the rest); the next
             // drain frees the budget.
             break;
@@ -259,7 +254,7 @@ fn read_conn(
         match conn.read_some(scratch) {
             Ok(ReadStatus::Data(_)) => {
                 if let Some(buf) = conn.take_complete_lines() {
-                    if !process_lines(conn, &buf, cfg, n, engine, pending, shutdown) {
+                    if !process_lines(conn, &buf, cfg, driver, shutdown) {
                         break;
                     }
                 }
@@ -290,73 +285,45 @@ fn read_conn(
         // `read_line` would.
         if !conn.inbuf.is_empty() {
             let buf = conn.take_tail();
-            process_lines(conn, &buf, cfg, n, engine, pending, shutdown);
+            process_lines(conn, &buf, cfg, driver, shutdown);
         }
     }
 }
 
-/// Drains the pending records into the engine and emits what it returns:
-/// one line per window report, then (when there were any) a fleet line
-/// for subscribers. A failed drain becomes one `{"error":…}` feed line
-/// and serving goes on, at the end of input as in the loop.
-fn drain<W: Write>(
-    pending: &mut Pending,
-    engine: &mut Engine,
-    out: &mut W,
-    out_ok: &mut bool,
-    conns: &mut [Conn],
+/// Serve's [`Sink`]: the main JSONL sink plus the open connections.
+/// JSON lines go to the main sink and to every `SUB` subscriber, so a
+/// feed carries exactly the sink's lines; fleet rollups go to
+/// subscribers only. Stdout stays a pure per-stream window feed,
+/// bit-compatible with `khist watch --key-field --json`; subscribers opt
+/// into the rollup the way `watch --fleet` users do, and one-shot readers
+/// poll the `FLEET` verb instead.
+struct Feed<'a, W> {
+    out: &'a mut W,
+    /// Cleared when the main sink hangs up (the reactor then shuts down).
+    out_ok: bool,
+    conns: Vec<Conn>,
+    /// A subscriber whose backlog passes this many bytes is dropped.
     sub_cap: usize,
-    windows: &mut u64,
-) -> Result<(), String> {
-    match pending.drain_into(engine) {
-        Ok(reports) => {
-            emit_reports(&reports, out, out_ok, conns, sub_cap, windows)?;
-            if !reports.is_empty() {
-                emit_fleet_line(engine, conns, sub_cap);
-            }
-            Ok(())
-        }
-        Err(msg) => emit_line(&error_line(&msg), out, out_ok, conns, sub_cap),
-    }
 }
 
-/// Emits window reports: one JSONL line each through [`emit_line`].
-fn emit_reports<W: Write>(
-    reports: &[WindowReport],
-    out: &mut W,
-    out_ok: &mut bool,
-    conns: &mut [Conn],
-    sub_cap: usize,
-    windows: &mut u64,
-) -> Result<(), String> {
-    for report in reports {
-        let line = format!("{}\n", report.to_json());
-        emit_line(&line, out, out_ok, conns, sub_cap)?;
-        *windows += 1;
-    }
-    Ok(())
-}
-
-/// Writes one feed line to the main sink, flushes it, and queues it on
-/// every subscribed control connection, so a `SUB` feed carries exactly
-/// the sink's lines. A broken-pipe sink flips `out_ok` (the caller
-/// decides to shut down).
-fn emit_line<W: Write>(
-    line: &str,
-    out: &mut W,
-    out_ok: &mut bool,
-    conns: &mut [Conn],
-    sub_cap: usize,
-) -> Result<(), String> {
-    if *out_ok {
-        match out.write_all(line.as_bytes()).and_then(|()| out.flush()) {
-            Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => *out_ok = false,
-            Err(e) => return Err(format!("write to sink failed: {e}")),
+impl<W: Write> Sink for Feed<'_, W> {
+    fn emit(&mut self, line: Line<'_>) -> Result<(), String> {
+        if let Line::Rollup(_, rollup) = line {
+            broadcast(rollup, &mut self.conns, self.sub_cap);
+            return Ok(());
         }
+        let line = line.to_json();
+        if self.out_ok {
+            self.out_ok = protocol::write_line(self.out, &line)
+                .map_err(|e| format!("write to sink failed: {e}"))?;
+        }
+        broadcast(&line, &mut self.conns, self.sub_cap);
+        Ok(())
     }
-    broadcast(line, conns, sub_cap);
-    Ok(())
+
+    fn wants_rollup(&self) -> bool {
+        self.conns.iter().any(|c| c.subscribed)
+    }
 }
 
 /// Queues one feed line on every subscribed control connection. A
@@ -373,29 +340,6 @@ fn broadcast(line: &str, conns: &mut [Conn], sub_cap: usize) {
             conn.inbuf.clear();
         }
     }
-}
-
-/// Pushes the current fleet rollup line to every subscribed control
-/// connection — `khist watch --fleet`'s interleaved rollup, serve-side.
-/// The line never touches the main JSONL sink: serve's stdout stays a
-/// pure per-stream window feed (bit-compatible with
-/// `khist watch --key-field --json`); subscribers opt into the rollup
-/// the way `watch --fleet` users do, and one-shot readers poll the
-/// `FLEET` verb instead.
-fn emit_fleet_line(engine: &Engine, conns: &mut [Conn], sub_cap: usize) {
-    if conns.iter().any(|c| c.subscribed) {
-        broadcast(&protocol::fleet(engine), conns, sub_cap);
-    }
-}
-
-/// One engine-ingest failure as a JSONL error line (the feed carries
-/// the error; the reactor keeps serving — with parse-time domain
-/// validation these are unexpected, e.g. an analysis rejecting its
-/// window).
-fn error_line(msg: &str) -> String {
-    let rendered = serde::json::to_string(&Value::map([("error", Value::Str(msg.to_string()))]))
-        .unwrap_or_else(|_| "{\"error\":\"unserializable error\"}".to_string());
-    format!("{rendered}\n")
 }
 
 /// Delivers the replies and feed lines still buffered at shutdown,
@@ -445,7 +389,7 @@ fn flush_final(conns: Vec<Conn>, poller: &mut Poller, fds: &mut Vec<PollFd>) -> 
 /// partial tail in debut order. See the [crate docs](crate) for the
 /// protocol, isolation, and backpressure contracts.
 pub fn run<W: Write>(
-    mut engine: Engine,
+    engine: Engine,
     cfg: ServerConfig,
     out: &mut W,
 ) -> Result<ServerSummary, String> {
@@ -456,34 +400,36 @@ pub fn run<W: Write>(
     if let Some(path) = &cfg.control {
         listeners.push((bind_listener(path)?, Role::Control));
     }
-    let mut conns: Vec<Conn> = Vec::new();
+    let mut feed = Feed {
+        out,
+        out_ok: true,
+        conns: Vec::new(),
+        sub_cap: cfg.conn_buffer.saturating_mul(4),
+    };
     if cfg.stdin {
         polling::set_nonblocking(0, true).map_err(|e| format!("set stdin nonblocking: {e}"))?;
-        conns.push(Conn::stdin());
+        feed.conns.push(Conn::stdin());
     }
-    if listeners.is_empty() && conns.is_empty() {
+    if listeners.is_empty() && feed.conns.is_empty() {
         return Err("serve needs at least one source: --socket, --control, or stdin".into());
     }
 
     let flush_every = Duration::from_millis(cfg.flush_ms);
-    let sub_cap = cfg.conn_buffer.saturating_mul(4);
     let mut poller = Poller::new();
     let mut polls = 0u64;
     let mut fds: Vec<PollFd> = Vec::new();
     let mut scratch = vec![0u8; 16 * 1024];
-    let mut pending = Pending::default();
+    let mut driver = Driver::new(engine);
     let mut last_drain = clock();
     // Data connections are out of the read interest until `hold_until`;
     // `last_read` is when the last read that found records ended.
     let mut hold_until = last_drain;
     let mut last_read = last_drain;
     let mut shutdown = false;
-    let mut out_ok = true;
-    let mut windows = 0u64;
 
     loop {
-        conns.retain(|c| !c.done());
-        if shutdown || (listeners.is_empty() && conns.is_empty()) {
+        feed.conns.retain(|c| !c.done());
+        if shutdown || (listeners.is_empty() && feed.conns.is_empty()) {
             // SHUTDOWN, a closed sink, or every source finished
             // (stdin-only mode): fall through to the tail flush.
             break;
@@ -497,7 +443,7 @@ pub fn run<W: Write>(
         fds.clear();
         fds.extend(listeners.iter().map(|(l, _)| PollFd::read(l.as_raw_fd())));
         let base = fds.len();
-        for conn in &conns {
+        for conn in &feed.conns {
             fds.push(PollFd {
                 fd: conn.fd(),
                 read: !(conn.eof || (held && conn.role == Role::Data)),
@@ -508,7 +454,7 @@ pub fn run<W: Write>(
 
         let timeout = if held {
             timeout_ms(hold_until - now)
-        } else if pending.is_empty() {
+        } else if driver.pending.is_empty() {
             -1
         } else {
             timeout_ms(flush_every.saturating_sub(now.duration_since(last_drain)))
@@ -525,7 +471,7 @@ pub fn run<W: Write>(
             }
             while let Ok((stream, _)) = listener.accept() {
                 if stream.set_nonblocking(true).is_ok() {
-                    conns.push(Conn::socket(stream, *role));
+                    feed.conns.push(Conn::socket(stream, *role));
                 }
             }
         }
@@ -537,12 +483,11 @@ pub fn run<W: Write>(
         // connection that hung up is read to its end, or `poll` would
         // keep reporting it.
         let hold_over = held && clock() >= hold_until;
-        let before = pending.len();
-        for i in 0..conns.len() {
+        let before = driver.pending.len();
+        for (i, conn) in feed.conns.iter_mut().enumerate() {
             let Some(&ready) = fds.get(base + i) else {
                 break;
             };
-            let Some(conn) = conns.get_mut(i) else { break };
             if ready.invalid {
                 conn.eof = true;
                 conn.outbuf.clear();
@@ -561,13 +506,12 @@ pub fn run<W: Write>(
                     ready.hangup,
                     &mut scratch,
                     &cfg,
-                    &mut engine,
-                    &mut pending,
+                    &mut driver,
                     &mut shutdown,
                 );
             }
         }
-        let found = pending.len() - before;
+        let found = driver.pending.len() - before;
         if found > 0 {
             let now = clock();
             // A hold never outlasts the flush deadline.
@@ -577,64 +521,35 @@ pub fn run<W: Write>(
         }
 
         // Size-or-deadline drain.
+        let pending = &driver.pending;
         let due = !pending.is_empty() && clock().duration_since(last_drain) >= flush_every;
         if pending.len() >= cfg.batch_records
             || pending.bytes() >= cfg.global_budget
             || due
             || (shutdown && !pending.is_empty())
         {
-            drain(
-                &mut pending,
-                &mut engine,
-                out,
-                &mut out_ok,
-                &mut conns,
-                sub_cap,
-                &mut windows,
-            )?;
+            driver.drain(&mut feed)?;
             last_drain = clock();
         }
-        if !out_ok {
+        if !feed.out_ok {
             // The JSONL sink hung up: finish cleanly.
             shutdown = true;
         }
     }
 
     // Finish: read what the data connections already delivered (a hold
-    // may have left some unread), drain it, then flush every stream's
-    // partial tail in debut order (the same order `watch --key-field`
-    // emits).
-    for conn in conns.iter_mut().filter(|c| c.role == Role::Data && !c.eof) {
-        read_conn(
-            conn,
-            false,
-            &mut scratch,
-            &cfg,
-            &mut engine,
-            &mut pending,
-            &mut shutdown,
-        );
+    // may have left some unread), then the driver's end of run: the last
+    // drain, every stream's tail in debut order, and the closing rollup.
+    for conn in feed
+        .conns
+        .iter_mut()
+        .filter(|c| c.role == Role::Data && !c.eof)
+    {
+        read_conn(conn, false, &mut scratch, &cfg, &mut driver, &mut shutdown);
     }
-    if !pending.is_empty() {
-        drain(
-            &mut pending,
-            &mut engine,
-            out,
-            &mut out_ok,
-            &mut conns,
-            sub_cap,
-            &mut windows,
-        )?;
-    }
-    let tails = engine
-        .flush_debut_ordered()
-        .map_err(|e| format!("tail flush failed: {e}"))?;
-    emit_reports(&tails, out, &mut out_ok, &mut conns, sub_cap, &mut windows)?;
-    // Closing rollup: subscribers get the same final fleet line a
-    // `FLEET` poll (or `watch --fleet`'s last line) would show.
-    emit_fleet_line(&engine, &mut conns, sub_cap);
+    driver.finish(&mut feed)?;
 
-    polls += flush_final(conns, &mut poller, &mut fds);
+    polls += flush_final(feed.conns, &mut poller, &mut fds);
     if cfg.stdin {
         let _ = polling::set_nonblocking(0, false);
     }
@@ -642,10 +557,11 @@ pub fn run<W: Write>(
         let _ = std::fs::remove_file(path);
     }
 
+    let engine = driver.engine();
     Ok(ServerSummary {
         records: engine.seen(),
         streams: engine.streams(),
-        windows,
+        windows: driver.windows(),
         shards: engine.shards(),
         polls,
     })

@@ -31,7 +31,7 @@ use khist_oracle::{
     empirical_distribution, parse_record, L1TesterBudget, L2TesterBudget, LearnerBudget,
     RecordFileOracle, SampleOracle, SampleSet, Window,
 };
-use khist_serve::protocol::{parse_data_line, DataLine, Pending};
+use khist_serve::protocol::{parse_data_line, write_line, DataLine, Driver, Line, Sink};
 use khist_serve::ServerConfig;
 use serde::{Serialize, Value};
 
@@ -458,23 +458,9 @@ pub fn reports_to_json(reports: &[Report]) -> String {
 /// How many steps a sliding `khist watch` window covers.
 const SLIDING_STEPS: u64 = 4;
 
-/// Renders one [`WindowReport`] in the format the options select: one
-/// JSON line, or an indented human block.
-pub fn render_window(report: &WindowReport, json: bool) -> String {
-    if json {
-        format!("{}\n", report.to_json())
-    } else {
-        format!("{report}\n")
-    }
-}
-
-/// Renders one [`FleetReport`] in the format the options select: the
-/// `{"fleet":true,…}` JSON line (the wire shape `khist serve`'s `FLEET`
-/// verb answers with, byte for byte), or a one-line human summary.
-pub fn render_fleet(report: &FleetReport, json: bool) -> String {
-    if json {
-        return format!("{}\n", report.to_json());
-    }
+/// Renders one [`FleetReport`] as `watch --fleet`'s one-line human
+/// summary (its JSON line is the [`Driver`]'s, `FLEET`'s reply).
+pub fn render_fleet(report: &FleetReport) -> String {
     let mut text = format!(
         "fleet: {}/{} streams alarming, {} windows ({} partial), {} records, {} alarm windows",
         report.alarming_streams,
@@ -528,33 +514,54 @@ fn keyed_engine(o: &Options) -> Result<Engine, String> {
         .map_err(fmt_err)
 }
 
-/// Writes one rendered line and flushes it, so live output never waits in
-/// a buffer. `Ok(false)` means the consumer hung up (broken pipe) — for a
-/// streaming tool that is a normal way to stop (`watch … | head`), not an
-/// error.
-fn write_line<W: std::io::Write>(out: &mut W, line: &str) -> Result<bool, String> {
-    match out.write_all(line.as_bytes()).and_then(|()| out.flush()) {
-        Ok(()) => Ok(true),
-        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(false),
-        Err(e) => Err(fmt_err(e)),
+/// Where `watch` writes: human text or JSON lines on `out`, each through
+/// [`write_line`]. Once the consumer hangs up nothing more is written
+/// and `open` turns false. It is keyed `watch`'s [`Sink`], `--fleet`
+/// rollups included.
+struct WatchSink<'a, W> {
+    out: &'a mut W,
+    json: bool,
+    fleet: bool,
+    open: bool,
+}
+
+impl<W: std::io::Write> Sink for WatchSink<'_, W> {
+    fn emit(&mut self, line: Line<'_>) -> Result<(), String> {
+        let text = match line {
+            line if self.json => line.to_json(),
+            Line::Window(report) => format!("{report}\n"),
+            Line::Error(message) => format!("error: {message}\n"),
+            Line::Rollup(report, _) => render_fleet(report),
+        };
+        if self.open {
+            self.open = write_line(self.out, &text).map_err(fmt_err)?;
+        }
+        Ok(())
+    }
+
+    fn wants_rollup(&self) -> bool {
+        self.fleet
     }
 }
 
-/// Writes every report as one rendered line, counting them into
-/// `windows`; `Ok(false)` when the consumer hung up.
-fn emit_windows<W: std::io::Write>(
-    out: &mut W,
-    reports: Vec<WindowReport>,
-    json: bool,
-    windows: &mut u64,
-) -> Result<bool, String> {
-    for report in reports {
-        if !write_line(out, &render_window(&report, json))? {
-            return Ok(false);
+/// Feeds `each` every line of `input` with its number, through one reused
+/// buffer (no per-line allocation), until the input ends or `each`
+/// returns `false`.
+fn each_line<R: std::io::BufRead>(
+    mut input: R,
+    mut each: impl FnMut(&str, usize) -> Result<bool, String>,
+) -> Result<(), String> {
+    let mut line = String::with_capacity(256);
+    for lineno in 1.. {
+        line.clear();
+        let read = input
+            .read_line(&mut line)
+            .map_err(|e| format!("read failed at line {lineno}: {e}"))?;
+        if read == 0 || !each(&line, lineno)? {
+            break;
         }
-        *windows += 1;
     }
-    Ok(true)
+    Ok(())
 }
 
 /// Streams records from `input` through a push-based [`Monitor`], writing
@@ -573,8 +580,14 @@ pub fn run_watch<R: std::io::BufRead, W: std::io::Write>(
     if opts.n == 0 {
         return Err("watch needs a declared domain (--n)".into());
     }
+    let mut sink = WatchSink {
+        out,
+        json: opts.json,
+        fleet: opts.fleet,
+        open: true,
+    };
     if let Some(field) = opts.key_field {
-        return run_watch_keyed(input, out, opts, field);
+        return run_watch_keyed(input, &mut sink, opts, field);
     }
     if opts.fleet {
         return Err(
@@ -592,45 +605,30 @@ pub fn run_watch<R: std::io::BufRead, W: std::io::Write>(
         .map_err(fmt_err)?;
 
     let mut windows = 0u64;
+    let mut emit = |sink: &mut WatchSink<'_, W>, reports: Vec<WindowReport>| {
+        windows += reports.len() as u64;
+        reports.iter().try_for_each(|r| sink.emit(Line::Window(r)))
+    };
     let mut buffer: Vec<usize> = Vec::with_capacity(1024);
-    // One read buffer reused for every line: `read_line` appends into it,
-    // so clearing (not dropping) between lines keeps the steady state free
-    // of per-line allocation.
-    let mut input = input;
-    let mut line = String::with_capacity(256);
-    let mut lineno = 0usize;
-    loop {
-        line.clear();
-        let read = input
-            .read_line(&mut line)
-            .map_err(|e| format!("read failed at line {}: {e}", lineno + 1))?;
-        if read == 0 {
-            break;
+    each_line(input, |line, lineno| {
+        if let Some(value) = parse_record(line, lineno)? {
+            buffer.push(value);
         }
-        lineno += 1;
-        let Some(value) = parse_record(&line, lineno)? else {
-            continue;
-        };
-        buffer.push(value);
         if buffer.len() >= 1024 {
-            let reports = monitor.ingest(&buffer).map_err(fmt_err)?;
+            emit(&mut sink, monitor.ingest(&buffer).map_err(fmt_err)?)?;
             buffer.clear();
-            if !emit_windows(out, reports, opts.json, &mut windows)? {
-                return Ok(String::new());
-            }
         }
-    }
+        Ok(sink.open)
+    })?;
     // Emit the final buffer's completed windows before flushing the tail,
     // so a tail-flush failure can never lose an already-computed report.
-    let reports = monitor.ingest(&buffer).map_err(fmt_err)?;
-    if !emit_windows(out, reports, opts.json, &mut windows)? {
-        return Ok(String::new());
+    if sink.open {
+        emit(&mut sink, monitor.ingest(&buffer).map_err(fmt_err)?)?;
     }
-    let tail = monitor.flush().map_err(fmt_err)?;
-    if !emit_windows(out, tail, opts.json, &mut windows)? {
-        return Ok(String::new());
+    if sink.open {
+        emit(&mut sink, monitor.flush().map_err(fmt_err)?)?;
     }
-    if opts.json {
+    if opts.json || !sink.open {
         return Ok(String::new());
     }
     Ok(format!(
@@ -642,98 +640,49 @@ pub fn run_watch<R: std::io::BufRead, W: std::io::Write>(
 
 /// The keyed flavour of [`run_watch`]: demultiplexes `key value` lines
 /// onto a sharded [`Engine`] (one [`Monitor`] per stream key) and emits
-/// every stream's window reports as they complete, tagged by stream. Per-stream output is bit-identical for
-/// every `--shards` value; the interleaving is deterministic (sorted by
-/// stream, then window, within each ingested chunk).
+/// every stream's window reports as they complete, tagged by stream.
+/// Per-stream output is bit-identical for every `--shards` value; the
+/// interleaving is deterministic (sorted by stream, then window, within
+/// each ingested chunk).
 ///
 /// Lines go through serve's data plane — the same framing, errors and
-/// parse-time domain check ([`parse_data_line`]) and the same zero-copy
-/// record buffer ([`Pending`]) — so a capture replayed here and pushed
-/// through `khist serve` produces the same per-stream JSONL.
+/// parse-time domain check ([`parse_data_line`]) and the same keyed
+/// [`Driver`], failure policy included — so a capture replayed here and
+/// pushed through `khist serve` produces the same per-stream JSONL.
 fn run_watch_keyed<R: std::io::BufRead, W: std::io::Write>(
     input: R,
-    out: &mut W,
+    sink: &mut WatchSink<'_, W>,
     opts: &Options,
     field: usize,
 ) -> Result<String, String> {
-    let mut engine = keyed_engine(opts)?;
-    // With --fleet, a rollup line follows every chunk that reported a
-    // window (and the final tails): the fleet state as of everything
-    // ingested so far. `Ok(false)` = consumer hung up.
-    let emit_fleet = |out: &mut W, engine: &Engine| -> Result<bool, String> {
-        write_line(out, &render_fleet(&engine.fleet_report(), opts.json))
-    };
-    // Ingests one chunk and emits its windows, then its rollup line.
-    let drain = |out: &mut W,
-                 engine: &mut Engine,
-                 pending: &mut Pending,
-                 windows: &mut u64|
-     -> Result<bool, String> {
-        let reports = pending.drain_into(engine)?;
-        let reported = !reports.is_empty();
-        if !emit_windows(out, reports, opts.json, windows)? {
-            return Ok(false);
-        }
-        if opts.fleet && reported {
-            return emit_fleet(out, engine);
-        }
-        Ok(true)
-    };
-
-    let mut windows = 0u64;
+    let mut driver = Driver::new(keyed_engine(opts)?);
     // Each chunk costs one mailbox round per busy shard, so the chunk must
     // be big enough to amortize the handoff: scale it with the shard count
     // so every worker gets thousands of records per round. Memory stays
     // bounded (chunk × ~word-sized records), and report latency stays well
     // under a window span.
     let chunk = 4096 * opts.shards;
-    // Zero-copy line handling: one reused read buffer, keys copied into
-    // the pending buffer's arena (cleared, not freed, between chunks). No
-    // per-line `String` is ever allocated.
-    let mut input = input;
-    let mut line = String::with_capacity(256);
-    let mut lineno = 0usize;
-    let mut pending = Pending::default();
-    loop {
-        line.clear();
-        let read = input
-            .read_line(&mut line)
-            .map_err(|e| format!("read failed at line {}: {e}", lineno + 1))?;
-        if read == 0 {
-            break;
+    each_line(input, |line, lineno| {
+        if let DataLine::Record { key, value } = parse_data_line(line, lineno, field, opts.n)? {
+            driver.pending.push(key, value);
         }
-        lineno += 1;
-        let DataLine::Record { key, value } = parse_data_line(&line, lineno, field, opts.n)? else {
-            continue;
-        };
-        pending.push(key, value);
-        if pending.len() >= chunk && !drain(out, &mut engine, &mut pending, &mut windows)? {
-            return Ok(String::new());
+        if driver.pending.len() >= chunk {
+            driver.drain(sink)?;
         }
+        Ok(sink.open)
+    })?;
+    if sink.open {
+        driver.finish(sink)?;
     }
-    // Emit the final buffer's completed windows before flushing the tails,
-    // so a tail-flush failure can never lose an already-computed report.
-    if !drain(out, &mut engine, &mut pending, &mut windows)? {
+    if opts.json || !sink.open {
         return Ok(String::new());
     }
-    // Tails come out in debut order — the order streams first appeared —
-    // not key-lexicographic order, so the end-of-stream output lines up
-    // with the input's own history.
-    let tails = engine.flush_debut_ordered().map_err(fmt_err)?;
-    if !emit_windows(out, tails, opts.json, &mut windows)? {
-        return Ok(String::new());
-    }
-    // The closing rollup: the whole stream's fleet state, tails included.
-    if opts.fleet && !emit_fleet(out, &engine)? {
-        return Ok(String::new());
-    }
-    if opts.json {
-        return Ok(String::new());
-    }
+    let engine = driver.engine();
     Ok(format!(
-        "watched {} records from {} streams over {windows} windows on {} shard{}\n",
+        "watched {} records from {} streams over {} windows on {} shard{}\n",
         engine.seen(),
         engine.streams(),
+        driver.windows(),
         engine.shards(),
         if engine.shards() == 1 { "" } else { "s" },
     ))

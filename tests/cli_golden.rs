@@ -10,7 +10,7 @@
 //! The table covers every subcommand in human and `--json` form, both
 //! un-keyed watch modes, keyed `watch --fleet` at one and three shards,
 //! `serve --stdin`, every flag rejection the parser and `dispatch`
-//! make, and a keyed stream failing mid-input.
+//! make, and a keyed stream failing mid-input (human and JSON).
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -92,10 +92,17 @@ const CASES: &[Case] = &[
          --seed 7",
     ),
     // Stream `a`'s first window fails in the engine: a data error, so
-    // the error line names the stream and no usage text follows.
+    // the error line names the stream, no usage text follows, and the run
+    // goes on to `b`'s tail and exits 0.
     piped(
         "watch_keyed_stream_error",
         "watch - --key-field 0 --n 16 --every 8 --run l2,uniformity --seed 0",
+        "failing.txt",
+    ),
+    // The same in JSON: byte for byte what `serve --stdin` prints for it.
+    piped(
+        "watch_keyed_stream_error_json",
+        "watch - --key-field 0 --n 16 --every 8 --run l2,uniformity --seed 0 --json",
         "failing.txt",
     ),
     // One drain at EOF (the batch and the flush timer both exceed the

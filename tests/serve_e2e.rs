@@ -2,7 +2,7 @@
 //! sockets, concurrent producers, a live control plane, and the
 //! serve ≡ watch bit-identity contract.
 //!
-//! Four scenarios:
+//! Six scenarios:
 //!
 //! 1. **Throughput + identity** — two concurrent writers push 50 000
 //!    keyed records over one data socket (disjoint key sets, so each
@@ -29,6 +29,9 @@
 //!    hold are an error on the first record: `watch` exits 1 with an
 //!    `error:` line, `serve` writes an `{"error":…}` line and exits 0,
 //!    and neither aborts.
+//! 6. **A starved window** — one stream's window leaves a tester lane
+//!    empty: keyed `watch --json` and `serve` both print one error line
+//!    naming that stream, exit 0, and agree on every stream's windows.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::UnixStream;
@@ -575,4 +578,50 @@ fn a_window_too_large_to_reserve_is_an_error_not_an_abort() {
         stderr.starts_with("served 0 records from 2 streams"),
         "{stderr}"
     );
+}
+
+#[test]
+fn a_starved_window_is_one_error_line_under_watch_and_serve_alike() {
+    // At these flags stream `m`'s first window leaves an l2 lane empty,
+    // whatever its values, and `a`'s windows do not: `m`'s 64 records
+    // starve a window, and `a`'s 70 make one window and a tail.
+    let flags = "--key-field 0 --n 16 --every 64 --run l2,uniformity --seed 0";
+    let mut input = String::new();
+    for i in 0..70 {
+        input.push_str(&format!("a {}\n", (i * 7) % 16));
+        if i < 64 {
+            input.push_str(&format!("m {}\n", (i * 5) % 16));
+        }
+    }
+    let run = |command: &[&str]| {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_khist"))
+            .args(command)
+            .args(flags.split(' '))
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn khist");
+        let mut stdin = child.stdin.take().unwrap();
+        stdin.write_all(input.as_bytes()).unwrap();
+        drop(stdin);
+        let output = child.wait_with_output().unwrap();
+        let stderr = String::from_utf8(output.stderr).unwrap();
+        assert!(output.status.success(), "{command:?}: {stderr}");
+        String::from_utf8(output.stdout).unwrap()
+    };
+    let watched = run(&["watch", "-", "--json"]);
+    let served = run(&["serve", "--stdin"]);
+
+    let error = r#"{"error":"stream 'm': bad parameter: need non-empty sample sets"}"#;
+    let windows = |stdout: &str| {
+        let (errors, windows): (Vec<&str>, Vec<&str>) = stdout.lines().partition(|l| *l == error);
+        assert_eq!(errors.len(), 1, "{stdout}");
+        per_stream_jsonl(&windows.join("\n"))
+    };
+    let watched = windows(&watched);
+    assert_eq!(watched, windows(&served));
+    // Only the starved window is gone: `a`'s window and tail remain.
+    assert_eq!(watched.len(), 1, "{watched:?}");
+    assert_eq!((watched[0].0.as_str(), watched[0].1.len()), ("a", 2));
 }
