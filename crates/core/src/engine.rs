@@ -130,10 +130,10 @@ use khist_oracle::{stream_seed, Window};
 use crate::api::{Analysis, LedgerEntry, Report, SamplePlan};
 use crate::monitor::{Monitor, StreamSpec, WindowReport};
 
-/// One shard's answer to a batch: everything that succeeded, plus every
-/// per-stream failure. Streams are independent state machines, so one
-/// stream's bad record must not discard another stream's already-computed
-/// window reports — the shard keeps going and reports both.
+/// One shard's answer to a batch: every window report, failed windows
+/// included, plus every stream that could not take its records. Streams
+/// are independent state machines, so one stream's refused record does
+/// not stop its shard-mates — the shard keeps going and reports both.
 type ShardOutcome = (Vec<WindowReport>, Vec<(String, DistError)>);
 
 /// FNV-1a 64-bit hash of a stream key.
@@ -342,8 +342,8 @@ struct Shard {
 }
 
 /// Digests freshly produced window reports into the shard's fleet partial.
-/// Runs inside shard workers at window production, so stashed reports
-/// (collected later after a partial batch failure) are never re-counted.
+/// Runs inside shard workers at window production. A failed window counts
+/// like any other: it has no verdicts and no drift, so it is a quiet one.
 // lint:hot-path
 fn observe_windows(fleet: &mut FleetSummary, slot: &mut StreamSlot, reports: &[WindowReport]) {
     for w in reports {
@@ -632,7 +632,6 @@ impl EngineBuilder {
             interner: Interner::new(),
             jobs: Vec::new(),
             outcomes: Vec::new(),
-            stashed: Vec::new(),
         })
     }
 }
@@ -656,13 +655,6 @@ pub struct Engine {
     jobs: Vec<Job>,
     /// Per-call shard outcomes, drained by [`Engine::settle`].
     outcomes: Vec<ShardOutcome>,
-    /// Reports computed by healthy streams during a call that returned an
-    /// error for some *other* stream. Streams are independent, so those
-    /// reports are valid and must not be lost — they are delivered (in
-    /// sorted position) by the next successful
-    /// [`ingest_batch`](Engine::ingest_batch) or
-    /// [`flush_debut_ordered`](Engine::flush_debut_ordered).
-    stashed: Vec<WindowReport>,
 }
 
 impl Engine {
@@ -886,17 +878,17 @@ impl Engine {
     /// A warm call — every key interned, no window completing — performs
     /// zero heap allocations (see the [module docs](self)).
     ///
-    /// Streams fail *independently*: a record outside `[0, n)` (or a
-    /// failing standing analysis) stops only its own stream — exactly
-    /// what would happen to a dedicated [`Monitor`] on that stream —
-    /// while every other stream ingests its full slice.
-    /// When any stream failed, the call returns the error of the
-    /// lexicographically smallest failing key, as a [`DistError::Stream`]
-    /// naming it (a deterministic choice for every shard count), and the
-    /// reports the healthy streams computed during the call are *not*
-    /// lost: they are delivered, in sorted position, by the next
-    /// successful `ingest_batch` or
-    /// [`flush_debut_ordered`](Engine::flush_debut_ordered).
+    /// A window whose analysis fails is reported like any other, with its
+    /// counts and the reason in [`WindowReport::error`], exactly as a
+    /// dedicated [`Monitor`] on that stream reports it. So the call fails
+    /// only on a record a stream cannot take (one outside `[0, n)`, or
+    /// the first of a pane whose lane reservation the allocator refuses)
+    /// or on a broken routing invariant. Such a record stops only its own
+    /// stream, while every other stream ingests its full slice; the call
+    /// then returns the error of the lexicographically smallest failing
+    /// key, as a [`DistError::Stream`] naming it (a deterministic choice
+    /// for every shard count), and delivers none of the call's windows:
+    /// treat it as the end of the run.
     pub fn ingest_batch<K: AsRef<str>>(
         &mut self,
         records: &[(K, usize)],
@@ -985,7 +977,7 @@ impl Engine {
     /// stream's partial tail (when it holds records) — one job per shard
     /// that holds streams, dispatched like
     /// [`ingest_batch`](Engine::ingest_batch)'s (inline when there is only
-    /// one), with the same independent-failure contract. Reports come back
+    /// one), with the same failure contract. Reports come back
     /// in stream **debut order** (the order each key's first record
     /// reached the engine), windows in id order within a stream. This is
     /// the order live tools emit end-of-stream tails in: `khist watch
@@ -1010,36 +1002,24 @@ impl Engine {
     }
 
     /// Merges the per-shard outcomes collected by the current call into
-    /// its result. On full success, the computed reports — plus any
-    /// reports stashed by an earlier failing call — come back sorted. When
-    /// any stream failed, the healthy streams' reports are stashed for the
-    /// next successful call and the error of the lexicographically
-    /// smallest failing key is returned as a [`DistError::Stream`] naming
-    /// that key (deterministic for every shard count; worker completion
-    /// order is not).
+    /// its result: the reports, sorted, or — when any stream could not
+    /// take its records — the error of the lexicographically smallest
+    /// failing key as a [`DistError::Stream`] naming that key
+    /// (deterministic for every shard count; worker completion order is
+    /// not).
     fn settle(&mut self) -> Result<Vec<WindowReport>, DistError> {
         let mut reports = Vec::new();
-        let mut first_error: Option<(String, DistError)> = None;
+        let mut errors = Vec::new();
         for (shard_reports, shard_errors) in self.outcomes.drain(..) {
             reports.extend(shard_reports);
-            for (key, e) in shard_errors {
-                let smaller = match &first_error {
-                    Some((held, _)) => key < *held,
-                    None => true,
-                };
-                if smaller {
-                    first_error = Some((key, e));
-                }
-            }
+            errors.extend(shard_errors);
         }
-        if let Some((key, cause)) = first_error {
-            self.stashed.append(&mut reports);
+        if let Some((key, cause)) = errors.into_iter().min_by(|a, b| a.0.cmp(&b.0)) {
             return Err(DistError::Stream {
                 key,
                 cause: Box::new(cause),
             });
         }
-        reports.append(&mut self.stashed);
         Engine::sort_reports(&mut reports);
         Ok(reports)
     }
@@ -1384,37 +1364,61 @@ mod tests {
 
     #[test]
     fn healthy_streams_never_lose_reports_to_a_failing_neighbor() {
-        // Stream "good" completes a window in the same call in which
-        // stream "bad" hits an out-of-domain record. The call errors, but
-        // good's already-computed report must surface on the next
-        // successful call — and stay bit-identical to a dedicated monitor.
-        let span = 500u64;
-        let good_records: Vec<usize> = (0..span as usize).map(|i| (i * 7) % 64).collect();
-        let mut batch: Vec<(String, usize)> = good_records
-            .iter()
-            .map(|&v| ("good".to_string(), v))
-            .collect();
-        batch.push(("bad".to_string(), 9_999));
-        let mut engine = engine(2, span);
-        let err = engine.ingest_batch(&batch).unwrap_err().to_string();
-        assert!(err.contains("record 9999"), "{err}");
-        // The stashed window arrives with the next successful call.
-        let delivered = engine.flush_debut_ordered().unwrap();
-        let good: Vec<WindowReport> = delivered
-            .iter()
-            .filter(|r| r.stream.as_deref() == Some("good"))
-            .cloned()
-            .collect();
-        assert_eq!(good.len(), 1, "window 0 delivered, not lost: {delivered:?}");
-        let mut monitor = Monitor::builder(64)
-            .seed(Engine::stream_seed(11, "good"))
-            .stream("good")
-            .tumbling(span)
-            .analyses(standing())
-            .build()
-            .unwrap();
-        let want = monitor.ingest(&good_records).unwrap();
-        assert_eq!(good, want, "stashed report still bit-identical");
+        // At n = 16, 64-record windows and seven 9-sample l2 sets, stream
+        // "m"'s first window leaves an l2 lane empty, whatever its values,
+        // and stream "a"'s does not. Both complete a window in one call:
+        // the call succeeds, "a"'s window arrives in it, and "m"'s failed
+        // window is reported with its counts, each bit-identical to a
+        // dedicated monitor's.
+        use crate::uniformity::UniformityBudget;
+        use khist_oracle::L2TesterBudget;
+        let batch = || -> Vec<Analysis> {
+            vec![
+                TestL2::k(8)
+                    .eps(0.1)
+                    .budget(L2TesterBudget { r: 7, m: 9 })
+                    .into(),
+                Uniformity::eps(0.1)
+                    .budget(UniformityBudget { m: 64 })
+                    .into(),
+            ]
+        };
+        let records: Vec<usize> = (0..64).map(|i| (i * 5) % 16).collect();
+        let keyed: Vec<(&str, usize)> =
+            records.iter().flat_map(|&v| [("a", v), ("m", v)]).collect();
+        for shards in [1usize, 2] {
+            let mut engine = Engine::builder(16)
+                .shards(shards)
+                .tumbling(64)
+                .analyses(batch())
+                .build()
+                .unwrap();
+            let got = engine.ingest_batch(&keyed).unwrap();
+            for (key, window) in ["a", "m"].into_iter().zip(&got) {
+                let mut monitor = Monitor::builder(16)
+                    .seed(Engine::stream_seed(0, key))
+                    .stream(key)
+                    .tumbling(64)
+                    .analyses(batch())
+                    .build()
+                    .unwrap();
+                let want = monitor.ingest(&records).unwrap();
+                assert_eq!(
+                    want,
+                    std::slice::from_ref(window),
+                    "stream {key} @ {shards} shards"
+                );
+            }
+            assert_eq!(got.len(), 2, "{got:?}");
+            assert_eq!((got[0].reports.len(), &got[0].error), (2, &None));
+            let starved = &got[1];
+            assert!(starved.complete && starved.reports.is_empty() && starved.drift.is_none());
+            assert_eq!(
+                starved.error.as_deref(),
+                Some("bad parameter: need non-empty sample sets")
+            );
+            assert_eq!(engine.windows(), 2, "a failed window still counts");
+        }
     }
 
     #[test]

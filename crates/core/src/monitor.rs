@@ -126,6 +126,10 @@ pub struct WindowReport {
     /// windows skip their overlapping predecessors, whose shared retained
     /// records would bias the collision statistic toward accept).
     pub drift: Option<Report>,
+    /// Why the window carries only its counts: its analysis failed on the
+    /// window's sample (a tester lane the sub-linear sample left empty, a
+    /// tail too thin to analyze). `None` for every analyzed window.
+    pub error: Option<String>,
 }
 
 impl WindowReport {
@@ -153,8 +157,10 @@ impl WindowReport {
 }
 
 impl Serialize for WindowReport {
+    /// `error` comes last and only when set, so an analyzed window's bytes
+    /// do not mention it.
     fn serialize(&self) -> Value {
-        Value::map([
+        let mut value = Value::map([
             (
                 "stream",
                 match &self.stream {
@@ -173,7 +179,11 @@ impl Serialize for WindowReport {
                 Value::Seq(self.reports.iter().map(Serialize::serialize).collect()),
             ),
             ("drift", self.drift.serialize()),
-        ])
+        ]);
+        if let (Value::Map(fields), Some(error)) = (&mut value, &self.error) {
+            fields.push(("error".into(), Value::Str(error.clone())));
+        }
+        value
     }
 }
 
@@ -203,6 +213,7 @@ impl Deserialize for WindowReport {
             complete: bool::deserialize(req("complete")?)?,
             reports: Vec::deserialize(req("reports")?)?,
             drift: Option::deserialize(req("drift")?)?,
+            error: Option::deserialize(value.get("error").unwrap_or(&Value::Null))?,
         })
     }
 }
@@ -227,6 +238,9 @@ impl std::fmt::Display for WindowReport {
         }
         if let Some(drift) = &self.drift {
             write!(f, "\n  drift vs baseline window: {drift}")?;
+        }
+        if let Some(error) = &self.error {
+            write!(f, "\n  error: {error}")?;
         }
         Ok(())
     }
@@ -469,17 +483,20 @@ impl Monitor {
 
     /// Ingests a batch of records in arrival order, reporting every window
     /// that completed during the batch (often none — reports appear every
-    /// `span`/`step` records). Fails on a record outside `[0, n)` or when
-    /// an analysis in the standing batch fails; records before the failure
-    /// remain ingested.
+    /// `span`/`step` records). A window whose analysis fails is still
+    /// reported, with its counts and the reason in
+    /// [`error`](WindowReport::error). Fails only on a record the monitor
+    /// cannot take: one outside `[0, n)`, or the first record of a pane
+    /// whose lane reservation the allocator refuses. The records before it
+    /// remain ingested, and the windows they completed are reported by the
+    /// next call.
     pub fn ingest(&mut self, records: &[usize]) -> Result<Vec<WindowReport>, DistError> {
         self.sink.push_all(records)?;
         let snaps = self.sink.drain_completed();
-        let mut out = Vec::with_capacity(snaps.len());
-        for snap in snaps {
-            out.push(self.report_window(snap)?);
-        }
-        Ok(out)
+        Ok(snaps
+            .into_iter()
+            .map(|snap| self.report_window(snap))
+            .collect())
     }
 
     /// Reports any still-unreported data: completed-but-uncollected
@@ -487,27 +504,15 @@ impl Monitor {
     /// Call at end of stream so the tail is not dropped silently.
     ///
     /// A tail can be arbitrarily short — streams do not end span-aligned —
-    /// so a partial window whose lanes are too thin for the standing batch
-    /// (an empty collision lane, a one-record sample) degrades to a
-    /// counts-only report (`reports` empty, `drift` absent) instead of
-    /// failing the whole flush. Configuration errors surface earlier, on
-    /// completed windows or at [`MonitorBuilder::build`].
+    /// so its lanes may be too thin for the standing batch (an empty
+    /// collision lane, a one-record sample). Such a tail is reported like
+    /// any failed window: counts only, with the reason in
+    /// [`error`](WindowReport::error).
     pub fn flush(&mut self) -> Result<Vec<WindowReport>, DistError> {
         let mut out = self.ingest(&[])?;
         let snap = self.sink.snapshot();
         if snap.seen > 0 {
-            let counts_only = WindowReport {
-                stream: self.stream.clone(),
-                window: snap.window,
-                start: snap.start,
-                end: snap.end,
-                seen: snap.seen,
-                kept: snap.kept,
-                complete: false,
-                reports: Vec::new(),
-                drift: None,
-            };
-            out.push(self.report_window(snap).unwrap_or(counts_only));
+            out.push(self.report_window(snap));
         }
         Ok(out)
     }
@@ -554,29 +559,17 @@ impl Monitor {
         }
     }
 
-    /// Runs the standing batch + drift over one frozen window and advances
-    /// the drift baselines (completed windows only).
-    fn report_window(&mut self, mut snap: WindowSnapshot) -> Result<WindowReport, DistError> {
+    /// Reports one frozen window and, when it is complete, advances the
+    /// drift baselines and the window count, whether or not its analysis
+    /// succeeded: a failed analysis leaves the counts and the reason.
+    fn report_window(&mut self, mut snap: WindowSnapshot) -> WindowReport {
         // Merge the drift baseline up front, then *move* the frozen lanes
         // into the replay oracle — finalizing a window clones no sample
         // sets (amortized window finalization; the public
         // `WindowSnapshot::replay` keeps its borrowing, cloning form).
         let current = snap.merged();
-        let mut replay = ReplayOracle::from_sets(snap.n, std::mem::take(&mut snap.lanes));
-        let (reports, ledger) =
-            run_analyses_with_plan(&mut replay, snap.seed, &self.spec.analyses, self.spec.plan)?;
-        debug_assert_eq!(
-            replay.remaining(),
-            0,
-            "a window report must consume exactly the frozen window"
-        );
-        self.charge(ledger);
-        let drift = match self.disjoint_baseline(snap.start) {
-            Some(baseline) if baseline.total() >= 2 && current.total() >= 2 => {
-                Some(self.drift_between(baseline, &current, snap.seed)?)
-            }
-            _ => None,
-        };
+        let replay = ReplayOracle::from_sets(snap.n, std::mem::take(&mut snap.lanes));
+        let analyzed = self.analyze(replay, &current, snap.start, snap.seed);
         if snap.complete {
             self.baselines.push_back((snap.window, snap.end, current));
             while self.baselines.len() > self.baseline_capacity() {
@@ -584,7 +577,11 @@ impl Monitor {
             }
             self.emitted += 1;
         }
-        Ok(WindowReport {
+        let (reports, drift, error) = match analyzed {
+            Ok((reports, drift)) => (reports, drift, None),
+            Err(e) => (Vec::new(), None, Some(e.to_string())),
+        };
+        WindowReport {
             stream: self.stream.clone(),
             window: snap.window,
             start: snap.start,
@@ -594,7 +591,34 @@ impl Monitor {
             complete: snap.complete,
             reports,
             drift,
-        })
+            error,
+        }
+    }
+
+    /// Runs the standing batch over a frozen window's lanes, then the drift
+    /// check of its merged sample against the newest disjoint baseline.
+    fn analyze(
+        &mut self,
+        mut replay: ReplayOracle,
+        current: &SampleSet,
+        start: u64,
+        seed: u64,
+    ) -> Result<(Vec<Report>, Option<Report>), DistError> {
+        let (reports, ledger) =
+            run_analyses_with_plan(&mut replay, seed, &self.spec.analyses, self.spec.plan)?;
+        debug_assert_eq!(
+            replay.remaining(),
+            0,
+            "a window report must consume exactly the frozen window"
+        );
+        self.charge(ledger);
+        let drift = match self.disjoint_baseline(start) {
+            Some(baseline) if baseline.total() >= 2 && current.total() >= 2 => {
+                Some(self.drift_between(baseline, current, seed)?)
+            }
+            _ => None,
+        };
+        Ok((reports, drift))
     }
 
     /// Builds the closeness [`Report`] between two window samples.
@@ -790,7 +814,8 @@ mod tests {
     fn flush_degrades_to_counts_only_on_a_tiny_tail() {
         // Streams do not end span-aligned: a 1-record tail leaves the
         // learner's collision lanes empty, which must degrade to a
-        // counts-only report, not fail the flush (regression test).
+        // counts-only report with the reason, not fail the flush
+        // (regression test).
         let mut monitor = Monitor::builder(64)
             .seed(1)
             .tumbling(1_000)
@@ -808,6 +833,18 @@ mod tests {
         assert_eq!((tail.seen, tail.start, tail.end), (1, 2_000, 2_001));
         assert!(tail.reports.is_empty(), "tail too thin to analyze");
         assert!(tail.drift.is_none());
+        assert_eq!(tail.error.as_deref(), Some("total mass is zero"));
+        // The reason rides in the JSON line, last, and in the human text.
+        let json = tail.to_json();
+        assert!(
+            json.ends_with(r#""drift":null,"error":"total mass is zero"}"#),
+            "{json}"
+        );
+        assert_eq!(&WindowReport::from_json(&json).unwrap(), tail);
+        assert!(
+            tail.to_string().ends_with("\n  error: total mass is zero"),
+            "{tail}"
+        );
         // A tail that *can* carry the batch still gets full reports.
         let mut monitor = Monitor::builder(64)
             .seed(1)
@@ -819,6 +856,43 @@ mod tests {
         let windows = monitor.flush().unwrap();
         assert_eq!(windows.len(), 1);
         assert_eq!(windows[0].reports.len(), standing().len());
+    }
+
+    #[test]
+    fn a_failed_window_is_a_counted_window() {
+        // At seed 27, window 0 leaves one of seven 9-sample l2 sets empty
+        // and window 1 does not. The failed window is reported with its
+        // counts and the reason, counts as a completed window, and is the
+        // next window's drift baseline.
+        use crate::uniformity::UniformityBudget;
+        use khist_oracle::L2TesterBudget;
+        let mut monitor = Monitor::builder(16)
+            .seed(27)
+            .tumbling(64)
+            .analyses(vec![
+                TestL2::k(8)
+                    .eps(0.1)
+                    .budget(L2TesterBudget { r: 7, m: 9 })
+                    .into(),
+                Uniformity::eps(0.1)
+                    .budget(UniformityBudget { m: 64 })
+                    .into(),
+            ])
+            .build()
+            .unwrap();
+        let records: Vec<usize> = (0..128).map(|i| (i * 5) % 16).collect();
+        let windows = monitor.ingest(&records).unwrap();
+        assert_eq!(windows.len(), 2);
+        let failed = &windows[0];
+        assert!(failed.complete && failed.reports.is_empty() && failed.drift.is_none());
+        assert_eq!((failed.seen, failed.start, failed.end), (64, 0, 64));
+        assert_eq!(
+            failed.error.as_deref(),
+            Some("bad parameter: need non-empty sample sets")
+        );
+        assert_eq!((windows[1].reports.len(), &windows[1].error), (2, &None));
+        assert!(windows[1].drift.is_some(), "window 0 is the baseline");
+        assert_eq!(monitor.windows(), 2);
     }
 
     #[test]

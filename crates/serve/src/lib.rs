@@ -23,14 +23,16 @@
 //! every other connection's streams are untouched. A mid-stream
 //! disconnect keeps everything the connection already delivered.
 //!
-//! A failing window has one policy, the driver's, shared with keyed
+//! A failing window is a window, under the driver shared with keyed
 //! `khist watch`: a window whose analysis fails (a tester lane its
-//! sub-linear sample left empty, say) becomes one `{"error":"stream
-//! '…': …"}` line naming its stream, on the feed and to subscribers, at
-//! every drain including the one after end of input or `SHUTDOWN`; the
-//! other streams, serving and the tail flush go on. (Keyed `watch` prints
-//! the same line, or `error: stream '…': …` in human mode, and exits 0;
-//! only a malformed input line stops it.)
+//! sub-linear sample left empty, say) is a window line like any other,
+//! with its counts and the reason in `error`, on the feed and to
+//! subscribers. It costs its stream that window and nothing more,
+//! whichever drain it lands in. An engine error (a pane whose lane
+//! reservation the allocator refuses) delivers none of its call's windows,
+//! so it stops the server with exit 1, as a failed write to the main
+//! sink does; on every way out, the server removes its socket files and
+//! puts stdin back in blocking mode.
 //!
 //! # Backpressure
 //!

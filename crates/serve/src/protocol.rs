@@ -136,10 +136,8 @@ impl Pending {
 /// One line a [`Driver`] emits.
 #[derive(Debug, Clone, Copy)]
 pub enum Line<'a> {
-    /// A window report.
+    /// A window report, failed windows included.
     Window(&'a WindowReport),
-    /// A failed engine call's error, which names the failing stream.
-    Error(&'a str),
     /// The fleet rollup and its `{"fleet":true,…}` line.
     Rollup(&'a FleetReport, &'a str),
 }
@@ -150,11 +148,6 @@ impl Line<'_> {
     pub fn to_json(self) -> String {
         match self {
             Line::Window(report) => format!("{}\n", report.to_json()),
-            Line::Error(message) => {
-                let mut line = String::from("{\"error\":");
-                serde::json::write_string(message, &mut line);
-                line + "}\n"
-            }
             Line::Rollup(_, line) => line.to_string(),
         }
     }
@@ -193,14 +186,18 @@ pub trait Sink {
 /// 4. at the end, [`finish`](Driver::finish) drains once more, flushes
 ///    the tails in debut order, and emits the closing rollup.
 ///
-/// **One failure policy.** A failed engine call becomes one
-/// [`Line::Error`] naming the failing stream, and the run goes on: one
-/// stream's starved window never stops the others.
+/// **One failure unit, the window.** A window whose analysis fails (a
+/// tester lane its sub-linear sample left empty, say) is a window line
+/// like any other, with the reason in its `error` field, so one stream's
+/// starved window never stops the others and what it costs does not
+/// depend on where drains fall. An engine error (a pane whose lane
+/// reservation the allocator refuses) is returned as `Err`: the engine
+/// delivers none of that call's windows, so the run ends there.
 ///
 /// The rollup is built once per fleet change. Only a call that debuted a
-/// stream, reported a window or failed (a failed call still folds the
-/// healthy streams' windows) can change it, so between such calls every
-/// rollup and [`fleet_line`](Driver::fleet_line) reuses the last one.
+/// stream, reported a window or failed can change it, so between such
+/// calls every rollup and [`fleet_line`](Driver::fleet_line) reuses the
+/// last one.
 pub struct Driver {
     /// The records buffered for the next drain.
     pub pending: Pending,
@@ -244,16 +241,15 @@ impl Driver {
         &self.rollup().1
     }
 
-    /// Ingests the buffered records as one batch and emits the outcome:
-    /// its window lines and, when there were any, a rollup; or its error
-    /// line.
+    /// Ingests the buffered records as one batch and emits its window
+    /// lines and, when there were any, a rollup.
     pub fn drain(&mut self, sink: &mut impl Sink) -> Result<(), String> {
         let streams = self.engine.streams();
         let outcome = self.pending.drain_into(&mut self.engine);
-        if self.engine.streams() != streams {
+        if self.engine.streams() != streams || outcome.is_err() {
             self.rollup = None;
         }
-        if self.emit(outcome, sink)? {
+        if self.emit(&outcome?, sink)? {
             self.emit_rollup(sink)?;
         }
         Ok(())
@@ -264,31 +260,20 @@ impl Driver {
     pub fn finish(&mut self, sink: &mut impl Sink) -> Result<(), String> {
         self.drain(sink)?;
         let tails = self.engine.flush_debut_ordered();
-        self.emit(tails.map_err(|e| e.to_string()), sink)?;
+        self.emit(&tails.map_err(|e| e.to_string())?, sink)?;
         self.emit_rollup(sink)
     }
 
-    /// Emits one engine call's outcome, a line per report or its error
-    /// line, and returns whether it reported a window.
-    fn emit(
-        &mut self,
-        outcome: Result<Vec<WindowReport>, String>,
-        sink: &mut impl Sink,
-    ) -> Result<bool, String> {
-        let reported = outcome.as_ref().is_ok_and(|reports| !reports.is_empty());
-        if reported || outcome.is_err() {
+    /// Emits a line per report and returns whether there was one.
+    fn emit(&mut self, reports: &[WindowReport], sink: &mut impl Sink) -> Result<bool, String> {
+        if !reports.is_empty() {
             self.rollup = None;
         }
-        match outcome {
-            Ok(reports) => {
-                for report in &reports {
-                    sink.emit(Line::Window(report))?;
-                    self.windows += 1;
-                }
-            }
-            Err(message) => sink.emit(Line::Error(&message))?,
+        for report in reports {
+            sink.emit(Line::Window(report))?;
+            self.windows += 1;
         }
-        Ok(reported)
+        Ok(!reports.is_empty())
     }
 
     /// Emits the rollup, when the sink takes one.
@@ -733,27 +718,36 @@ mod tests {
         replies.push(fleet_reply(&mut driver));
         assert_eq!(sink.lines[1], replies[2]);
 
-        // A failing call: `m` starves while `a`'s second window folds into
-        // the fleet. One error line, no rollup.
+        // `m`'s window starves an l2 lane while `a` completes its second:
+        // both are window lines, `m`'s with the reason, then a rollup.
         push(&mut driver, "m", 54);
         push(&mut driver, "a", 64);
         driver.drain(&mut sink).unwrap();
-        let error = Line::Error("stream 'm': bad parameter: need non-empty sample sets").to_json();
-        assert_eq!(sink.lines.get(2..), Some(&[error][..]));
+        assert_eq!(sink.lines.len(), 5, "{:?}", sink.lines);
+        let failed = WindowReport::from_json(&sink.lines[3]).unwrap();
+        assert_eq!(
+            (failed.stream.as_deref(), failed.complete),
+            (Some("m"), true)
+        );
+        assert_eq!(
+            failed.error.as_deref(),
+            Some("bad parameter: need non-empty sample sets")
+        );
         replies.push(fleet_reply(&mut driver));
+        assert_eq!(sink.lines[4], replies[3]);
 
-        // The next call delivers `a`'s stashed window, then a rollup.
+        // No debut and no window: no line, and the fleet is as it was.
         push(&mut driver, "a", 5);
         driver.drain(&mut sink).unwrap();
         assert_eq!(sink.lines.len(), 5, "{:?}", sink.lines);
-        assert_eq!(sink.lines[4], fleet_reply(&mut driver));
+        assert_eq!(fleet_reply(&mut driver), replies[3]);
 
         // The end: `a`'s tail, then the closing rollup.
         driver.finish(&mut sink).unwrap();
         assert_eq!(sink.lines.len(), 7, "{:?}", sink.lines);
         replies.push(fleet_reply(&mut driver));
         assert_eq!(sink.lines[6], replies[4]);
-        assert_eq!(driver.windows(), 3);
+        assert_eq!(driver.windows(), 4);
 
         // Each of these calls changed the fleet, so a stale reply differs.
         for pair in replies.windows(2) {

@@ -384,21 +384,43 @@ fn flush_final(conns: Vec<Conn>, poller: &mut Poller, fds: &mut Vec<PollFd>) -> 
     }
 }
 
+/// What `run` undoes however it returns: the socket files it bound, and
+/// stdin's nonblocking mode once it set it.
+#[derive(Default)]
+struct Cleanup {
+    sockets: Vec<PathBuf>,
+    stdin: bool,
+}
+
+impl Drop for Cleanup {
+    fn drop(&mut self) {
+        if self.stdin {
+            let _ = polling::set_nonblocking(0, false);
+        }
+        for path in &self.sockets {
+            let _ = std::fs::remove_file(path);
+        }
+    }
+}
+
 /// Runs the serve reactor until its sources finish (stdin-only mode) or
 /// a `SHUTDOWN` control request arrives, then flushes every stream's
-/// partial tail in debut order. See the [crate docs](crate) for the
-/// protocol, isolation, and backpressure contracts.
+/// partial tail in debut order. On every return, an error included, it
+/// removes the socket files it bound and puts stdin back in blocking
+/// mode. See the [crate docs](crate) for the protocol, isolation, and
+/// backpressure contracts.
 pub fn run<W: Write>(
     engine: Engine,
     cfg: ServerConfig,
     out: &mut W,
 ) -> Result<ServerSummary, String> {
+    let mut cleanup = Cleanup::default();
     let mut listeners: Vec<(UnixListener, Role)> = Vec::new();
-    if let Some(path) = &cfg.socket {
-        listeners.push((bind_listener(path)?, Role::Data));
-    }
-    if let Some(path) = &cfg.control {
-        listeners.push((bind_listener(path)?, Role::Control));
+    for (path, role) in [(&cfg.socket, Role::Data), (&cfg.control, Role::Control)] {
+        if let Some(path) = path {
+            listeners.push((bind_listener(path)?, role));
+            cleanup.sockets.push(path.clone());
+        }
     }
     let mut feed = Feed {
         out,
@@ -408,6 +430,7 @@ pub fn run<W: Write>(
     };
     if cfg.stdin {
         polling::set_nonblocking(0, true).map_err(|e| format!("set stdin nonblocking: {e}"))?;
+        cleanup.stdin = true;
         feed.conns.push(Conn::stdin());
     }
     if listeners.is_empty() && feed.conns.is_empty() {
@@ -550,12 +573,6 @@ pub fn run<W: Write>(
     driver.finish(&mut feed)?;
 
     polls += flush_final(feed.conns, &mut poller, &mut fds);
-    if cfg.stdin {
-        let _ = polling::set_nonblocking(0, false);
-    }
-    for path in [&cfg.socket, &cfg.control].into_iter().flatten() {
-        let _ = std::fs::remove_file(path);
-    }
 
     let engine = driver.engine();
     Ok(ServerSummary {
@@ -891,8 +908,8 @@ mod tests {
     }
 
     #[test]
-    fn an_ingest_error_line_reaches_subscribers_too() {
-        use khist_core::api::{FleetReport, TestL2};
+    fn a_failed_window_line_reaches_subscribers_too() {
+        use khist_core::api::{FleetReport, TestL2, WindowReport};
         // More collision lanes than a window has records: the window
         // fails with "need non-empty sample sets".
         let engine = Engine::builder(64)
@@ -901,9 +918,9 @@ mod tests {
             .analysis(TestL2::k(2).eps(0.3).scale(0.001))
             .build()
             .unwrap();
-        let (socket, control, cfg) = sockets("ingest-error", 5);
+        let (socket, control, cfg) = sockets("failed-window", 5);
         let mut feed = Vec::new();
-        let (_, jsonl) = drive(engine, cfg, || {
+        let (summary, jsonl) = drive(engine, cfg, || {
             let sub = connect(&control);
             let mut sub_lines = BufReader::new(&sub);
             writeln!(&sub, "SUB").unwrap();
@@ -913,7 +930,7 @@ mod tests {
             connect(&socket)
                 .write_all(b"api 0\napi 1\napi 2\napi 3\n")
                 .unwrap();
-            // STATS counts the records once the drain that failed ran.
+            // STATS counts the records once the drain that reported ran.
             let ctl = connect(&control);
             let mut replies = BufReader::new(&ctl);
             let mut reply = String::new();
@@ -929,10 +946,14 @@ mod tests {
                 .filter(|l| !FleetReport::is_fleet_line(l))
                 .collect();
         });
+        let failed = WindowReport::from_json(jsonl.trim_end()).unwrap();
+        assert_eq!((failed.window, failed.seen, failed.complete), (0, 4, true));
+        assert!(failed.reports.is_empty() && failed.drift.is_none());
         assert_eq!(
-            jsonl,
-            "{\"error\":\"stream 'api': bad parameter: need non-empty sample sets\"}\n"
+            failed.error.as_deref(),
+            Some("bad parameter: need non-empty sample sets")
         );
+        assert_eq!(summary.windows, 1, "{jsonl}");
         assert_eq!(feed, jsonl.lines().collect::<Vec<_>>());
     }
 

@@ -530,7 +530,6 @@ impl<W: std::io::Write> Sink for WatchSink<'_, W> {
         let text = match line {
             line if self.json => line.to_json(),
             Line::Window(report) => format!("{report}\n"),
-            Line::Error(message) => format!("error: {message}\n"),
             Line::Rollup(report, _) => render_fleet(report),
         };
         if self.open {
@@ -620,13 +619,10 @@ pub fn run_watch<R: std::io::BufRead, W: std::io::Write>(
         }
         Ok(sink.open)
     })?;
-    // Emit the final buffer's completed windows before flushing the tail,
-    // so a tail-flush failure can never lose an already-computed report.
     if sink.open {
-        emit(&mut sink, monitor.ingest(&buffer).map_err(fmt_err)?)?;
-    }
-    if sink.open {
-        emit(&mut sink, monitor.flush().map_err(fmt_err)?)?;
+        let mut reports = monitor.ingest(&buffer).map_err(fmt_err)?;
+        reports.extend(monitor.flush().map_err(fmt_err)?);
+        emit(&mut sink, reports)?;
     }
     if opts.json || !sink.open {
         return Ok(String::new());
@@ -647,8 +643,8 @@ pub fn run_watch<R: std::io::BufRead, W: std::io::Write>(
 ///
 /// Lines go through serve's data plane — the same framing, errors and
 /// parse-time domain check ([`parse_data_line`]) and the same keyed
-/// [`Driver`], failure policy included — so a capture replayed here and
-/// pushed through `khist serve` produces the same per-stream JSONL.
+/// [`Driver`] — so a capture replayed here and pushed through `khist
+/// serve` produces the same per-stream JSONL, failed windows included.
 fn run_watch_keyed<R: std::io::BufRead, W: std::io::Write>(
     input: R,
     sink: &mut WatchSink<'_, W>,

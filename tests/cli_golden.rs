@@ -91,9 +91,9 @@ const CASES: &[Case] = &[
         "watch keyed.txt --key-field 0 --shards 3 --fleet --every 2000 --n 64 --k 2 --eps 0.25 \
          --seed 7",
     ),
-    // Stream `a`'s first window fails in the engine: a data error, so
-    // the error line names the stream, no usage text follows, and the run
-    // goes on to `b`'s tail and exits 0.
+    // Stream `a`'s first window starves an l2 lane: it is reported with
+    // its counts and the reason, as is `b`'s too-thin tail, no usage text
+    // follows, and the run exits 0.
     piped(
         "watch_keyed_stream_error",
         "watch - --key-field 0 --n 16 --every 8 --run l2,uniformity --seed 0",

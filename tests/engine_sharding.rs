@@ -182,6 +182,89 @@ proptest! {
     }
 }
 
+/// The standing batch `khist watch --key-field 0 --n 16 --every 64 --run
+/// l2,uniformity` builds: seven 9-sample l2 sets, so a 64-record window
+/// leaves one of them empty now and then, whatever its values. At base
+/// seed 0 stream `m`'s first window does.
+fn starving_batch() -> Vec<Analysis> {
+    vec![
+        TestL2::k(8)
+            .eps(0.1)
+            .budget(L2TesterBudget { r: 7, m: 9 })
+            .into(),
+        Uniformity::eps(0.1)
+            .budget(UniformityBudget { m: 64 })
+            .into(),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// A stream whose window starves an l2 lane, among healthy ones, at
+    /// random batch boundaries: every stream's reports, the failed window
+    /// included, equal a dedicated monitor's at shards ∈ {1, 2, 4, 8}.
+    #[test]
+    fn prop_a_starving_stream_costs_only_its_own_window(
+        records in proptest::collection::vec((0usize..KEYS.len(), 0usize..16), 300..900),
+        cuts in proptest::collection::vec(0usize..1_200, 0..8),
+    ) {
+        // Every fourth record is also one of `m`'s: 75 to 225 of them.
+        let mut keyed: Vec<(&str, usize)> = Vec::new();
+        for (i, &(k, v)) in records.iter().enumerate() {
+            keyed.push((KEYS[k], v));
+            if i % 4 == 0 {
+                keyed.push(("m", (v * 5) % 16));
+            }
+        }
+        let mut bounds: Vec<usize> = cuts.iter().map(|&c| c.min(keyed.len())).collect();
+        bounds.push(0);
+        bounds.push(keyed.len());
+        bounds.sort_unstable();
+
+        for shards in [1usize, 2, 4, 8] {
+            let mut engine = Engine::builder(16)
+                .shards(shards)
+                .tumbling(64)
+                .analyses(starving_batch())
+                .build()
+                .unwrap();
+            let mut got = Vec::new();
+            for call in bounds.windows(2) {
+                got.extend(engine.ingest_batch(&keyed[call[0]..call[1]]).unwrap());
+            }
+            got.extend(engine.flush_debut_ordered().unwrap());
+            prop_assert!(
+                got.iter().any(|w| w.complete && w.error.is_some()),
+                "m's first window starves"
+            );
+
+            for key in KEYS.into_iter().chain(["m"]) {
+                let mine: Vec<usize> = keyed
+                    .iter()
+                    .filter(|(k, _)| *k == key)
+                    .map(|&(_, v)| v)
+                    .collect();
+                let mut monitor = Monitor::builder(16)
+                    .seed(Engine::stream_seed(0, key))
+                    .stream(key)
+                    .tumbling(64)
+                    .analyses(starving_batch())
+                    .build()
+                    .unwrap();
+                let mut want = monitor.ingest(&mine).unwrap();
+                want.extend(monitor.flush().unwrap());
+                let stream_reports: Vec<WindowReport> = got
+                    .iter()
+                    .filter(|r| r.stream.as_deref() == Some(key))
+                    .cloned()
+                    .collect();
+                prop_assert_eq!(&stream_reports, &want, "stream {} @ {} shards", key, shards);
+            }
+        }
+    }
+}
+
 /// A deterministic adversarial layout: one hot stream contributes short
 /// *consecutive runs* of records, alternating with filler from the other
 /// keys across one 2 825-record batch, so any reordering of a stream's

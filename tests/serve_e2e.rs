@@ -2,7 +2,7 @@
 //! sockets, concurrent producers, a live control plane, and the
 //! serve ≡ watch bit-identity contract.
 //!
-//! Six scenarios:
+//! Seven scenarios:
 //!
 //! 1. **Throughput + identity** — two concurrent writers push 50 000
 //!    keyed records over one data socket (disjoint key sets, so each
@@ -23,15 +23,17 @@
 //!    fleet line.
 //! 4. **A failing window at end of input** — in stdin mode with input
 //!    under `--batch` and `--flush-ms`, the drain after EOF is the only
-//!    one; a window whose analysis fails there becomes an `{"error":…}`
-//!    line, as it does mid-stream, and the tails still flush.
+//!    one; a window whose analysis fails there is a window line with its
+//!    `error`, as it is mid-stream, and so is a tail too thin to analyze.
 //! 5. **A window too large to reserve** — lanes no address space can
-//!    hold are an error on the first record: `watch` exits 1 with an
-//!    `error:` line, `serve` writes an `{"error":…}` line and exits 0,
-//!    and neither aborts.
-//! 6. **A starved window** — one stream's window leaves a tester lane
-//!    empty: keyed `watch --json` and `serve` both print one error line
-//!    naming that stream, exit 0, and agree on every stream's windows.
+//!    hold are an error on the first record: `watch` and `serve` both
+//!    exit 1 with an `error:` line on stderr, and neither aborts.
+//! 6. **A starved window** — a window that leaves a tester lane empty is
+//!    one window line with its `error` under keyed `watch --json` and
+//!    `serve` alike, wherever their batches break: every stream's lines
+//!    equal a dedicated monitor's, fed one window per call.
+//! 7. **Cleanup on an error** — `serve` that stops because its stdout
+//!    is full still removes its socket files.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::UnixStream;
@@ -51,9 +53,10 @@ struct Server {
 }
 
 impl Server {
-    /// Spawns `khist serve` with uniformity analysis on `shards` shards
-    /// and waits until both sockets accept connections.
-    fn start(tag: &str, every: u64, shards: usize) -> Server {
+    /// Spawns `khist serve` with uniformity analysis on `shards` shards,
+    /// its JSONL on `stdout`, and waits until both sockets accept
+    /// connections.
+    fn start(tag: &str, every: u64, shards: usize, stdout: Stdio) -> Server {
         let dir = std::env::temp_dir();
         let unique = format!("khist-e2e-{}-{tag}", std::process::id());
         let data = dir.join(format!("{unique}.sock"));
@@ -79,7 +82,7 @@ impl Server {
                 "20",
             ])
             .stdin(Stdio::null())
-            .stdout(Stdio::piped())
+            .stdout(stdout)
             .stderr(Stdio::piped())
             .spawn()
             .expect("spawn khist serve");
@@ -220,7 +223,7 @@ fn writer_lines(prefix: &str, mul: usize) -> String {
 
 #[test]
 fn fifty_thousand_records_from_two_writers_match_watch_bit_for_bit() {
-    let server = Server::start("identity", 2_000, 3);
+    let server = Server::start("identity", 2_000, 3, Stdio::piped());
     let mut control = Control::new(server.connect_control());
 
     let alpha = writer_lines("alpha", 7);
@@ -311,7 +314,7 @@ fn fleet_verb_matches_watch_fleet_byte_for_byte() {
         phase2.push_str(&format!("{} {}\n", keys[i % 3], (i * 11 + 2) % N));
     }
 
-    let server = Server::start("fleet", 500, 3);
+    let server = Server::start("fleet", 500, 3, Stdio::piped());
     let mut sub = Control::new(server.connect_control());
     let mut control = Control::new(server.connect_control());
     let ack = sub.request("SUB");
@@ -412,7 +415,7 @@ fn fleet_verb_matches_watch_fleet_byte_for_byte() {
 
 #[test]
 fn bad_lines_and_disconnects_poison_only_their_own_connection() {
-    let server = Server::start("isolation", 100, 2);
+    let server = Server::start("isolation", 100, 2, Stdio::piped());
     let mut control = Control::new(server.connect_control());
 
     // A healthy long-lived producer.
@@ -489,11 +492,11 @@ fn bad_lines_and_disconnects_poison_only_their_own_connection() {
 }
 
 #[test]
-fn a_window_failing_in_the_final_drain_is_an_error_line_not_an_exit() {
+fn a_window_failing_in_the_final_drain_is_a_window_line_not_an_exit() {
     // Eight records of `a` complete one window whose eight records
     // cannot fill every lane of the l2 tester, so its analysis fails;
-    // `b`'s one record is a partial tail. The flush deadline is out of
-    // reach, so the only drain is the one after EOF.
+    // `b`'s one record is a partial tail too thin to analyze. The flush
+    // deadline is out of reach, so the only drain is the one after EOF.
     let mut child = Command::new(env!("CARGO_BIN_EXE_khist"))
         .args(["serve", "--stdin", "--n", "16", "--every", "8"])
         .args([
@@ -517,18 +520,26 @@ fn a_window_failing_in_the_final_drain_is_an_error_line_not_an_exit() {
     let stderr = String::from_utf8(output.stderr).unwrap();
     assert!(output.status.success(), "serve exited: {stderr}");
     let stdout = String::from_utf8(output.stdout).unwrap();
-    let lines: Vec<&str> = stdout.lines().collect();
-    assert_eq!(lines.len(), 2, "{stdout}");
+    let windows: Vec<WindowReport> = stdout
+        .lines()
+        .map(|l| WindowReport::from_json(l).unwrap())
+        .collect();
+    let counts = |w: &WindowReport| (w.stream.clone().unwrap(), w.seen, w.complete);
     assert_eq!(
-        lines[0],
-        r#"{"error":"stream 'a': bad parameter: need non-empty sample sets"}"#
+        windows.iter().map(counts).collect::<Vec<_>>(),
+        [("a".into(), 8, true), ("b".into(), 1, false)],
+        "{stdout}"
     );
-    let tail = WindowReport::from_json(lines[1]).unwrap();
-    assert_eq!(tail.stream.as_deref(), Some("b"));
-    assert!(!tail.complete && tail.seen == 1, "{}", lines[1]);
+    for window in &windows {
+        assert!(window.reports.is_empty(), "{stdout}");
+        assert_eq!(
+            window.error.as_deref(),
+            Some("bad parameter: need non-empty sample sets")
+        );
+    }
     assert_eq!(
         stderr,
-        "served 9 records from 2 streams over 1 windows on 1 shard\n"
+        "served 9 records from 2 streams over 2 windows on 1 shard\n"
     );
 }
 
@@ -560,40 +571,46 @@ fn a_window_too_large_to_reserve_is_an_error_not_an_abort() {
     assert!(stdout.is_empty(), "{stdout}");
     assert!(stderr.starts_with(&format!("error: {refused}")), "{stderr}");
 
+    // Both streams are refused; the error names the smaller key, and the
+    // run stops there, as it does on a failed write.
     let (status, stdout, stderr) =
         run(&["serve", "--stdin", "--key-field", "0"], "a 1\nb 2\na 3\n");
-    assert!(status.success(), "serve: {status} {stderr}");
-    let lines: Vec<&str> = stdout.lines().collect();
-    assert_eq!(lines.len(), 1, "{stdout}");
-    // Both streams are refused; the error names the smaller key.
+    assert_eq!(status.code(), Some(1), "serve: {status} {stderr}");
+    assert!(stdout.is_empty(), "{stdout}");
     assert_eq!(
-        lines[0],
+        stderr,
         format!(
-            "{{\"error\":\"stream 'a': {refused}7428571438811384 bytes for 14 sample \
-             lanes; shrink the window or the sample budget\"}}"
-        ),
-        "{stdout}"
-    );
-    assert!(
-        stderr.starts_with("served 0 records from 2 streams"),
-        "{stderr}"
+            "error: stream 'a': {refused}7428571438811384 bytes for 14 sample lanes; shrink \
+             the window or the sample budget\n"
+        )
     );
 }
 
-#[test]
-fn a_starved_window_is_one_error_line_under_watch_and_serve_alike() {
-    // At these flags stream `m`'s first window leaves an l2 lane empty,
-    // whatever its values, and `a`'s windows do not: `m`'s 64 records
-    // starve a window, and `a`'s 70 make one window and a tail.
-    let flags = "--key-field 0 --n 16 --every 64 --run l2,uniformity --seed 0";
-    let mut input = String::new();
-    for i in 0..70 {
-        input.push_str(&format!("a {}\n", (i * 7) % 16));
-        if i < 64 {
-            input.push_str(&format!("m {}\n", (i * 5) % 16));
-        }
+/// `records` lines of key `key` with values from a 64-bit LCG, uniform on
+/// `[0, 16)`.
+fn lcg_lines(key: &str, records: usize) -> String {
+    let mut state = 1u64;
+    let mut text = String::new();
+    for _ in 0..records {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        text.push_str(&format!("{key} {}\n", state >> 60));
     }
-    let run = |command: &[&str]| {
+    text
+}
+
+#[test]
+fn a_starved_window_is_one_window_line_wherever_batches_break() {
+    // At these flags a window leaves an l2 lane empty about once in fifty,
+    // whatever its values: stream `m`'s first window does, `a`'s does not
+    // (its six-record tail is too thin), and two of `e`'s hundred do.
+    // `watch` reads 4,096-record chunks and `serve` drains what each read
+    // brought; either way every stream's lines equal those of a dedicated
+    // monitor fed one window per call, and a window that fails there is a
+    // window line with its `error`.
+    let flags = "--key-field 0 --n 16 --every 64 --run l2,uniformity --seed 0";
+    let run = |command: &[&str], input: &str| {
         let mut child = Command::new(env!("CARGO_BIN_EXE_khist"))
             .args(command)
             .args(flags.split(' '))
@@ -610,18 +627,100 @@ fn a_starved_window_is_one_error_line_under_watch_and_serve_alike() {
         assert!(output.status.success(), "{command:?}: {stderr}");
         String::from_utf8(output.stdout).unwrap()
     };
-    let watched = run(&["watch", "-", "--json"]);
-    let served = run(&["serve", "--stdin"]);
-
-    let error = r#"{"error":"stream 'm': bad parameter: need non-empty sample sets"}"#;
-    let windows = |stdout: &str| {
-        let (errors, windows): (Vec<&str>, Vec<&str>) = stdout.lines().partition(|l| *l == error);
-        assert_eq!(errors.len(), 1, "{stdout}");
-        per_stream_jsonl(&windows.join("\n"))
+    // The standing batch those flags build.
+    let batch = || -> Vec<Analysis> {
+        vec![
+            TestL2::k(8)
+                .eps(0.1)
+                .budget(L2TesterBudget { r: 7, m: 9 })
+                .into(),
+            Uniformity::eps(0.1)
+                .budget(UniformityBudget { m: 64 })
+                .into(),
+        ]
     };
-    let watched = windows(&watched);
-    assert_eq!(watched, windows(&served));
-    // Only the starved window is gone: `a`'s window and tail remain.
-    assert_eq!(watched.len(), 1, "{watched:?}");
-    assert_eq!((watched[0].0.as_str(), watched[0].1.len()), ("a", 2));
+    // Every stream of `input` through a dedicated monitor, a window a call.
+    let alone = |input: &str| {
+        let mut streams: Vec<(&str, Vec<usize>)> = Vec::new();
+        for (key, value) in input.lines().filter_map(|l| l.split_once(' ')) {
+            let value = value.parse().unwrap();
+            match streams.iter_mut().find(|(k, _)| *k == key) {
+                Some((_, values)) => values.push(value),
+                None => streams.push((key, vec![value])),
+            }
+        }
+        let mut lines = Vec::new();
+        for (key, values) in streams {
+            let mut monitor = Monitor::builder(16)
+                .seed(Engine::stream_seed(0, key))
+                .stream(key)
+                .tumbling(64)
+                .analyses(batch())
+                .build()
+                .unwrap();
+            for window in values.chunks(64) {
+                lines.extend(monitor.ingest(window).unwrap());
+            }
+            lines.extend(monitor.flush().unwrap());
+        }
+        let lines: Vec<String> = lines.iter().map(WindowReport::to_json).collect();
+        per_stream_jsonl(&lines.join("\n"))
+    };
+
+    let mut starving = String::new();
+    for i in 0..70 {
+        starving.push_str(&format!("a {}\n", (i * 7) % 16));
+        if i < 64 {
+            starving.push_str(&format!("m {}\n", (i * 5) % 16));
+        }
+    }
+    let found = lcg_lines("e", 6_400);
+    for (input, streams, windows, failures) in [(&starving, 2, 3, 2), (&found, 1, 100, 2)] {
+        let watched = run(&["watch", "-", "--json"], input);
+        let served = run(&["serve", "--stdin"], input);
+        assert_eq!(watched.lines().count(), windows, "{watched}");
+        let want = alone(input);
+        assert_eq!(per_stream_jsonl(&watched), want, "watch");
+        assert_eq!(per_stream_jsonl(&served), want, "serve");
+        assert_eq!(want.len(), streams);
+        let failed: Vec<&String> = want
+            .iter()
+            .flat_map(|(_, lines)| lines)
+            .filter(|l| l.contains(r#""error":"#))
+            .collect();
+        assert_eq!(failed.len(), failures, "{failed:?}");
+        let reason =
+            r#","reports":[],"drift":null,"error":"bad parameter: need non-empty sample sets"}"#;
+        assert!(failed.iter().all(|l| l.ends_with(reason)), "{failed:?}");
+    }
+}
+
+#[test]
+fn serve_removes_its_sockets_when_it_stops_on_an_error() {
+    // Stdout is a full device, so the first window line fails to write and
+    // serve stops with exit 1; its socket files go with it all the same.
+    let full = std::fs::OpenOptions::new()
+        .write(true)
+        .open("/dev/full")
+        .unwrap();
+    let mut server = Server::start("full", 2, 1, full.into());
+    server.connect_data().write_all(b"a 1\na 2\na 3\n").unwrap();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let status = loop {
+        if let Some(status) = server.child.try_wait().unwrap() {
+            break status;
+        }
+        assert!(Instant::now() < deadline, "serve never stopped");
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    let mut stderr = String::new();
+    let mut pipe = server.child.stderr.take().unwrap();
+    pipe.read_to_string(&mut stderr).unwrap();
+    assert_eq!(status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.starts_with("error: write to sink failed: "),
+        "{stderr}"
+    );
+    assert!(!server.data.exists(), "data socket file left behind");
+    assert!(!server.control.exists(), "control socket file left behind");
 }
