@@ -21,7 +21,7 @@
 //! A second group measures the *warm steady state* at fleet scale: an
 //! engine already holding 100 000 debuted streams ingests batches that
 //! complete no window, so each iteration pays only the allocation-free
-//! pipeline (intern lookup → route → counting-sort → reservoir
+//! pipeline (key-table lookup → route → counting-sort → reservoir
 //! skip-sampling). This is the path `tests/engine_zero_alloc.rs` proves
 //! heap-silent; the bench pins its speed.
 
@@ -92,8 +92,8 @@ const SCALE_SPAN: usize = 500;
 
 /// The scaling curve: a *cold* engine (workers spawned, nothing debuted)
 /// ingests a full windowed workload fed in the CLI watch feed shape —
-/// sub-batches of `4096 · shards` records — so each iteration pays debut
-/// interning, the route, the shard fan-out, and one completed window per
+/// sub-batches of `4096 · shards` records — so each iteration pays the
+/// debuts, the route, the shard fan-out, and one completed window per
 /// stream. This is the group the shards=4 ≥ 1.8×
 /// shards=1 acceptance bar reads from (on a ≥ 4-core host; the recorded
 /// `cores` line tells the baseline curator what this run could express).

@@ -97,7 +97,7 @@ use crate::compress::compress_to_k;
 use crate::greedy::{learn_from_samples, GreedyParams};
 use crate::identity::{test_closeness_l2_from_sets, test_identity_l2_from_set};
 use crate::monotone::{monotonicity_budget, test_monotone_from_set};
-use crate::tester::{test_l1_from_sets, test_l2_from_sets, TestOutcome, TestReport};
+use crate::tester::{test_l1_from_sets, test_l2_from_sets, Decision, TestOutcome, TestReport};
 use crate::uniformity::{test_uniformity_from_set, UniformityBudget};
 
 /// Which algorithm a request or report refers to.
@@ -589,17 +589,11 @@ impl Report {
     /// Records the verdict of a single-statistic test (uniformity,
     /// identity, closeness, monotonicity, drift): its outcome, the
     /// statistic and threshold it compared, and the samples it read.
-    pub(crate) fn decide(
-        &mut self,
-        outcome: TestOutcome,
-        statistic: f64,
-        threshold: f64,
-        samples: usize,
-    ) {
-        self.verdict = Some(outcome);
-        self.statistic = Some(statistic);
-        self.threshold = Some(threshold);
-        self.samples_spent = samples;
+    pub(crate) fn decide(&mut self, decision: Decision) {
+        self.verdict = Some(decision.outcome);
+        self.statistic = Some(decision.statistic);
+        self.threshold = Some(decision.threshold);
+        self.samples_spent = decision.samples_used;
     }
 
     /// Records the verdict of a partition-search tester (the `ℓ₂`/`ℓ₁`
@@ -1208,12 +1202,10 @@ fn execute(
             report.decide_by_search(test_l1_from_sets(n, req.k, req.eps, view)?)
         }
         Analysis::Uniformity(req) => {
-            let ur = test_uniformity_from_set(n, req.eps, main_view()?)?;
-            report.decide(ur.outcome, ur.statistic, ur.threshold, ur.samples_used);
+            report.decide(test_uniformity_from_set(n, req.eps, main_view()?)?)
         }
         Analysis::IdentityL2(req) => {
-            let cr = test_identity_l2_from_set(main_view()?, &req.q, n, req.eps)?;
-            report.decide(cr.outcome, cr.statistic, cr.threshold, cr.samples_used);
+            report.decide(test_identity_l2_from_set(main_view()?, &req.q, n, req.eps)?)
         }
         Analysis::ClosenessL2(req) => {
             let set_p = main_view()?;
@@ -1231,17 +1223,16 @@ fn execute(
             let q_seed = stream_seed(seed, index as u64);
             let mut q_oracle = DenseOracle::new(&req.q, q_seed);
             let set_q = q_oracle.draw_set(set_p.total() as usize);
-            let cr = test_closeness_l2_from_sets(set_p, &set_q, n, req.eps)?;
-            report.decide(cr.outcome, cr.statistic, cr.threshold, cr.samples_used);
+            report.decide(test_closeness_l2_from_sets(set_p, &set_q, n, req.eps)?);
         }
         Analysis::Monotone(req) => {
             let mr = test_monotone_from_set(n, req.eps, main_view()?)?;
-            report.decide(
-                mr.outcome,
-                mr.isotonic_distance,
-                mr.threshold,
-                mr.samples_used,
-            );
+            report.decide(Decision {
+                outcome: mr.outcome,
+                statistic: mr.isotonic_distance,
+                threshold: mr.threshold,
+                samples_used: mr.samples_used,
+            });
             report.histogram = mr.fit;
         }
     }

@@ -9,10 +9,10 @@
 //!
 //! ```text
 //!   ingest_batch(&[(key, value), …])
-//!        │  route, on the caller thread: one FNV-1a hash per record,
-//!        ▼  reused for the interner probe and, at debut, the home-shard
-//!           placement; debuts are interned in arrival order; each record
-//!           appends (slot, value) to its home shard's bucket
+//!        │  route, on the caller thread: one key-table lookup per
+//!        ▼  record gives its debut index and (shard, slot); a debut is
+//!           placed in arrival order, on the home shard of its FNV-1a
+//!           hash; each record appends (slot, value) to that bucket
 //!   ┌─────────┐  ┌─────────┐       ┌─────────┐   shard ingest: one job per
 //!   │ shard 0 │  │ shard 1 │  ...  │ shard S │   busy shard groups its
 //!   │ ┌─────┐ │  │ ┌─────┐ │       │ ┌─────┐ │   bucket per stream, in
@@ -35,12 +35,12 @@
 //!
 //! # The allocation-free batch pipeline
 //!
-//! Steady-state `ingest_batch` (every key already interned, no window
+//! Steady-state `ingest_batch` (every key already debuted, no window
 //! closing) performs **zero heap allocations** — asserted by a
 //! counting-allocator integration test (`tests/engine_zero_alloc.rs`):
 //!
-//! * keys resolve through the interner's open-addressing table (hash +
-//!   probe, no `String`, no `BTreeMap`);
+//! * keys resolve through the key table, a `HashMap<Box<str>, u32>` under
+//!   a fixed FNV-1a hasher: `get(&str)` builds no `String`;
 //! * records append to per-shard buckets that keep their capacity across
 //!   batches;
 //! * each shard groups its bucket with a counting sort over reused
@@ -70,9 +70,9 @@
 //! `tests/engine_sharding.rs`.
 //!
 //! Each key is placed once, at debut, on its home shard
-//! `mix64(FNV-1a(key)) mod shards` and never moves; the interner caches
-//! the `(shard, slot)` coordinates, so placement costs nothing on the
-//! warm path. Which shard holds a stream is invisible in its reports
+//! `mix64(FNV-1a(key)) mod shards` and never moves; the engine keeps each
+//! stream's `(shard, slot)` by debut index, so placement costs nothing on
+//! the warm path. Which shard holds a stream is invisible in its reports
 //! (`tests/engine_sharding.rs`).
 //!
 //! # The control plane
@@ -120,6 +120,9 @@
 //! assert_eq!(engine.streams(), 2);
 //! ```
 
+// lint:allow(default-hasher): a fixed hasher (FNV-1a), used for lookups only and never iterated
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use crossbeam::Courier;
@@ -128,7 +131,7 @@ use khist_fleet::{FleetReport, FleetSummary, WindowObservation};
 use khist_oracle::{stream_seed, Window};
 
 use crate::api::{Analysis, LedgerEntry, Report, SamplePlan};
-use crate::monitor::{Monitor, StreamSpec, WindowReport};
+use crate::monitor::{Monitor, StreamBuilder, StreamSpec, WindowReport};
 
 /// One shard's answer to a batch: every window report, failed windows
 /// included, plus every stream that could not take its records. Streams
@@ -136,30 +139,50 @@ use crate::monitor::{Monitor, StreamSpec, WindowReport};
 /// not stop its shard-mates — the shard keeps going and reports both.
 type ShardOutcome = (Vec<WindowReport>, Vec<(String, DistError)>);
 
-/// FNV-1a 64-bit hash of a stream key.
+/// FNV-1a 64-bit hash of a stream key: the stream's seed and home shard.
 ///
 /// Shard routing and per-stream seed derivation must be deterministic
 /// across processes and platforms — `std`'s default hasher is randomized
 /// per process, which would make "which shard owns tenant X" and "what
 /// seed does tenant X sample with" unreproducible. FNV-1a is stable,
-/// tiny, and good enough for short keys. Each key is hashed once per
-/// batch appearance; the [`Interner`] caches the hash at debut so rehash
-/// and shard routing never recompute it.
-// lint:hot-path
+/// tiny, and good enough for short keys. A key is hashed this way once,
+/// at its debut; the key table's [`KeyHasher`] runs the same loop.
 fn key_hash(key: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &byte in key.as_bytes() {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut hasher = KeyHasher::default();
+    hasher.write(key.as_bytes());
+    hasher.0
+}
+
+/// The key table's hasher: FNV-1a (the one loop [`key_hash`] runs too),
+/// finished by [`mix64`] so the table's bucket bits are well spread. It
+/// is fixed, so a lookup needs no per-process state.
+struct KeyHasher(u64);
+
+impl Default for KeyHasher {
+    fn default() -> Self {
+        KeyHasher(0xcbf2_9ce4_8422_2325)
     }
-    h
+}
+
+impl Hasher for KeyHasher {
+    // lint:hot-path
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        mix64(self.0)
+    }
 }
 
 /// Full-avalanche 64-bit finalizer (MurmurHash3's `fmix64`). Raw FNV-1a
 /// over short ASCII keys clusters its outputs in a narrow band, so its low
 /// bits make a poor bucket index: one multiply–xor–shift cascade on top
 /// spreads every input bit across every output bit before the hash picks
-/// a home shard or an interner probe start. Not a seed path: seeds derive
+/// a home shard or a key-table bucket. Not a seed path: seeds derive
 /// from the *unmixed* FNV hash via `stream_seed`, so report bytes do not
 /// depend on placement.
 fn mix64(mut h: u64) -> u64 {
@@ -173,118 +196,17 @@ fn mix64(mut h: u64) -> u64 {
 
 /// The home shard of a key with FNV-1a hash `hash` in a pool of `shards`
 /// shards: `mix64(hash) mod shards`. Consulted at debut and by
-/// [`Engine::shard_of`] only; interned keys carry their coordinates.
+/// [`Engine::shard_of`] only; a debuted stream keeps its `(shard, slot)`.
 fn home_shard(hash: u64, shards: usize) -> u32 {
     (mix64(hash) % shards as u64) as u32
-}
-
-/// One interned stream key: its cached hash and its home `(shard, slot)`.
-struct KeyEntry {
-    key: String,
-    hash: u64,
-    shard: u32,
-    slot: u32,
-}
-
-/// The engine's key interner: a debut-ordered slab of [`KeyEntry`] plus an
-/// open-addressing hash table over it. Steady-state resolution is an
-/// FNV-1a hash, a linear probe, and one short key comparison — no
-/// allocation, no `String` construction, no tree walk. Debut (the only
-/// cold path) allocates the entry and, rarely, regrows the table.
-///
-/// The table stores `entry index + 1` so `0` marks an empty bucket; its
-/// length is always a power of two; the probe start index runs the raw
-/// FNV-1a hash through [`mix64`] (the same finalizer [`home_shard`]
-/// applies) so short-key clustering cannot pile entries into one probe
-/// chain — the *stored* hash stays raw, because seeds derive from it. Stream counts
-/// are capped at `u32` range (4 billion keys) by the id width — far
-/// beyond the slab sizes the monitor layer supports in memory anyway.
-struct Interner {
-    entries: Vec<KeyEntry>,
-    table: Vec<u32>,
-}
-
-impl Interner {
-    fn new() -> Self {
-        Interner {
-            entries: Vec::new(),
-            table: vec![0; 64],
-        }
-    }
-
-    /// Steady-state key resolution: no allocation, no `String`.
-    // lint:hot-path
-    fn lookup(&self, key: &str, hash: u64) -> Option<u32> {
-        let mask = self.table.len() - 1;
-        let mut i = (mix64(hash) as usize) & mask;
-        loop {
-            // lint:allow(checked-indexing): i is masked onto the table length
-            let probe = self.table[i];
-            if probe == 0 {
-                return None;
-            }
-            let id = probe - 1;
-            // lint:allow(checked-indexing): the table only stores ids of live entries
-            let entry = &self.entries[id as usize];
-            if entry.hash == hash && entry.key == key {
-                return Some(id);
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    /// The entry of `key`, hashing it first: the control plane's lookup
-    /// (the route reuses the hash it already holds).
-    fn find(&self, key: &str) -> Option<&KeyEntry> {
-        let id = self.lookup(key, key_hash(key))?;
-        self.entries.get(id as usize)
-    }
-
-    /// Registers a debuting key (cold path: allocates the entry, may
-    /// regrow the table). Caller guarantees `key` is not present.
-    fn insert(&mut self, key: &str, hash: u64, shard: u32, slot: u32) -> u32 {
-        let id = self.entries.len() as u32;
-        self.entries.push(KeyEntry {
-            key: key.to_string(),
-            hash,
-            shard,
-            slot,
-        });
-        // Keep load factor below 3/4 so probe chains stay short.
-        if self.entries.len() * 4 > self.table.len() * 3 {
-            self.grow();
-        } else {
-            Self::place(&mut self.table, hash, id);
-        }
-        id
-    }
-
-    fn grow(&mut self) {
-        let mut table = vec![0u32; self.table.len() * 2];
-        for (id, entry) in self.entries.iter().enumerate() {
-            Self::place(&mut table, entry.hash, id as u32);
-        }
-        self.table = table;
-    }
-
-    fn place(table: &mut [u32], hash: u64, id: u32) {
-        let mask = table.len() - 1;
-        let mut i = (mix64(hash) as usize) & mask;
-        // lint:allow(checked-indexing): i is masked onto the table length
-        while table[i] != 0 {
-            i = (i + 1) & mask;
-        }
-        // lint:allow(checked-indexing): i is masked onto the table length
-        table[i] = id + 1;
-    }
 }
 
 /// One stream owned by a shard: its [`Monitor`] (which holds the key,
 /// the window state and the ledger) plus what the fleet rollup needs.
 struct StreamSlot {
     state: Monitor,
-    /// The stream's global debut index (engine interner id) — the fleet
-    /// rollup's stream key.
+    /// The stream's global debut index (its id in the engine's key
+    /// table) — the fleet rollup's stream key.
     debut: u32,
     /// Whether the stream has ever produced a non-quiet window; gates the
     /// fleet rollup's "alarming streams" counter to first alarms only.
@@ -292,21 +214,47 @@ struct StreamSlot {
 }
 
 impl StreamSlot {
-    /// Files one call's result into the shard's outcome: reports (seen by
-    /// the fleet partial first) or the error, under the stream's key.
+    /// Files one call's reports into the shard's outcome, digested into
+    /// the shard's fleet partial first. Runs inside shard workers at
+    /// window production. A failed window counts like any other: it has
+    /// no verdicts and no drift, so it is a quiet one.
+    // lint:hot-path
     fn file(
         &mut self,
-        result: Result<Vec<WindowReport>, DistError>,
+        reports: Vec<WindowReport>,
         fleet: &mut FleetSummary,
-        (out, errors): &mut ShardOutcome,
+        out: &mut Vec<WindowReport>,
     ) {
-        match result {
-            Ok(reports) => {
-                observe_windows(fleet, self, &reports);
-                out.extend(reports);
+        for w in &reports {
+            let alarmed = !w.all_quiet();
+            let first_alarm = alarmed && !self.alarmed;
+            if first_alarm {
+                self.alarmed = true;
             }
-            Err(e) => errors.push((self.state.stream().unwrap_or_default().to_string(), e)),
+            let mut verdicts = 0u32;
+            let mut rejects = 0u32;
+            for r in &w.reports {
+                if r.verdict.is_some() {
+                    verdicts += 1;
+                    if !r.accepted() {
+                        rejects += 1;
+                    }
+                }
+            }
+            fleet.observe_window(WindowObservation {
+                debut: self.debut,
+                window: w.window,
+                seen: w.seen,
+                kept: w.kept,
+                complete: w.complete,
+                alarmed,
+                first_alarm,
+                verdicts,
+                rejects,
+                drift_score: w.drift.as_ref().and_then(drift_severity),
+            });
         }
+        out.extend(reports);
     }
 }
 
@@ -320,8 +268,8 @@ impl StreamSlot {
 /// job lands.
 #[derive(Default)]
 struct Shard {
-    /// Slots in debut order — the shard-local slab the interner's
-    /// `(shard, slot)` coordinates point into.
+    /// Slots in debut order — the shard-local slab the engine's
+    /// `(shard, slot)` homes point into.
     slots: Vec<StreamSlot>,
     /// Counting-sort scratch: per-slot record count, doubling as the
     /// scatter cursor. Sized to `slots.len()`, zero between batches.
@@ -339,42 +287,6 @@ struct Shard {
     /// inside the worker (zero extra oracle draws) and folded shard-wise
     /// by [`Engine::fleet_report`].
     fleet: FleetSummary,
-}
-
-/// Digests freshly produced window reports into the shard's fleet partial.
-/// Runs inside shard workers at window production. A failed window counts
-/// like any other: it has no verdicts and no drift, so it is a quiet one.
-// lint:hot-path
-fn observe_windows(fleet: &mut FleetSummary, slot: &mut StreamSlot, reports: &[WindowReport]) {
-    for w in reports {
-        let alarmed = !w.all_quiet();
-        let first_alarm = alarmed && !slot.alarmed;
-        if first_alarm {
-            slot.alarmed = true;
-        }
-        let mut verdicts = 0u32;
-        let mut rejects = 0u32;
-        for r in &w.reports {
-            if r.verdict.is_some() {
-                verdicts += 1;
-                if !r.accepted() {
-                    rejects += 1;
-                }
-            }
-        }
-        fleet.observe_window(WindowObservation {
-            debut: slot.debut,
-            window: w.window,
-            seen: w.seen,
-            kept: w.kept,
-            complete: w.complete,
-            alarmed,
-            first_alarm,
-            verdicts,
-            rejects,
-            drift_score: w.drift.as_ref().and_then(drift_severity),
-        });
-    }
 }
 
 /// Normalizes a drift report into one severity score: `statistic /
@@ -467,8 +379,12 @@ impl Shard {
             };
             // lint:allow(checked-indexing): span extents tile the grouped buffer
             let group = &self.grouped[start..end];
-            let result = slot.state.ingest(group);
-            slot.file(result, &mut self.fleet, &mut outcome);
+            match slot.state.ingest(group) {
+                Ok(reports) => slot.file(reports, &mut self.fleet, &mut outcome.0),
+                Err(e) => outcome
+                    .1
+                    .push((slot.state.stream().unwrap_or_default().to_string(), e)),
+            }
         }
         self.touched.clear();
         self.spans.clear();
@@ -476,13 +392,12 @@ impl Shard {
         outcome
     }
 
-    /// Flushes every stream the shard owns, in debut order; a failing
-    /// stream does not stop its shard-mates.
+    /// Flushes every stream the shard owns, in debut order.
     fn flush(&mut self) -> ShardOutcome {
         let mut outcome = ShardOutcome::default();
         for slot in &mut self.slots {
-            let result = slot.state.flush();
-            slot.file(result, &mut self.fleet, &mut outcome);
+            let reports = slot.state.flush();
+            slot.file(reports, &mut self.fleet, &mut outcome.0);
         }
         outcome
     }
@@ -530,78 +445,31 @@ impl Job {
 /// The deterministic error for a record the engine could not route — the
 /// loud replacement for what used to be a silent `continue`. Only
 /// reachable through states the routing invariants make unreachable
-/// (an interned id without a backing entry, or one homed outside the
-/// pool); if one ever trips, the batch fails with this instead of
-/// dropping the record.
+/// (a key-table id without a home, or one homed outside the pool); if
+/// one ever trips, the batch fails with this instead of dropping the
+/// record.
 #[cold]
 fn lost_record(key: &str) -> DistError {
     DistError::BadParameter {
         reason: format!(
             "internal: a record for stream '{key}' could not be routed \
-             (interner entry missing); failing the batch instead of \
+             (key table entry missing); failing the batch instead of \
              silently dropping the record"
         ),
     }
 }
 
-/// Configures an [`Engine`]; obtained from [`Engine::builder`].
-#[derive(Debug, Clone)]
-pub struct EngineBuilder {
-    n: usize,
-    seed: u64,
-    shards: usize,
-    window: Window,
-    analyses: Vec<Analysis>,
-}
+/// Configures an [`Engine`]; obtained from [`Engine::builder`]. Its
+/// stream settings are a [`Monitor`]'s ([`StreamBuilder`]); the engine
+/// adds its shard count.
+pub type EngineBuilder = StreamBuilder<usize>;
 
 impl EngineBuilder {
-    /// Seeds the engine (default 0). Every stream samples with the derived
-    /// seed [`Engine::stream_seed`]`(seed, key)`, so the base seed plus
-    /// the key fully determine a stream's randomness.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Number of worker shards stream keys are hashed onto (default 1).
     /// More shards parallelize the per-window analysis work across cores;
     /// the per-stream output is bit-identical for every shard count.
     pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
-    /// Uses tumbling windows of `span` records per stream — the default,
-    /// with a span of 100 000.
-    pub fn tumbling(mut self, span: u64) -> Self {
-        self.window = Window::Tumbling { span };
-        self
-    }
-
-    /// Uses sliding windows covering `span` records, completing every
-    /// `step` records (`step` must divide `span`), per stream.
-    pub fn sliding(mut self, span: u64, step: u64) -> Self {
-        self.window = Window::Sliding { span, step };
-        self
-    }
-
-    /// Sets the window policy explicitly.
-    pub fn window(mut self, window: Window) -> Self {
-        self.window = window;
-        self
-    }
-
-    /// Sets the standing batch every stream runs on every completed
-    /// window. The batch's shared [`SamplePlan`] shapes every stream's
-    /// reservoir lanes, so it must be non-empty.
-    pub fn analyses(mut self, batch: impl IntoIterator<Item = Analysis>) -> Self {
-        self.analyses = batch.into_iter().collect();
-        self
-    }
-
-    /// Appends one request to the standing batch.
-    pub fn analysis(mut self, request: impl Into<Analysis>) -> Self {
-        self.analyses.push(request.into());
+        self.target = shards;
         self
     }
 
@@ -611,30 +479,37 @@ impl EngineBuilder {
     /// and spawns the persistent worker pool (one parked thread per shard;
     /// none for a single-shard engine, which always runs inline).
     pub fn build(self) -> Result<Engine, DistError> {
-        if self.shards == 0 {
+        if self.target == 0 {
             return Err(DistError::BadParameter {
                 reason: "engine needs at least one shard (1 = unsharded)".into(),
             });
         }
         // The monitor's validator, shared verbatim: an engine stream is a
         // monitor, so what is invalid there must be invalid here.
-        let spec = StreamSpec::new(self.n, self.window, self.analyses)?;
-        let mut shards = Vec::with_capacity(self.shards);
-        shards.resize_with(self.shards, Shard::default);
+        let (spec, seed, count) = self.spec()?;
+        let mut shards = Vec::with_capacity(count);
+        shards.resize_with(count, Shard::default);
         // Persistent workers: spawned once here, parked on their mailbox
         // between batches. A 1-shard engine has no workers at all.
-        let workers = Engine::spawn_workers(self.shards);
+        let workers = Engine::spawn_workers(count);
         Ok(Engine {
-            seed: self.seed,
+            seed,
             spec,
             shards,
             workers,
-            interner: Interner::new(),
+            keys: KeyTable::default(),
+            homes: Vec::new(),
             jobs: Vec::new(),
             outcomes: Vec::new(),
         })
     }
 }
+
+/// The key table: each stream key's debut index. Lookups only, never
+/// iterated, so the fixed hasher decides no order; a warm lookup,
+/// `get(&str)`, allocates nothing.
+// lint:allow(default-hasher): a fixed hasher (FNV-1a), used for lookups only and never iterated
+type KeyTable = HashMap<Box<str>, u32, BuildHasherDefault<KeyHasher>>;
 
 /// A keyed multi-stream ingest engine: [`Monitor`] semantics per stream
 /// key, scaled across a shared-nothing pool of worker shards. See the
@@ -649,8 +524,11 @@ pub struct Engine {
     /// engine); a call's jobs go to them in turn (see
     /// [`Engine::run_jobs`]). Dropping the engine parks-then-joins them.
     workers: Vec<Courier<Job, Job>>,
-    /// The key interner, touched only on the caller thread.
-    interner: Interner,
+    /// Each stream key's debut index, touched only on the caller thread.
+    keys: KeyTable,
+    /// Each stream's `(shard, slot)`, indexed by debut. The stream's key
+    /// is its monitor's label ([`Monitor::stream`]).
+    homes: Vec<(u32, u32)>,
     /// Jobs queued for [`Engine::run_jobs`]; empty between calls.
     jobs: Vec<Job>,
     /// Per-call shard outcomes, drained by [`Engine::settle`].
@@ -662,19 +540,13 @@ impl Engine {
     /// every stream — keyed streams of differing domains belong in
     /// separate engines).
     pub fn builder(n: usize) -> EngineBuilder {
-        EngineBuilder {
-            n,
-            seed: 0,
-            shards: 1,
-            window: Window::Tumbling { span: 100_000 },
-            analyses: Vec::new(),
-        }
+        StreamBuilder::new(n, 1)
     }
 
     /// The seed stream `key` samples with under base seed `base`: the
     /// SplitMix64 stream of the key's deterministic FNV-1a hash. A
     /// dedicated [`Monitor`] seeded with this value (and tagged via
-    /// [`MonitorBuilder::stream`](crate::monitor::MonitorBuilder::stream))
+    /// [`MonitorBuilder::stream`](StreamBuilder::stream))
     /// reproduces the engine's reports for that stream bit for bit.
     pub fn stream_seed(base: u64, key: &str) -> u64 {
         stream_seed(base, key_hash(key))
@@ -697,31 +569,20 @@ impl Engine {
 
     /// Number of distinct stream keys seen so far.
     pub fn streams(&self) -> usize {
-        self.interner.entries.len()
+        self.homes.len()
     }
 
-    /// Per-stream `(key, records seen)` totals in **debut order** —
-    /// served straight from the interner slab and each stream's state, so
-    /// callers (the `STATS` control plane, `examples/fleet_monitor.rs`)
-    /// never recompute totals from window reports.
+    /// Per-stream `(key, records seen)` totals in **debut order** — the
+    /// order in which each key's first record reached the engine, which is
+    /// independent of shard count and stable across calls — read from
+    /// each stream's monitor, so callers (the `STATS` control plane,
+    /// `examples/fleet_monitor.rs`) never recompute totals from window
+    /// reports.
     pub fn stream_seen(&self) -> Vec<(&str, u64)> {
-        self.interner
-            .entries
+        self.homes
             .iter()
-            .map(|e| (e.key.as_str(), self.monitor(e).map_or(0, Monitor::seen)))
-            .collect()
-    }
-
-    /// All stream keys seen so far, in **debut order** — the order in
-    /// which each key's first record reached the engine, which is
-    /// independent of shard count and stable across calls. Borrowed
-    /// straight from the interner's slab; nothing is re-sorted or
-    /// re-hashed per call.
-    pub fn stream_keys(&self) -> Vec<&str> {
-        self.interner
-            .entries
-            .iter()
-            .map(|e| e.key.as_str())
+            .filter_map(|&home| self.monitor(home))
+            .map(|m| (m.stream().unwrap_or_default(), m.seen()))
             .collect()
     }
 
@@ -753,14 +614,19 @@ impl Engine {
     /// Read access to one stream's state machine (e.g. to check `seen`
     /// for a single tenant).
     pub fn stream_state(&self, key: &str) -> Option<&Monitor> {
-        self.monitor(self.interner.find(key)?)
+        self.monitor(self.home(key)?)
     }
 
-    /// The monitor an interned entry points at: the one way from a key to
-    /// its stream, behind every per-stream accessor.
-    fn monitor(&self, entry: &KeyEntry) -> Option<&Monitor> {
-        let shard = self.shards.get(entry.shard as usize)?;
-        shard.slots.get(entry.slot as usize).map(|s| &s.state)
+    /// The `(shard, slot)` of `key`'s stream, once it has debuted.
+    fn home(&self, key: &str) -> Option<(u32, u32)> {
+        self.homes.get(*self.keys.get(key)? as usize).copied()
+    }
+
+    /// The monitor at a stream's home: the one way to a stream, behind
+    /// every per-stream accessor.
+    fn monitor(&self, (shard, slot): (u32, u32)) -> Option<&Monitor> {
+        let shard = self.shards.get(shard as usize)?;
+        shard.slots.get(slot as usize).map(|s| &s.state)
     }
 
     /// The shard `key` lives on (or will, from its debut). Pure in
@@ -769,30 +635,29 @@ impl Engine {
         home_shard(key_hash(key), self.shards.len()) as usize
     }
 
-    /// Interns a debuting key (cold path): creates the stream's slot (and
-    /// state machine) on its home shard and returns its id. `hash` is the
-    /// key's FNV-1a hash from the route, reused for the home shard *and*
-    /// the cached entry (the "hash computed once" contract). The caller
-    /// has just missed `key` in the interner.
-    fn debut(&mut self, key: &str, hash: u64) -> u32 {
-        let shard_idx = home_shard(hash, self.shards.len()) as usize;
-        let Some(shard) = self.shards.get_mut(shard_idx) else {
+    /// Registers a debuting key (cold path): creates the stream's slot
+    /// (and monitor) on its home shard, enters the key in the key table
+    /// and returns its debut index. The key's FNV-1a hash gives both the
+    /// home shard and the seed. The caller has just missed `key` in the
+    /// key table.
+    fn debut(&mut self, key: &str) -> u32 {
+        let hash = key_hash(key);
+        let shard = home_shard(hash, self.shards.len());
+        let Some(home) = self.shards.get_mut(shard as usize) else {
             // Unreachable: home shards are < shards.len() by construction;
-            // keep the no-panic discipline anyway.
-            return 0;
+            // the route fails loudly on an id without a home.
+            return u32::MAX;
         };
-        let slot = shard.slots.len() as u32;
-        // The interner assigns ids densely in debut order, so the id this
-        // insert will return is the current entry count.
-        let debut = self.interner.entries.len() as u32;
-        let seed = Engine::stream_seed(self.seed, key);
-        shard.slots.push(StreamSlot {
-            state: Monitor::new(&self.spec, seed, Some(key.to_string())),
+        let debut = self.homes.len() as u32;
+        self.homes.push((shard, home.slots.len() as u32));
+        home.slots.push(StreamSlot {
+            state: Monitor::new(&self.spec, stream_seed(self.seed, hash), Some(key.into())),
             debut,
             alarmed: false,
         });
-        shard.fleet.observe_debut();
-        self.interner.insert(key, hash, shard_idx as u32, slot)
+        home.fleet.observe_debut();
+        self.keys.insert(key.into(), debut);
+        debut
     }
 
     /// Spawns the persistent worker pool for `shards` shards: one parked
@@ -826,9 +691,9 @@ impl Engine {
     /// plan — the frozen lanes cannot serve a larger draw (that errors,
     /// never triggers a fresh draw). Unknown keys error.
     pub fn snapshot(&mut self, key: &str, analyses: &[Analysis]) -> Result<Vec<Report>, DistError> {
-        let slot = self.interner.find(key).and_then(|entry| {
-            let shard = self.shards.get_mut(entry.shard as usize)?;
-            shard.slots.get_mut(entry.slot as usize)
+        let slot = self.home(key).and_then(|(shard, slot)| {
+            let shard = self.shards.get_mut(shard as usize)?;
+            shard.slots.get_mut(slot as usize)
         });
         match slot {
             Some(slot) => slot.state.snapshot(analyses),
@@ -848,8 +713,8 @@ impl Engine {
     }
 
     /// The fleet-wide rollup: every shard's partial folded into one
-    /// [`FleetReport`], with top-K entries resolved through the
-    /// debut-ordered key table. Composed purely from the window reports
+    /// [`FleetReport`], naming only its top-K streams, each read from the
+    /// stream's monitor. Composed purely from the window reports
     /// the shards already produced — **zero extra oracle draws** — and
     /// bit-identical for every shard count and batch partitioning,
     /// because the fold is associative and commutative (see
@@ -859,14 +724,16 @@ impl Engine {
         for shard in &self.shards {
             total.merge(&shard.fleet);
         }
-        total.report(&self.stream_keys())
+        total.report(|debut| {
+            let &home = self.homes.get(debut as usize)?;
+            self.monitor(home)?.stream()
+        })
     }
 
     /// Ingests a batch of keyed records in arrival order — the engine's
     /// main entry point. The route runs on the caller thread: each
-    /// record's key is hashed once — the hash feeds the interner probe,
-    /// the home-shard placement, and the cached entry — and the record
-    /// joins its home shard's bucket in arrival order, debuts interned in
+    /// record's key is looked up once in the key table, and the record
+    /// joins its home shard's bucket in arrival order, debuts placed in
     /// the order they first appear. Busy shards then group their buckets
     /// per stream and ingest: they move by value to the persistent workers
     /// (shared-nothing: a shard's states are touched only by the job
@@ -875,7 +742,7 @@ impl Engine {
     /// `(stream, window id)` — a deterministic interleaving with every
     /// stream's reports in window order.
     ///
-    /// A warm call — every key interned, no window completing — performs
+    /// A warm call — every key debuted, no window completing — performs
     /// zero heap allocations (see the [module docs](self)).
     ///
     /// A window whose analysis fails is reported like any other, with its
@@ -904,24 +771,23 @@ impl Engine {
     }
 
     /// The route: appends each record, as `(slot, value)`, to its home
-    /// shard's bucket in arrival order, interning a debuting key where it
+    /// shard's bucket in arrival order, placing a debuting key where it
     /// first appears — so debut numbering is the order of first
-    /// appearance. A warm record costs one hash, one probe and one push.
+    /// appearance. A warm record costs one key-table lookup and one push.
     // lint:hot-path
     fn route<K: AsRef<str>>(&mut self, records: &[(K, usize)]) -> Result<(), DistError> {
         for (key, value) in records {
             let key = key.as_ref();
-            let hash = key_hash(key);
-            let id = match self.interner.lookup(key, hash) {
-                Some(id) => id,
-                None => self.debut(key, hash),
+            let id = match self.keys.get(key) {
+                Some(&id) => id,
+                None => self.debut(key),
             };
-            let home = self.interner.entries.get(id as usize).and_then(|entry| {
-                let shard = self.shards.get_mut(entry.shard as usize)?;
-                Some((&mut shard.routed, entry.slot))
+            let home = self.homes.get(id as usize).and_then(|&(shard, slot)| {
+                let shard = self.shards.get_mut(shard as usize)?;
+                Some((&mut shard.routed, slot))
             });
             let Some((routed, slot)) = home else {
-                debug_assert!(false, "interned id {id} has no home in the pool");
+                debug_assert!(false, "stream id {id} has no home in the pool");
                 for shard in &mut self.shards {
                     shard.routed.clear();
                 }
@@ -977,7 +843,8 @@ impl Engine {
     /// stream's partial tail (when it holds records) — one job per shard
     /// that holds streams, dispatched like
     /// [`ingest_batch`](Engine::ingest_batch)'s (inline when there is only
-    /// one), with the same failure contract. Reports come back
+    /// one). Flushing takes no record, so it does not fail on data; the
+    /// `Result` is kept for a broken routing invariant. Reports come back
     /// in stream **debut order** (the order each key's first record
     /// reached the engine), windows in id order within a stream. This is
     /// the order live tools emit end-of-stream tails in: `khist watch
@@ -994,9 +861,8 @@ impl Engine {
         // debut index keeps each stream's windows in id order.
         let mut tails = self.settle()?;
         tails.sort_by_key(|report| {
-            report.stream.as_deref().map_or(u32::MAX, |key| {
-                self.interner.lookup(key, key_hash(key)).unwrap_or(u32::MAX)
-            })
+            let id = report.stream.as_deref().and_then(|key| self.keys.get(key));
+            id.copied().unwrap_or(u32::MAX)
         });
         Ok(tails)
     }
@@ -1058,8 +924,11 @@ impl std::fmt::Debug for Engine {
 mod tests {
     use super::*;
     use crate::api::{Learn, Monitor, TestL2, Uniformity};
+    use crate::uniformity::UniformityBudget;
     use khist_dist::generators;
+    use proptest::prelude::*;
     use rand::{rngs::StdRng, SeedableRng};
+    use std::collections::BTreeMap;
 
     fn standing() -> Vec<Analysis> {
         vec![
@@ -1091,6 +960,15 @@ mod tests {
             .unwrap()
     }
 
+    /// Every stream key, in debut order.
+    fn debut_keys(engine: &Engine) -> Vec<&str> {
+        engine
+            .stream_seen()
+            .into_iter()
+            .map(|(key, _)| key)
+            .collect()
+    }
+
     /// A dedicated monitor reproducing one engine stream, fed `records`.
     fn dedicated(key: &str, span: u64, records: &[usize]) -> Vec<WindowReport> {
         let mut monitor = Monitor::builder(64)
@@ -1101,7 +979,7 @@ mod tests {
             .build()
             .unwrap();
         let mut want = monitor.ingest(records).unwrap();
-        want.extend(monitor.flush().unwrap());
+        want.extend(monitor.flush());
         want
     }
 
@@ -1133,7 +1011,7 @@ mod tests {
             .collect();
         assert_eq!(tags, [("api", 0), ("api", 1), ("web", 0), ("web", 1)]);
         assert_eq!(engine.streams(), 2);
-        assert_eq!(engine.stream_keys(), ["api", "web"]);
+        assert_eq!(debut_keys(&engine), ["api", "web"]);
         assert_eq!(engine.seen(), 4_000);
         assert_eq!(engine.windows(), 4);
         assert!(reports.iter().all(|r| r.reports.len() == standing().len()));
@@ -1153,10 +1031,10 @@ mod tests {
             ("mid".to_string(), 4),
         ];
         eng.ingest_batch(&batch).unwrap();
-        assert_eq!(eng.stream_keys(), ["zeta", "mid", "alpha"]);
+        assert_eq!(debut_keys(&eng), ["zeta", "mid", "alpha"]);
         // Stable across calls and shard counts.
         let mut other = engine_with_shards_and_same_records();
-        assert_eq!(other.stream_keys(), ["zeta", "mid", "alpha"]);
+        assert_eq!(debut_keys(&other), ["zeta", "mid", "alpha"]);
         fn engine_with_shards_and_same_records() -> Engine {
             let mut e = Engine::builder(64)
                 .seed(11)
@@ -1205,7 +1083,7 @@ mod tests {
             let mut sharded = engine(shards, 1_000);
             let reports = sharded.ingest_batch(&staggered).unwrap();
             assert!(reports.is_empty(), "no window completes");
-            assert_eq!(sharded.stream_keys(), names, "@ {shards} shards");
+            assert_eq!(debut_keys(&sharded), names, "@ {shards} shards");
             let tails = sharded.flush_debut_ordered().unwrap();
             let order: Vec<&str> = tails.iter().map(|t| t.stream.as_deref().unwrap()).collect();
             assert_eq!(order, names, "tails @ {shards} shards");
@@ -1493,13 +1371,10 @@ mod tests {
         let keys: Vec<String> = (0..50).map(|i| format!("tenant-{i}")).collect();
         let batch: Vec<(&str, usize)> = keys.iter().map(|k| (k.as_str(), 1)).collect();
         eng.ingest_batch(&batch).unwrap();
-        for entry in &eng.interner.entries {
-            assert_eq!(
-                eng.shard_of(&entry.key),
-                entry.shard as usize,
-                "{}",
-                entry.key
-            );
+        assert_eq!(eng.streams(), 50);
+        for &home in &eng.homes {
+            let key = eng.monitor(home).and_then(Monitor::stream).unwrap();
+            assert_eq!(eng.shard_of(key), home.0 as usize, "{key}");
         }
     }
 
@@ -1591,7 +1466,7 @@ mod tests {
 
     #[test]
     fn interner_survives_table_growth() {
-        // Push well past the initial 64-bucket table so lookup keeps
+        // Push well past the key table's initial capacity so lookup keeps
         // resolving every key across several regrows.
         let mut eng = engine(4, 100_000);
         for i in 0..500usize {
@@ -1605,8 +1480,81 @@ mod tests {
             assert_eq!(state.seen(), 1, "{key}");
         }
         // Debut order is the numeric creation order.
-        let keys = eng.stream_keys();
+        let keys = debut_keys(&eng);
         assert_eq!(keys[0], "stream-0");
         assert_eq!(keys[499], "stream-499");
+    }
+
+    /// Stream keys a byte-level table could confuse: the empty key,
+    /// prefix pairs, NUL and non-ASCII bytes (`é` precomposed and
+    /// decomposed) — then 300 plain keys, enough to regrow the key table
+    /// several times.
+    fn adversarial_keys() -> Vec<String> {
+        let odd = [
+            "", "a", "ab", "abc", "\0", "a\0", "\0a", "é", "e\u{301}", "日本", "🦀", " ",
+        ];
+        let mut keys: Vec<String> = odd.iter().map(|key| key.to_string()).collect();
+        keys.extend((0..300).map(|i| format!("k{i}")));
+        keys
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// The key table against a plain reference — first-appearance
+        /// order plus `BTreeMap` counts — at shards 1, 2 and 4 with random
+        /// batch boundaries: `stream_seen`'s order and counts, every
+        /// `stream_state`, every stream's shard, and one fleet rollup for
+        /// every shard count. Half the records go to the twelve odd keys,
+        /// so their windows complete and drift.
+        #[test]
+        fn prop_key_table_matches_a_plain_reference(
+            picks in proptest::collection::vec((0usize..312, 0usize..2, 0usize..64), 1..3_000),
+            cuts in proptest::collection::vec(0usize..3_000, 0..6),
+        ) {
+            let keys = adversarial_keys();
+            let records: Vec<(&str, usize)> = picks
+                .iter()
+                .map(|&(key, odd, value)| (keys[if odd == 0 { key % 12 } else { key }].as_str(), value))
+                .collect();
+            let mut order = Vec::new();
+            let mut counts = BTreeMap::new();
+            for &(key, _) in &records {
+                let count = counts.entry(key).or_insert(0u64);
+                if *count == 0 {
+                    order.push(key);
+                }
+                *count += 1;
+            }
+            let want: Vec<(&str, u64)> = order.iter().map(|&key| (key, counts[key])).collect();
+            let mut bounds: Vec<usize> = cuts.iter().map(|&cut| cut.min(records.len())).collect();
+            bounds.extend([0, records.len()]);
+            bounds.sort_unstable();
+            let mut fleets = Vec::new();
+            for shards in [1usize, 2, 4] {
+                let mut engine = Engine::builder(64)
+                    .seed(3)
+                    .shards(shards)
+                    .tumbling(32)
+                    .analysis(Uniformity::eps(0.3).budget(UniformityBudget { m: 32 }))
+                    .build()
+                    .unwrap();
+                for batch in bounds.windows(2) {
+                    engine.ingest_batch(&records[batch[0]..batch[1]]).unwrap();
+                }
+                prop_assert_eq!(engine.stream_seen(), want.clone());
+                for &(key, count) in &want {
+                    prop_assert_eq!(engine.stream_state(key).map(Monitor::seen), Some(count));
+                }
+                prop_assert!(engine.stream_state("never").is_none());
+                for &home in &engine.homes {
+                    let key = engine.monitor(home).and_then(Monitor::stream).unwrap();
+                    prop_assert_eq!(engine.shard_of(key), home.0 as usize, "{:?}", key);
+                }
+                fleets.push(engine.fleet_report().to_json());
+            }
+            prop_assert_eq!(&fleets[0], &fleets[1]);
+            prop_assert_eq!(&fleets[0], &fleets[2]);
+        }
     }
 }

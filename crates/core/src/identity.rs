@@ -32,7 +32,7 @@
 use khist_dist::{DenseDistribution, DistError, Interval};
 use khist_oracle::{absolute_collision_estimate, check_eps, SampleSet};
 
-use crate::tester::TestOutcome;
+use crate::tester::Decision;
 
 /// Unbiased estimate of `‖p − q‖₂²` from one sample set per distribution.
 ///
@@ -49,18 +49,9 @@ pub fn l2_distance_sq_estimate(set_p: &SampleSet, set_q: &SampleSet, n: usize) -
     Some((p_sq + q_sq - 2.0 * cross).max(0.0))
 }
 
-/// Report of a closeness/identity test.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ClosenessReport {
-    /// Accept (close in `ℓ₂`) or reject.
-    pub outcome: TestOutcome,
-    /// The measured `‖p − q‖₂²` estimate.
-    pub statistic: f64,
-    /// The decision threshold `ε²/2`.
-    pub threshold: f64,
-    /// Total samples consumed.
-    pub samples_used: usize,
-}
+/// Report of a closeness/identity test: accept (close in `ℓ₂`) or
+/// reject, on the `‖p − q‖₂²` estimate against the threshold `ε²/2`.
+pub type ClosenessReport = Decision;
 
 /// Tests `‖p − q‖₂ ≤ ε/√2` vs `‖p − q‖₂ > ε` from pre-drawn sample
 /// sets, one per side.
@@ -75,17 +66,8 @@ pub fn test_closeness_l2_from_sets(
         l2_distance_sq_estimate(set_p, set_q, n).ok_or_else(|| DistError::BadParameter {
             reason: "need at least two samples per side".into(),
         })?;
-    let threshold = eps * eps / 2.0;
-    Ok(ClosenessReport {
-        outcome: if statistic <= threshold {
-            TestOutcome::Accept
-        } else {
-            TestOutcome::Reject
-        },
-        statistic,
-        threshold,
-        samples_used: set_p.total() as usize + set_q.total() as usize,
-    })
+    let samples_used = set_p.total() as usize + set_q.total() as usize;
+    Ok(Decision::new(statistic, eps * eps / 2.0, samples_used))
 }
 
 /// Tests identity `p = q` (vs `‖p − q‖₂ > ε`) against an explicitly known
@@ -120,17 +102,11 @@ pub fn test_identity_l2_from_set(
     }
     inner /= set_p.total() as f64;
     let statistic = (p_sq + known_q.l2_norm_sq() - 2.0 * inner).max(0.0);
-    let threshold = eps * eps / 2.0;
-    Ok(ClosenessReport {
-        outcome: if statistic <= threshold {
-            TestOutcome::Accept
-        } else {
-            TestOutcome::Reject
-        },
+    Ok(Decision::new(
         statistic,
-        threshold,
-        samples_used: set_p.total() as usize,
-    })
+        eps * eps / 2.0,
+        set_p.total() as usize,
+    ))
 }
 
 #[cfg(test)]

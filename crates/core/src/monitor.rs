@@ -246,19 +246,44 @@ impl std::fmt::Display for WindowReport {
     }
 }
 
-/// Configures a [`Monitor`]; obtained from [`Monitor::builder`].
+/// Configures one stream's sampling and windows, and what they are built
+/// into: `T` is a [`Monitor`]'s stream label ([`MonitorBuilder`], from
+/// [`Monitor::builder`]) or an [`Engine`](crate::engine::Engine)'s shard
+/// count ([`EngineBuilder`](crate::engine::EngineBuilder), from
+/// [`Engine::builder`](crate::engine::Engine::builder)). An engine stream
+/// is a monitor, so both are configured by the same methods.
 #[derive(Debug, Clone)]
-pub struct MonitorBuilder {
+pub struct StreamBuilder<T> {
     n: usize,
     seed: u64,
     window: Window,
     analyses: Vec<Analysis>,
-    stream: Option<String>,
+    /// The monitor's stream label or the engine's shard count.
+    pub(crate) target: T,
 }
 
-impl MonitorBuilder {
-    /// Seeds the monitor's sampling (default 0). Same seed + same stream
-    /// ⇒ bit-identical window and drift reports.
+/// Configures a [`Monitor`]; obtained from [`Monitor::builder`].
+pub type MonitorBuilder = StreamBuilder<Option<String>>;
+
+impl<T> StreamBuilder<T> {
+    /// The defaults over the domain `[0, n)`: seed 0, tumbling windows of
+    /// 100 000 records, an empty standing batch.
+    pub(crate) fn new(n: usize, target: T) -> Self {
+        StreamBuilder {
+            n,
+            seed: 0,
+            window: Window::Tumbling { span: 100_000 },
+            analyses: Vec::new(),
+            target,
+        }
+    }
+
+    /// Seeds the sampling (default 0). A monitor samples with `seed`; an
+    /// engine's stream `key` samples with
+    /// [`Engine::stream_seed`](crate::engine::Engine::stream_seed)`(seed,
+    /// key)`, so the base seed plus the key fully determine a stream's
+    /// randomness. Same seed + same stream ⇒ bit-identical window and
+    /// drift reports.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
@@ -298,6 +323,15 @@ impl MonitorBuilder {
         self
     }
 
+    /// Validates the configuration once into the spec its streams share,
+    /// returned with the seed and the target.
+    pub(crate) fn spec(self) -> Result<(Arc<StreamSpec>, u64, T), DistError> {
+        let spec = StreamSpec::new(self.n, self.window, self.analyses)?;
+        Ok((spec, self.seed, self.target))
+    }
+}
+
+impl MonitorBuilder {
     /// Tags every emitted [`WindowReport`] with a stream label. The keyed
     /// [`Engine`](crate::engine::Engine) tags its per-stream reports with
     /// the stream key; setting the same label here makes a dedicated
@@ -305,15 +339,15 @@ impl MonitorBuilder {
     /// which is exactly how the sharding-is-semantics-free property is
     /// tested.
     pub fn stream(mut self, label: impl Into<String>) -> Self {
-        self.stream = Some(label.into());
+        self.target = Some(label.into());
         self
     }
 
     /// Builds the monitor: resolves the standing batch into a plan and
     /// shapes the window sink's lanes from it.
     pub fn build(self) -> Result<Monitor, DistError> {
-        let spec = StreamSpec::new(self.n, self.window, self.analyses)?;
-        Ok(Monitor::new(&spec, self.seed, self.stream))
+        let (spec, seed, stream) = self.spec()?;
+        Ok(Monitor::new(&spec, seed, stream))
     }
 }
 
@@ -322,9 +356,9 @@ const DRIFT_EPS: f64 = 0.25;
 
 /// What every stream of one configuration shares, validated once: the
 /// window sink's shape, the standing batch and the batch's shared plan.
-/// [`MonitorBuilder`] builds one for its monitor; the
-/// [`EngineBuilder`](crate::engine::EngineBuilder) builds one and shares
-/// it, by `Arc`, with the monitor of every stream key — so the two front
+/// [`StreamBuilder::spec`] builds one: a [`MonitorBuilder`] for its
+/// monitor, an [`EngineBuilder`](crate::engine::EngineBuilder) to share,
+/// by `Arc`, with the monitor of every stream key — so the two front
 /// doors agree on what counts as a valid configuration, and a stream's
 /// debut re-validates nothing.
 pub(crate) struct StreamSpec {
@@ -394,13 +428,7 @@ impl Monitor {
     /// way [`Session::open_records`](crate::api::Session::open_records)
     /// scans a file.
     pub fn builder(n: usize) -> MonitorBuilder {
-        MonitorBuilder {
-            n,
-            seed: 0,
-            window: Window::Tumbling { span: 100_000 },
-            analyses: Vec::new(),
-            stream: None,
-        }
+        StreamBuilder::new(n, None)
     }
 
     /// A fresh monitor of a validated spec — cheap, so the
@@ -507,14 +535,18 @@ impl Monitor {
     /// so its lanes may be too thin for the standing batch (an empty
     /// collision lane, a one-record sample). Such a tail is reported like
     /// any failed window: counts only, with the reason in
-    /// [`error`](WindowReport::error).
-    pub fn flush(&mut self) -> Result<Vec<WindowReport>, DistError> {
-        let mut out = self.ingest(&[])?;
-        let snap = self.sink.snapshot();
-        if snap.seen > 0 {
-            out.push(self.report_window(snap));
+    /// [`error`](WindowReport::error). Flushing takes no record, so it
+    /// cannot fail.
+    pub fn flush(&mut self) -> Vec<WindowReport> {
+        let mut snaps = self.sink.drain_completed();
+        let tail = self.sink.snapshot();
+        if tail.seen > 0 {
+            snaps.push(tail);
         }
-        Ok(out)
+        snaps
+            .into_iter()
+            .map(|snap| self.report_window(snap))
+            .collect()
     }
 
     /// Answers an on-demand batch from the *current* (possibly partial)
@@ -638,7 +670,7 @@ impl Monitor {
         let cr = closeness?;
         let budget = BudgetSpec::Fixed { m: cr.samples_used };
         let mut report = Report::new(AnalysisKind::ClosenessL2, n, budget, seed);
-        report.decide(cr.outcome, cr.statistic, cr.threshold, cr.samples_used);
+        report.decide(cr);
         report.wall_seconds = wall_seconds;
         Ok(report)
     }
@@ -711,7 +743,7 @@ mod tests {
         assert!(windows.iter().all(|w| w.complete && w.seen == 3_000));
         assert_eq!(monitor.windows(), 2);
         // Flush reports the 1 500-record tail as a partial window.
-        let tail = monitor.flush().unwrap();
+        let tail = monitor.flush();
         assert_eq!(tail.len(), 1);
         assert!(!tail[0].complete);
         assert_eq!(tail[0].seen, 1_500);
@@ -801,7 +833,7 @@ mod tests {
                 .build()
                 .unwrap();
             let mut windows = monitor.ingest(&stream).unwrap();
-            windows.extend(monitor.flush().unwrap());
+            windows.extend(monitor.flush());
             windows
         };
         let (a, b) = (run(), run());
@@ -825,7 +857,7 @@ mod tests {
         let mut stream = events(64, 2_000, 9);
         stream.push(3);
         let mut windows = monitor.ingest(&stream).unwrap();
-        windows.extend(monitor.flush().unwrap());
+        windows.extend(monitor.flush());
         assert_eq!(windows.len(), 3);
         assert!(windows[0].complete && windows[1].complete);
         let tail = &windows[2];
@@ -853,7 +885,7 @@ mod tests {
             .build()
             .unwrap();
         monitor.ingest(&events(64, 1_500, 10)).unwrap();
-        let windows = monitor.flush().unwrap();
+        let windows = monitor.flush();
         assert_eq!(windows.len(), 1);
         assert_eq!(windows[0].reports.len(), standing().len());
     }
@@ -923,7 +955,7 @@ mod tests {
             .build()
             .unwrap();
         let mut windows = monitor.ingest(&events(64, 2_500, 5)).unwrap();
-        windows.extend(monitor.flush().unwrap());
+        windows.extend(monitor.flush());
         assert_eq!(windows.len(), 2);
         for window in &windows {
             assert_eq!(window.stream.as_deref(), Some("tenant-7"));

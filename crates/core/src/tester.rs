@@ -19,7 +19,7 @@
 use khist_dist::DistError;
 use khist_oracle::{check_eps, SampleSet};
 
-use crate::flatness::{L1Flatness, L2Flatness};
+use crate::flatness::{FlatnessTest, L1Flatness, L2Flatness};
 use crate::partition_search::partition_search;
 
 /// Verdict of a property test.
@@ -35,6 +35,41 @@ impl TestOutcome {
     /// Convenience: `true` for [`TestOutcome::Accept`].
     pub fn is_accept(&self) -> bool {
         matches!(self, TestOutcome::Accept)
+    }
+}
+
+/// The verdict of a single-statistic test (uniformity, identity,
+/// closeness): accept iff the measured statistic is at most the
+/// threshold.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Decision {
+    /// Accept (the statistic is within the threshold) or reject.
+    pub outcome: TestOutcome,
+    /// The measured statistic: the collision rate `ẑ` (uniformity) or the
+    /// `‖p − q‖₂²` estimate (identity, closeness).
+    pub statistic: f64,
+    /// The decision threshold: `(1 + ε²)/n` (uniformity) or `ε²/2`
+    /// (identity, closeness).
+    pub threshold: f64,
+    /// Samples consumed.
+    pub samples_used: usize,
+}
+
+impl Decision {
+    /// Decides `statistic` against `threshold`: accept iff
+    /// `statistic <= threshold`.
+    pub(crate) fn new(statistic: f64, threshold: f64, samples_used: usize) -> Decision {
+        let outcome = if statistic <= threshold {
+            TestOutcome::Accept
+        } else {
+            TestOutcome::Reject
+        };
+        Decision {
+            outcome,
+            statistic,
+            threshold,
+            samples_used,
+        }
     }
 }
 
@@ -62,19 +97,7 @@ pub fn test_l2_from_sets(
     eps: f64,
     sets: &[SampleSet],
 ) -> Result<TestReport, DistError> {
-    validate(n, k, eps, sets)?;
-    let flat = L2Flatness::new(sets, eps);
-    let search = partition_search(n, k, &flat);
-    Ok(TestReport {
-        outcome: if search.accepted {
-            TestOutcome::Accept
-        } else {
-            TestOutcome::Reject
-        },
-        cuts: search.cuts,
-        probes: search.probes,
-        samples_used: sets.iter().map(|s| s.total() as usize).sum(),
-    })
+    search_from_sets(n, k, eps, sets, || L2Flatness::new(sets, eps))
 }
 
 /// Runs the `ℓ₁` tester (Algorithm 2 + `testFlatness-ℓ₁`) on pre-drawn
@@ -86,9 +109,20 @@ pub fn test_l1_from_sets(
     eps: f64,
     sets: &[SampleSet],
 ) -> Result<TestReport, DistError> {
+    search_from_sets(n, k, eps, sets, || L1Flatness::new(sets, eps, k, n))
+}
+
+/// Both testers' body: validates the sets, builds the flatness test
+/// over them and runs the partition search.
+fn search_from_sets<F: FlatnessTest>(
+    n: usize,
+    k: usize,
+    eps: f64,
+    sets: &[SampleSet],
+    flatness: impl FnOnce() -> F,
+) -> Result<TestReport, DistError> {
     validate(n, k, eps, sets)?;
-    let flat = L1Flatness::new(sets, eps, k, n);
-    let search = partition_search(n, k, &flat);
+    let search = partition_search(n, k, &flatness());
     Ok(TestReport {
         outcome: if search.accepted {
             TestOutcome::Accept

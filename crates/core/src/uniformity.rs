@@ -19,24 +19,16 @@
 use khist_dist::{DistError, Interval};
 use khist_oracle::{absolute_collision_estimate, check_eps, SampleSet};
 
-use crate::tester::TestOutcome;
+use crate::tester::Decision;
 
 /// The tester's budget, defined with every other budget in
 /// [`khist_oracle::budget`].
 pub use khist_oracle::UniformityBudget;
 
-/// Report of a uniformity test.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct UniformityReport {
-    /// Accept (looks uniform) or reject (collision excess detected).
-    pub outcome: TestOutcome,
-    /// The measured collision statistic `ẑ`.
-    pub statistic: f64,
-    /// The decision threshold `(1 + ε²)/n`.
-    pub threshold: f64,
-    /// Samples consumed.
-    pub samples_used: usize,
-}
+/// Report of a uniformity test: accept (looks uniform) or reject
+/// (collision excess detected), on the collision statistic `ẑ` against
+/// the threshold `(1 + ε²)/n`.
+pub type UniformityReport = Decision;
 
 /// Tests uniformity from a pre-drawn sample multiset (to draw it from a
 /// [`khist_oracle::SampleOracle`], run a
@@ -58,22 +50,14 @@ pub fn test_uniformity_from_set(
     let full = Interval::full(n)?;
     let statistic = absolute_collision_estimate(set, full);
     let threshold = (1.0 + eps * eps) / n as f64;
-    Ok(UniformityReport {
-        outcome: if statistic <= threshold {
-            TestOutcome::Accept
-        } else {
-            TestOutcome::Reject
-        },
-        statistic,
-        threshold,
-        samples_used: set.total() as usize,
-    })
+    Ok(Decision::new(statistic, threshold, set.total() as usize))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::api::{Session, Uniformity};
+    use crate::tester::TestOutcome;
     use khist_dist::{generators, DenseDistribution};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};

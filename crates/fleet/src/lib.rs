@@ -23,8 +23,9 @@
 //!   order (score first, stream debut order as the tie-break).
 //!
 //! Nothing in this crate knows about engines, monitors, or oracles: the
-//! caller extracts a [`WindowObservation`] from each window report and the
-//! stream-key table is passed in only when rendering a [`FleetReport`].
+//! caller extracts a [`WindowObservation`] from each window report and
+//! names the top-K streams, by debut index, only when rendering a
+//! [`FleetReport`].
 
 mod report;
 mod sketch;

@@ -135,12 +135,12 @@ impl FleetSummary {
         self.streams
     }
 
-    /// Renders the rollup. `keys` is the debut-ordered stream-key table
-    /// (the engine's interner order): entry `i` names the stream with
-    /// debut index `i`. A debut index outside the table renders as
-    /// `"stream-<debut>"` — defensive only; the engine always passes its
-    /// full table.
-    pub fn report(&self, keys: &[&str]) -> FleetReport {
+    /// Renders the rollup. `key_of(i)` names the stream with debut index
+    /// `i`; it is called once per top-K entry only, so naming costs the
+    /// same at any fleet size. A debut `key_of` cannot name renders as
+    /// `"stream-<debut>"` — defensive only; the engine names every stream
+    /// it has.
+    pub fn report<'k>(&self, key_of: impl Fn(u32) -> Option<&'k str>) -> FleetReport {
         let windows = self.alarms.trials();
         let verdicts = self.rejections.trials();
         FleetReport {
@@ -165,10 +165,8 @@ impl FleetSummary {
                 .top
                 .entries()
                 .map(|d| TopStream {
-                    stream: keys
-                        .get(d.debut as usize)
-                        .map(|k| (*k).to_string())
-                        .unwrap_or_else(|| format!("stream-{}", d.debut)),
+                    stream: key_of(d.debut)
+                        .map_or_else(|| format!("stream-{}", d.debut), str::to_string),
                     score: d.score,
                     window: d.window,
                 })
@@ -204,7 +202,7 @@ mod tests {
         s.observe_window(obs(0, 0, false, None));
         s.observe_window(obs(1, 0, true, Some(2.0)));
         let keys = ["api", "web"];
-        let r = s.report(&keys);
+        let r = s.report(|debut| keys.get(debut as usize).copied());
         assert_eq!(r.streams, 2);
         assert_eq!(r.alarming_streams, 1);
         assert_eq!(r.windows_complete, 2);
@@ -220,7 +218,7 @@ mod tests {
 
     #[test]
     fn empty_summary_reports_nulls_not_sentinels() {
-        let r = FleetSummary::new().report(&[]);
+        let r = FleetSummary::new().report(|_| None);
         assert_eq!(r.alarm_rate, None);
         assert_eq!(r.rejection_rate, None);
         assert_eq!(r.drift_p50, None);
@@ -262,7 +260,7 @@ mod tests {
     fn unknown_debut_renders_defensively() {
         let mut s = FleetSummary::new();
         s.observe_window(obs(9, 3, true, Some(1.5)));
-        let r = s.report(&[]);
+        let r = s.report(|_| None);
         assert_eq!(r.top_drift[0].stream, "stream-9");
     }
 }

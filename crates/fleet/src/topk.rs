@@ -1,7 +1,7 @@
 //! A fixed-size top-K of drifting streams under a strict total order.
 //!
-//! Entries are keyed by the stream's *debut index* (the engine's global
-//! interner id — debut order is the workspace's canonical stream order)
+//! Entries are keyed by the stream's *debut index* (its id in the engine's
+//! key table — debut order is the workspace's canonical stream order)
 //! and ranked by drift score, highest first, with earlier debut winning
 //! ties. Per stream the structure keeps the best observation seen so far,
 //! so the state is a pure function of the per-stream maxima: an entry can
@@ -17,7 +17,7 @@ pub const TOP_K: usize = 8;
 /// One stream's best drift observation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriftEntry {
-    /// The stream's global debut index (engine interner id).
+    /// The stream's global debut index (its engine key-table id).
     pub debut: u32,
     /// The drift severity score (finite by construction).
     pub score: f64,

@@ -621,7 +621,7 @@ pub fn run_watch<R: std::io::BufRead, W: std::io::Write>(
     })?;
     if sink.open {
         let mut reports = monitor.ingest(&buffer).map_err(fmt_err)?;
-        reports.extend(monitor.flush().map_err(fmt_err)?);
+        reports.extend(monitor.flush());
         emit(&mut sink, reports)?;
     }
     if opts.json || !sink.open {

@@ -114,8 +114,8 @@ proptest! {
         let keys: Vec<String> = (0..16).map(|i| format!("s{i}")).collect();
         let keys: Vec<&str> = keys.iter().map(String::as_str).collect();
         prop_assert_eq!(
-            left.report(&keys).to_json(),
-            right.report(&keys).to_json()
+            left.report(|debut| keys.get(debut as usize).copied()).to_json(),
+            right.report(|debut| keys.get(debut as usize).copied()).to_json()
         );
     }
 }

@@ -55,7 +55,7 @@ fn dedicated_monitor(
         .build()
         .unwrap();
     let mut windows = monitor.ingest(records).unwrap();
-    windows.extend(monitor.flush().unwrap());
+    windows.extend(monitor.flush());
     windows
 }
 
@@ -253,7 +253,7 @@ proptest! {
                     .build()
                     .unwrap();
                 let mut want = monitor.ingest(&mine).unwrap();
-                want.extend(monitor.flush().unwrap());
+                want.extend(monitor.flush());
                 let stream_reports: Vec<WindowReport> = got
                     .iter()
                     .filter(|r| r.stream.as_deref() == Some(key))

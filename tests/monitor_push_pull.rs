@@ -180,7 +180,7 @@ fn window_reports_round_trip_through_json() {
         .unwrap();
     let records: Vec<usize> = (0..1200).map(|i| (i * 13 + 5) % 16).collect();
     let mut windows = monitor.ingest(&records).unwrap();
-    windows.extend(monitor.flush().unwrap());
+    windows.extend(monitor.flush());
     assert_eq!(windows.len(), 3);
     assert!(!windows[2].complete, "flushed tail is partial");
     for window in windows {

@@ -661,7 +661,7 @@ fn a_starved_window_is_one_window_line_wherever_batches_break() {
             for window in values.chunks(64) {
                 lines.extend(monitor.ingest(window).unwrap());
             }
-            lines.extend(monitor.flush().unwrap());
+            lines.extend(monitor.flush());
         }
         let lines: Vec<String> = lines.iter().map(WindowReport::to_json).collect();
         per_stream_jsonl(&lines.join("\n"))
