@@ -40,7 +40,7 @@
 //! counting-allocator integration test (`tests/engine_zero_alloc.rs`):
 //!
 //! * keys resolve through the key table, a `HashMap<Box<str>, u32>` under
-//!   a fixed FNV-1a hasher: `get(&str)` builds no `String`;
+//!   `std`'s per-process keyed hasher: `get(&str)` builds no `String`;
 //! * records append to per-shard buckets that keep their capacity across
 //!   batches;
 //! * each shard groups its bucket with a counting sort over reused
@@ -120,9 +120,8 @@
 //! assert_eq!(engine.streams(), 2);
 //! ```
 
-// lint:allow(default-hasher): a fixed hasher (FNV-1a), used for lookups only and never iterated
+// lint:allow(default-hasher): the key table is keyed per process on purpose, and only looked up, never iterated
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use crossbeam::Courier;
@@ -146,45 +145,19 @@ type ShardOutcome = (Vec<WindowReport>, Vec<(String, DistError)>);
 /// per process, which would make "which shard owns tenant X" and "what
 /// seed does tenant X sample with" unreproducible. FNV-1a is stable,
 /// tiny, and good enough for short keys. A key is hashed this way once,
-/// at its debut; the key table's [`KeyHasher`] runs the same loop.
+/// at its debut (the key table hashes with its own per-process key).
 fn key_hash(key: &str) -> u64 {
-    let mut hasher = KeyHasher::default();
-    hasher.write(key.as_bytes());
-    hasher.0
-}
-
-/// The key table's hasher: FNV-1a (the one loop [`key_hash`] runs too),
-/// finished by [`mix64`] so the table's bucket bits are well spread. It
-/// is fixed, so a lookup needs no per-process state.
-struct KeyHasher(u64);
-
-impl Default for KeyHasher {
-    fn default() -> Self {
-        KeyHasher(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Hasher for KeyHasher {
-    // lint:hot-path
-    fn write(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        mix64(self.0)
-    }
+    key.bytes().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// Full-avalanche 64-bit finalizer (MurmurHash3's `fmix64`). Raw FNV-1a
 /// over short ASCII keys clusters its outputs in a narrow band, so its low
 /// bits make a poor bucket index: one multiply–xor–shift cascade on top
 /// spreads every input bit across every output bit before the hash picks
-/// a home shard or a key-table bucket. Not a seed path: seeds derive
-/// from the *unmixed* FNV hash via `stream_seed`, so report bytes do not
-/// depend on placement.
+/// a home shard. Not a seed path: seeds derive from the *unmixed* FNV
+/// hash via `stream_seed`, so report bytes do not depend on placement.
 fn mix64(mut h: u64) -> u64 {
     h ^= h >> 33;
     h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
@@ -505,11 +478,13 @@ impl EngineBuilder {
     }
 }
 
-/// The key table: each stream key's debut index. Lookups only, never
-/// iterated, so the fixed hasher decides no order; a warm lookup,
+/// The key table: each stream key's debut index. It hashes with `std`'s
+/// per-process random SipHash key, so a client that picks its stream keys
+/// cannot pile them onto one probe chain; it is only looked up, never
+/// iterated, so that key decides no order and no byte. A warm lookup,
 /// `get(&str)`, allocates nothing.
-// lint:allow(default-hasher): a fixed hasher (FNV-1a), used for lookups only and never iterated
-type KeyTable = HashMap<Box<str>, u32, BuildHasherDefault<KeyHasher>>;
+// lint:allow(default-hasher): the key table is keyed per process on purpose, and only looked up, never iterated
+type KeyTable = HashMap<Box<str>, u32>;
 
 /// A keyed multi-stream ingest engine: [`Monitor`] semantics per stream
 /// key, scaled across a shared-nothing pool of worker shards. See the
@@ -1483,6 +1458,18 @@ mod tests {
         let keys = debut_keys(&eng);
         assert_eq!(keys[0], "stream-0");
         assert_eq!(keys[499], "stream-499");
+    }
+
+    #[test]
+    fn key_tables_hash_keys_per_engine() {
+        // The key table's hasher is keyed per table, so knowing where one
+        // table puts a key tells a client nothing about another's; the
+        // key's home shard is its fixed FNV-1a hash's in both.
+        use std::hash::BuildHasher;
+        let (a, b) = (engine(4, 1_000), engine(4, 1_000));
+        let key = "tenant-7";
+        assert_ne!(a.keys.hasher().hash_one(key), b.keys.hasher().hash_one(key));
+        assert_eq!(a.shard_of(key), b.shard_of(key));
     }
 
     /// Stream keys a byte-level table could confuse: the empty key,

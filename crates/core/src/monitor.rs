@@ -49,7 +49,11 @@
 //! testing between two sample windows: both sides are *samples*, so the
 //! cross-collision `ℓ₂` statistic
 //! ([`test_closeness_l2_from_sets`], at ε = 0.25)
-//! applies directly, with no model of either window.
+//! applies directly, with no model of either window. That statistic reads
+//! only per-value counts (self- and cross-collisions), so a monitor keeps
+//! each baseline window as its distinct values and their counts — 12 bytes
+//! per distinct value — and rebuilds the [`SampleSet`] when a drift check
+//! reads it.
 //!
 //! # Example
 //!
@@ -393,6 +397,17 @@ impl StreamSpec {
     }
 }
 
+/// A completed window's merged sample as the drift check reads it: its
+/// distinct values (below the sink's 2³² domain bound, so four bytes
+/// each) and their counts, in exact-size storage. A count is bounded only
+/// by the window's kept samples, so it keeps all 64 bits.
+struct Baseline {
+    /// One past the window's last record.
+    end: u64,
+    values: Box<[u32]>,
+    counts: Box<[u64]>,
+}
+
 /// A long-lived, push-based analysis pipeline over a record stream — the
 /// streaming peer of [`Session`](crate::api::Session). See the [module
 /// docs](self) for the data flow and determinism contract.
@@ -407,8 +422,9 @@ pub struct Monitor {
     spec: Arc<StreamSpec>,
     stream: Option<String>,
     sink: WindowedSink,
-    /// Recently completed windows (`(id, end, merged sample)`, oldest
-    /// first) — drift baselines. The closeness statistic assumes the two
+    /// Recently completed windows' merged samples, oldest first — drift
+    /// baselines, each kept as its counts ([`Baseline`]: at most 12 bytes
+    /// per distinct value). The closeness statistic assumes the two
     /// samples are independent, so a window is only ever compared against
     /// the newest *disjoint* baseline (`baseline.end ≤ window.start`):
     /// sliding windows overlap their immediate predecessors and literally
@@ -416,7 +432,7 @@ pub struct Monitor {
     /// cross-collisions and bias the check toward accept. For tumbling
     /// windows the previous window is already disjoint, so this reduces
     /// to comparing consecutive windows.
-    baselines: std::collections::VecDeque<(u64, u64, SampleSet)>,
+    baselines: std::collections::VecDeque<Baseline>,
     /// Per-label spend totals (see [`ledger`](Monitor::ledger)).
     ledger: Vec<LedgerEntry>,
     emitted: u64,
@@ -568,16 +584,20 @@ impl Monitor {
         Ok(reports)
     }
 
-    /// The newest completed window that is *disjoint* from a window
-    /// starting at `start` — the only sound drift baseline (overlapping
-    /// sliding windows share retained records, which would bias the
-    /// collision statistic toward accept).
-    fn disjoint_baseline(&self, start: u64) -> Option<&SampleSet> {
-        self.baselines
-            .iter()
-            .rev()
-            .find(|(_, end, _)| *end <= start)
-            .map(|(_, _, sample)| sample)
+    /// The merged sample of the newest completed window that is
+    /// *disjoint* from a window starting at `start` — the only sound drift
+    /// baseline (overlapping sliding windows share retained records, which
+    /// would bias the collision statistic toward accept) — rebuilt from
+    /// its counts.
+    fn disjoint_baseline(&self, start: u64) -> Option<SampleSet> {
+        let baseline = self.baselines.iter().rev().find(|b| b.end <= start)?;
+        Some(SampleSet::from_runs(
+            baseline
+                .values
+                .iter()
+                .zip(&baseline.counts)
+                .map(|(&v, &c)| (v as usize, c)),
+        ))
     }
 
     /// How many completed-window baselines to retain: enough that once
@@ -603,7 +623,11 @@ impl Monitor {
         let replay = ReplayOracle::from_sets(snap.n, std::mem::take(&mut snap.lanes));
         let analyzed = self.analyze(replay, &current, snap.start, snap.seed);
         if snap.complete {
-            self.baselines.push_back((snap.window, snap.end, current));
+            self.baselines.push_back(Baseline {
+                end: snap.end,
+                values: current.runs().map(|(v, _)| v as u32).collect(),
+                counts: current.runs().map(|(_, c)| c).collect(),
+            });
             while self.baselines.len() > self.baseline_capacity() {
                 self.baselines.pop_front();
             }
@@ -646,7 +670,7 @@ impl Monitor {
         self.charge(ledger);
         let drift = match self.disjoint_baseline(start) {
             Some(baseline) if baseline.total() >= 2 && current.total() >= 2 => {
-                Some(self.drift_between(baseline, current, seed)?)
+                Some(self.drift_between(&baseline, current, seed)?)
             }
             _ => None,
         };
@@ -694,7 +718,10 @@ impl std::fmt::Debug for Monitor {
 mod tests {
     use super::*;
     use crate::api::{Learn, TestL1, TestL2, Uniformity};
+    use crate::uniformity::UniformityBudget;
     use khist_dist::{generators, DenseDistribution};
+    use khist_oracle::L2TesterBudget;
+    use proptest::prelude::*;
     use rand::{rngs::StdRng, SeedableRng};
 
     fn standing() -> Vec<Analysis> {
@@ -1060,5 +1087,91 @@ mod tests {
             draw.samples as u64 > kept,
             "the snapshot's draw is charged too"
         );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// A baseline kept as its counts drifts exactly like the merged
+        /// sample it came from: over random streams that narrow to four
+        /// values halfway (so drift both accepts and rejects), batch
+        /// boundaries and windows (tumbling, and sliding with one to three
+        /// panes), each of the three lane shapes, and domains up to 2³²
+        /// (values near the top when the domain is that large), every
+        /// window's drift is `None` or its statistic, threshold and
+        /// outcome bits equal the closeness kernel's over a twin sink's
+        /// `merged()` samples, against the newest earlier completed
+        /// window that ends at or before the window's start.
+        #[test]
+        fn prop_drift_equals_the_kernel_over_a_twin_sinks_merged_samples(
+            wide in proptest::collection::vec(0usize..4_096, 0..1_500),
+            narrow in proptest::collection::vec(0usize..4, 0..1_500),
+            cuts in proptest::collection::vec(0usize..3_000, 0..5),
+            small_n in 2usize..4_096,
+            huge in 0usize..2,
+            step in 20u64..200,
+            panes in 1u64..4,
+            sliding in 0usize..2,
+            lanes in 0usize..3,
+            seed in 0u64..1_000,
+        ) {
+            let n = if huge == 1 { 1usize << 32 } else { small_n };
+            let records: Vec<usize> = wide.iter().chain(&narrow).map(|&v| n - 1 - v % n).collect();
+            let window = if sliding == 1 {
+                Window::Sliding { span: step * panes, step }
+            } else {
+                Window::Tumbling { span: step * panes }
+            };
+            let l2 = || -> Analysis {
+                TestL2::k(3).eps(0.3).budget(L2TesterBudget { r: 3, m: 12 }).into()
+            };
+            let uniformity = || -> Analysis {
+                Uniformity::eps(0.3).budget(UniformityBudget { m: 16 }).into()
+            };
+            let batch = match lanes {
+                0 => vec![l2(), uniformity()],
+                1 => vec![uniformity()],
+                _ => vec![l2()],
+            };
+            let mut monitor = Monitor::builder(n)
+                .seed(seed)
+                .window(window)
+                .analyses(batch)
+                .build()
+                .unwrap();
+            let mut twin = monitor.spec.shape.sink(seed);
+            let mut bounds: Vec<usize> = cuts.iter().map(|&cut| cut.min(records.len())).collect();
+            bounds.extend([0, records.len()]);
+            bounds.sort_unstable();
+            let (mut windows, mut snaps) = (Vec::new(), Vec::new());
+            for piece in bounds.windows(2) {
+                let piece = &records[piece[0]..piece[1]];
+                windows.extend(monitor.ingest(piece).unwrap());
+                twin.push_all(piece).unwrap();
+                snaps.extend(twin.drain_completed());
+            }
+            prop_assert_eq!(windows.len(), snaps.len());
+            let mut earlier: Vec<(u64, SampleSet)> = Vec::new();
+            for (window, snap) in windows.iter().zip(snaps) {
+                let merged = snap.merged();
+                let baseline = earlier.iter().rev().find(|(end, _)| *end <= snap.start);
+                let want = match baseline {
+                    Some((_, base)) if window.error.is_none() && base.total() >= 2 && merged.total() >= 2 => {
+                        Some(test_closeness_l2_from_sets(base, &merged, n, DRIFT_EPS).unwrap())
+                    }
+                    _ => None,
+                };
+                match (&window.drift, want) {
+                    (None, None) => {}
+                    (Some(drift), Some(want)) => {
+                        prop_assert_eq!(drift.statistic.map(f64::to_bits), Some(want.statistic.to_bits()));
+                        prop_assert_eq!(drift.threshold.map(f64::to_bits), Some(want.threshold.to_bits()));
+                        prop_assert_eq!(drift.verdict, Some(want.outcome));
+                    }
+                    (got, want) => prop_assert!(false, "window {}: drift {:?}, kernel {:?}", window.window, got, want),
+                }
+                earlier.push((snap.end, merged));
+            }
+        }
     }
 }

@@ -9,6 +9,9 @@
 //! [`SampleSet`] stores the sorted *unique* sample values with
 //! multiplicities plus two prefix-sum arrays (of multiplicities and of
 //! per-value pair counts), answering both queries with two binary searches.
+//! The `(value, count)` runs ([`SampleSet::runs`]) determine the rest, so
+//! a set kept for later can be stored as its runs alone and rebuilt with
+//! [`SampleSet::from_runs`] (a monitor's drift baseline is).
 
 // lint:allow-file(checked-indexing): this file is prefix-sum arithmetic; every
 // index comes from partition_point/binary_search over the same arrays, which
@@ -58,15 +61,20 @@ impl SampleSet {
         Self::from_runs(runs(sorted).map(|(v, occ)| (v as usize, occ)))
     }
 
-    /// Builds the set from `(value, occurrences)` runs in increasing value
-    /// order, one push per distinct value.
-    fn from_runs(runs: impl Iterator<Item = (usize, u64)>) -> Self {
+    /// Builds the set from its `(value, occurrences)` runs, as
+    /// [`SampleSet::runs`] yields them: values strictly increasing, each
+    /// with a positive count. One push per distinct value.
+    pub fn from_runs(runs: impl IntoIterator<Item = (usize, u64)>) -> Self {
         let mut values = Vec::new();
         let mut count_prefix = vec![0u64];
         let mut pair_prefix = vec![0u64];
         let mut count_total = 0u64;
         let mut pair_total = 0u64;
         for (v, occ) in runs {
+            debug_assert!(
+                occ > 0 && values.last().is_none_or(|&last| last < v),
+                "runs must be strictly increasing with positive counts"
+            );
             values.push(v);
             count_total += occ;
             pair_total += choose2(occ);
@@ -115,6 +123,16 @@ impl SampleSet {
     /// Sorted distinct sample values.
     pub fn unique_values(&self) -> &[usize] {
         &self.values
+    }
+
+    /// The set's `(value, occurrences)` runs in increasing value order:
+    /// everything it holds, since the prefix sums derive from the counts.
+    /// [`SampleSet::from_runs`] rebuilds an equal set from them.
+    pub fn runs(&self) -> impl ExactSizeIterator<Item = (usize, u64)> + '_ {
+        self.values
+            .iter()
+            .zip(self.count_prefix.windows(2))
+            .map(|(&v, prefix)| (v, prefix[1] - prefix[0]))
     }
 
     /// Multiplicity of element `x` in the multiset.
@@ -359,6 +377,17 @@ mod tests {
     }
 
     #[test]
+    fn runs_rebuild_the_empty_set_and_a_single_top_value() {
+        for samples in [vec![], vec![u32::MAX as usize; 3]] {
+            let set = SampleSet::from_samples(samples);
+            assert_eq!(SampleSet::from_runs(set.runs()), set);
+        }
+        let top = SampleSet::from_samples(vec![u32::MAX as usize; 3]);
+        assert_eq!(top.runs().collect::<Vec<_>>(), [(u32::MAX as usize, 3)]);
+        assert_eq!(SampleSet::from_samples(vec![]).runs().len(), 0);
+    }
+
+    #[test]
     fn draw_produces_m_samples_in_domain() {
         let d = DenseDistribution::uniform(32).unwrap();
         let mut rng = StdRng::seed_from_u64(4);
@@ -485,6 +514,30 @@ mod tests {
             let i = iv(lo, (lo + len - 1).min(24));
             prop_assert_eq!(sa.cross_collisions_in(&sb, i), naive_cross(&a, &b, i));
             prop_assert_eq!(sa.cross_collisions_in(&sb, i), sb.cross_collisions_in(&sa, i));
+        }
+
+        /// `SampleSet` → runs → `SampleSet` is the identity, and the runs
+        /// are the naive per-value counts: values at either end of the
+        /// four-byte domain, a few of them with counts above 2¹⁶.
+        #[test]
+        fn prop_runs_round_trip(
+            values in proptest::collection::vec(0usize..1_000, 0..200),
+            heavy in proptest::collection::vec((0usize..1_000, 65_000u64..70_000), 0..3),
+            top in 0usize..2,
+        ) {
+            let base = if top == 1 { u32::MAX as usize - 999 } else { 0 };
+            let mut samples: Vec<usize> = values.iter().map(|&v| base + v).collect();
+            for &(v, count) in &heavy {
+                samples.extend(std::iter::repeat_n(base + v, count as usize));
+            }
+            let mut naive = std::collections::BTreeMap::new();
+            for &v in &samples {
+                *naive.entry(v).or_insert(0u64) += 1;
+            }
+            let set = SampleSet::from_samples(samples);
+            let runs: Vec<(usize, u64)> = set.runs().collect();
+            prop_assert_eq!(&runs, &naive.into_iter().collect::<Vec<_>>());
+            prop_assert_eq!(SampleSet::from_runs(runs), set);
         }
 
         #[test]

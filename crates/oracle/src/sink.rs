@@ -366,9 +366,10 @@ impl WindowedSink {
     }
 
     /// Removes and returns the windows that completed since the last call,
-    /// oldest first.
+    /// oldest first. The returned `Vec` takes the queue's buffer, so a
+    /// sink between windows holds none.
     pub fn drain_completed(&mut self) -> Vec<WindowSnapshot> {
-        self.completed.drain(..).collect()
+        std::mem::take(&mut self.completed).into()
     }
 
     /// Opens the next pane, reserving its lanes in full. A refused

@@ -564,10 +564,12 @@ fn each_line<R: std::io::BufRead>(
 }
 
 /// Streams records from `input` through a push-based [`Monitor`], writing
-/// one report per completed window to `out` *as it completes* (live
-/// monitoring: output must not wait for EOF). The final partial window is
-/// flushed at end of stream. Returns a human summary line (empty in JSON
-/// mode, which emits pure JSONL).
+/// one report per completed window to `out` as soon as the 1,024-record
+/// chunk that completes it is ingested, without waiting for EOF. A window
+/// completed mid-chunk waits for the chunk to fill (or for EOF), so on a
+/// slow source a report can lag its window by up to 1,023 records. The
+/// final partial window is flushed at end of stream. Returns a human
+/// summary line (empty in JSON mode, which emits pure JSONL).
 ///
 /// Memory is bounded by the standing batch's sample plan — the stream is
 /// never stored, so `watch` handles unbounded input.
@@ -655,8 +657,10 @@ fn run_watch_keyed<R: std::io::BufRead, W: std::io::Write>(
     // Each chunk costs one mailbox round per busy shard, so the chunk must
     // be big enough to amortize the handoff: scale it with the shard count
     // so every worker gets thousands of records per round. Memory stays
-    // bounded (chunk × ~word-sized records), and report latency stays well
-    // under a window span.
+    // bounded (chunk × ~word-sized records). A window's report waits for
+    // its chunk to fill or for EOF, so on a slow source it can lag the
+    // window by up to a chunk of records, more than a span when `--every`
+    // is below 4,096 × shards.
     let chunk = 4096 * opts.shards;
     each_line(input, |line, lineno| {
         if let DataLine::Record { key, value } = parse_data_line(line, lineno, field, opts.n)? {
