@@ -1394,7 +1394,7 @@ mod tests {
         engine.ingest_batch(&records).unwrap();
         // 4 windows per stream, but the ledger stays one entry per label.
         let ledger = engine.ledger("api").unwrap();
-        let labels: Vec<&str> = ledger.iter().map(|e| e.label.as_str()).collect();
+        let labels: Vec<&str> = ledger.iter().map(|e| e.label).collect();
         assert_eq!(
             labels.len(),
             1 + standing().len(),

@@ -422,16 +422,18 @@ pub struct Monitor {
     spec: Arc<StreamSpec>,
     stream: Option<String>,
     sink: WindowedSink,
-    /// Recently completed windows' merged samples, oldest first — drift
-    /// baselines, each kept as its counts ([`Baseline`]: at most 12 bytes
-    /// per distinct value). The closeness statistic assumes the two
-    /// samples are independent, so a window is only ever compared against
-    /// the newest *disjoint* baseline (`baseline.end ≤ window.start`):
-    /// sliding windows overlap their immediate predecessors and literally
-    /// share retained records with them, which would inflate
-    /// cross-collisions and bias the check toward accept. For tumbling
-    /// windows the previous window is already disjoint, so this reduces
-    /// to comparing consecutive windows.
+    /// The last [`Window::panes`] completed windows' merged samples,
+    /// oldest first — drift baselines, each kept as its counts
+    /// ([`Baseline`]: at most 12 bytes per distinct value), in a queue
+    /// sized to that count on the first completed window. The closeness
+    /// statistic assumes the two samples are independent, so a window is
+    /// only ever compared against the newest *disjoint* baseline
+    /// (`baseline.end ≤ window.start`), which is the oldest one kept once
+    /// windows have advanced a full span: sliding windows overlap their
+    /// immediate predecessors and literally share retained records with
+    /// them, which would inflate cross-collisions and bias the check
+    /// toward accept. A tumbling window has one pane, so this reduces to
+    /// comparing consecutive windows.
     baselines: std::collections::VecDeque<Baseline>,
     /// Per-label spend totals (see [`ledger`](Monitor::ledger)).
     ledger: Vec<LedgerEntry>,
@@ -600,17 +602,6 @@ impl Monitor {
         ))
     }
 
-    /// How many completed-window baselines to retain: enough that once
-    /// windows have advanced a full span, a disjoint one is always
-    /// available (sliding: span/step windows back; tumbling: the previous
-    /// window).
-    fn baseline_capacity(&self) -> usize {
-        match self.sink.window() {
-            Window::Tumbling { .. } => 1,
-            Window::Sliding { span, step } => (span / step) as usize,
-        }
-    }
-
     /// Reports one frozen window and, when it is complete, advances the
     /// drift baselines and the window count, whether or not its analysis
     /// succeeded: a failed analysis leaves the counts and the reason.
@@ -623,14 +614,16 @@ impl Monitor {
         let replay = ReplayOracle::from_sets(snap.n, std::mem::take(&mut snap.lanes));
         let analyzed = self.analyze(replay, &current, snap.start, snap.seed);
         if snap.complete {
+            let keep = self.sink.window().panes();
+            if self.baselines.len() == keep {
+                self.baselines.pop_front();
+            }
+            self.baselines.reserve_exact(keep - self.baselines.len());
             self.baselines.push_back(Baseline {
                 end: snap.end,
                 values: current.runs().map(|(v, _)| v as u32).collect(),
                 counts: current.runs().map(|(_, c)| c).collect(),
             });
-            while self.baselines.len() > self.baseline_capacity() {
-                self.baselines.pop_front();
-            }
             self.emitted += 1;
         }
         let (reports, drift, error) = match analyzed {
@@ -1057,11 +1050,8 @@ mod tests {
         }
         assert_eq!(windows, piece_windows);
         // Ledger totals match up to wall time (which varies run to run).
-        let spend = |m: &Monitor| -> Vec<(String, usize)> {
-            m.ledger()
-                .iter()
-                .map(|e| (e.label.clone(), e.samples))
-                .collect()
+        let spend = |m: &Monitor| -> Vec<(&str, usize)> {
+            m.ledger().iter().map(|e| (e.label, e.samples)).collect()
         };
         assert_eq!(spend(&whole), spend(&pieces));
         assert_eq!(whole.ledger().len(), 1 + standing().len());

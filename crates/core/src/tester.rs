@@ -135,23 +135,6 @@ fn search_from_sets<F: FlatnessTest>(
     })
 }
 
-impl std::fmt::Display for TestReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{:?} ({} samples, {} probes{})",
-            self.outcome,
-            self.samples_used,
-            self.probes,
-            if self.cuts.is_empty() {
-                String::new()
-            } else {
-                format!(", cuts at {:?}", self.cuts)
-            }
-        )
-    }
-}
-
 fn validate(n: usize, k: usize, eps: f64, sets: &[SampleSet]) -> Result<(), DistError> {
     if n == 0 {
         return Err(DistError::EmptyDomain);

@@ -289,6 +289,11 @@ impl Lanes {
         &self.reservoirs
     }
 
+    /// The lanes' reservoirs by value, in draw order.
+    pub(crate) fn into_reservoirs(self) -> Vec<Reservoir> {
+        self.reservoirs
+    }
+
     /// The lanes' samples, in draw order.
     pub(crate) fn into_sets(self) -> Vec<SampleSet> {
         self.reservoirs

@@ -17,27 +17,32 @@
 //! A [`WindowedSink`] is configured with the *lane shape* of a
 //! [`SampleOracle::draw_lanes`](crate::SampleOracle::draw_lanes) draw
 //! (`main`, `r`, `m` — see [`WindowedSink::new`]) and each pane fills one
-//! `Lanes`, the fixed-size [`Reservoir`] lanes, router and SplitMix64 seed
-//! streams that [`RecordFileOracle`](crate::RecordFileOracle) pours a file
-//! into. Consequence: pushing a record stream into window 0 of a sink
-//! seeded with `s` leaves the lanes **bit-identical** to writing the same
-//! records to a file and drawing the same plan through
+//! `Lanes`, the fixed-size [`Reservoir`](crate::Reservoir) lanes, router
+//! and SplitMix64 seed streams that
+//! [`RecordFileOracle`](crate::RecordFileOracle) pours a file into.
+//! Consequence: pushing a record stream into window 0 of a sink seeded
+//! with `s` leaves the lanes **bit-identical** to writing the same records
+//! to a file and drawing the same plan through
 //! `RecordFileOracle::open(path, n, s)` — push and pull are two transports
 //! for one sampling process (property-tested below over random plans, and
 //! through whole reports in `tests/monitor_push_pull.rs` at the workspace
 //! root).
 //!
-//! Two window policies:
+//! One pane model serves both window policies: a window is
+//! [`Window::panes`] consecutive *panes*, each filling its own lanes, and
+//! a window completes when its newest pane fills. Freezing takes the
+//! oldest pane's reservoirs as they are and folds each newer pane into
+//! them lane by lane through
+//! [`Reservoir::merge`](crate::Reservoir::merge).
 //!
-//! * [`Window::Tumbling`] — consecutive disjoint spans; each completed
-//!   window freezes its lanes exactly (no resampling), so the bit-identity
-//!   above holds per window (window `w > 0` uses the derived seed
-//!   [`window_seed`]`(s, w)`).
-//! * [`Window::Sliding`] — a span split into `span / step` *panes*; a
+//! * [`Window::Tumbling`] — one pane per window, so windows are
+//!   consecutive disjoint spans and each freezes its lanes exactly (no
+//!   resampling): the bit-identity above holds per window (window `w > 0`
+//!   uses the derived seed [`window_seed`]`(s, w)`).
+//! * [`Window::Sliding`] — `span / step` panes of `step` records; a
 //!   window completes every `step` records and covers the last `span`.
-//!   Frozen lanes are the [`Reservoir::merge`] of the panes' lanes —
-//!   statistically a weighted union, *not* bit-identical to a pull over
-//!   the same records (the merge resamples).
+//!   Merged lanes are statistically a weighted union, *not* bit-identical
+//!   to a pull over the same records (the merge resamples).
 //!
 //! Memory is `O(lane sizes × panes)` — the sample budget — regardless of
 //! how many records stream through.
@@ -53,7 +58,6 @@ use khist_dist::DistError;
 use crate::oracle::{
     check_domain, check_lane_bytes, lane_shape, stream_seed, LaneKind, Lanes, ReplayOracle,
 };
-use crate::reservoir::Reservoir;
 use crate::sample_set::SampleSet;
 
 /// Salt mixed into the seed stream that drives sliding-window pane merges,
@@ -102,8 +106,11 @@ impl Window {
         }
     }
 
-    /// Panes per emitted window.
-    fn panes_per_window(&self) -> usize {
+    /// Panes per emitted window: 1 for a tumbling window, `span / step`
+    /// for a sliding one. A sink holds at most this many panes, and a
+    /// window's newest disjoint predecessor completed this many windows
+    /// before it.
+    pub fn panes(&self) -> usize {
         match *self {
             Window::Tumbling { .. } => 1,
             Window::Sliding { span, step } => (span / step) as usize,
@@ -115,8 +122,8 @@ impl Window {
 /// the bookkeeping a report needs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WindowSnapshot {
-    /// Window id (0-based; tumbling windows count panes, sliding windows
-    /// count completions).
+    /// Window id: 0-based, in completion order (a mid-window snapshot
+    /// carries the id its window completes as).
     pub window: u64,
     /// Domain size the sink was declared over.
     pub n: usize,
@@ -187,9 +194,9 @@ pub trait SampleSink {
 /// One pane of reservoir lanes: the unit of window rotation.
 #[derive(Debug, Clone)]
 struct Pane {
-    /// Global pane index (drives the seed streams).
-    id: u64,
-    /// Lane-seed base: `window_seed(sink seed, id)`.
+    /// Lane-seed base: `window_seed(sink seed, i)` for the sink's pane
+    /// `i`. Window `w`'s oldest pane is pane `w`, so its seed is the
+    /// window's.
     seed: u64,
     /// Global record index of the pane's first record.
     start: u64,
@@ -351,7 +358,8 @@ impl WindowedSink {
     }
 
     /// Samples currently retained across all live panes — bounded by
-    /// `Σ lane_sizes × panes_per_window` no matter how long the stream is.
+    /// `Σ lane_sizes ×` [`Window::panes`] no matter how long the stream
+    /// is.
     pub fn kept(&self) -> u64 {
         self.panes
             .iter()
@@ -372,118 +380,85 @@ impl WindowedSink {
         std::mem::take(&mut self.completed).into()
     }
 
-    /// Opens the next pane, reserving its lanes in full. A refused
-    /// reservation is an error and consumes no pane id.
+    /// Opens the next pane, reserving its lanes in full; the sink's first
+    /// pane also sizes the pane deque to [`Window::panes`] slots. A
+    /// refused reservation is an error and consumes no pane id.
     fn new_pane(&mut self) -> Result<Pane, DistError> {
-        let id = self.next_pane_id;
-        let seed = window_seed(self.seed, id);
+        let seed = window_seed(self.seed, self.next_pane_id);
         let lanes = Lanes::new(seed, 0, self.kind, &self.sizes)?;
+        let panes = self.window.panes();
+        self.panes
+            .try_reserve_exact(panes - self.panes.len())
+            .map_err(|_| panes_refused(panes))?;
         self.next_pane_id += 1;
         Ok(Pane {
-            id,
             seed,
             start: self.seen,
             lanes,
         })
     }
 
-    /// Freezes `panes` (oldest first) into one snapshot. A single pane is
-    /// frozen verbatim; multiple panes (sliding windows) are folded
-    /// lane-wise through [`Reservoir::merge`] with a merge stream derived
-    /// from `(seed, id)`.
+    /// Freezes window `id`: every [`WindowSnapshot`] is built here.
+    /// `oldest` is the window's oldest pane by value — the pane that
+    /// retires when the window completes, a clone for a mid-window
+    /// snapshot, `None` before the window's first record. Each pane of
+    /// `newer` (oldest first) folds into its reservoirs lane by lane
+    /// through [`Reservoir::merge`](crate::Reservoir::merge), on a merge
+    /// stream derived from `(seed, id)` that only a second pane draws
+    /// from, so a one-pane window freezes its reservoirs as they stand.
     fn freeze<'a>(
         &self,
-        panes: impl Iterator<Item = &'a Pane>,
+        oldest: Option<Pane>,
+        newer: impl Iterator<Item = &'a Pane> + Clone,
         id: u64,
         complete: bool,
     ) -> WindowSnapshot {
-        let panes: Vec<&Pane> = panes.collect();
-        let seed = panes
-            .first()
+        let seed = oldest
+            .as_ref()
             .map_or_else(|| window_seed(self.seed, id), |p| p.seed);
-        let start = panes.first().map_or(self.seen, |p| p.start);
-        let seen: u64 = panes.iter().map(|p| p.lanes.seen()).sum();
-        let mut merge_rng = StdRng::seed_from_u64(stream_seed(self.seed ^ MERGE_SALT, id));
-        let mut lanes = Vec::with_capacity(self.sizes.len());
-        let mut kept = 0;
-        for lane in 0..self.sizes.len() {
-            let merged = panes
-                .iter()
-                // lint:allow(checked-indexing): every pane is built with sizes.len() lanes
-                .map(|p| &p.lanes.reservoirs()[lane])
-                .fold(None::<Reservoir>, |acc, r| match acc {
-                    None => Some(r.clone()),
-                    Some(a) => Some(a.merge(r, &mut merge_rng)),
-                });
-            let set = merged.map_or_else(
-                || SampleSet::from_samples(Vec::new()),
-                |r| r.to_sample_set(),
-            );
-            kept += set.total();
-            lanes.push(set);
-        }
+        let start = oldest.as_ref().map_or(self.seen, |p| p.start);
+        let seen = oldest.as_ref().map_or(0, |p| p.lanes.seen())
+            + newer.clone().map(|p| p.lanes.seen()).sum::<u64>();
+        let lanes: Vec<SampleSet> = match oldest {
+            None => vec![SampleSet::from_samples(Vec::new()); self.sizes.len()],
+            Some(pane) => {
+                let mut merge_rng = StdRng::seed_from_u64(stream_seed(self.seed ^ MERGE_SALT, id));
+                let reservoirs = pane.lanes.into_reservoirs().into_iter().enumerate();
+                reservoirs
+                    .map(|(lane, reservoir)| {
+                        newer
+                            .clone()
+                            // lint:allow(checked-indexing): every pane is built with sizes.len() lanes
+                            .map(|p| &p.lanes.reservoirs()[lane])
+                            .fold(reservoir, |acc, r| acc.merge(r, &mut merge_rng))
+                            .into_sample_set()
+                    })
+                    .collect()
+            }
+        };
         WindowSnapshot {
             window: id,
             n: self.n,
             start,
             end: start + seen,
             seen,
-            kept,
+            kept: lanes.iter().map(SampleSet::total).sum(),
             seed,
             complete,
             lanes,
         }
     }
 
-    /// Freezes one pane *by value* — the tumbling fast path. A tumbling
-    /// window is exactly one retired pane, so its reservoirs move straight
-    /// into the snapshot's sample sets with no clone and no merge stream
-    /// (bit-identical to folding a single pane through [`Self::freeze`],
-    /// which never touches its merge RNG for one pane).
-    fn freeze_single(n: usize, pane: Pane, complete: bool) -> WindowSnapshot {
-        let Pane {
-            id,
-            seed,
-            start,
-            lanes,
-        } = pane;
-        let seen = lanes.seen();
-        let sets = lanes.into_sets();
-        WindowSnapshot {
-            window: id,
-            n,
-            start,
-            end: start + seen,
-            seen,
-            kept: sets.iter().map(SampleSet::total).sum(),
-            seed,
-            complete,
-            lanes: sets,
-        }
-    }
-
-    /// Handles a pane reaching its span: tumbling windows freeze and drop
-    /// the pane (moving its reservoirs into the snapshot); sliding windows
-    /// freeze the whole deque once it covers a full span, then retire the
-    /// oldest pane.
+    /// Handles a pane reaching its span: once the deque holds a whole
+    /// window, the window completes and its oldest pane retires into the
+    /// snapshot.
     fn complete_pane(&mut self) {
-        match self.window {
-            Window::Tumbling { .. } => {
-                // lint:allow(no-panic): complete_pane is only called right after a pane filled
-                let pane = self.panes.pop_back().expect("a pane just completed");
-                self.next_window_id = pane.id + 1;
-                let snap = Self::freeze_single(self.n, pane, true);
-                self.completed.push_back(snap);
-            }
-            Window::Sliding { .. } => {
-                if self.panes.len() == self.window.panes_per_window() {
-                    let id = self.next_window_id;
-                    self.next_window_id += 1;
-                    let snap = self.freeze(self.panes.iter(), id, true);
-                    self.completed.push_back(snap);
-                    self.panes.pop_front();
-                }
-            }
+        if self.panes.len() == self.window.panes() {
+            let id = self.next_window_id;
+            self.next_window_id += 1;
+            let oldest = self.panes.pop_front();
+            let snap = self.freeze(oldest, self.panes.iter(), id, true);
+            self.completed.push_back(snap);
         }
     }
 }
@@ -496,6 +471,16 @@ fn out_of_domain(value: usize, n: usize) -> DistError {
     DistError::BadParameter {
         reason: format!(
             "record {value} outside declared domain [0, {n}); widen the domain or drop the record"
+        ),
+    }
+}
+
+/// Builds the error of a pane deque the allocator refused.
+#[cold]
+fn panes_refused(panes: usize) -> DistError {
+    DistError::BadParameter {
+        reason: format!(
+            "cannot reserve a window of {panes} panes; shrink the span or widen the step"
         ),
     }
 }
@@ -534,11 +519,9 @@ impl SampleSink for WindowedSink {
     }
 
     fn snapshot(&self) -> WindowSnapshot {
-        let id = match self.window {
-            Window::Tumbling { .. } => self.panes.back().map_or(self.next_pane_id, |p| p.id),
-            Window::Sliding { .. } => self.next_window_id,
-        };
-        self.freeze(self.panes.iter(), id, false)
+        let oldest = self.panes.front().cloned();
+        let newer = self.panes.iter().skip(1);
+        self.freeze(oldest, newer, self.next_window_id, false)
     }
 }
 
@@ -546,6 +529,7 @@ impl SampleSink for WindowedSink {
 mod tests {
     use super::*;
     use crate::oracle::{RecordFileOracle, SampleOracle};
+    use crate::reservoir::Reservoir;
     use crate::test_util::temp_records;
 
     fn stream(len: usize, n: usize) -> Vec<usize> {
@@ -806,6 +790,136 @@ mod tests {
     }
 
     #[test]
+    fn a_tumbling_window_is_a_one_pane_sliding_window() {
+        // Every lane shape, window ids and seeds included, completed and
+        // mid-window alike.
+        let records = stream(1_050, 32);
+        for (main, r, m) in [(40, 0, 0), (0, 3, 20), (40, 3, 20)] {
+            let build = |window| WindowedSink::new(32, 23, window, main, r, m).unwrap();
+            let mut tumbling = build(Window::Tumbling { span: 200 });
+            let mut sliding = build(Window::Sliding {
+                span: 200,
+                step: 200,
+            });
+            assert_eq!(tumbling.snapshot(), sliding.snapshot());
+            let mut windows = Vec::new();
+            for chunk in records.chunks(150) {
+                tumbling.push_all(chunk).unwrap();
+                sliding.push_all(chunk).unwrap();
+                let done = tumbling.drain_completed();
+                assert_eq!(done, sliding.drain_completed());
+                assert_eq!(tumbling.snapshot(), sliding.snapshot());
+                windows.extend(done.iter().map(|w| (w.window, w.seed)));
+            }
+            let want: Vec<(u64, u64)> = (0..5).map(|w| (w, window_seed(23, w))).collect();
+            assert_eq!(windows, want);
+        }
+    }
+
+    /// What every window must freeze to: a whole stream's panes kept side
+    /// by side (pane `i` holds records `[i·step, (i+1)·step)` on the lanes
+    /// of `window_seed(seed, i)`), window `w` covering panes
+    /// `w..w + panes`, frozen by the plain clone-and-merge fold: clone the
+    /// oldest pane's reservoir, merge each newer one into it by reference
+    /// and sort a copy of the result.
+    struct Reference {
+        n: usize,
+        seed: u64,
+        window: Window,
+        kind: LaneKind,
+        sizes: Vec<usize>,
+        panes: Vec<Lanes>,
+        seen: u64,
+    }
+
+    impl Reference {
+        fn new(n: usize, seed: u64, window: Window, main: usize, r: usize, m: usize) -> Self {
+            let (kind, sizes) = lane_shape(main, r, m);
+            Reference {
+                n,
+                seed,
+                window,
+                kind,
+                sizes,
+                panes: Vec::new(),
+                seen: 0,
+            }
+        }
+
+        fn push(&mut self, value: usize) {
+            if self.seen.is_multiple_of(self.window.pane_span()) {
+                let seed = window_seed(self.seed, self.panes.len() as u64);
+                self.panes
+                    .push(Lanes::new(seed, 0, self.kind, &self.sizes).unwrap());
+            }
+            self.panes.last_mut().unwrap().offer(value);
+            self.seen += 1;
+        }
+
+        /// Windows completed so far.
+        fn completed(&self) -> u64 {
+            let full = self.seen / self.window.pane_span();
+            (full + 1).saturating_sub(self.window.panes() as u64)
+        }
+
+        /// Window `w` over the records pushed so far.
+        fn freeze(&self, w: u64, complete: bool) -> WindowSnapshot {
+            let first = (w as usize).min(self.panes.len());
+            let last = (first + self.window.panes()).min(self.panes.len());
+            let panes = &self.panes[first..last];
+            let start = if panes.is_empty() {
+                self.seen
+            } else {
+                w * self.window.pane_span()
+            };
+            let seen: u64 = panes.iter().map(Lanes::seen).sum();
+            let mut merge_rng = StdRng::seed_from_u64(stream_seed(self.seed ^ MERGE_SALT, w));
+            let lanes: Vec<SampleSet> = (0..self.sizes.len())
+                .map(|lane| {
+                    panes
+                        .iter()
+                        .map(|p| &p.reservoirs()[lane])
+                        .fold(None::<Reservoir>, |acc, r| match acc {
+                            None => Some(r.clone()),
+                            Some(a) => Some(a.merge(r, &mut merge_rng)),
+                        })
+                        .map_or_else(
+                            || SampleSet::from_samples(Vec::new()),
+                            |r| r.to_sample_set(),
+                        )
+                })
+                .collect();
+            WindowSnapshot {
+                window: w,
+                n: self.n,
+                start,
+                end: start + seen,
+                seen,
+                kept: lanes.iter().map(SampleSet::total).sum(),
+                seed: window_seed(self.seed, w),
+                complete,
+                lanes,
+            }
+        }
+    }
+
+    #[test]
+    fn a_pane_deque_too_large_to_reserve_is_an_error() {
+        let window = Window::Sliding {
+            span: 1 << 62,
+            step: 1,
+        };
+        let mut sink = WindowedSink::new(8, 1, window, 5, 0, 0).unwrap();
+        let err = sink.push(3).unwrap_err().to_string();
+        assert!(err.contains("cannot reserve a window of"), "{err}");
+        assert_eq!(sink.seen(), 0, "a refused record is not ingested");
+        assert_eq!(
+            sink.snapshot().lanes,
+            vec![SampleSet::from_samples(Vec::new())]
+        );
+    }
+
+    #[test]
     fn sink_is_object_safe() {
         let mut sink = WindowedSink::new(8, 1, Window::Tumbling { span: 4 }, 4, 0, 0).unwrap();
         let dyn_sink: &mut dyn SampleSink = &mut sink;
@@ -846,6 +960,56 @@ mod tests {
                 let pulled = oracle.draw_lanes(main, r, m);
                 std::fs::remove_file(&path).ok();
                 prop_assert_eq!(window.lanes, pulled);
+            }
+
+            /// One window path: over random plans of every lane shape,
+            /// windows of one to four panes, random push cuts and random
+            /// snapshot points, every completed and mid-window snapshot
+            /// equals the reference fold bit for bit.
+            #[test]
+            fn prop_snapshots_equal_the_reference_fold(
+                main in 1usize..120,
+                r in 0usize..5,
+                m in 1usize..120,
+                sets_only in 0u32..2,
+                n in 1usize..65,
+                panes in 1u64..5,
+                step in 1u64..80,
+                tumbling in 0u32..2,
+                values in proptest::collection::vec(0usize..64, 0..900),
+                cuts in proptest::collection::vec((1usize..150, 0u32..2), 1..40),
+                seed in 0u64..u64::MAX,
+            ) {
+                let main = if r > 0 && sets_only == 1 { 0 } else { main };
+                let window = if panes == 1 && tumbling == 1 {
+                    Window::Tumbling { span: step }
+                } else {
+                    Window::Sliding { span: panes * step, step }
+                };
+                let mut sink = WindowedSink::new(n, seed, window, main, r, m).unwrap();
+                let mut reference = Reference::new(n, seed, window, main, r, m);
+                prop_assert_eq!(sink.snapshot(), reference.freeze(0, false));
+                let records: Vec<usize> = values.iter().map(|v| v % n).collect();
+                let mut rest = &records[..];
+                let mut drained = 0;
+                for &(cut, snapshot) in cuts.iter().cycle() {
+                    let (chunk, tail) = rest.split_at(cut.min(rest.len()));
+                    sink.push_all(chunk).unwrap();
+                    chunk.iter().for_each(|&v| reference.push(v));
+                    let done = reference.completed();
+                    let want: Vec<WindowSnapshot> =
+                        (drained..done).map(|w| reference.freeze(w, true)).collect();
+                    prop_assert_eq!(sink.drain_completed(), want);
+                    drained = done;
+                    if snapshot == 1 {
+                        prop_assert_eq!(sink.snapshot(), reference.freeze(done, false));
+                    }
+                    if tail.is_empty() {
+                        break;
+                    }
+                    rest = tail;
+                }
+                prop_assert_eq!(sink.snapshot(), reference.freeze(drained, false));
             }
 
             /// The one-pass union equals folding the lanes pairwise, each

@@ -42,7 +42,7 @@ const KEYS: [&str; 4] = ["api", "web", "batch", "edge"];
 /// the reference the engine must match bit for bit.
 fn dedicated_monitor(
     n: usize,
-    span: u64,
+    window: Window,
     base_seed: u64,
     key: &str,
     records: &[usize],
@@ -50,7 +50,7 @@ fn dedicated_monitor(
     let mut monitor = Monitor::builder(n)
         .seed(Engine::stream_seed(base_seed, key))
         .stream(key)
-        .tumbling(span)
+        .window(window)
         .analyses(batch())
         .build()
         .unwrap();
@@ -65,7 +65,8 @@ proptest! {
     /// Acceptance criterion: `Engine` with shards ∈ {1, 2, 4} produces
     /// per-stream `WindowReport` sequences bit-identical to a dedicated
     /// `Monitor` per stream (same seed derivation), including the flush
-    /// of partial tails.
+    /// of partial tails, over tumbling windows and sliding windows of two,
+    /// three and four panes.
     #[test]
     fn prop_engine_streams_equal_dedicated_monitors(
         // Interleaved keyed records: (key index, value) pairs. The length
@@ -76,6 +77,12 @@ proptest! {
     ) {
         let n = 32;
         let span = 120u64;
+        let windows = [
+            Window::Tumbling { span },
+            Window::Sliding { span, step: 60 },
+            Window::Sliding { span, step: 40 },
+            Window::Sliding { span, step: 30 },
+        ];
         let keyed: Vec<(String, usize)> = records
             .iter()
             .map(|&(k, v)| (KEYS[k].to_string(), v))
@@ -84,41 +91,44 @@ proptest! {
         // ingest_batch calls.
         let split = ((keyed.len() as f64) * cut) as usize;
 
-        for shards in [1usize, 2, 4] {
-            let mut engine = Engine::builder(n)
-                .seed(base_seed)
-                .shards(shards)
-                .tumbling(span)
-                .analyses(batch())
-                .build()
-                .unwrap();
-            let mut got = engine.ingest_batch(&keyed[..split]).unwrap();
-            got.extend(engine.ingest_batch(&keyed[split..]).unwrap());
-            got.extend(engine.flush_debut_ordered().unwrap());
+        for window in windows {
+            for shards in [1usize, 2, 4] {
+                let mut engine = Engine::builder(n)
+                    .seed(base_seed)
+                    .shards(shards)
+                    .window(window)
+                    .analyses(batch())
+                    .build()
+                    .unwrap();
+                let mut got = engine.ingest_batch(&keyed[..split]).unwrap();
+                got.extend(engine.ingest_batch(&keyed[split..]).unwrap());
+                got.extend(engine.flush_debut_ordered().unwrap());
 
-            let mut covered = 0;
-            for key in KEYS {
-                let mine: Vec<usize> = keyed
-                    .iter()
-                    .filter(|(k, _)| k == key)
-                    .map(|&(_, v)| v)
-                    .collect();
-                let want = dedicated_monitor(n, span, base_seed, key, &mine);
-                let stream_reports: Vec<WindowReport> = got
-                    .iter()
-                    .filter(|r| r.stream.as_deref() == Some(key))
-                    .cloned()
-                    .collect();
-                prop_assert_eq!(
-                    &stream_reports,
-                    &want,
-                    "stream {} @ {} shards",
-                    key,
-                    shards
-                );
-                covered += stream_reports.len();
+                let mut covered = 0;
+                for key in KEYS {
+                    let mine: Vec<usize> = keyed
+                        .iter()
+                        .filter(|(k, _)| k == key)
+                        .map(|&(_, v)| v)
+                        .collect();
+                    let want = dedicated_monitor(n, window, base_seed, key, &mine);
+                    let stream_reports: Vec<WindowReport> = got
+                        .iter()
+                        .filter(|r| r.stream.as_deref() == Some(key))
+                        .cloned()
+                        .collect();
+                    prop_assert_eq!(
+                        &stream_reports,
+                        &want,
+                        "stream {} @ {} shards, {:?}",
+                        key,
+                        shards,
+                        window
+                    );
+                    covered += stream_reports.len();
+                }
+                prop_assert_eq!(covered, got.len(), "no report escapes its stream");
             }
-            prop_assert_eq!(covered, got.len(), "no report escapes its stream");
         }
     }
 
@@ -162,7 +172,7 @@ proptest! {
                     .filter(|(k, _)| k == key)
                     .map(|&(_, v)| v)
                     .collect();
-                let want = dedicated_monitor(n, span, base_seed, key, &mine);
+                let want = dedicated_monitor(n, Window::Tumbling { span }, base_seed, key, &mine);
                 let stream_reports: Vec<WindowReport> = got
                     .iter()
                     .filter(|r| r.stream.as_deref() == Some(key))
@@ -300,7 +310,7 @@ fn hot_stream_runs_in_one_large_batch_keep_arrival_order() {
                 .filter(|(k, _)| k == key)
                 .map(|&(_, v)| v)
                 .collect();
-            let want = dedicated_monitor(n, span, 41, key, &mine);
+            let want = dedicated_monitor(n, Window::Tumbling { span }, 41, key, &mine);
             let stream_reports: Vec<WindowReport> = got
                 .iter()
                 .filter(|r| r.stream.as_deref() == Some(key))
@@ -348,7 +358,7 @@ fn flush_covers_every_partial_tail() {
             .filter(|(k, _)| k == key)
             .map(|&(_, v)| v)
             .collect();
-        let want = dedicated_monitor(n, 1_000, 5, key, &mine);
+        let want = dedicated_monitor(n, Window::Tumbling { span: 1_000 }, 5, key, &mine);
         let got: Vec<WindowReport> = tails
             .iter()
             .filter(|r| r.stream.as_deref() == Some(key))

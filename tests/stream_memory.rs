@@ -33,9 +33,9 @@ const PER_VALUE: usize = 12;
 
 /// What a stream's first completed window adds besides its baseline's
 /// values, with room to spare: the ledger's first totals (`draw` and
-/// `uniformity`, a four-entry buffer of 40-byte entries plus the labels)
-/// and the baseline queue's first buffer (four 40-byte entries).
-const PER_STREAM: usize = 512;
+/// `uniformity`, a four-entry buffer of 32-byte entries) and the baseline
+/// queue, which holds one 40-byte entry for a one-pane window.
+const PER_STREAM: usize = 256;
 
 #[test]
 fn a_completed_window_keeps_at_most_twelve_bytes_per_distinct_value() {
